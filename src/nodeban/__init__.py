@@ -19,13 +19,11 @@ from .hiper import (
     HiperParams,
     HiperPolicy,
     OptimalDelta,
-    RunningStat,
     bound_loss_combined,
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
     confidence_radius,
-    hiper_decide,
     min_samples,
     optimal_delta,
 )
@@ -34,14 +32,11 @@ from .model import (
     Decision,
     EnvParams,
     NodeType,
-    Observation,
     oracle_gain,
     realized_gain,
     realized_loss,
-    worst_case_loss,
 )
 from .policies import (
-    DecisionTrace,
     LeafRule,
     LookaheadConfig,
     LookaheadPolicy,
@@ -49,7 +44,6 @@ from .policies import (
     OptimisticPolicy,
     lookahead_decide,
     lookahead_value,
-    lookahead_value_bruteforce,
     myopic_decide,
     optimistic_decide,
 )
@@ -58,7 +52,6 @@ from .simulator import (
     ExperimentDraw,
     ExperimentSuite,
     NodeRecord,
-    OraclePolicy,
     run_episode,
     sample_experiment,
     simulate_node,

@@ -9,13 +9,16 @@ Three subcommands:
   stream  apply a policy online to newline-delimited JSON observation
           events, one verdict per event until a node is removed
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config/input error.
+Exit codes: 0 success, 1 runtime failure (including a closed output pipe),
+2 usage/config/input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -24,6 +27,7 @@ from .belief import ImpossibleEvidenceError
 from .experiments import (
     PolicySpec,
     SuiteConfig,
+    _fmt,
     aggregate_mean_loss,
     emit_csv,
     run_suite,
@@ -38,7 +42,7 @@ from .hiper import (
     bound_loss_malicious_warmup,
     optimal_delta,
 )
-from .model import Decision, EnvParams, Observation
+from .model import Decision, EnvParams
 from .policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
 from .simulator import ExperimentSuite
 
@@ -51,20 +55,9 @@ class StreamEvent(NamedTuple):
     x: float
 
 
-class StreamVerdict(NamedTuple):
-    node_id: str
-    t: int
-    decision: str
-    statistic: float
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
 
 
 # ---------------------------------------------------------------- suite --
@@ -117,7 +110,7 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
             suite=suite,
             base_seed=args.seed,
             n_runs=raw.get("n_runs"),
-            ma_window=int(ma_window),
+            ma_window=ma_window,
             policies=policies,
         )
     except ValueError as exc:
@@ -125,6 +118,8 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}")
     try:
         cfg = _load_suite_config(args)
     except ValueError as exc:
@@ -239,11 +234,10 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
     x = obj["x"]
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"line {line_no}: x must be a number, got {x!r}")
-    try:
-        observation = Observation(float(x))
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: {exc}")
-    return StreamEvent(str(obj["node_id"]), t, observation.value)
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"line {line_no}: observation value must lie in [0, 1], got {x}")
+    return StreamEvent(str(obj["node_id"]), t, x)
 
 
 def _run_stream(args: argparse.Namespace, infile, outfile) -> int:
@@ -273,7 +267,7 @@ def _run_stream(args: argparse.Namespace, infile, outfile) -> int:
         if event.node_id in removed:
             continue
         x = event.x
-        if needs_binary and not Observation(x).is_binary:
+        if needs_binary and x != 0.0 and x != 1.0:
             if args.binarize is None:
                 return _fail(
                     f"line {line_no}: x={x} is not binary; this policy needs binary "
@@ -288,13 +282,13 @@ def _run_stream(args: argparse.Namespace, infile, outfile) -> int:
             decision = policy.observe(x)
         except ImpossibleEvidenceError as exc:
             return _fail(f"line {line_no}: {exc}")
-        verdict = StreamVerdict(
-            node_id=event.node_id,
-            t=event.t,
-            decision=decision.value,
-            statistic=policy.statistic,
-        )
-        outfile.write(json.dumps(verdict._asdict()) + "\n")
+        verdict = {
+            "node_id": event.node_id,
+            "t": event.t,
+            "decision": decision.value,
+            "statistic": policy.statistic,
+        }
+        outfile.write(json.dumps(verdict) + "\n")
         if decision is Decision.REMOVE:
             removed.add(event.node_id)
             del policies[event.node_id]
@@ -334,19 +328,30 @@ def cmd_stream(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- main --
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--u", type=float, help="honest observation mean in [0, 1]")
-    parser.add_argument("--q", type=float, help="malicious observation mean in [0, 1]")
-    parser.add_argument("--gU", type=float, help="per-step gain from an honest node")
-    parser.add_argument("--lQ", type=float, help="per-step loss from a malicious node")
+    parser.add_argument("--u", type=_finite_float, help="honest observation mean in [0, 1]")
+    parser.add_argument("--q", type=_finite_float, help="malicious observation mean in [0, 1]")
+    parser.add_argument("--gU", type=_finite_float, help="per-step gain from an honest node")
+    parser.add_argument("--lQ", type=_finite_float, help="per-step loss from a malicious node")
     parser.add_argument(
         "--lambda",
         dest="departure_rate",
-        type=float,
+        type=_finite_float,
         help="per-step honest departure probability in (0, 1]",
     )
     parser.add_argument(
-        "--Delta", dest="gap", type=float, help="gap between the means (default |u - q|)"
+        "--Delta", dest="gap", type=_finite_float, help="gap between the means (default |u - q|)"
     )
 
 
@@ -385,9 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["hiper", "myopic", "optimistic", "lookahead"],
     )
     _add_param_flags(p_stream)
-    p_stream.add_argument("--delta", type=float, help="hiper error probability in (0, 1)")
+    p_stream.add_argument("--delta", type=_finite_float, help="hiper error probability in (0, 1)")
     p_stream.add_argument(
-        "--prior", type=float, default=0.5, help="prior malicious probability (default 0.5)"
+        "--prior",
+        type=_finite_float,
+        default=0.5,
+        help="prior malicious probability (default 0.5)",
     )
     p_stream.add_argument(
         "--lookahead-depth", type=int, default=4, help="planning depth (default 4)"
@@ -400,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stream.add_argument(
         "--binarize",
-        type=float,
+        type=_finite_float,
         help="threshold mapping x >= THRESHOLD to 1 for the belief policies",
     )
     p_stream.set_defaults(handler=cmd_stream)
@@ -409,7 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head -1`). Point stdout at devnull,
+        # as the Python docs recommend, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -89,11 +89,9 @@ class PolicySpec:
         if kind == "lookahead":
             if len(parts) not in (2, 3):
                 raise ValueError(f"policy {text!r} needs a depth, e.g. lookahead:4")
-            depth = int(parts[1])
-            if not 1 <= depth <= 24:
-                raise ValueError(f"lookahead depth must lie in [1, 24], got {depth}")
             leaf = LeafRule(parts[2]) if len(parts) == 3 else LeafRule.ZERO
-            return cls(kind=kind, depth=depth, leaf_rule=leaf)
+            cfg = LookaheadConfig(int(parts[1]), leaf)  # validates the depth
+            return cls(kind=kind, depth=cfg.depth, leaf_rule=leaf)
         raise ValueError(f"unknown policy kind {kind!r} in {text!r}")
 
     @property
@@ -131,9 +129,10 @@ class SuiteConfig:
     policies: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_runs, int) or self.n_runs < 1:
+        # type() and not isinstance(): a JSON true is a bool, which is an int
+        if type(self.n_runs) is not int or self.n_runs < 1:
             raise ValueError(f"n_runs must be a positive integer, got {self.n_runs!r}")
-        if not isinstance(self.ma_window, int) or self.ma_window < 1 or self.ma_window % 2 == 0:
+        if type(self.ma_window) is not int or self.ma_window < 1 or self.ma_window % 2 == 0:
             raise ValueError(f"ma_window must be a positive odd integer, got {self.ma_window!r}")
         if not self.policies:
             raise ValueError("policies must not be empty")

@@ -21,19 +21,6 @@ _DELTA_MIN = 1e-6
 _DELTA_MAX = 1.0 - 1e-6
 
 
-class RunningStat(NamedTuple):
-    """Per-node sufficient statistic: sample count and running sum."""
-
-    count: int = 0
-    total: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("mean is undefined before the first observation")
-        return self.total / self.count
-
-
 @dataclass(frozen=True)
 class HiperParams:
     """Inputs of the stopping rule.
@@ -50,17 +37,10 @@ class HiperParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.gap <= 0.0:
+        if not self.gap > 0.0:
             raise ValueError(f"gap must be positive, got {self.gap}")
         if not 0.0 <= self.malicious_mean <= 1.0:
             raise ValueError(f"malicious_mean must lie in [0, 1], got {self.malicious_mean}")
-
-
-def update(stat: RunningStat, x: float) -> RunningStat:
-    """Fold one observation in [0, 1] into the running statistic."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"observation must lie in [0, 1], got {x}")
-    return RunningStat(stat.count + 1, stat.total + x)
 
 
 def confidence_radius(delta: float, t: float) -> float:
@@ -88,20 +68,6 @@ def min_samples(delta: float, gap: float) -> float:
     if gap <= 0.0:
         raise ValueError(f"gap must be positive, got {gap}")
     return math.log(2.0 / delta) / (2.0 * gap * gap)
-
-
-def hiper_decide(stat: RunningStat, params: HiperParams) -> Decision:
-    """Remove iff the mean is strictly inside the radius around the malicious
-    mean and the count strictly exceeds the warm-up threshold. Equality in
-    either comparison keeps the node."""
-    if stat.count < 1:
-        raise ValueError("decision requires at least one observation")
-    t = stat.count
-    if t > min_samples(params.delta, params.gap) and abs(
-        stat.mean - params.malicious_mean
-    ) < confidence_radius(params.delta, t):
-        return Decision.REMOVE
-    return Decision.KEEP
 
 
 class OptimalDelta(NamedTuple):
@@ -197,10 +163,13 @@ def bound_loss_combined(
 
 
 class HiperPolicy:
-    """Online wrapper: feed observations, get keep/remove verdicts.
+    """The stopping rule, online: feed observations, get keep/remove verdicts.
 
-    Decisions are identical to folding `update` and calling `hiper_decide`;
-    the warm-up threshold and log term are simply precomputed once.
+    After each observation the node is removed iff its count strictly
+    exceeds the warm-up threshold min_samples(delta, gap) and its running
+    mean lies strictly inside confidence_radius(delta, count) of the
+    malicious mean. Equality in either comparison keeps the node. The
+    warm-up threshold and the log term of the radius are precomputed once.
     """
 
     def __init__(self, params: HiperParams) -> None:
@@ -226,10 +195,8 @@ class HiperPolicy:
         return Decision.KEEP
 
     @property
-    def stat(self) -> RunningStat:
-        return RunningStat(self._count, self._total)
-
-    @property
     def statistic(self) -> float:
         """Current running mean (the quantity the rule thresholds)."""
-        return RunningStat(self._count, self._total).mean
+        if self._count == 0:
+            raise ValueError("mean is undefined before the first observation")
+        return self._total / self._count

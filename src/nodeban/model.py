@@ -33,21 +33,6 @@ class Decision(Enum):
 
 
 @dataclass(frozen=True)
-class Observation:
-    """A single bounded behaviour score for one node at one step."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"observation value must lie in [0, 1], got {self.value}")
-
-    @property
-    def is_binary(self) -> bool:
-        return self.value == 0.0 or self.value == 1.0
-
-
-@dataclass(frozen=True)
 class EnvParams:
     """Generative world parameters.
 
@@ -71,9 +56,9 @@ class EnvParams:
             raise ValueError(f"honest_mean must lie in [0, 1], got {self.honest_mean}")
         if not 0.0 <= self.malicious_mean <= 1.0:
             raise ValueError(f"malicious_mean must lie in [0, 1], got {self.malicious_mean}")
-        if self.gain_honest < 0.0:
+        if not self.gain_honest >= 0.0:
             raise ValueError(f"gain_honest must be nonnegative, got {self.gain_honest}")
-        if self.loss_malicious < 0.0:
+        if not self.loss_malicious >= 0.0:
             raise ValueError(f"loss_malicious must be nonnegative, got {self.loss_malicious}")
         if not 0.0 < self.departure_rate <= 1.0:
             raise ValueError(f"departure_rate must lie in (0, 1], got {self.departure_rate}")
@@ -130,10 +115,3 @@ def realized_loss(node_type: NodeType, departure: float, removal: float, env: En
     if math.isinf(departure) or math.isinf(removal):
         raise ValueError("realized_loss requires step counts capped at the episode horizon")
     return oracle_gain(node_type, departure, env) - realized_gain(node_type, departure, removal, env)
-
-
-def worst_case_loss(loss_honest: float, loss_malicious: float) -> float:
-    """Worse of the per-type expected losses."""
-    if loss_honest < 0.0 or loss_malicious < 0.0:
-        raise ValueError("losses must be nonnegative")
-    return max(loss_honest, loss_malicious)

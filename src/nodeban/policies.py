@@ -14,7 +14,6 @@ Ties always remove: each rule keeps only on a strictly positive margin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +29,6 @@ from .belief import (
 )
 from .model import Decision, EnvParams
 
-_BRUTEFORCE_MAX_DEPTH = 12
 _MAX_DEPTH = 24
 
 
@@ -52,25 +50,6 @@ class LookaheadConfig:
             raise ValueError(f"depth must be an integer in [1, {_MAX_DEPTH}], got {self.depth}")
 
 
-@dataclass(frozen=True)
-class DecisionTrace:
-    """A verdict together with the value comparison that produced it."""
-
-    decision: Decision
-    value_keep: float
-    value_remove: float
-    posterior_snapshot: float
-
-    def __post_init__(self) -> None:
-        if self.decision is Decision.KEEP and not self.value_keep > self.value_remove:
-            raise ValueError("keep verdicts require value_keep strictly above value_remove")
-
-    @classmethod
-    def from_keep_value(cls, value_keep: float, posterior_snapshot: float) -> "DecisionTrace":
-        decision = Decision.KEEP if value_keep > 0.0 else Decision.REMOVE
-        return cls(decision, value_keep, 0.0, posterior_snapshot)
-
-
 def myopic_decide(belief: BeliefState, env: EnvParams) -> Decision:
     """Keep iff the one-step expected keep gain is strictly positive."""
     if expected_keep_gain(belief, env) > 0.0:
@@ -78,27 +57,18 @@ def myopic_decide(belief: BeliefState, env: EnvParams) -> Decision:
     return Decision.REMOVE
 
 
-def myopic_trace(belief: BeliefState, env: EnvParams) -> DecisionTrace:
-    return DecisionTrace.from_keep_value(expected_keep_gain(belief, env), belief.posterior_malicious)
+def _optimistic_margin(belief: BeliefState, env: EnvParams) -> float:
+    """P(honest) * gain / departure_rate - P(malicious) * loss."""
+    pm = belief.posterior_malicious
+    return (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
 
 
 def optimistic_decide(belief: BeliefState, env: EnvParams) -> Decision:
     """Keep iff P(honest) * gain / departure_rate strictly exceeds
     P(malicious) * loss."""
-    if env.departure_rate <= 0.0:
-        raise ValueError(f"departure_rate must be positive, got {env.departure_rate}")
-    pm = belief.posterior_malicious
-    if (1.0 - pm) * env.gain_honest / env.departure_rate > pm * env.loss_malicious:
+    if _optimistic_margin(belief, env) > 0.0:
         return Decision.KEEP
     return Decision.REMOVE
-
-
-def optimistic_trace(belief: BeliefState, env: EnvParams) -> DecisionTrace:
-    if env.departure_rate <= 0.0:
-        raise ValueError(f"departure_rate must be positive, got {env.departure_rate}")
-    pm = belief.posterior_malicious
-    value = (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
-    return DecisionTrace.from_keep_value(value, pm)
 
 
 def _leaf_value(belief: BeliefState, env: EnvParams, rule: LeafRule) -> float:
@@ -106,8 +76,7 @@ def _leaf_value(belief: BeliefState, env: EnvParams, rule: LeafRule) -> float:
         return 0.0
     if rule is LeafRule.MYOPIC_INFINITE:
         return max(0.0, expected_keep_gain(belief, env)) / env.departure_rate
-    pm = belief.posterior_malicious
-    return max(0.0, (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious)
+    return max(0.0, _optimistic_margin(belief, env))
 
 
 def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
@@ -162,41 +131,6 @@ def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) 
     if lookahead_value(belief, env, cfg) > 0.0:
         return Decision.KEEP
     return Decision.REMOVE
-
-
-def lookahead_trace(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> DecisionTrace:
-    return DecisionTrace.from_keep_value(
-        lookahead_value(belief, env, cfg), belief.posterior_malicious
-    )
-
-
-def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
-    """Reference evaluation of lookahead_value by expanding all 2^depth
-    observation paths; used to validate the state-merged induction in tests.
-    """
-    if cfg.depth > _BRUTEFORCE_MAX_DEPTH:
-        raise ValueError(
-            f"brute-force enumeration is limited to depth {_BRUTEFORCE_MAX_DEPTH}, "
-            f"got {cfg.depth}"
-        )
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
-
-    def expand(b: BeliefState, d: int) -> float:
-        if d == 0:
-            return _leaf_value(b, env, cfg.leaf_rule)
-        gain = expected_keep_gain(b, env)
-        p_one = predictive(b, model)
-        try:
-            v_one = expand(update(b, 1, model), d - 1)
-        except ImpossibleEvidenceError:
-            v_one = 0.0
-        try:
-            v_zero = expand(update(b, 0, model), d - 1)
-        except ImpossibleEvidenceError:
-            v_zero = 0.0
-        return max(0.0, gain + p_one * v_one + (1.0 - p_one) * v_zero)
-
-    return expand(belief, cfg.depth)
 
 
 class _BeliefPolicy:

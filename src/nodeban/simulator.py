@@ -14,7 +14,6 @@ draw sees identical node types, departures and observations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
@@ -82,10 +81,6 @@ class EpisodeResult:
     @property
     def mean_loss(self) -> float:
         return fmean(r.realized_loss for r in self.records)
-
-    def mean_loss_for(self, node_type: NodeType) -> float:
-        losses = [r.realized_loss for r in self.records if r.node_type is node_type]
-        return fmean(losses) if losses else math.nan
 
     @property
     def malicious_fraction(self) -> float:
@@ -201,7 +196,8 @@ def run_episode(policy_factory, draw: ExperimentDraw, rng: np.random.Generator) 
     per node on that node's own stream.
 
     policy_factory(draw, node_type) must return a fresh policy; learning
-    policies ignore the type argument, the oracle baseline uses it.
+    policies ignore the type argument, a type-aware baseline (the tests'
+    oracle) uses it.
     """
     malicious_mask = rng.random(draw.n_nodes) < draw.env.prior_malicious
     records = []
@@ -211,20 +207,3 @@ def run_episode(policy_factory, draw: ExperimentDraw, rng: np.random.Generator) 
         records.append(simulate_node(policy, node_type, draw, node_rng(draw, node_id), node_id))
     return EpisodeResult(tuple(records))
 
-
-class OraclePolicy:
-    """Type-aware baseline: removes malicious nodes before any observation,
-    keeps honest nodes forever. Test and sanity baseline only."""
-
-    def __init__(self, node_type: NodeType) -> None:
-        self._node_type = node_type
-
-    def initial_decision(self) -> Decision:
-        return Decision.REMOVE if self._node_type is NodeType.MALICIOUS else Decision.KEEP
-
-    def observe(self, x: float) -> Decision:
-        return Decision.KEEP
-
-    @property
-    def statistic(self) -> float:
-        return 1.0 if self._node_type is NodeType.MALICIOUS else 0.0

@@ -1,0 +1,80 @@
+"""Reference implementations the tests compare the package against.
+
+Each restates one rule in its most direct form, slower or narrower than the
+package's version, so that agreement between the two is evidence that the
+package's version is right.
+"""
+
+from __future__ import annotations
+
+from nodeban.belief import (
+    BeliefState,
+    BernoulliModel,
+    ImpossibleEvidenceError,
+    expected_keep_gain,
+    predictive,
+    update,
+)
+from nodeban.hiper import HiperParams, confidence_radius, min_samples
+from nodeban.model import Decision, EnvParams, NodeType
+from nodeban.policies import LookaheadConfig, _leaf_value
+
+_BRUTEFORCE_MAX_DEPTH = 12
+
+
+def hiper_decision(count: int, total: float, params: HiperParams) -> Decision:
+    """The confidence-interval rule from its closed forms: remove iff count
+    strictly exceeds min_samples and the mean total / count lies strictly
+    inside confidence_radius of the malicious mean."""
+    if count > min_samples(params.delta, params.gap) and abs(
+        total / count - params.malicious_mean
+    ) < confidence_radius(params.delta, count):
+        return Decision.REMOVE
+    return Decision.KEEP
+
+
+def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
+    """Reference evaluation of lookahead_value by expanding all 2^depth
+    observation paths; validates the state-merged induction.
+    """
+    if cfg.depth > _BRUTEFORCE_MAX_DEPTH:
+        raise ValueError(
+            f"brute-force enumeration is limited to depth {_BRUTEFORCE_MAX_DEPTH}, "
+            f"got {cfg.depth}"
+        )
+    model = BernoulliModel(env.honest_mean, env.malicious_mean)
+
+    def expand(b: BeliefState, d: int) -> float:
+        if d == 0:
+            return _leaf_value(b, env, cfg.leaf_rule)
+        gain = expected_keep_gain(b, env)
+        p_one = predictive(b, model)
+        try:
+            v_one = expand(update(b, 1, model), d - 1)
+        except ImpossibleEvidenceError:
+            v_one = 0.0
+        try:
+            v_zero = expand(update(b, 0, model), d - 1)
+        except ImpossibleEvidenceError:
+            v_zero = 0.0
+        return max(0.0, gain + p_one * v_one + (1.0 - p_one) * v_zero)
+
+    return expand(belief, cfg.depth)
+
+
+class OraclePolicy:
+    """Type-aware baseline: removes malicious nodes before any observation,
+    keeps honest nodes forever."""
+
+    def __init__(self, node_type: NodeType) -> None:
+        self._node_type = node_type
+
+    def initial_decision(self) -> Decision:
+        return Decision.REMOVE if self._node_type is NodeType.MALICIOUS else Decision.KEEP
+
+    def observe(self, x: float) -> Decision:
+        return Decision.KEEP
+
+    @property
+    def statistic(self) -> float:
+        return 1.0 if self._node_type is NodeType.MALICIOUS else 0.0

@@ -31,11 +31,11 @@ from nodeban.policies import (
     LookaheadConfig,
     lookahead_decide,
     lookahead_value,
-    lookahead_value_bruteforce,
     myopic_decide,
     optimistic_decide,
 )
 from nodeban.simulator import ExperimentDraw, node_rng, simulate_node
+from oracles import lookahead_value_bruteforce
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:

@@ -1,13 +1,58 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nodeban
 from nodeban.cli import main
+
+HIPER = ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"]
+MYOPIC = ["--policy", "myopic", "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"]
 
 
 def run_cli(args):
     return main(args)
+
+
+def exit_code(args):
+    """main's return code, or the code argparse exits with on a usage error."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_usage_error(args, capsys):
+    """Exit code 2 with one `error:` line on stderr; returns stdout."""
+    assert exit_code(args) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert sum(1 for line in captured.err.splitlines() if "error:" in line) == 1
+    return captured.out
+
+
+def run_into_closed_pipe(args, tmp_path):
+    """Run the nodeban CLI in a child process whose stdout reader has already
+    gone away; return (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(nodeban.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nodeban.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=tmp_path,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
 
 
 def write_events(path, events):
@@ -61,6 +106,16 @@ class TestBounds:
         assert run_cli(["bounds", "--lQ", "0", "--gU", "1", "--lambda", "0.1", "--Delta", "0.5"]) == 2
         assert run_cli(["bounds", "--lQ", "1", "--gU", "1", "--lambda", "0.1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--lQ", "nan"), ("--Delta", "nan"), ("--gU", "inf"), ("--lambda", "-inf"), ("--u", "x")],
+    )
+    def test_non_finite_inputs_exit_2(self, flag, value, capsys):
+        args = {"--lQ": "1", "--gU": "1", "--lambda": "0.1", "--Delta": "0.5"}
+        args[flag] = value
+        argv = ["bounds"] + [item for pair in args.items() for item in pair]
+        assert assert_usage_error(argv, capsys) == ""
+
 
 class TestStream:
     def test_hiper_removes_once_past_warmup(self, tmp_path):
@@ -104,11 +159,14 @@ class TestStream:
 
     def test_out_of_range_x_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"
-        write_events(inp, [{"node_id": "a", "t": 1, "x": 1.5}])
-        code = run_cli(["stream", str(inp), "--policy", "hiper",
-                        "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"])
-        assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        for x, shown in ((1.5, "1.5"), (-0.1, "-0.1"), (2, "2.0")):
+            write_events(inp, [{"node_id": "a", "t": 1, "x": x}])
+            code = run_cli(["stream", str(inp), "--policy", "hiper",
+                            "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: line 1: observation value must lie in [0, 1], got {shown}\n"
+            )
 
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"
@@ -132,12 +190,18 @@ class TestStream:
         assert "strictly increasing" in capsys.readouterr().err
 
     def test_bayesian_policy_rejects_non_binary_without_binarize(self, tmp_path, capsys):
-        inp = tmp_path / "in.jsonl"
-        write_events(inp, [{"node_id": "a", "t": 1, "x": 0.7}])
-        code = run_cli(["stream", str(inp), "--policy", "myopic",
-                        "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"])
-        assert code == 2
-        assert "binarize" in capsys.readouterr().err
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        for x in (0.7, 0.5):
+            write_events(inp, [{"node_id": "a", "t": 1, "x": x}])
+            code = run_cli(["stream", str(inp), "--policy", "myopic",
+                            "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"])
+            assert code == 2
+            assert "binarize" in capsys.readouterr().err
+        for x in (0, 1, 0.0, 1.0):
+            write_events(inp, [{"node_id": "a", "t": 1, "x": x}])
+            code = run_cli(["stream", str(inp), "--out", str(outp), *MYOPIC])
+            assert code == 0
+            assert len(read_verdicts(outp)) == 1
 
     def test_binarize_thresholds(self, tmp_path):
         events = [
@@ -182,6 +246,30 @@ class TestStream:
         assert run_cli(["stream", str(inp), "--policy", "optimistic",
                         "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "policy_args",
+        [
+            ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "nan"],
+            ["--policy", "hiper", "--q", "0.3", "--delta", "nan", "--Delta", "0.4"],
+            MYOPIC[:-4] + ["--gU", "nan", "--lQ", "1"],
+            MYOPIC + ["--prior", "nan"],
+            MYOPIC + ["--binarize", "inf"],
+            MYOPIC[:2] + ["--u", "1e999"] + MYOPIC[4:],
+        ],
+    )
+    def test_non_finite_flags_exit_2(self, policy_args, tmp_path, capsys):
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, [{"node_id": "a", "t": t, "x": 0.0} for t in range(1, 4)])
+        assert_usage_error(["stream", str(inp), "--out", str(outp), *policy_args], capsys)
+        assert not outp.exists()
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, [{"node_id": "a", "t": t, "x": 1.0} for t in range(1, 2001)])
+        code, err = run_into_closed_pipe(["stream", str(inp), *HIPER], tmp_path)
+        assert code == 1
+        assert err == ""
 
     def test_lookahead_stream_runs(self, tmp_path):
         events = [{"node_id": "a", "t": t, "x": 0.0} for t in range(1, 6)]
@@ -270,3 +358,34 @@ class TestSuiteCommand:
         code = run_cli(["suite", "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--seed", "1"])
         assert code == 2
         assert "base_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,flags",
+        [
+            ({"ma_window": [1]}, []),
+            ({"ma_window": True}, []),
+            ({"ma_window": 3.0}, []),
+            ({"n_runs": True}, []),
+            ({"n_runs": 2.5}, []),
+            ({}, ["--jobs", "0"]),
+            ({}, ["--jobs", "-1"]),
+            ({}, ["--jobs", "two"]),
+        ],
+    )
+    def test_ill_typed_config_and_flags_exit_2(self, config, flags, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "o.csv"
+        self.write_config(cfg, **{"suite": "policy_compare", "n_runs": 2, "ma_window": 1, **config})
+        argv = ["suite", "--config", str(cfg), "--out", str(out), "--seed", "1", *flags]
+        assert_usage_error(argv, capsys)
+        assert not out.exists()
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        self.write_config(cfg, suite="delta_sweep", n_runs=2, ma_window=1, policies=["hiper:0.9"])
+        code, err = run_into_closed_pipe(
+            ["suite", "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--seed", "1"],
+            tmp_path,
+        )
+        assert code == 1
+        assert err == ""

@@ -6,56 +6,59 @@ import pytest
 from nodeban.hiper import (
     HiperParams,
     HiperPolicy,
-    RunningStat,
     bound_loss_combined,
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
     confidence_radius,
-    hiper_decide,
     min_samples,
     optimal_delta,
-    update,
 )
 from nodeban.model import Decision
+from oracles import hiper_decision
 
 DELTA_E2 = 2.0 * math.exp(-2.0)  # makes ln(2/delta) = 2
+PARAMS = HiperParams(delta=0.5, gap=0.4, malicious_mean=0.3)
+
+
+def fed(params: HiperParams, xs) -> tuple[HiperPolicy, list[Decision]]:
+    """A fresh policy after observing xs, with its verdict on each."""
+    policy = HiperPolicy(params)
+    return policy, [policy.observe(float(x)) for x in xs]
 
 
 class TestRunningStat:
+    """The running mean that HiperPolicy thresholds (its `statistic`)."""
+
     def test_mean_of_alternating_sequence(self):
-        stat = RunningStat()
-        for x in (1.0, 0.0, 1.0, 0.0):
-            stat = update(stat, x)
-        assert stat.count == 4
-        assert stat.mean == pytest.approx(0.5, rel=1e-12)
+        policy, verdicts = fed(PARAMS, (1.0, 0.0, 1.0, 0.0))
+        assert len(verdicts) == 4
+        assert policy.statistic == 0.5  # a sum of 2 over a count of 4
 
     def test_single_sample(self):
-        stat = update(RunningStat(), 0.7)
-        assert stat.mean == pytest.approx(0.7, rel=1e-12)
+        policy, _ = fed(PARAMS, (0.7,))
+        assert policy.statistic == pytest.approx(0.7, rel=1e-12)
 
     def test_constant_sequence(self):
-        stat = RunningStat()
-        for _ in range(3):
-            stat = update(stat, 1.0)
-        assert stat.mean == 1.0
+        policy, _ = fed(PARAMS, (1.0, 1.0, 1.0))
+        assert policy.statistic == 1.0
 
     def test_mean_undefined_without_samples(self):
         with pytest.raises(ValueError):
-            RunningStat().mean
+            HiperPolicy(PARAMS).statistic
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            update(RunningStat(), 1.2)
-        with pytest.raises(ValueError):
-            update(RunningStat(), -0.1)
+        for x in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                HiperPolicy(PARAMS).observe(x)
 
     def test_mean_is_exact_ratio(self):
-        rng = np.random.default_rng(3)
-        stat = RunningStat()
-        for x in rng.uniform(0, 1, size=100):
-            stat = update(stat, float(x))
-        assert stat.mean == stat.total / stat.count
+        xs = np.random.default_rng(3).uniform(0, 1, size=100).tolist()
+        policy, _ = fed(PARAMS, xs)
+        total = 0.0
+        for x in xs:
+            total += x
+        assert policy.statistic == total / len(xs)
 
 
 class TestConfidenceRadius:
@@ -108,43 +111,59 @@ class TestMinSamples:
             min_samples(0.5, 0.0)
 
 
+def exact_sum_sequence(total: float, count: int) -> list[float]:
+    """count observations in [0, 1] whose running sum is exactly `total`:
+    ones, then the remainder, then zeros. Each partial sum is exact."""
+    ones = int(total)
+    rest = total - ones  # exact (Sterbenz): ones <= total < 2 * ones, or ones = 0
+    assert ones + rest == total and ones + 1 <= count
+    return [1.0] * ones + [rest] + [0.0] * (count - ones - 1)
+
+
 class TestHiperDecide:
+    """HiperPolicy.observe's verdict as a function of (count, running sum)."""
+
     def test_zero_deviation_after_warmup_removes(self):
-        params = HiperParams(delta=0.5, gap=0.4, malicious_mean=0.3)
         t = math.ceil(min_samples(0.5, 0.4)) + 1
-        stat = RunningStat(count=t, total=0.3 * t)
-        assert hiper_decide(stat, params) is Decision.REMOVE
+        _, verdicts = fed(PARAMS, [0.3] * t)
+        assert verdicts[-1] is Decision.REMOVE
 
     def test_warmup_guard_keeps(self):
         params = HiperParams(delta=0.5, gap=0.1, malicious_mean=0.3)
         warmup = min_samples(0.5, 0.1)
-        for t in (1, 2, int(warmup)):
-            stat = RunningStat(count=t, total=0.3 * t)
-            assert hiper_decide(stat, params) is Decision.KEEP
+        _, verdicts = fed(params, [0.3] * int(warmup))
+        assert verdicts == [Decision.KEEP] * int(warmup)
 
     def test_large_deviation_keeps(self):
         # radius at t=8 is sqrt(2/16) ~ 0.354 < |0.8 - 0.3|
         params = HiperParams(delta=DELTA_E2, gap=0.5, malicious_mean=0.3)
-        stat = RunningStat(count=8, total=8 * 0.8)
-        assert hiper_decide(stat, params) is Decision.KEEP
+        _, verdicts = fed(params, [0.8] * 8)
+        assert verdicts[-1] is Decision.KEEP
 
     def test_boundary_equality_keeps(self):
         # mean exactly one radius away from the malicious mean: the strict
         # comparison fails and the node stays. One ulp closer removes it.
-        # q = 0 and a power-of-two count keep the arithmetic exact.
+        # q = 0, a power-of-two count and an exact running sum keep the
+        # arithmetic exact.
         params = HiperParams(delta=0.5, gap=0.3, malicious_mean=0.0)
         t = 32
         assert t > min_samples(0.5, 0.3)
         radius = confidence_radius(0.5, t)
-        at_boundary = RunningStat(count=t, total=radius * t)
-        assert at_boundary.mean == radius
-        assert hiper_decide(at_boundary, params) is Decision.KEEP
-        inside = RunningStat(count=t, total=math.nextafter(radius, 0.0) * t)
-        assert hiper_decide(inside, params) is Decision.REMOVE
+        at_boundary, verdicts = fed(params, exact_sum_sequence(radius * t, t))
+        assert at_boundary.statistic == radius
+        assert verdicts[-1] is Decision.KEEP
+        inside, verdicts = fed(params, exact_sum_sequence(math.nextafter(radius, 0.0) * t, t))
+        assert inside.statistic == math.nextafter(radius, 0.0)
+        assert verdicts[-1] is Decision.REMOVE
 
     def test_requires_a_sample(self):
-        with pytest.raises(ValueError):
-            hiper_decide(RunningStat(), HiperParams(0.5, 0.4, 0.3))
+        # before any observation the only verdict is the initial keep, even
+        # where a single observation at the malicious mean removes the node
+        params = HiperParams(delta=0.9, gap=1.0, malicious_mean=0.3)
+        assert min_samples(0.9, 1.0) < 1.0
+        policy = HiperPolicy(params)
+        assert policy.initial_decision() is Decision.KEEP
+        assert policy.observe(0.3) is Decision.REMOVE
 
     def test_monotone_in_deviation(self):
         rng = np.random.default_rng(7)
@@ -156,10 +175,10 @@ class TestHiperDecide:
             d_large = float(rng.uniform(0, min(q, 1 - q)))
             d_small = float(rng.uniform(0, d_large)) if d_large > 0 else 0.0
             params = HiperParams(delta=delta, gap=gap, malicious_mean=q)
-            large = hiper_decide(RunningStat(t, (q + d_large) * t), params)
-            small = hiper_decide(RunningStat(t, (q + d_small) * t), params)
-            if large is Decision.REMOVE:
-                assert small is Decision.REMOVE
+            _, large = fed(params, [q + d_large] * t)
+            _, small = fed(params, [q + d_small] * t)
+            if large[-1] is Decision.REMOVE:
+                assert small[-1] is Decision.REMOVE
 
 
 class TestOptimalDelta:
@@ -335,8 +354,8 @@ def test_malicious_survival_probability_bounded_by_delta():
 
 
 def test_policy_wrapper_matches_operations():
-    """The online wrapper's verdict stream equals folding update and calling
-    hiper_decide on every prefix."""
+    """The online rule's verdict stream equals the closed-form rule
+    (min_samples and confidence_radius) on every prefix."""
     rng = np.random.default_rng(15)
     for _ in range(50):
         params = HiperParams(
@@ -345,14 +364,13 @@ def test_policy_wrapper_matches_operations():
             malicious_mean=float(rng.uniform(0.0, 1.0)),
         )
         policy = HiperPolicy(params)
-        stat = RunningStat()
+        count, total = 0, 0.0
         assert policy.initial_decision() is Decision.KEEP
         for x in rng.uniform(0, 1, size=60):
             x = float(x)
-            stat = update(stat, x)
-            assert policy.observe(x) is hiper_decide(stat, params)
-            assert policy.stat == stat
-            assert policy.statistic == stat.mean
+            count, total = count + 1, total + x
+            assert policy.observe(x) is hiper_decision(count, total, params)
+            assert policy.statistic == total / count
 
 
 def test_hiper_params_validation():
@@ -362,5 +380,7 @@ def test_hiper_params_validation():
         HiperParams(delta=1.0, gap=0.4, malicious_mean=0.3)
     with pytest.raises(ValueError):
         HiperParams(delta=0.5, gap=0.0, malicious_mean=0.3)
+    with pytest.raises(ValueError):
+        HiperParams(delta=0.5, gap=math.nan, malicious_mean=0.3)
     with pytest.raises(ValueError):
         HiperParams(delta=0.5, gap=0.4, malicious_mean=1.3)

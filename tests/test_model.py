@@ -8,11 +8,9 @@ from nodeban.model import (
     Decision,
     EnvParams,
     NodeType,
-    Observation,
     oracle_gain,
     realized_gain,
     realized_loss,
-    worst_case_loss,
 )
 
 
@@ -77,26 +75,6 @@ class TestRealizedLoss:
             realized_loss(NodeType.HONEST, NEVER, 4, env())
 
 
-class TestWorstCase:
-    def test_takes_maximum(self):
-        assert worst_case_loss(3.0, 5.0) == 5.0
-        assert worst_case_loss(833.3, 100.0) == 833.3
-
-    def test_zero(self):
-        assert worst_case_loss(0.0, 0.0) == 0.0
-
-    def test_symmetric_and_idempotent(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a, b = rng.uniform(0, 100, size=2)
-            assert worst_case_loss(a, b) == worst_case_loss(b, a)
-            assert worst_case_loss(a, a) == a
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            worst_case_loss(-1.0, 2.0)
-
-
 def per_step_gain(node_type, departure, removal, e):
     """Independent per-step bookkeeping: -loss for each step a malicious node
     is present (steps 1..removal), +gain for each step an honest node is
@@ -140,15 +118,6 @@ def test_loss_nonnegative_and_monotone():
 
 
 class TestTypes:
-    def test_observation_bounds(self):
-        assert Observation(0.5).is_binary is False
-        assert Observation(1.0).is_binary is True
-        assert Observation(0.0).is_binary is True
-        with pytest.raises(ValueError):
-            Observation(1.5)
-        with pytest.raises(ValueError):
-            Observation(-0.1)
-
     def test_env_gap_is_derived(self):
         e = env()
         assert e.gap == pytest.approx(0.5)
@@ -162,6 +131,11 @@ class TestTypes:
             EnvParams(0.8, 0.3, 1.0, 1.0, 0.0, 0.5)
         with pytest.raises(ValueError):
             EnvParams(0.8, 0.3, 1.0, 1.0, 0.1, 1.5)
+        for nan_at in range(6):
+            args = [0.8, 0.3, 1.0, 1.0, 0.1, 0.5]
+            args[nan_at] = math.nan
+            with pytest.raises(ValueError):
+                EnvParams(*args)
 
     def test_decision_and_node_type_are_closed(self):
         assert {d.value for d in Decision} == {"keep", "remove"}

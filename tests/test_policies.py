@@ -6,21 +6,17 @@ import pytest
 from nodeban.belief import BeliefState, BernoulliModel, initial_belief, update
 from nodeban.model import Decision, EnvParams
 from nodeban.policies import (
-    DecisionTrace,
     LeafRule,
     LookaheadConfig,
     LookaheadPolicy,
     MyopicPolicy,
     OptimisticPolicy,
     lookahead_decide,
-    lookahead_trace,
     lookahead_value,
-    lookahead_value_bruteforce,
     myopic_decide,
-    myopic_trace,
     optimistic_decide,
-    optimistic_trace,
 )
+from oracles import lookahead_value_bruteforce
 
 
 def make_env(u=0.8, q=0.2, gain=1.0, loss=1.0, rate=0.1, prior=0.5):
@@ -197,28 +193,6 @@ def test_posterior_extremes_align_all_policies():
     assert myopic_decide(certain_honest, env) is Decision.KEEP
     assert optimistic_decide(certain_honest, env) is Decision.KEEP
     assert lookahead_decide(certain_honest, env, cfg) is Decision.KEEP
-
-
-class TestDecisionTrace:
-    def test_keep_requires_positive_margin(self):
-        trace = DecisionTrace.from_keep_value(0.5, 0.2)
-        assert trace.decision is Decision.KEEP
-        assert trace.value_remove == 0.0
-        assert DecisionTrace.from_keep_value(0.0, 0.2).decision is Decision.REMOVE
-        assert DecisionTrace.from_keep_value(-1.0, 0.9).decision is Decision.REMOVE
-
-    def test_invalid_keep_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionTrace(Decision.KEEP, 0.0, 0.0, 0.5)
-
-    def test_traces_agree_with_decides(self):
-        rng = np.random.default_rng(37)
-        cfg = LookaheadConfig(3)
-        for _ in range(200):
-            belief, env = random_instance(rng, max_history=10)
-            assert myopic_trace(belief, env).decision is myopic_decide(belief, env)
-            assert optimistic_trace(belief, env).decision is optimistic_decide(belief, env)
-            assert lookahead_trace(belief, env, cfg).decision is lookahead_decide(belief, env, cfg)
 
 
 class TestOnlineWrappers:

@@ -9,13 +9,13 @@ from nodeban.simulator import (
     EpisodeResult,
     ExperimentDraw,
     ExperimentSuite,
-    OraclePolicy,
     episode_rng,
     node_rng,
     run_episode,
     sample_experiment,
     simulate_node,
 )
+from oracles import OraclePolicy
 
 
 def make_env(rate=0.1, prior=0.5, gain=1.0, loss=1.0, u=0.8, q=0.3):

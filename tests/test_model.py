@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from nodeban.cli import _parse_event, main
 from nodeban.model import (
     NEVER,
     Decision,
@@ -118,6 +120,22 @@ def test_loss_nonnegative_and_monotone():
 
 
 class TestTypes:
+    def test_observation_bounds(self, tmp_path, capsys):
+        """Observations are scores in [0, 1]; the belief policies take only 0 or 1.
+        Both checks live where observations enter: the stream command."""
+        for x in (0.0, 0.5, 1.0):
+            assert _parse_event(json.dumps({"node_id": "a", "t": 1, "x": x}), 1).x == x
+        for x in (1.5, -0.1):
+            with pytest.raises(ValueError, match="must lie in"):
+                _parse_event(json.dumps({"node_id": "a", "t": 1, "x": x}), 1)
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        myopic = ["--policy", "myopic", "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"]
+        for x, binary in ((0.5, False), (1.0, True), (0.0, True)):
+            inp.write_text(json.dumps({"node_id": "a", "t": 1, "x": x}) + "\n")
+            code = main(["stream", str(inp), "--out", str(outp), *myopic])
+            assert code == (0 if binary else 2)
+            assert ("binary" in capsys.readouterr().err) is not binary
+
     def test_env_gap_is_derived(self):
         e = env()
         assert e.gap == pytest.approx(0.5)

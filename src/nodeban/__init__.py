@@ -52,6 +52,8 @@ from .simulator import (
     ExperimentDraw,
     ExperimentSuite,
     NodeRecord,
+    Region,
+    compile_region,
     run_episode,
     sample_experiment,
     simulate_node,

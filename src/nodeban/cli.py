@@ -90,7 +90,9 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
         raise ValueError("a suite is required (config key 'suite' or flag --suite)")
     if args.seed is None:
         raise ValueError("--seed is required in suite mode")
-    if "base_seed" in raw and int(raw["base_seed"]) != args.seed:
+    if "base_seed" in raw and type(raw["base_seed"]) is not int:  # a JSON true is an int
+        raise ValueError(f"field 'base_seed': expected an integer, got {raw['base_seed']!r}")
+    if "base_seed" in raw and raw["base_seed"] != args.seed:
         raise ValueError(
             f"config base_seed={raw['base_seed']} conflicts with --seed {args.seed}"
         )
@@ -213,7 +215,6 @@ def _build_stream_factory(args: argparse.Namespace):
         return (lambda: MyopicPolicy(env)), True
     if policy == "optimistic":
         return (lambda: OptimisticPolicy(env)), True
-    # no memo cache in stream mode: per-node state stays constant
     cfg = LookaheadConfig(args.lookahead_depth, leaf)
     return (lambda: LookaheadPolicy(env, cfg)), True
 
@@ -221,7 +222,7 @@ def _build_stream_factory(args: argparse.Namespace):
 def _parse_event(line: str, line_no: int) -> StreamEvent:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise ValueError(f"line {line_no}: not valid JSON ({exc})")
     if not isinstance(obj, dict):
         raise ValueError(f"line {line_no}: expected a JSON object")
@@ -234,7 +235,10 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
     x = obj["x"]
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"line {line_no}: x must be a number, got {x!r}")
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf if x > 0 else -math.inf
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"line {line_no}: observation value must lie in [0, 1], got {x}")
     return StreamEvent(str(obj["node_id"]), t, x)

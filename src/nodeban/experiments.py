@@ -18,9 +18,9 @@ from statistics import fmean
 import numpy as np
 
 from .hiper import HiperParams, HiperPolicy, optimal_delta
-from .model import NodeType
 from .policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
-from .simulator import ExperimentDraw, ExperimentSuite, episode_rng, run_episode, sample_experiment
+from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
+from .simulator import run_episode, sample_experiment
 
 SWEEP_VARIABLES = ("horizon", "gap", "malicious_proportion", "gain")
 
@@ -103,7 +103,7 @@ class PolicySpec:
             return f"lookahead:{self.depth}{suffix}"
         return self.kind
 
-    def build(self, draw: ExperimentDraw, cache: dict | None = None):
+    def policy(self, draw: ExperimentDraw):
         """Fresh policy instance for one node of the given draw."""
         env = draw.env
         if self.kind == "hiper":
@@ -117,7 +117,11 @@ class PolicySpec:
             return MyopicPolicy(env)
         if self.kind == "optimistic":
             return OptimisticPolicy(env)
-        return LookaheadPolicy(env, LookaheadConfig(self.depth, self.leaf_rule), cache=cache)
+        return LookaheadPolicy(env, LookaheadConfig(self.depth, self.leaf_rule))
+
+    def build(self, draw: ExperimentDraw) -> Region:
+        """The policy's removal region on the draw, compiled once for all its nodes."""
+        return compile_region(self.policy(draw), draw.horizon)
 
 
 @dataclass(frozen=True)
@@ -165,16 +169,10 @@ def _execute_run(cfg: SuiteConfig, run_index: int) -> tuple:
     policy's (label, mean loss, realized malicious fraction)."""
     run_rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(run_index,)))
     draw = sample_experiment(run_rng, cfg.suite)
-    outcomes = []
-    for text in cfg.policies:
-        spec = PolicySpec.parse(text)
-        cache: dict | None = {} if spec.kind == "lookahead" else None
-
-        def factory(d: ExperimentDraw, node_type: NodeType, _spec=spec, _cache=cache):
-            return _spec.build(d, cache=_cache)
-
-        result = run_episode(factory, draw, episode_rng(draw))
-        outcomes.append((spec.label, result.mean_loss, result.malicious_fraction))
+    specs = [PolicySpec.parse(text) for text in cfg.policies]
+    episode = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
+    fraction = episode.malicious_fraction
+    outcomes = [(spec.label, loss, fraction) for spec, loss in zip(specs, episode.mean_loss)]
     return (draw.horizon, draw.env.gap, draw.env.gain_honest, outcomes)
 
 

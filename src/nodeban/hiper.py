@@ -170,12 +170,14 @@ class HiperPolicy:
     mean lies strictly inside confidence_radius(delta, count) of the
     malicious mean. Equality in either comparison keeps the node. The
     warm-up threshold and the log term of the radius are precomputed once.
+    removes(count, total) is the rule; observe and compile_region call it.
     """
 
     def __init__(self, params: HiperParams) -> None:
         self._params = params
         self._warmup = min_samples(params.delta, params.gap)
         self._log_term = math.log(2.0 / params.delta)
+        self.anchor = params.malicious_mean  # removal sets sit around anchor * count
         self._count = 0
         self._total = 0.0
 
@@ -187,12 +189,13 @@ class HiperPolicy:
             raise ValueError(f"observation must lie in [0, 1], got {x}")
         self._count += 1
         self._total += x
-        t = self._count
-        if t > self._warmup and abs(
-            self._total / t - self._params.malicious_mean
-        ) < math.sqrt(self._log_term / (2.0 * t)):
-            return Decision.REMOVE
-        return Decision.KEEP
+        return Decision.REMOVE if self.removes(self._count, self._total) else Decision.KEEP
+
+    def removes(self, count: int, total: float) -> bool:
+        """The rule after count observations summing to total (ones, if binary)."""
+        return count > self._warmup and abs(
+            total / count - self._params.malicious_mean
+        ) < math.sqrt(self._log_term / (2.0 * count))
 
     @property
     def statistic(self) -> float:

@@ -134,15 +134,33 @@ def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) 
 
 
 class _BeliefPolicy:
-    """Shared plumbing for the online belief-tracking wrappers."""
+    """Shared plumbing for the online belief-tracking wrappers. Each subclass
+    names its rule as _decide(belief); removes(count, ones) applies it."""
 
     def __init__(self, env: EnvParams) -> None:
         self._env = env
         self._model = BernoulliModel(env.honest_mean, env.malicious_mean)
         self._belief = initial_belief(env.prior_malicious)
+        # Every rule removes on a high posterior, highest at ones = count when
+        # the malicious rate is the higher one and at ones = 0 otherwise.
+        self.anchor = 1.0 if env.malicious_mean > env.honest_mean else 0.0
 
     def initial_decision(self) -> Decision:
         return Decision.KEEP
+
+    def observe(self, x: float) -> Decision:
+        self._belief = update(self._belief, x, self._model)
+        return self._decide(self._belief)
+
+    def removes(self, count: int, ones: int) -> bool:
+        """The rule after `ones` one-bits in `count` observations. A history
+        impossible under both types is unreachable, and counts as removed."""
+        prior = self._env.prior_malicious
+        try:
+            belief = BeliefState(ones, count, prior, posterior(ones, count, self._model, prior))
+        except ImpossibleEvidenceError:
+            return True
+        return self._decide(belief) is Decision.REMOVE
 
     @property
     def belief(self) -> BeliefState:
@@ -155,44 +173,21 @@ class _BeliefPolicy:
 
 
 class MyopicPolicy(_BeliefPolicy):
-    def observe(self, x: float) -> Decision:
-        self._belief = update(self._belief, x, self._model)
-        return myopic_decide(self._belief, self._env)
+    def _decide(self, belief: BeliefState) -> Decision:
+        return myopic_decide(belief, self._env)
 
 
 class OptimisticPolicy(_BeliefPolicy):
-    def observe(self, x: float) -> Decision:
-        self._belief = update(self._belief, x, self._model)
-        return optimistic_decide(self._belief, self._env)
+    def _decide(self, belief: BeliefState) -> Decision:
+        return optimistic_decide(belief, self._env)
 
 
 class LookaheadPolicy(_BeliefPolicy):
-    """Online lookahead planner: quadratic work per event, constant state.
+    """Online lookahead planner: quadratic work per event, constant state."""
 
-    Decisions depend on the belief only through (ones, count), so instances
-    sharing the same environment, prior and config may share a memo table
-    (pass one dict to all of them) to avoid re-planning identical states.
-    Without a cache every event is planned from scratch, keeping per-node
-    memory constant on unbounded streams.
-    """
-
-    def __init__(
-        self,
-        env: EnvParams,
-        cfg: LookaheadConfig,
-        cache: dict[tuple[int, int], Decision] | None = None,
-    ) -> None:
+    def __init__(self, env: EnvParams, cfg: LookaheadConfig) -> None:
         super().__init__(env)
         self._cfg = cfg
-        self._cache = cache
 
-    def observe(self, x: float) -> Decision:
-        self._belief = update(self._belief, x, self._model)
-        if self._cache is None:
-            return lookahead_decide(self._belief, self._env, self._cfg)
-        key = (self._belief.ones, self._belief.count)
-        decision = self._cache.get(key)
-        if decision is None:
-            decision = lookahead_decide(self._belief, self._env, self._cfg)
-            self._cache[key] = decision
-        return decision
+    def _decide(self, belief: BeliefState) -> Decision:
+        return lookahead_decide(belief, self._env, self._cfg)

@@ -1,23 +1,25 @@
 """Node population simulator with deterministic, splittable randomness.
 
 Every run draws a world (horizon, observation means, gains, malicious
-prior), populates it with nodes of hidden type, streams per-node Bernoulli
-observations into a policy instance, and accounts each node's realized loss
-against the type-aware oracle. Randomness is derived hierarchically:
+prior) and populates it with nodes of hidden type. Randomness is derived
+hierarchically:
 
     experiment seed -> per-run stream -> draw seed -> per-node streams
 
-so distinct nodes can be simulated in any order (or in parallel) without
-changing a single byte of output, and every policy evaluated on the same
-draw sees identical node types, departures and observations.
+so every policy evaluated on a draw sees identical nodes. A policy is
+compiled once per draw into a Region on the (count, ones) lattice;
+run_episode draws each node once and scores every region by first passage.
+simulate_node, the per-node reference, feeds the same draws to a policy
+object one observation at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -39,7 +41,7 @@ class ExperimentSuite(str, Enum):
 
 
 class NodePolicy(Protocol):
-    """What the simulator needs from a policy: a verdict before any
+    """What simulate_node needs from a policy: a verdict before any
     observation, then one verdict per observation."""
 
     def initial_decision(self) -> Decision: ...
@@ -74,18 +76,72 @@ class NodeRecord:
     realized_loss: float
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
-    records: tuple[NodeRecord, ...]
+class EpisodeResult(NamedTuple):
+    """One draw's nodes scored against a list of regions: per-node arrays in
+    node order, with one row per region in removal_step and loss."""
+
+    malicious: np.ndarray  # bool
+    departure_step: np.ndarray  # NEVER if the node was still present at episode end
+    removal_step: np.ndarray  # NEVER if the policy never removed the node
+    loss: np.ndarray
 
     @property
-    def mean_loss(self) -> float:
-        return fmean(r.realized_loss for r in self.records)
+    def mean_loss(self) -> list[float]:
+        """Per region, the mean loss over nodes."""
+        return [fmean(row) for row in self.loss.tolist()]
 
     @property
     def malicious_fraction(self) -> float:
-        hits = sum(1 for r in self.records if r.node_type is NodeType.MALICIOUS)
-        return hits / len(self.records)
+        return int(self.malicious.sum()) / self.malicious.size
+
+
+class Region(NamedTuple):
+    """A policy compiled for one horizon: a node with count t and ones k is
+    removed iff lo[t] <= k <= hi[t], for t = 0..horizon."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def compile_region(policy, horizon: int) -> Region:
+    """Compile policy.removes(count, ones) into a Region, for counts 1..horizon
+    (every policy keeps a node before its first observation).
+
+    Relies on the removal set at each count t being an interval of ones that,
+    when nonempty, holds floor(policy.anchor * t) or ceil(policy.anchor * t).
+    Those seeds decide emptiness; each end is walked from its last position.
+    """
+    removes, anchor = policy.removes, policy.anchor
+    lo = np.zeros(horizon + 1, dtype=np.int64)
+    hi = np.full(horizon + 1, -1, dtype=np.int64)
+    a = b = None  # the interval at the previous count, if any
+    for t in range(1, horizon + 1):
+        seed = anchor * t
+        inside = math.floor(seed)
+        if not removes(t, inside):
+            inside = math.ceil(seed)
+            if inside == seed or not removes(t, inside):
+                a = b = None
+                continue
+        a = _walk(removes, t, inside, inside if a is None else a, -1)
+        b = _walk(removes, t, inside, inside if b is None else b, 1)
+        lo[t], hi[t] = a, b
+    return Region(lo, hi)
+
+
+def _walk(removes, t: int, inside: int, start: int, step: int) -> int:
+    """The end, in direction step, of the removal interval at count t that
+    holds `inside`, searched from `start`."""
+    if (start - inside) * step <= 0:
+        start = inside
+    if start == inside or removes(t, start):
+        while 0 <= start + step <= t and removes(t, start + step):
+            start += step
+        return start
+    start -= step
+    while not removes(t, start):
+        start -= step
+    return start
 
 
 def episode_rng(draw: ExperimentDraw) -> np.random.Generator:
@@ -136,6 +192,16 @@ def sample_experiment(rng: np.random.Generator, suite: ExperimentSuite | str) ->
     return ExperimentDraw(horizon=horizon, env=env, seed=seed)
 
 
+def _node_draws(is_malicious: bool, draw: ExperimentDraw, rng: np.random.Generator):
+    """A node's departure step (NEVER if malicious) and its observation bits,
+    one per step it stays, up to the horizon."""
+    env = draw.env
+    if is_malicious:
+        return NEVER, rng.random(draw.horizon) < env.malicious_mean
+    departure = float(rng.geometric(env.departure_rate))
+    return departure, rng.random(min(int(departure) - 1, draw.horizon)) < env.honest_mean
+
+
 def simulate_node(
     policy: NodePolicy,
     node_type: NodeType,
@@ -152,58 +218,46 @@ def simulate_node(
     and no further observations are processed. Loss accounting caps both the
     departure and removal steps at the episode horizon.
     """
-    env = draw.env
-    if node_type is NodeType.MALICIOUS:
-        departure = NEVER
-        n_observations = draw.horizon
-        mean = env.malicious_mean
-    else:
-        departure = float(rng.geometric(env.departure_rate))
-        n_observations = min(int(departure) - 1, draw.horizon)
-        mean = env.honest_mean
-
+    departure, bits = _node_draws(node_type is NodeType.MALICIOUS, draw, rng)
     removal = NEVER
     if policy.initial_decision() is Decision.REMOVE:
         removal = 0.0
-    elif n_observations > 0:
-        observations = (rng.random(n_observations) < mean).astype(np.float64).tolist()
+    else:
         observe = policy.observe
-        t = 0
-        for x in observations:
-            t += 1
+        for t, x in enumerate(bits.astype(np.float64).tolist(), 1):
             if observe(x) is Decision.REMOVE:
                 removal = float(t)
                 break
+    horizon = draw.horizon
+    loss = realized_loss(node_type, min(departure, horizon), min(removal, horizon), draw.env)
+    return NodeRecord(node_id, node_type, removal, departure if departure <= horizon else NEVER, loss)
 
-    loss = realized_loss(
-        node_type,
-        min(departure, draw.horizon),
-        min(removal, draw.horizon),
-        env,
+
+def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Generator) -> EpisodeResult:
+    """Sample each node's type from `rng` with the draw's malicious prior, draw
+    its departure and bits from its own stream as simulate_node does, and
+    score every region by first passage. Removal steps and losses equal
+    simulate_node's with a fresh policy per node."""
+    env = draw.env
+    horizon = draw.horizon
+    malicious = rng.random(draw.n_nodes) < env.prior_malicious
+    departure = np.full(draw.n_nodes, NEVER)
+    ones = np.full((draw.n_nodes, horizon + 1), -1, dtype=np.int32)  # -1 once gone: in no region
+    ones[:, 0] = 0
+    for node_id, is_malicious in enumerate(malicious.tolist()):
+        departure[node_id], bits = _node_draws(is_malicious, draw, node_rng(draw, node_id))
+        ones[node_id, 1 : bits.size + 1] = np.cumsum(bits)
+    removal = np.empty((len(regions), draw.n_nodes))
+    for row, region in enumerate(regions):
+        hit = (region.lo <= ones) & (ones <= region.hi)
+        removal[row] = np.where(hit.any(axis=1), hit.argmax(axis=1), NEVER)
+    capped_removal = np.minimum(removal, horizon)
+    capped_departure = np.minimum(departure, horizon)
+    gain = env.gain_honest
+    # realized_loss, elementwise: the same operations in the same order
+    loss = np.where(
+        malicious,
+        capped_removal * env.loss_malicious,
+        capped_departure * gain - np.minimum(capped_departure, capped_removal) * gain,
     )
-    return NodeRecord(
-        node_id=node_id,
-        node_type=node_type,
-        removal_step=removal,
-        departure_step=departure if departure <= draw.horizon else NEVER,
-        realized_loss=loss,
-    )
-
-
-def run_episode(policy_factory, draw: ExperimentDraw, rng: np.random.Generator) -> EpisodeResult:
-    """Simulate a full population: sample each node's type with the draw's
-    malicious prior (from `rng`), then run one independent policy instance
-    per node on that node's own stream.
-
-    policy_factory(draw, node_type) must return a fresh policy; learning
-    policies ignore the type argument, a type-aware baseline (the tests'
-    oracle) uses it.
-    """
-    malicious_mask = rng.random(draw.n_nodes) < draw.env.prior_malicious
-    records = []
-    for node_id, is_malicious in enumerate(malicious_mask.tolist()):
-        node_type = NodeType.MALICIOUS if is_malicious else NodeType.HONEST
-        policy = policy_factory(draw, node_type)
-        records.append(simulate_node(policy, node_type, draw, node_rng(draw, node_id), node_id))
-    return EpisodeResult(tuple(records))
-
+    return EpisodeResult(malicious, np.where(departure <= horizon, departure, NEVER), removal, loss)

@@ -168,6 +168,18 @@ class TestStream:
                 f"error: line 1: observation value must lie in [0, 1], got {shown}\n"
             )
 
+    def test_integer_x_beyond_float_range_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        for x, shown in (("1" + "0" * 400, "got inf"), ("-1" + "0" * 400, "got -inf"),
+                         ("1" + "0" * 5000, "not valid JSON")):
+            inp.write_text('{"node_id": "a", "t": 1, "x": 0}\n{"node_id": "a", "t": 2, "x": %s}\n' % x)
+            code = run_cli(["stream", str(inp), "--policy", "hiper",
+                            "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 2: ") and shown in err
+            assert err.count("\n") == 1
+
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"
         with open(inp, "w") as handle:
@@ -370,6 +382,9 @@ class TestSuiteCommand:
             ({}, ["--jobs", "0"]),
             ({}, ["--jobs", "-1"]),
             ({}, ["--jobs", "two"]),
+            ({"base_seed": [1]}, []),
+            ({"base_seed": 1.5}, []),
+            ({"base_seed": True}, []),
         ],
     )
     def test_ill_typed_config_and_flags_exit_2(self, config, flags, tmp_path, capsys):

@@ -215,19 +215,6 @@ class TestOnlineWrappers:
                     assert wrapper.belief == belief
                 assert lookahead.observe(float(x)) is lookahead_decide(belief, env, cfg)
 
-    def test_lookahead_cache_shared_across_instances(self):
-        env = make_env()
-        cfg = LookaheadConfig(4)
-        cache: dict = {}
-        a = LookaheadPolicy(env, cfg, cache=cache)
-        b = LookaheadPolicy(env, cfg, cache=cache)
-        xs = [1.0, 0.0, 1.0, 1.0, 0.0]
-        decisions_a = [a.observe(x) for x in xs]
-        size_after_a = len(cache)
-        decisions_b = [b.observe(x) for x in xs]
-        assert decisions_a == decisions_b
-        assert len(cache) == size_after_a  # second pass hit the memo only
-
     def test_initial_decisions_keep(self):
         env = make_env()
         for policy in (MyopicPolicy(env), OptimisticPolicy(env), LookaheadPolicy(env, LookaheadConfig(2))):

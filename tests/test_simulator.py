@@ -1,9 +1,10 @@
 import math
+from statistics import fmean
 
 import numpy as np
 import pytest
 
-from nodeban.hiper import HiperParams, HiperPolicy
+from nodeban.experiments import PolicySpec
 from nodeban.model import NEVER, Decision, EnvParams, NodeType
 from nodeban.simulator import (
     EpisodeResult,
@@ -177,48 +178,120 @@ class TestDepartures:
         assert abs(np.mean(times) - expected) <= 3 * se
 
 
+def hiper_region(draw, delta=0.9):
+    return PolicySpec(kind="hiper", delta=delta).build(draw)
+
+
+def node_type(is_malicious):
+    return NodeType.MALICIOUS if is_malicious else NodeType.HONEST
+
+
 class TestRunEpisode:
     def test_all_honest_when_prior_zero(self):
         draw = make_draw(prior=0.0, n_nodes=50)
-        result = run_episode(lambda d, t: ScriptedPolicy(), draw, episode_rng(draw))
-        assert all(r.node_type is NodeType.HONEST for r in result.records)
+        result = run_episode([hiper_region(draw)], draw, episode_rng(draw))
+        assert not result.malicious.any()
         assert result.malicious_fraction == 0.0
 
     def test_oracle_achieves_zero_loss(self):
-        draw = make_draw(prior=1.0, n_nodes=50)
-        result = run_episode(lambda d, t: OraclePolicy(t), draw, episode_rng(draw))
-        assert result.mean_loss == 0.0
+        # A region cannot see a node's type, so the oracle runs per node
+        # over the episode's own node types and streams.
         rng = np.random.default_rng(45)
-        for seed in rng.integers(0, 2**32, size=5):
-            draw = make_draw(prior=0.6, seed=int(seed), n_nodes=100)
-            result = run_episode(lambda d, t: OraclePolicy(t), draw, episode_rng(draw))
-            assert result.mean_loss == 0.0
+        draws = [make_draw(prior=1.0, n_nodes=50)] + [
+            make_draw(prior=0.6, seed=int(seed), n_nodes=100) for seed in rng.integers(0, 2**32, size=5)
+        ]
+        for draw in draws:
+            types = run_episode([hiper_region(draw)], draw, episode_rng(draw)).malicious
+            losses = [
+                simulate_node(OraclePolicy(node_type(m)), node_type(m), draw, node_rng(draw, i), i).realized_loss
+                for i, m in enumerate(types.tolist())
+            ]
+            assert fmean(losses) == 0.0
 
     def test_fixed_seed_reproducible(self):
         draw = make_draw(prior=0.5, n_nodes=40, seed=77)
-        params = HiperParams(delta=0.9, gap=0.5, malicious_mean=0.3)
-        a = run_episode(lambda d, t: HiperPolicy(params), draw, episode_rng(draw))
-        b = run_episode(lambda d, t: HiperPolicy(params), draw, episode_rng(draw))
-        assert a == b
+        regions = [hiper_region(draw), hiper_region(draw, 0.5)]
+        a = run_episode(regions, draw, episode_rng(draw))
+        b = run_episode(regions, draw, episode_rng(draw))
+        for field_a, field_b in zip(a, b):
+            assert np.array_equal(field_a, field_b)
 
     def test_mean_loss_is_arithmetic_mean(self):
         draw = make_draw(prior=0.5, n_nodes=30, seed=8)
-        params = HiperParams(delta=0.9, gap=0.5, malicious_mean=0.3)
-        result = run_episode(lambda d, t: HiperPolicy(params), draw, episode_rng(draw))
-        assert result.mean_loss == pytest.approx(
-            sum(r.realized_loss for r in result.records) / 30, rel=1e-12
-        )
-        assert all(r.realized_loss >= 0.0 for r in result.records)
+        result = run_episode([hiper_region(draw)], draw, episode_rng(draw))
+        assert result.mean_loss[0] == pytest.approx(result.loss[0].sum() / 30, rel=1e-12)
+        assert (result.loss >= 0.0).all()
 
-    def test_policy_factory_sees_node_type(self):
+    def test_node_types_follow_the_prior_stream(self):
         draw = make_draw(prior=0.5, n_nodes=20)
-        seen = []
-        def factory(d, node_type):
-            seen.append(node_type)
-            return ScriptedPolicy()
-        run_episode(factory, draw, episode_rng(draw))
-        assert len(seen) == 20
-        assert set(seen) <= {NodeType.HONEST, NodeType.MALICIOUS}
+        result = run_episode([hiper_region(draw)] * 3, draw, episode_rng(draw))
+        expected = episode_rng(draw).random(20) < 0.5
+        assert np.array_equal(result.malicious, expected)
+        assert result.removal_step.shape == result.loss.shape == (3, 20)
+
+
+def random_draw(rng, max_horizon):
+    u, q = rng.choice([0.0, 1.0, rng.random(), rng.random()], size=2, replace=False)
+    env = EnvParams(
+        honest_mean=float(u),
+        malicious_mean=float(q),
+        gain_honest=float(rng.uniform(0.0, 2.0)),
+        loss_malicious=1.0,
+        departure_rate=float(rng.uniform(0.01, 1.0)),
+        prior_malicious=float(rng.beta(2.0, 2.0)),
+    )
+    horizon = int(rng.integers(1, max_horizon + 1))
+    return ExperimentDraw(horizon=horizon, env=env, seed=int(rng.integers(0, 2**63)), n_nodes=25)
+
+
+class TestRegionsMatchPolicyObjects:
+    """run_episode over compiled regions against the per-node reference:
+    simulate_node with a fresh policy object per node, on the same streams."""
+
+    @pytest.mark.parametrize(
+        "texts,max_horizon",
+        [
+            (("hiper:0.9", "hiper:0.5", "hiper:star", "myopic", "optimistic"), 400),
+            (("lookahead:1", "lookahead:4:myopic_infinite", "lookahead:3:optimistic"), 40),
+        ],
+    )
+    def test_per_node_outcomes_equal_simulate_node(self, texts, max_horizon):
+        rng = np.random.default_rng(606)
+        specs = [PolicySpec.parse(text) for text in texts]
+        for _ in range(40):
+            draw = random_draw(rng, max_horizon)
+            result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
+            for row, spec in enumerate(specs):
+                for node_id, is_malicious in enumerate(result.malicious.tolist()):
+                    record = simulate_node(
+                        spec.policy(draw), node_type(is_malicious), draw, node_rng(draw, node_id), node_id
+                    )
+                    got = (
+                        result.removal_step[row, node_id],
+                        result.departure_step[node_id],
+                        result.loss[row, node_id],
+                    )
+                    assert got == (record.removal_step, record.departure_step, record.realized_loss), (
+                        spec.label, draw, node_id
+                    )
+
+    def test_suite_draws_match(self):
+        # The suites' own worlds, at the suites' own sizes, for a few runs.
+        for suite, texts in (
+            ("policy_compare", ("hiper:star", "myopic", "optimistic")),
+            ("delta_sweep", ("hiper:0.9", "hiper:0.99")),
+        ):
+            rng = np.random.default_rng(607)
+            specs = [PolicySpec.parse(text) for text in texts]
+            for _ in range(4):
+                draw = sample_experiment(rng, suite)
+                result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
+                for row, spec in enumerate(specs):
+                    losses = [
+                        simulate_node(spec.policy(draw), node_type(m), draw, node_rng(draw, i), i).realized_loss
+                        for i, m in enumerate(result.malicious.tolist())
+                    ]
+                    assert result.mean_loss[row] == fmean(losses)
 
 
 class TestDrawValidation:

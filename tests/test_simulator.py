@@ -226,6 +226,7 @@ class TestRunEpisode:
         draw = make_draw(prior=0.5, n_nodes=20)
         result = run_episode([hiper_region(draw)] * 3, draw, episode_rng(draw))
         expected = episode_rng(draw).random(20) < 0.5
+        assert isinstance(result, EpisodeResult)
         assert np.array_equal(result.malicious, expected)
         assert result.removal_step.shape == result.loss.shape == (3, 20)
 

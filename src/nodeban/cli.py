@@ -166,11 +166,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return _fail(
             "--lQ, --gU and the gap must be positive and --lambda must lie in (0, 1]"
         )
-    tuned = optimal_delta(args.lQ, args.gU, args.departure_rate, gap)
+    try:
+        tuned = optimal_delta(args.lQ, args.gU, args.departure_rate, gap)
+        honest = bound_loss_honest(args.gU, args.departure_rate, gap)
+        malicious_warmup = bound_loss_malicious_warmup(args.lQ, tuned.value, gap)
+    except ValueError as exc:
+        return _fail(str(exc))
     print(f"delta_star {_fmt(tuned.value)}")
     print(f"delta_star_clamped {str(tuned.clamped).lower()}")
-    honest = bound_loss_honest(args.gU, args.departure_rate, gap)
-    malicious_warmup = bound_loss_malicious_warmup(args.lQ, tuned.value, gap)
     print(f"loss_bound_malicious {_fmt(bound_loss_malicious(args.lQ, tuned.value))}")
     print(f"loss_bound_honest {_fmt(honest)}")
     print(

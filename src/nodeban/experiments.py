@@ -104,7 +104,8 @@ class PolicySpec:
         return self.kind
 
     def policy(self, draw: ExperimentDraw):
-        """Fresh policy instance for one node of the given draw."""
+        """The policy on the given draw: one instance serves every node of
+        the draw, through its removes(count, ones) predicate."""
         env = draw.env
         if self.kind == "hiper":
             delta = self.delta
@@ -140,8 +141,9 @@ class SuiteConfig:
             raise ValueError(f"ma_window must be a positive odd integer, got {self.ma_window!r}")
         if not self.policies:
             raise ValueError("policies must not be empty")
-        for text in self.policies:
-            PolicySpec.parse(text)
+        labels = [PolicySpec.parse(text).label for text in self.policies]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"policies must name distinct policies, got labels {labels}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
 

@@ -35,10 +35,7 @@ class HiperParams:
     malicious_mean: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.gap > 0.0:
-            raise ValueError(f"gap must be positive, got {self.gap}")
+        min_samples(self.delta, self.gap)  # validates both, and a finite warm-up
         if not 0.0 <= self.malicious_mean <= 1.0:
             raise ValueError(f"malicious_mean must lie in [0, 1], got {self.malicious_mean}")
 
@@ -61,13 +58,19 @@ def min_samples(delta: float, gap: float) -> float:
     """Warm-up threshold ln(2/delta) / (2 gap^2).
 
     Removal requires the integer sample count to strictly exceed this value;
-    at exactly this count the confidence radius equals the gap.
+    at exactly this count the confidence radius equals the gap. Raises
+    ValueError where the threshold is not finite (2 gap^2 underflows, or the
+    quotient overflows), since no node could ever be removed.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if gap <= 0.0:
+    if not gap > 0.0:
         raise ValueError(f"gap must be positive, got {gap}")
-    return math.log(2.0 / delta) / (2.0 * gap * gap)
+    denominator = 2.0 * gap * gap
+    warmup = math.log(2.0 / delta) / denominator if denominator else math.inf
+    if warmup == math.inf:
+        raise ValueError(f"the warm-up ln(2/delta) / (2 gap^2) is not finite at delta={delta}, gap={gap}")
+    return warmup
 
 
 class OptimalDelta(NamedTuple):
@@ -170,7 +173,8 @@ class HiperPolicy:
     mean lies strictly inside confidence_radius(delta, count) of the
     malicious mean. Equality in either comparison keeps the node. The
     warm-up threshold and the log term of the radius are precomputed once.
-    removes(count, total) is the rule; observe and compile_region call it.
+    removes(count, total) is the rule; observe, compile_region and
+    simulate_node call it.
     """
 
     def __init__(self, params: HiperParams) -> None:
@@ -180,9 +184,6 @@ class HiperPolicy:
         self.anchor = params.malicious_mean  # removal sets sit around anchor * count
         self._count = 0
         self._total = 0.0
-
-    def initial_decision(self) -> Decision:
-        return Decision.KEEP
 
     def observe(self, x: float) -> Decision:
         if not 0.0 <= x <= 1.0:

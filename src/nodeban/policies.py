@@ -145,9 +145,6 @@ class _BeliefPolicy:
         # the malicious rate is the higher one and at ones = 0 otherwise.
         self.anchor = 1.0 if env.malicious_mean > env.honest_mean else 0.0
 
-    def initial_decision(self) -> Decision:
-        return Decision.KEEP
-
     def observe(self, x: float) -> Decision:
         self._belief = update(self._belief, x, self._model)
         return self._decide(self._belief)

@@ -9,8 +9,8 @@ hierarchically:
 so every policy evaluated on a draw sees identical nodes. A policy is
 compiled once per draw into a Region on the (count, ones) lattice;
 run_episode draws each node once and scores every region by first passage.
-simulate_node, the per-node reference, feeds the same draws to a policy
-object one observation at a time.
+simulate_node, the scalar per-node reference, walks the same draws through
+the policy's removes(count, ones) predicate one count at a time.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import NEVER, Decision, EnvParams, NodeType, realized_loss
+from .model import NEVER, EnvParams, NodeType, realized_loss
 
 #: spawn_key tags under a draw's seed (types stream vs per-node streams).
 _TYPES_STREAM = 0
@@ -38,15 +38,6 @@ class ExperimentSuite(str, Enum):
     DELTA_SWEEP = "delta_sweep"
     POLICY_COMPARE = "policy_compare"
     LOOKAHEAD_COMPARE = "lookahead_compare"
-
-
-class NodePolicy(Protocol):
-    """What simulate_node needs from a policy: a verdict before any
-    observation, then one verdict per observation."""
-
-    def initial_decision(self) -> Decision: ...
-
-    def observe(self, x: float) -> Decision: ...
 
 
 @dataclass(frozen=True)
@@ -203,31 +194,29 @@ def _node_draws(is_malicious: bool, draw: ExperimentDraw, rng: np.random.Generat
 
 
 def simulate_node(
-    policy: NodePolicy,
+    policy,
     node_type: NodeType,
     draw: ExperimentDraw,
     rng: np.random.Generator,
     node_id: int = 0,
 ) -> NodeRecord:
-    """Run one node against one fresh policy instance.
+    """Run one node against policy.removes(count, ones), the predicate
+    compile_region walks; one policy object serves every node of a draw.
 
     Per step: an honest node departs first with probability departure_rate
     (its departure step is drawn geometrically up front, which is the same
     process); if still present, one Bernoulli observation is drawn by type
-    and fed to the policy. A remove verdict is absorbing: the node is gone
-    and no further observations are processed. Loss accounting caps both the
+    and the rule is asked at the new count. Removal is absorbing, and no
+    rule removes before the first observation. Loss accounting caps both the
     departure and removal steps at the episode horizon.
     """
     departure, bits = _node_draws(node_type is NodeType.MALICIOUS, draw, rng)
     removal = NEVER
-    if policy.initial_decision() is Decision.REMOVE:
-        removal = 0.0
-    else:
-        observe = policy.observe
-        for t, x in enumerate(bits.astype(np.float64).tolist(), 1):
-            if observe(x) is Decision.REMOVE:
-                removal = float(t)
-                break
+    removes = policy.removes
+    for t, ones in enumerate(np.cumsum(bits).tolist(), 1):
+        if removes(t, ones):
+            removal = float(t)
+            break
     horizon = draw.horizon
     loss = realized_loss(node_type, min(departure, horizon), min(removal, horizon), draw.env)
     return NodeRecord(node_id, node_type, removal, departure if departure <= horizon else NEVER, loss)
@@ -237,7 +226,7 @@ def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Gene
     """Sample each node's type from `rng` with the draw's malicious prior, draw
     its departure and bits from its own stream as simulate_node does, and
     score every region by first passage. Removal steps and losses equal
-    simulate_node's with a fresh policy per node."""
+    simulate_node's with the policy each region was compiled from."""
     env = draw.env
     horizon = draw.horizon
     malicious = rng.random(draw.n_nodes) < env.prior_malicious

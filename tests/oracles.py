@@ -16,7 +16,7 @@ from nodeban.belief import (
     update,
 )
 from nodeban.hiper import HiperParams, confidence_radius, min_samples
-from nodeban.model import Decision, EnvParams, NodeType
+from nodeban.model import Decision, EnvParams
 from nodeban.policies import LookaheadConfig, _leaf_value
 
 _BRUTEFORCE_MAX_DEPTH = 12
@@ -60,21 +60,3 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
         return max(0.0, gain + p_one * v_one + (1.0 - p_one) * v_zero)
 
     return expand(belief, cfg.depth)
-
-
-class OraclePolicy:
-    """Type-aware baseline: removes malicious nodes before any observation,
-    keeps honest nodes forever."""
-
-    def __init__(self, node_type: NodeType) -> None:
-        self._node_type = node_type
-
-    def initial_decision(self) -> Decision:
-        return Decision.REMOVE if self._node_type is NodeType.MALICIOUS else Decision.KEEP
-
-    def observe(self, x: float) -> Decision:
-        return Decision.KEEP
-
-    @property
-    def statistic(self) -> float:
-        return 1.0 if self._node_type is NodeType.MALICIOUS else 0.0

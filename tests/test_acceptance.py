@@ -8,6 +8,7 @@ reproducible bit for bit.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from nodeban.hiper import (
     min_samples,
     optimal_delta,
 )
-from nodeban.model import Decision, EnvParams, NodeType
+from nodeban.model import EnvParams, NodeType
 from nodeban.policies import (
     LeafRule,
     LookaheadConfig,
@@ -34,7 +35,7 @@ from nodeban.policies import (
     myopic_decide,
     optimistic_decide,
 )
-from nodeban.simulator import ExperimentDraw, node_rng, simulate_node
+from nodeban.simulator import ExperimentDraw, compile_region, episode_rng, run_episode
 from oracles import lookahead_value_bruteforce
 
 
@@ -48,12 +49,15 @@ def mean_and_se(losses: np.ndarray) -> tuple[float, float]:
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(losses.size))
 
 
-def simulate_population(node_type, draw, params, n_nodes):
-    losses = np.empty(n_nodes)
-    for i in range(n_nodes):
-        record = simulate_node(HiperPolicy(params), node_type, draw, node_rng(draw, i), i)
-        losses[i] = record.realized_loss
-    return losses
+def hiper_losses(node_type, draw, params):
+    """Per-node losses of the rule over the draw's nodes, every one of them
+    of node_type. Node streams depend only on the draw's seed and the node
+    id, so the prior that fixes the type leaves them unchanged."""
+    malicious = node_type is NodeType.MALICIOUS
+    draw = replace(draw, env=replace(draw.env, prior_malicious=1.0 if malicious else 0.0))
+    episode = run_episode([compile_region(HiperPolicy(params), draw.horizon)], draw, episode_rng(draw))
+    assert (episode.malicious == malicious).all()
+    return episode.loss[0]
 
 
 def test_c01_malicious_loss_bound():
@@ -68,7 +72,7 @@ def test_c01_malicious_loss_bound():
     )
     draw = ExperimentDraw(horizon=1000, env=env, seed=101, n_nodes=10_000)
     params = HiperParams(delta=0.9, gap=0.4, malicious_mean=0.3)
-    losses = simulate_population(NodeType.MALICIOUS, draw, params, draw.n_nodes)
+    losses = hiper_losses(NodeType.MALICIOUS, draw, params)
     mean, se = mean_and_se(losses)
     bound = bound_loss_malicious(1.0, 0.9)
     elapsed = time.perf_counter() - start
@@ -92,7 +96,7 @@ def test_c02_honest_loss_bound():
     )
     draw = ExperimentDraw(horizon=2000, env=env, seed=102, n_nodes=10_000)
     params = HiperParams(delta=0.9, gap=0.5, malicious_mean=0.3)
-    losses = simulate_population(NodeType.HONEST, draw, params, draw.n_nodes)
+    losses = hiper_losses(NodeType.HONEST, draw, params)
     mean, se = mean_and_se(losses)
     bound = bound_loss_honest(1.0, 0.01, 0.5)
     elapsed = time.perf_counter() - start
@@ -161,7 +165,7 @@ def test_c03_tuned_delta_combined_bound():
         floor = loss * min(math.floor(warmup) + 1, horizon)
         worst = 0.0
         for node_type in (NodeType.MALICIOUS, NodeType.HONEST):
-            losses = simulate_population(node_type, draw, params, n_per_type)
+            losses = hiper_losses(node_type, draw, params)
             mean, se = mean_and_se(losses)
             worst = max(worst, mean + 3 * se)
         worst_margin = min(worst_margin, ceiling - worst)

@@ -108,7 +108,16 @@ class TestBounds:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--lQ", "nan"), ("--Delta", "nan"), ("--gU", "inf"), ("--lambda", "-inf"), ("--u", "x")],
+        [
+            ("--lQ", "nan"),
+            ("--Delta", "nan"),
+            ("--gU", "inf"),
+            ("--lambda", "-inf"),
+            ("--u", "x"),
+            # finite gaps whose warm-up ln(2/delta) / (2 gap^2) is not
+            ("--Delta", "1e-200"),
+            ("--Delta", "1e-160"),
+        ],
     )
     def test_non_finite_inputs_exit_2(self, flag, value, capsys):
         args = {"--lQ": "1", "--gU": "1", "--lambda": "0.1", "--Delta": "0.5"}
@@ -276,6 +285,13 @@ class TestStream:
         assert_usage_error(["stream", str(inp), "--out", str(outp), *policy_args], capsys)
         assert not outp.exists()
 
+    def test_gap_with_no_finite_warmup_exits_2(self, tmp_path, capsys):
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, [{"node_id": "a", "t": 1, "x": 0.3}])
+        argv = ["stream", str(inp), "--out", str(outp), *HIPER[:-1], "1e-200"]
+        assert_usage_error(argv, capsys)
+        assert outp.read_text() == ""
+
     def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
         inp = tmp_path / "in.jsonl"
         write_events(inp, [{"node_id": "a", "t": t, "x": 1.0} for t in range(1, 2001)])
@@ -385,6 +401,7 @@ class TestSuiteCommand:
             ({"base_seed": [1]}, []),
             ({"base_seed": 1.5}, []),
             ({"base_seed": True}, []),
+            ({"policies": ["hiper:0.9", "hiper:.90", "myopic"]}, []),
         ],
     )
     def test_ill_typed_config_and_flags_exit_2(self, config, flags, tmp_path, capsys):

@@ -15,6 +15,7 @@ from nodeban.hiper import (
     optimal_delta,
 )
 from nodeban.model import Decision
+from nodeban.simulator import compile_region
 from oracles import hiper_decision
 
 DELTA_E2 = 2.0 * math.exp(-2.0)  # makes ln(2/delta) = 2
@@ -110,6 +111,18 @@ class TestMinSamples:
         with pytest.raises(ValueError):
             min_samples(0.5, 0.0)
 
+    def test_rejects_a_warmup_that_is_not_finite(self):
+        # 2 gap^2 underflows to 0 at 1e-200, and to a subnormal at 1e-160
+        # where the quotient overflows
+        for gap in (1e-200, 1e-160, math.nan):
+            with pytest.raises(ValueError):
+                min_samples(0.9, gap)
+            with pytest.raises(ValueError):
+                bound_loss_malicious_warmup(1.0, 0.9, gap)
+        with pytest.raises(ValueError):
+            min_samples(5e-324, 0.5)  # 2 / delta overflows
+        assert math.isfinite(min_samples(0.9, 1e-150))
+
 
 def exact_sum_sequence(total: float, count: int) -> list[float]:
     """count observations in [0, 1] whose running sum is exactly `total`:
@@ -157,13 +170,14 @@ class TestHiperDecide:
         assert verdicts[-1] is Decision.REMOVE
 
     def test_requires_a_sample(self):
-        # before any observation the only verdict is the initial keep, even
-        # where a single observation at the malicious mean removes the node
+        # the compiled region removes nothing at count 0, even where a single
+        # observation at the malicious mean removes the node
         params = HiperParams(delta=0.9, gap=1.0, malicious_mean=0.3)
         assert min_samples(0.9, 1.0) < 1.0
-        policy = HiperPolicy(params)
-        assert policy.initial_decision() is Decision.KEEP
-        assert policy.observe(0.3) is Decision.REMOVE
+        region = compile_region(HiperPolicy(params), 1)
+        assert region.lo[0] > region.hi[0]
+        assert region.lo[1] <= 0 <= region.hi[1]  # one zero bit: mean 0 is within the radius
+        assert HiperPolicy(params).observe(0.3) is Decision.REMOVE
 
     def test_monotone_in_deviation(self):
         rng = np.random.default_rng(7)
@@ -355,7 +369,8 @@ def test_malicious_survival_probability_bounded_by_delta():
 
 def test_policy_wrapper_matches_operations():
     """The online rule's verdict stream equals the closed-form rule
-    (min_samples and confidence_radius) on every prefix."""
+    (min_samples and confidence_radius) and the removes predicate the
+    simulator walks, on every prefix, for real-valued and binary inputs."""
     rng = np.random.default_rng(15)
     for _ in range(50):
         params = HiperParams(
@@ -365,12 +380,29 @@ def test_policy_wrapper_matches_operations():
         )
         policy = HiperPolicy(params)
         count, total = 0, 0.0
-        assert policy.initial_decision() is Decision.KEEP
         for x in rng.uniform(0, 1, size=60):
             x = float(x)
             count, total = count + 1, total + x
-            assert policy.observe(x) is hiper_decision(count, total, params)
+            verdict = policy.observe(x)
+            assert verdict is hiper_decision(count, total, params)
+            assert policy.removes(count, total) == (verdict is Decision.REMOVE)
             assert policy.statistic == total / count
+    # binary inputs, at the malicious rate so that removals occur: the
+    # simulator's predicate sees the ones count as a Python int
+    for _ in range(50):
+        params = HiperParams(
+            delta=float(rng.uniform(0.05, 0.95)),
+            gap=float(rng.uniform(0.05, 0.8)),
+            malicious_mean=float(rng.uniform(0.0, 1.0)),
+        )
+        policy = HiperPolicy(params)
+        count = ones = 0
+        for x in (rng.random(60) < params.malicious_mean).astype(int).tolist():
+            count, ones = count + 1, ones + x
+            verdict = policy.observe(float(x))
+            assert verdict is hiper_decision(count, ones, params)
+            assert policy.removes(count, ones) == (verdict is Decision.REMOVE)
+            assert policy.statistic == ones / count
 
 
 def test_hiper_params_validation():
@@ -382,5 +414,9 @@ def test_hiper_params_validation():
         HiperParams(delta=0.5, gap=0.0, malicious_mean=0.3)
     with pytest.raises(ValueError):
         HiperParams(delta=0.5, gap=math.nan, malicious_mean=0.3)
+    with pytest.raises(ValueError):
+        HiperParams(delta=0.9, gap=1e-200, malicious_mean=0.3)
+    with pytest.raises(ValueError):
+        HiperParams(delta=0.9, gap=1e-160, malicious_mean=0.3)
     with pytest.raises(ValueError):
         HiperParams(delta=0.5, gap=0.4, malicious_mean=1.3)

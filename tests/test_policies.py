@@ -208,15 +208,21 @@ class TestOnlineWrappers:
             }
             belief = initial_belief(env.prior_malicious)
             lookahead = LookaheadPolicy(env, cfg)
+            count = ones = 0
             for x in (rng.random(25) < 0.5).astype(int).tolist():
                 belief = update(belief, float(x), model)
+                count, ones = count + 1, ones + x  # ones stays a Python int
                 for name, (wrapper, decide) in wrappers.items():
-                    assert wrapper.observe(float(x)) is decide(belief, env), name
+                    verdict = wrapper.observe(float(x))
+                    assert verdict is decide(belief, env), name
                     assert wrapper.belief == belief
-                assert lookahead.observe(float(x)) is lookahead_decide(belief, env, cfg)
+                    # the stream's observe and the simulator's predicate agree
+                    assert wrapper.removes(count, ones) == (verdict is Decision.REMOVE), name
+                verdict = lookahead.observe(float(x))
+                assert verdict is lookahead_decide(belief, env, cfg)
+                assert lookahead.removes(count, ones) == (verdict is Decision.REMOVE)
 
     def test_initial_decisions_keep(self):
         env = make_env()
         for policy in (MyopicPolicy(env), OptimisticPolicy(env), LookaheadPolicy(env, LookaheadConfig(2))):
-            assert policy.initial_decision() is Decision.KEEP
             assert policy.statistic == env.prior_malicious

@@ -37,7 +37,8 @@ unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @st.composite
 def worlds(draw):
     u = draw(unit)
-    # hiper.min_samples divides by gap**2, which underflows to 0 below 1e-154
+    # hiper.min_samples rejects a gap whose warm-up is not finite (2 gap^2
+    # underflows below about 1e-154); keep the worlds' gaps well above that
     q = draw(unit.filter(lambda value: abs(value - u) > 1e-9))
     return world(
         u,

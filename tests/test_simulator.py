@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nodeban.experiments import PolicySpec
-from nodeban.model import NEVER, Decision, EnvParams, NodeType
+from nodeban.model import NEVER, EnvParams, NodeType, realized_loss
 from nodeban.simulator import (
     EpisodeResult,
     ExperimentDraw,
@@ -16,7 +16,6 @@ from nodeban.simulator import (
     sample_experiment,
     simulate_node,
 )
-from oracles import OraclePolicy
 
 
 def make_env(rate=0.1, prior=0.5, gain=1.0, loss=1.0, u=0.8, q=0.3):
@@ -35,20 +34,15 @@ def make_draw(horizon=100, seed=1234, n_nodes=10, **env_kwargs):
 
 
 class ScriptedPolicy:
-    """Removes after a fixed number of observations; records what it saw."""
+    """Removes at a fixed count; records each (count, ones) it is asked about."""
 
     def __init__(self, remove_at=None):
         self.remove_at = remove_at
         self.seen = []
 
-    def initial_decision(self):
-        return Decision.KEEP
-
-    def observe(self, x):
-        self.seen.append(x)
-        if self.remove_at is not None and len(self.seen) >= self.remove_at:
-            return Decision.REMOVE
-        return Decision.KEEP
+    def removes(self, count, ones):
+        self.seen.append((count, ones))
+        return count == self.remove_at
 
 
 class TestSampleExperiment:
@@ -125,7 +119,7 @@ class TestSimulateNode:
         policy = ScriptedPolicy(remove_at=3)
         record = simulate_node(policy, NodeType.MALICIOUS, draw, node_rng(draw, 0))
         assert record.removal_step == 3
-        assert len(policy.seen) == 3
+        assert [count for count, _ in policy.seen] == [1, 2, 3]
 
     def test_malicious_never_removed_capped_at_horizon(self):
         draw = make_draw(horizon=20, loss=2.0)
@@ -146,20 +140,16 @@ class TestSimulateNode:
         )
         assert record.realized_loss == (capped_departure - 2) * 0.5
 
-    def test_initial_remove_means_zero_observations(self):
-        draw = make_draw()
-        policy = OraclePolicy(NodeType.MALICIOUS)
-        record = simulate_node(policy, NodeType.MALICIOUS, draw, node_rng(draw, 0))
-        assert record.removal_step == 0
-        assert record.realized_loss == 0.0
-
     def test_observations_are_binary_and_match_type_rate(self):
         draw = make_draw(horizon=2000, q=0.3, seed=99)
         policy = ScriptedPolicy()
         simulate_node(policy, NodeType.MALICIOUS, draw, node_rng(draw, 5))
-        values = set(policy.seen)
-        assert values <= {0.0, 1.0}
-        assert np.mean(policy.seen) == pytest.approx(0.3, abs=0.05)
+        assert [count for count, _ in policy.seen] == list(range(1, 2001))
+        ones = [0] + [k for _, k in policy.seen]
+        assert all(type(k) is int for k in ones)
+        bits = [b - a for a, b in zip(ones, ones[1:])]
+        assert set(bits) <= {0, 1}
+        assert np.mean(bits) == pytest.approx(0.3, abs=0.05)
 
 
 class TestDepartures:
@@ -194,19 +184,19 @@ class TestRunEpisode:
         assert result.malicious_fraction == 0.0
 
     def test_oracle_achieves_zero_loss(self):
-        # A region cannot see a node's type, so the oracle runs per node
-        # over the episode's own node types and streams.
+        # A region cannot see a node's type, so the type-aware oracle is
+        # scored on the episode's own nodes: each malicious node removed
+        # before its first observation, each honest one kept to the horizon.
         rng = np.random.default_rng(45)
         draws = [make_draw(prior=1.0, n_nodes=50)] + [
             make_draw(prior=0.6, seed=int(seed), n_nodes=100) for seed in rng.integers(0, 2**32, size=5)
         ]
         for draw in draws:
-            types = run_episode([hiper_region(draw)], draw, episode_rng(draw)).malicious
-            losses = [
-                simulate_node(OraclePolicy(node_type(m)), node_type(m), draw, node_rng(draw, i), i).realized_loss
-                for i, m in enumerate(types.tolist())
-            ]
-            assert fmean(losses) == 0.0
+            result = run_episode([hiper_region(draw)], draw, episode_rng(draw))
+            for m, departure in zip(result.malicious.tolist(), result.departure_step.tolist()):
+                removal = 0.0 if m else float(draw.horizon)
+                departure = min(departure, draw.horizon)
+                assert realized_loss(node_type(m), departure, removal, draw.env) == 0.0
 
     def test_fixed_seed_reproducible(self):
         draw = make_draw(prior=0.5, n_nodes=40, seed=77)
@@ -247,7 +237,8 @@ def random_draw(rng, max_horizon):
 
 class TestRegionsMatchPolicyObjects:
     """run_episode over compiled regions against the per-node reference:
-    simulate_node with a fresh policy object per node, on the same streams."""
+    simulate_node over the same rule's removes predicate, one policy object
+    per draw, on the same streams."""
 
     @pytest.mark.parametrize(
         "texts,max_horizon",
@@ -263,9 +254,10 @@ class TestRegionsMatchPolicyObjects:
             draw = random_draw(rng, max_horizon)
             result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
             for row, spec in enumerate(specs):
+                policy = spec.policy(draw)
                 for node_id, is_malicious in enumerate(result.malicious.tolist()):
                     record = simulate_node(
-                        spec.policy(draw), node_type(is_malicious), draw, node_rng(draw, node_id), node_id
+                        policy, node_type(is_malicious), draw, node_rng(draw, node_id), node_id
                     )
                     got = (
                         result.removal_step[row, node_id],
@@ -288,8 +280,9 @@ class TestRegionsMatchPolicyObjects:
                 draw = sample_experiment(rng, suite)
                 result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
                 for row, spec in enumerate(specs):
+                    policy = spec.policy(draw)
                     losses = [
-                        simulate_node(spec.policy(draw), node_type(m), draw, node_rng(draw, i), i).realized_loss
+                        simulate_node(policy, node_type(m), draw, node_rng(draw, i), i).realized_loss
                         for i, m in enumerate(result.malicious.tolist())
                     ]
                     assert result.mean_loss[row] == fmean(losses)

@@ -5,7 +5,8 @@ history enters the posterior only through (ones seen, samples seen). All
 likelihood work happens in log space: raw products like q^k (1-q)^(t-k)
 underflow near a thousand samples, well inside the horizons the simulator
 uses. Endpoint rates (0 or 1) are handled by exact zero-likelihood
-short-circuits before any logarithm is taken.
+short-circuits before any logarithm is taken. posterior_table is posterior
+at every (count, ones) lattice point at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .model import EnvParams
 
@@ -104,6 +107,37 @@ def posterior(ones: int, count: int, model: BernoulliModel, prior_malicious: flo
         return 1.0 / (1.0 + math.exp(-log_odds))
     weight = math.exp(log_odds)
     return weight / (1.0 + weight)
+
+
+def posterior_table(size: int, model: BernoulliModel, prior_malicious: float) -> np.ndarray:
+    """posterior at every point with count < size, indexed [count, ones]; NaN
+    where posterior raises ImpossibleEvidenceError, and where ones > count.
+    Performs posterior's IEEE operations and branches elementwise, each exp
+    from math.exp: numpy's exp can differ from libm's in the last ulp."""
+    count, ones = np.ogrid[:size, :size]
+    zeros = count - ones
+
+    def log_like(rate: float) -> np.ndarray:
+        # an endpoint rate's log is never used: the histories it would score are dead
+        log_one = math.log(rate) if rate > 0.0 else 0.0
+        log_zero = math.log1p(-rate) if rate < 1.0 else 0.0
+        return np.where(ones > 0, ones * log_one, 0.0) + np.where(zeros > 0, zeros * log_zero, 0.0)
+
+    u, q, prior = model.honest_mean, model.malicious_mean, prior_malicious
+    malicious_dead = (q == 0.0) & (ones > 0) | (q == 1.0) & (zeros > 0) | (prior == 0.0)
+    honest_dead = (u == 0.0) & (ones > 0) | (u == 1.0) & (zeros > 0) | (prior == 1.0)
+    log_like_malicious, log_like_honest = log_like(q), log_like(u)
+    live = ~(malicious_dead | honest_dead) & (log_like_malicious != log_like_honest)
+    prior_log_odds = math.log(prior) - math.log1p(-prior) if 0.0 < prior < 1.0 else 0.0
+    log_odds = prior_log_odds + log_like_malicious - log_like_honest
+    weight = np.zeros(log_odds.shape)  # exp(-|log odds|), which never overflows
+    weight[live] = np.fromiter(map(math.exp, -np.abs(log_odds[live])), float)
+    table = np.where(log_odds >= 0.0, 1.0, weight) / (1.0 + weight)
+    table[~live] = prior
+    table[honest_dead] = 1.0
+    table[malicious_dead] = 0.0
+    table[malicious_dead & honest_dead | (zeros < 0)] = np.nan
+    return table
 
 
 def update(belief: BeliefState, x: float, model: BernoulliModel) -> BeliefState:

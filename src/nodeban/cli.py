@@ -247,12 +247,7 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
     return StreamEvent(str(obj["node_id"]), t, x)
 
 
-def _run_stream(args: argparse.Namespace, infile, outfile) -> int:
-    try:
-        make_policy, needs_binary = _build_stream_factory(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-
+def _run_stream(args: argparse.Namespace, make_policy, needs_binary: bool, infile, outfile) -> int:
     policies: dict[str, object] = {}
     last_t: dict[str, int] = {}
     removed: set[str] = set()
@@ -303,6 +298,11 @@ def _run_stream(args: argparse.Namespace, infile, outfile) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
+    # validate the flags before opening, and so truncating, --out
+    try:
+        make_policy, needs_binary = _build_stream_factory(args)
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.input == "-":
         infile = sys.stdin
         close_in = False
@@ -324,7 +324,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             return _fail(f"cannot open output {args.out}: {exc}")
         close_out = True
     try:
-        return _run_stream(args, infile, outfile)
+        return _run_stream(args, make_policy, needs_binary, infile, outfile)
     finally:
         if close_in:
             infile.close()

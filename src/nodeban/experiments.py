@@ -19,8 +19,9 @@ import numpy as np
 
 from .hiper import HiperParams, HiperPolicy, optimal_delta
 from .policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
+from .policies import lookahead_values
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
-from .simulator import run_episode, sample_experiment
+from .simulator import run_episode, sample_experiment, table_region
 
 SWEEP_VARIABLES = ("horizon", "gap", "malicious_proportion", "gain")
 
@@ -122,6 +123,9 @@ class PolicySpec:
 
     def build(self, draw: ExperimentDraw) -> Region:
         """The policy's removal region on the draw, compiled once for all its nodes."""
+        if self.kind == "lookahead":
+            cfg = LookaheadConfig(self.depth, self.leaf_rule)
+            return table_region(lookahead_values(draw.env, cfg, draw.horizon) <= 0.0)
         return compile_region(self.policy(draw), draw.horizon)
 
 

@@ -7,7 +7,8 @@ type were revealed next step (an honest node would then stay an expected
 1/departure_rate steps, a malicious one would be removed after a single
 step). Finite lookahead plans over every observation sequence up to a fixed
 depth with backward induction, treating removal as an absorbing action of
-value zero at every stage.
+value zero at every stage: lookahead_value from one belief (online), and
+lookahead_values over the whole (count, ones) lattice at once, bit for bit.
 
 Ties always remove: each rule keeps only on a strictly positive margin.
 """
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .belief import (
     BeliefState,
     BernoulliModel,
@@ -24,6 +27,7 @@ from .belief import (
     expected_keep_gain,
     initial_belief,
     posterior,
+    posterior_table,
     predictive,
     update,
 )
@@ -126,6 +130,32 @@ def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -
     return values[0]
 
 
+def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.ndarray:
+    """lookahead_value at every (count t, ones k) with t <= horizon, indexed
+    [t, k], 0 where k > t: its recursion run once over the lattice, not once
+    per root. V_0 is the leaf rule up to count horizon + depth; pass r gives
+    V_r(c, .) from V_{r-1}(c + 1, .) by the scalar's operations in its order,
+    max(0, x) being where(x > 0, x, 0), which maps an impossible point's NaN
+    posterior to the scalar's 0."""
+    model = BernoulliModel(env.honest_mean, env.malicious_mean)
+    posteriors = posterior_table(horizon + cfg.depth + 1, model, env.prior_malicious)
+    table = BeliefState(None, None, env.prior_malicious, posteriors)  # formulas apply elementwise
+    gain = expected_keep_gain(table, env)
+    p_one = predictive(table, model)
+    p_zero = 1.0 - p_one
+    if cfg.leaf_rule is LeafRule.ZERO:
+        values = np.zeros_like(gain)
+    elif cfg.leaf_rule is LeafRule.MYOPIC_INFINITE:
+        values = np.where(gain > 0.0, gain, 0.0) / env.departure_rate
+    else:
+        margin = _optimistic_margin(table, env)
+        values = np.where(margin > 0.0, margin, 0.0)
+    for n in range(horizon + cfg.depth, horizon, -1):
+        keep = gain[:n, :n] + p_one[:n, :n] * values[1:, 1:] + p_zero[:n, :n] * values[1:, :n]
+        values = np.where(keep > 0.0, keep, 0.0)
+    return values
+
+
 def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> Decision:
     """Keep iff the depth-limited plan value is strictly positive."""
     if lookahead_value(belief, env, cfg) > 0.0:
@@ -180,7 +210,8 @@ class OptimisticPolicy(_BeliefPolicy):
 
 
 class LookaheadPolicy(_BeliefPolicy):
-    """Online lookahead planner: quadratic work per event, constant state."""
+    """Online lookahead planner: quadratic work in depth per event, constant
+    state. Its compiled form for a whole horizon is lookahead_values."""
 
     def __init__(self, env: EnvParams, cfg: LookaheadConfig) -> None:
         super().__init__(env)

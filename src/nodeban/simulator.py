@@ -120,6 +120,17 @@ def compile_region(policy, horizon: int) -> Region:
     return Region(lo, hi)
 
 
+def table_region(removed: np.ndarray) -> Region:
+    """The Region of removed[t, k] for counts 1..horizon and ones k <= t, whose
+    removing ones at each count must form an interval, as in compile_region."""
+    removed = np.tril(removed)
+    removed[0] = False
+    some = removed.any(axis=1)
+    lo = np.where(some, removed.argmax(axis=1), 0)
+    hi = np.where(some, removed.shape[1] - 1 - removed[:, ::-1].argmax(axis=1), -1)
+    return Region(lo, hi)
+
+
 def _walk(removes, t: int, inside: int, start: int, step: int) -> int:
     """The end, in direction step, of the removal interval at count t that
     holds `inside`, searched from `start`."""

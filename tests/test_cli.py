@@ -12,6 +12,26 @@ from nodeban.cli import main
 HIPER = ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"]
 MYOPIC = ["--policy", "myopic", "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"]
 
+# stream policy flags that argparse rejects
+NON_FINITE_FLAGS = [
+    ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "nan"],
+    ["--policy", "hiper", "--q", "0.3", "--delta", "nan", "--Delta", "0.4"],
+    MYOPIC[:-4] + ["--gU", "nan", "--lQ", "1"],
+    MYOPIC + ["--prior", "nan"],
+    MYOPIC + ["--binarize", "inf"],
+    MYOPIC[:2] + ["--u", "1e999"] + MYOPIC[4:],
+]
+# finite stream policy flags that the policy's own checks reject
+INVALID_FLAGS = [
+    HIPER[:-1] + ["1e-200"],  # no finite warm-up
+    HIPER[:-4] + ["--delta", "1.5", "--Delta", "0.4"],
+    HIPER[:4] + ["--Delta", "0.4"],  # no --delta
+    MYOPIC[:-2],  # no --lQ
+    MYOPIC + ["--prior", "1.5"],
+    ["--policy", "optimistic", *MYOPIC[2:]],  # no --lambda
+    ["--policy", "lookahead", *MYOPIC[2:], "--lookahead-depth", "0"],
+]
+
 
 def run_cli(args):
     return main(args)
@@ -268,17 +288,7 @@ class TestStream:
                         "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "policy_args",
-        [
-            ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "nan"],
-            ["--policy", "hiper", "--q", "0.3", "--delta", "nan", "--Delta", "0.4"],
-            MYOPIC[:-4] + ["--gU", "nan", "--lQ", "1"],
-            MYOPIC + ["--prior", "nan"],
-            MYOPIC + ["--binarize", "inf"],
-            MYOPIC[:2] + ["--u", "1e999"] + MYOPIC[4:],
-        ],
-    )
+    @pytest.mark.parametrize("policy_args", NON_FINITE_FLAGS)
     def test_non_finite_flags_exit_2(self, policy_args, tmp_path, capsys):
         inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         write_events(inp, [{"node_id": "a", "t": t, "x": 0.0} for t in range(1, 4)])
@@ -290,7 +300,16 @@ class TestStream:
         write_events(inp, [{"node_id": "a", "t": 1, "x": 0.3}])
         argv = ["stream", str(inp), "--out", str(outp), *HIPER[:-1], "1e-200"]
         assert_usage_error(argv, capsys)
-        assert outp.read_text() == ""
+        assert not outp.exists()
+
+    @pytest.mark.parametrize("policy_args", NON_FINITE_FLAGS + INVALID_FLAGS)
+    def test_flag_error_keeps_existing_out(self, policy_args, tmp_path, capsys):
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, [{"node_id": "a", "t": 1, "x": 0.0}])
+        earlier = b'{"node_id": "a", "t": 1, "decision": "keep", "statistic": 0.5}\n'
+        outp.write_bytes(earlier)
+        assert_usage_error(["stream", str(inp), "--out", str(outp), *policy_args], capsys)
+        assert outp.read_bytes() == earlier
 
     def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
         inp = tmp_path / "in.jsonl"

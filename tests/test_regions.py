@@ -1,18 +1,23 @@
 """Compiled removal regions against the scalar rules they compile.
 
 compile_region evaluates a rule only near the ends of each count's removal
-interval. These tests evaluate the rule at every lattice point (count t,
-ones k) with t <= 60 and compare, over seeded random worlds that include
+interval, and lookahead compiles from lattice-wide tables. These tests
+evaluate the scalar rule (and, for the tables, the scalar posterior and plan
+value) at every lattice point (count t, ones k) with t <= 60 (40 for the
+plan values) and compare exactly, over seeded random worlds that include
 q > u, q < u, and observation means of exactly 0 and 1.
 """
+
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodeban.belief import BernoulliModel, ImpossibleEvidenceError, posterior
+from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, posterior
+from nodeban.belief import posterior_table
 from nodeban.experiments import PolicySpec
 from nodeban.model import EnvParams
-from nodeban.policies import LeafRule
+from nodeban.policies import LeafRule, LookaheadConfig, lookahead_value, lookahead_values
 from nodeban.simulator import ExperimentDraw
 
 HORIZON = 60
@@ -95,6 +100,46 @@ def with_examples(test):
 @settings(SEEDED, max_examples=100)
 @with_examples
 @given(worlds())
+def test_posterior_table_is_posterior(draw):
+    env = draw.env
+    model = BernoulliModel(env.honest_mean, env.malicious_mean)
+    table = posterior_table(HORIZON + 1, model, env.prior_malicious)
+    assert table.shape == (HORIZON + 1, HORIZON + 1)
+    for t in range(HORIZON + 1):
+        for k in range(HORIZON + 1):
+            try:
+                expected = posterior(k, t, model, env.prior_malicious) if k <= t else math.nan
+            except ImpossibleEvidenceError:
+                expected = math.nan
+            if math.isnan(expected):
+                assert math.isnan(table[t, k]), (t, k)
+            else:
+                assert table[t, k] == expected, (t, k)
+
+
+@settings(SEEDED, max_examples=30)
+@example(world(0.8, 0.3), 8, LeafRule.ZERO)
+@example(world(0.2, 0.7), 8, LeafRule.MYOPIC_INFINITE)
+@example(world(0.0, 1.0), 8, LeafRule.OPTIMISTIC)
+@example(world(1.0, 0.4, prior=0.0), 1, LeafRule.OPTIMISTIC)
+@given(worlds(), st.integers(1, 8), st.sampled_from(list(LeafRule)))
+def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
+    env, cfg, horizon = draw.env, LookaheadConfig(depth, leaf), 40
+    values = lookahead_values(env, cfg, horizon)
+    assert values.shape == (horizon + 1, horizon + 1)
+    model = BernoulliModel(env.honest_mean, env.malicious_mean)
+    for t in range(horizon + 1):
+        for k in range(horizon + 1):
+            if k > t or not reachable(draw, t, k):
+                assert values[t, k] == 0.0, (t, k)
+                continue
+            belief = BeliefState(k, t, env.prior_malicious, posterior(k, t, model, env.prior_malicious))
+            assert values[t, k] == lookahead_value(belief, env, cfg), (t, k)
+
+
+@settings(SEEDED, max_examples=100)
+@with_examples
+@given(worlds())
 def test_hiper_regions(draw):
     for delta in (0.05, 0.5, 0.9, 0.999):
         assert_region_is_the_rule(f"hiper:{delta}", draw)
@@ -113,6 +158,11 @@ def test_myopic_and_optimistic_regions(draw):
 
 @settings(SEEDED, max_examples=40)
 @example(world(0.8, 0.3), 8, LeafRule.ZERO)
+@example(world(0.2, 0.7), 8, LeafRule.MYOPIC_INFINITE)
+@example(world(0.3, 0.9, rate=0.05), 8, LeafRule.OPTIMISTIC)
+@example(world(0.6, 0.1, gain=0.3), 12, LeafRule.ZERO)
+@example(world(0.2, 0.7, prior=0.2), 12, LeafRule.MYOPIC_INFINITE)
+@example(world(0.7, 0.4, rate=0.02), 12, LeafRule.OPTIMISTIC)
 @example(world(0.2, 0.7), 5, LeafRule.MYOPIC_INFINITE)
 @example(world(0.0, 1.0), 3, LeafRule.OPTIMISTIC)
 @example(world(1.0, 0.0), 4, LeafRule.MYOPIC_INFINITE)

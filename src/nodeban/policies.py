@@ -139,7 +139,7 @@ def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.n
     posterior to the scalar's 0."""
     model = BernoulliModel(env.honest_mean, env.malicious_mean)
     posteriors = posterior_table(horizon + cfg.depth + 1, model, env.prior_malicious)
-    table = BeliefState(None, None, env.prior_malicious, posteriors)  # formulas apply elementwise
+    table = BeliefState(None, None, env.prior_malicious, posteriors)  # formulas read only this
     gain = expected_keep_gain(table, env)
     p_one = predictive(table, model)
     p_zero = 1.0 - p_one

@@ -117,7 +117,7 @@ def test_posterior_table_is_posterior(draw):
                 assert table[t, k] == expected, (t, k)
 
 
-@settings(SEEDED, max_examples=30)
+@settings(SEEDED, max_examples=60)
 @example(world(0.8, 0.3), 8, LeafRule.ZERO)
 @example(world(0.2, 0.7), 8, LeafRule.MYOPIC_INFINITE)
 @example(world(0.0, 1.0), 8, LeafRule.OPTIMISTIC)

@@ -6,8 +6,8 @@ Three subcommands:
           smoothed loss curves
   bounds  print the tuned error probability, the paper's closed-form loss
           ceilings and their warm-up-aware variants for a parameter set
-  stream  apply a policy online to newline-delimited JSON observation
-          events, one verdict per event until a node is removed
+  stream  apply a policy online to JSONL observation events from per-node
+          (count, ones) state, one verdict per event until a node is removed
 
 Exit codes: 0 success, 1 runtime failure (including a closed output pipe),
 2 usage/config/input error.
@@ -23,6 +23,7 @@ import sys
 import time
 from typing import NamedTuple
 
+from . import policies
 from .belief import ImpossibleEvidenceError
 from .experiments import (
     PolicySpec,
@@ -44,7 +45,7 @@ from .hiper import (
 )
 from .model import Decision, EnvParams
 from .policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
-from .simulator import ExperimentSuite
+from .simulator import ExperimentSuite, region_walk
 
 _CONFIG_KEYS = {"suite", "n_runs", "ma_window", "policies", "base_seed"}
 
@@ -73,9 +74,9 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-        except FileNotFoundError:
-            raise ValueError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ValueError(f"cannot read config file {args.config}: {exc}")
+        except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
             raise ValueError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
@@ -188,8 +189,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- stream --
 
 
-def _build_stream_factory(args: argparse.Namespace):
-    """Validate policy parameters and return (factory, needs_binary)."""
+def _build_stream_policy(args: argparse.Namespace):
+    """Validate policy parameters and return the one policy every node shares."""
     policy = args.policy
     if policy == "hiper":
         if args.q is None or args.delta is None:
@@ -198,7 +199,7 @@ def _build_stream_factory(args: argparse.Namespace):
         if gap is None:
             raise ValueError("hiper needs --Delta, or --u together with --q")
         params = HiperParams(delta=args.delta, gap=gap, malicious_mean=args.q)
-        return (lambda: HiperPolicy(params)), False
+        return HiperPolicy(params)
 
     if args.u is None or args.q is None or args.gU is None or args.lQ is None:
         raise ValueError(f"{policy} needs --u, --q, --gU and --lQ")
@@ -215,11 +216,10 @@ def _build_stream_factory(args: argparse.Namespace):
         prior_malicious=args.prior,
     )
     if policy == "myopic":
-        return (lambda: MyopicPolicy(env)), True
+        return MyopicPolicy(env)
     if policy == "optimistic":
-        return (lambda: OptimisticPolicy(env)), True
-    cfg = LookaheadConfig(args.lookahead_depth, leaf)
-    return (lambda: LookaheadPolicy(env, cfg)), True
+        return OptimisticPolicy(env)
+    return LookaheadPolicy(env, LookaheadConfig(args.lookahead_depth, leaf))
 
 
 def _parse_event(line: str, line_no: int) -> StreamEvent:
@@ -247,60 +247,83 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
     return StreamEvent(str(obj["node_id"]), t, x)
 
 
-def _run_stream(args: argparse.Namespace, make_policy, needs_binary: bool, infile, outfile) -> int:
-    policies: dict[str, object] = {}
+def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
+    """Per node, keep (count, s): the running total of x for hiper's scalar
+    rule, the ones count for the belief rules. Those remove a node iff (count,
+    ones) lies in the stream's one region, drawn from region_walk a count at a
+    time when a node first reaches it: O(largest count) memory and planning."""
+    belief = not isinstance(policy, HiperPolicy)
+    if belief:
+        walk, region = region_walk(policy), [(0, -1)]  # region[t]: (lo, hi) at count t
+        model, prior = policy.model, policy.env.prior_malicious
+        posterior = policies.posterior  # the module global, so a tracer sees it
+    state: dict[str, tuple[int, float]] = {}
     last_t: dict[str, int] = {}
     removed: set[str] = set()
-    for line_no, line in enumerate(infile, 1):
-        text = line.strip()
-        if not text:
-            return _fail(f"line {line_no}: blank line")
-        try:
-            event = _parse_event(text, line_no)
-        except ValueError as exc:
-            return _fail(str(exc))
-        previous = last_t.get(event.node_id)
-        if previous is not None and event.t <= previous:
-            return _fail(
-                f"line {line_no}: t={event.t} for node {event.node_id!r} is not "
-                f"strictly increasing (previous {previous})"
-            )
-        last_t[event.node_id] = event.t
-        if event.node_id in removed:
-            continue
-        x = event.x
-        if needs_binary and x != 0.0 and x != 1.0:
-            if args.binarize is None:
+    line_no = 0
+    try:
+        for line_no, line in enumerate(infile, 1):
+            text = line.strip()
+            if not text:
+                return _fail(f"line {line_no}: blank line")
+            try:
+                event = _parse_event(text, line_no)
+            except ValueError as exc:
+                return _fail(str(exc))
+            previous = last_t.get(event.node_id)
+            if previous is not None and event.t <= previous:
                 return _fail(
-                    f"line {line_no}: x={x} is not binary; this policy needs binary "
-                    "observations (pass --binarize THRESHOLD to threshold them)"
+                    f"line {line_no}: t={event.t} for node {event.node_id!r} is not "
+                    f"strictly increasing (previous {previous})"
                 )
-            x = 1.0 if x >= args.binarize else 0.0
-        policy = policies.get(event.node_id)
-        if policy is None:
-            policy = make_policy()
-            policies[event.node_id] = policy
-        try:
-            decision = policy.observe(x)
-        except ImpossibleEvidenceError as exc:
-            return _fail(f"line {line_no}: {exc}")
-        verdict = {
-            "node_id": event.node_id,
-            "t": event.t,
-            "decision": decision.value,
-            "statistic": policy.statistic,
-        }
-        outfile.write(json.dumps(verdict) + "\n")
-        if decision is Decision.REMOVE:
-            removed.add(event.node_id)
-            del policies[event.node_id]
+            last_t[event.node_id] = event.t
+            if event.node_id in removed:
+                continue
+            x = event.x
+            count, s = state.get(event.node_id, (0, 0))
+            count += 1
+            if belief:
+                if x != 0.0 and x != 1.0:
+                    if args.binarize is None:
+                        return _fail(
+                            f"line {line_no}: x={x} is not binary; this policy needs binary "
+                            "observations (pass --binarize THRESHOLD to threshold them)"
+                        )
+                    x = 1.0 if x >= args.binarize else 0.0
+                s += int(x)
+                try:
+                    statistic = posterior(s, count, model, prior)
+                except ImpossibleEvidenceError as exc:
+                    return _fail(f"line {line_no}: {exc}")
+                if count == len(region):
+                    region.append(next(walk))
+                lo, hi = region[count]
+                remove = lo <= s <= hi
+            else:
+                s += x
+                remove = policy.removes(count, s)
+                statistic = s / count
+            verdict = {
+                "node_id": event.node_id,
+                "t": event.t,
+                "decision": (Decision.REMOVE if remove else Decision.KEEP).value,
+                "statistic": statistic,
+            }
+            outfile.write(json.dumps(verdict) + "\n")
+            if remove:
+                removed.add(event.node_id)
+                state.pop(event.node_id, None)
+            else:
+                state[event.node_id] = (count, s)
+    except UnicodeDecodeError as exc:
+        return _fail(f"input after line {line_no} is not valid UTF-8 ({exc.reason})")
     return 0
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
     # validate the flags before opening, and so truncating, --out
     try:
-        make_policy, needs_binary = _build_stream_factory(args)
+        policy = _build_stream_policy(args)
     except ValueError as exc:
         return _fail(str(exc))
     if args.input == "-":
@@ -324,7 +347,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             return _fail(f"cannot open output {args.out}: {exc}")
         close_out = True
     try:
-        return _run_stream(args, make_policy, needs_binary, infile, outfile)
+        return _run_stream(args, policy, infile, outfile)
     finally:
         if close_in:
             infile.close()

@@ -168,23 +168,23 @@ class _BeliefPolicy:
     names its rule as _decide(belief); removes(count, ones) applies it."""
 
     def __init__(self, env: EnvParams) -> None:
-        self._env = env
-        self._model = BernoulliModel(env.honest_mean, env.malicious_mean)
+        self.env = env
+        self.model = BernoulliModel(env.honest_mean, env.malicious_mean)
         self._belief = initial_belief(env.prior_malicious)
         # Every rule removes on a high posterior, highest at ones = count when
         # the malicious rate is the higher one and at ones = 0 otherwise.
         self.anchor = 1.0 if env.malicious_mean > env.honest_mean else 0.0
 
     def observe(self, x: float) -> Decision:
-        self._belief = update(self._belief, x, self._model)
+        self._belief = update(self._belief, x, self.model)
         return self._decide(self._belief)
 
     def removes(self, count: int, ones: int) -> bool:
         """The rule after `ones` one-bits in `count` observations. A history
         impossible under both types is unreachable, and counts as removed."""
-        prior = self._env.prior_malicious
+        prior = self.env.prior_malicious
         try:
-            belief = BeliefState(ones, count, prior, posterior(ones, count, self._model, prior))
+            belief = BeliefState(ones, count, prior, posterior(ones, count, self.model, prior))
         except ImpossibleEvidenceError:
             return True
         return self._decide(belief) is Decision.REMOVE
@@ -201,21 +201,21 @@ class _BeliefPolicy:
 
 class MyopicPolicy(_BeliefPolicy):
     def _decide(self, belief: BeliefState) -> Decision:
-        return myopic_decide(belief, self._env)
+        return myopic_decide(belief, self.env)
 
 
 class OptimisticPolicy(_BeliefPolicy):
     def _decide(self, belief: BeliefState) -> Decision:
-        return optimistic_decide(belief, self._env)
+        return optimistic_decide(belief, self.env)
 
 
 class LookaheadPolicy(_BeliefPolicy):
-    """Online lookahead planner: quadratic work in depth per event, constant
-    state. Its compiled form for a whole horizon is lookahead_values."""
+    """Lookahead planner, quadratic in depth per lattice point: nodeban stream
+    plans only as its region grows, the suites through lookahead_values."""
 
     def __init__(self, env: EnvParams, cfg: LookaheadConfig) -> None:
         super().__init__(env)
         self._cfg = cfg
 
     def _decide(self, belief: BeliefState) -> Decision:
-        return lookahead_decide(belief, self._env, self._cfg)
+        return lookahead_decide(belief, self.env, self._cfg)

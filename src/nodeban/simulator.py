@@ -7,7 +7,8 @@ hierarchically:
     experiment seed -> per-run stream -> draw seed -> per-node streams
 
 so every policy evaluated on a draw sees identical nodes. A policy is
-compiled once per draw into a Region on the (count, ones) lattice;
+compiled once per draw into a Region on the (count, ones) lattice by
+region_walk, which nodeban stream also draws from one count at a time;
 run_episode draws each node once and scores every region by first passage.
 simulate_node, the scalar per-node reference, walks the same draws through
 the policy's removes(count, ones) predicate one count at a time.
@@ -15,6 +16,7 @@ the policy's removes(count, ones) predicate one count at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -94,35 +96,39 @@ class Region(NamedTuple):
     hi: np.ndarray
 
 
-def compile_region(policy, horizon: int) -> Region:
-    """Compile policy.removes(count, ones) into a Region, for counts 1..horizon
-    (every policy keeps a node before its first observation).
+def region_walk(policy):
+    """Yield, for counts t = 1, 2, ... without end, the (lo, hi) such that
+    policy.removes(t, k) iff lo <= k <= hi; (0, -1) when no k removes.
 
     Relies on the removal set at each count t being an interval of ones that,
     when nonempty, holds floor(policy.anchor * t) or ceil(policy.anchor * t).
     Those seeds decide emptiness; each end is walked from its last position.
     """
     removes, anchor = policy.removes, policy.anchor
-    lo = np.zeros(horizon + 1, dtype=np.int64)
-    hi = np.full(horizon + 1, -1, dtype=np.int64)
     a = b = None  # the interval at the previous count, if any
-    for t in range(1, horizon + 1):
+    for t in itertools.count(1):
         seed = anchor * t
         inside = math.floor(seed)
         if not removes(t, inside):
             inside = math.ceil(seed)
             if inside == seed or not removes(t, inside):
                 a = b = None
+                yield 0, -1
                 continue
         a = _walk(removes, t, inside, inside if a is None else a, -1)
         b = _walk(removes, t, inside, inside if b is None else b, 1)
-        lo[t], hi[t] = a, b
-    return Region(lo, hi)
+        yield a, b
+
+
+def compile_region(policy, horizon: int) -> Region:
+    """region_walk up to the horizon; no policy removes at count 0."""
+    lo, hi = zip((0, -1), *itertools.islice(region_walk(policy), horizon))
+    return Region(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
 
 
 def table_region(removed: np.ndarray) -> Region:
     """The Region of removed[t, k] for counts 1..horizon and ones k <= t, whose
-    removing ones at each count must form an interval, as in compile_region."""
+    removing ones at each count must form an interval, as in region_walk."""
     removed = np.tril(removed)
     removed[0] = False
     some = removed.any(axis=1)

@@ -7,6 +7,8 @@ package's version is right.
 
 from __future__ import annotations
 
+import json
+
 from nodeban.belief import (
     BeliefState,
     BernoulliModel,
@@ -60,3 +62,30 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
         return max(0.0, gain + p_one * v_one + (1.0 - p_one) * v_zero)
 
     return expand(belief, cfg.depth)
+
+
+def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:
+    """nodeban stream's stdout and stderr on events (dicts with node_id, t and
+    x), from one policy object per node fed through observe, as the stream
+    ran before it kept per-node (count, ones) state. binarize thresholds x
+    that are not 0 or 1, for the belief policies."""
+    policies, removed, lines = {}, set(), []
+    for line_no, event in enumerate(events, 1):
+        node = event["node_id"]
+        if node in removed:
+            continue
+        x = float(event["x"])
+        if binarize is not None and x != 0.0 and x != 1.0:
+            x = 1.0 if x >= binarize else 0.0
+        if node not in policies:
+            policies[node] = make_policy()
+        policy = policies[node]
+        try:
+            decision = policy.observe(x)
+        except ImpossibleEvidenceError as exc:
+            return "".join(lines), f"error: line {line_no}: {exc}\n"
+        verdict = {"node_id": node, "t": event["t"], "decision": decision.value, "statistic": policy.statistic}
+        lines.append(json.dumps(verdict) + "\n")
+        if decision is Decision.REMOVE:
+            removed.add(node)
+    return "".join(lines), ""

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -46,12 +47,13 @@ def exit_code(args):
 
 
 def assert_usage_error(args, capsys):
-    """Exit code 2 with one `error:` line on stderr; returns stdout."""
+    """Exit code 2 with one `error:` line on stderr; returns the captured
+    stdout and stderr."""
     assert exit_code(args) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert sum(1 for line in captured.err.splitlines() if "error:" in line) == 1
-    return captured.out
+    return captured
 
 
 def run_into_closed_pipe(args, tmp_path):
@@ -143,7 +145,7 @@ class TestBounds:
         args = {"--lQ": "1", "--gU": "1", "--lambda": "0.1", "--Delta": "0.5"}
         args[flag] = value
         argv = ["bounds"] + [item for pair in args.items() for item in pair]
-        assert assert_usage_error(argv, capsys) == ""
+        assert assert_usage_error(argv, capsys).out == ""
 
 
 class TestStream:
@@ -318,6 +320,34 @@ class TestStream:
         assert code == 1
         assert err == ""
 
+    def test_invalid_utf8_exits_2_and_keeps_earlier_verdicts(self, tmp_path, capsys):
+        # the good lines fill more than one 8 KiB decoding chunk, so some are
+        # read and answered before the bad bytes are decoded
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, [{"node_id": f"n{i}", "t": 1, "x": 1.0} for i in range(400)])
+        with open(inp, "ab") as handle:
+            handle.write(b'{"node_id": "\xff", "t": 1, "x": 1.0}\n')
+        err = assert_usage_error(["stream", str(inp), "--out", str(outp), *HIPER], capsys).err
+        assert "not valid UTF-8" in err
+        read = int(re.search(r"after line (\d+) ", err).group(1))
+        assert 0 < read < 400
+        assert [v["node_id"] for v in read_verdicts(outp)] == [f"n{i}" for i in range(read)]
+
+    @pytest.mark.parametrize("policy", ["myopic", "optimistic", "lookahead"])
+    def test_impossible_history_exits_2_and_keeps_earlier_verdicts(self, policy, tmp_path, capsys):
+        # --prior 1 rules out an honest node, and --q 1.0 a malicious 0-bit
+        events = [{"node_id": "a", "t": 1, "x": 1}, {"node_id": "b", "t": 2, "x": 0}]
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, events)
+        argv = ["stream", str(inp), "--out", str(outp), "--policy", policy, "--u", "0.5",
+                "--q", "1.0", "--gU", "1", "--lQ", "1", "--lambda", "0.1", "--prior", "1"]
+        err = assert_usage_error(argv, capsys).err
+        assert err.startswith(
+            "error: line 2: history (ones=0, count=1) has zero prior-weighted likelihood "
+            "under both types (u=0.5, q=1.0, prior=1.0)"
+        )
+        assert [(v["node_id"], v["statistic"]) for v in read_verdicts(outp)] == [("a", 1.0)]
+
     def test_lookahead_stream_runs(self, tmp_path):
         events = [{"node_id": "a", "t": t, "x": 0.0} for t in range(1, 6)]
         inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -342,6 +372,18 @@ class TestSuiteCommand:
         code = run_cli(["suite", "--config", str(missing), "--out", str(tmp_path / "o.csv"), "--seed", "1"])
         assert code == 2
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b'{"suite": "\xff"}'])
+    def test_unreadable_config_exits_2_with_path(self, content, tmp_path, capsys):
+        config = tmp_path / "config"  # a directory, or a file that is not UTF-8
+        if content is None:
+            config.mkdir()
+        else:
+            config.write_bytes(content)
+        out = tmp_path / "o.csv"
+        argv = ["suite", "--config", str(config), "--out", str(out), "--seed", "1"]
+        assert str(config) in assert_usage_error(argv, capsys).err
+        assert not out.exists()
 
     def test_seed_required(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,20 +5,33 @@ interval, and lookahead compiles from lattice-wide tables. These tests
 evaluate the scalar rule (and, for the tables, the scalar posterior and plan
 value) at every lattice point (count t, ones k) with t <= 60 (40 for the
 plan values) and compare exactly, over seeded random worlds that include
-q > u, q < u, and observation means of exactly 0 and 1.
+q > u, q < u, and observation means of exactly 0 and 1. nodeban stream
+grows its region by the same walk one count at a time; it is checked byte
+for byte against one observe-driven policy object per node, on event
+streams that outlive count 200, and lookahead's walk against its table.
 """
 
+import contextlib
+import io
+import json
 import math
+import os
+import random
+import tempfile
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, posterior
 from nodeban.belief import posterior_table
+from nodeban.cli import main
 from nodeban.experiments import PolicySpec
+from nodeban.hiper import HiperParams, HiperPolicy
 from nodeban.model import EnvParams
-from nodeban.policies import LeafRule, LookaheadConfig, lookahead_value, lookahead_values
-from nodeban.simulator import ExperimentDraw
+from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy
+from nodeban.policies import OptimisticPolicy, lookahead_value, lookahead_values
+from nodeban.simulator import ExperimentDraw, compile_region, table_region
+from oracles import stream_replay
 
 HORIZON = 60
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -170,3 +183,128 @@ def test_myopic_and_optimistic_regions(draw):
 @given(worlds(), st.integers(1, 5), st.sampled_from(list(LeafRule)))
 def test_lookahead_regions(draw, depth, leaf):
     assert_region_is_the_rule(f"lookahead:{depth}:{leaf.value}", draw)
+
+
+WALK_COUNTS = 200  # how far the lookahead walk is checked against its table
+
+
+@settings(SEEDED, max_examples=40)
+@example(world(0.8, 0.3), 8, LeafRule.ZERO)
+@example(world(0.2, 0.7), 6, LeafRule.MYOPIC_INFINITE)
+@example(world(0.3, 0.9, rate=0.05), 6, LeafRule.OPTIMISTIC)
+@example(world(0.0, 1.0), 3, LeafRule.OPTIMISTIC)
+@example(world(1.0, 0.0), 4, LeafRule.MYOPIC_INFINITE)
+@example(world(0.5, 1.0, prior=0.0), 2, LeafRule.OPTIMISTIC)
+@example(world(0.0, 0.4, prior=1.0), 5, LeafRule.ZERO)
+@given(worlds(), st.integers(1, 8), st.sampled_from(list(LeafRule)))
+def test_lookahead_walk_is_the_table(draw, depth, leaf):
+    """The stream walks lookahead's region; the suites compile it from the
+    exact table. The walk is right only where each count's removal set is an
+    interval around the anchor, which this checks up to count 200."""
+    env, cfg = draw.env, LookaheadConfig(depth, leaf)
+    walked = compile_region(LookaheadPolicy(env, cfg), WALK_COUNTS)
+    table = table_region(lookahead_values(env, cfg, WALK_COUNTS) <= 0.0)
+    assert walked.lo.tolist() == table.lo.tolist()
+    assert walked.hi.tolist() == table.hi.tolist()
+
+
+LONG_LIFE = 230  # events of node n0, so the stream's region outgrows count 200
+
+
+def stream_events(draw, seed, binary):
+    """Events of six nodes of the world, interleaved at random and stamped
+    with the global tick: n0 is honest and sends LONG_LIFE events, the others
+    1 to 40 each; then n6 sends ten fair coin flips, which are impossible
+    histories in some endpoint worlds. x is the bit, or for binary=False a
+    float in [0.5, 1) for a 1-bit and in [0, 0.5) for a 0-bit."""
+    rng = random.Random(seed)
+    env = draw.env
+    nodes = []
+    for n in range(6):
+        malicious = n > 0 and rng.random() < env.prior_malicious
+        mean = env.malicious_mean if malicious else env.honest_mean
+        size = LONG_LIFE if n == 0 else rng.randint(1, 40)
+        nodes.append((f"n{n}", [rng.random() < mean for _ in range(size)]))
+    order = [node for node, bits in nodes for _ in bits]
+    rng.shuffle(order)
+    bits = {node: iter(node_bits) for node, node_bits in nodes}
+    sends = [(node, next(bits[node])) for node in order]
+    sends += [("n6", rng.random() < 0.5) for _ in range(10)]
+    events = []
+    for tick, (node, bit) in enumerate(sends, 1):
+        x = int(bit) if binary else rng.uniform(0.5, 1.0) if bit else rng.uniform(0.0, 0.5)
+        events.append({"node_id": node, "t": tick, "x": x})
+    return events
+
+
+def world_flags(env):
+    return [
+        "--u", repr(env.honest_mean),
+        "--q", repr(env.malicious_mean),
+        "--gU", repr(env.gain_honest),
+        "--lQ", repr(env.loss_malicious),
+        "--lambda", repr(env.departure_rate),
+        "--prior", repr(env.prior_malicious),
+    ]
+
+
+def assert_stream_is_replay(events, flags, make_policy, binarize=None):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(event) + "\n" for event in events)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stream", path, *flags])
+    expected_out, expected_err = stream_replay(events, make_policy, binarize)
+    assert out.getvalue() == expected_out, flags
+    assert err.getvalue() == expected_err, flags
+    assert code == (2 if expected_err else 0)
+
+
+def with_stream_examples(test):
+    for example_world in ENDPOINT_WORLDS:
+        test = example(example_world, 0)(test)
+    return test
+
+
+@settings(SEEDED, max_examples=30)
+@with_stream_examples
+@given(worlds(), st.integers(0, 2**16))
+def test_stream_hiper_is_the_per_node_replay(draw, seed):
+    env = draw.env
+    events = stream_events(draw, seed, binary=False)
+    for delta in (0.05, 0.5, 0.9):
+        params = HiperParams(delta=delta, gap=env.gap, malicious_mean=env.malicious_mean)
+        flags = ["--policy", "hiper", "--delta", repr(delta), *world_flags(env)]
+        assert_stream_is_replay(events, flags, lambda: HiperPolicy(params))
+
+
+@settings(SEEDED, max_examples=30)
+@with_stream_examples
+@given(worlds(), st.integers(0, 2**16))
+def test_stream_myopic_and_optimistic_are_the_per_node_replay(draw, seed):
+    env = draw.env
+    for binarize in (None, 0.5):
+        events = stream_events(draw, seed, binary=binarize is None)
+        extra = [] if binarize is None else ["--binarize", "0.5"]
+        for name, rule in (("myopic", MyopicPolicy), ("optimistic", OptimisticPolicy)):
+            flags = ["--policy", name, *world_flags(env), *extra]
+            assert_stream_is_replay(events, flags, lambda: rule(env), binarize)
+
+
+def with_lookahead_examples(test):
+    leaves = list(LeafRule)
+    for i, example_world in enumerate(ENDPOINT_WORLDS):
+        test = example(example_world, i, 1 + i % 6, leaves[i % 3])(test)
+    return test
+
+
+@settings(SEEDED, max_examples=30)
+@with_lookahead_examples
+@given(worlds(), st.integers(0, 2**16), st.integers(1, 6), st.sampled_from(list(LeafRule)))
+def test_stream_lookahead_is_the_per_node_replay(draw, seed, depth, leaf):
+    env, cfg = draw.env, LookaheadConfig(depth, leaf)
+    flags = ["--policy", "lookahead", "--lookahead-depth", str(depth), "--leaf-rule", leaf.value]
+    events = stream_events(draw, seed, binary=True)
+    assert_stream_is_replay(events, [*flags, *world_flags(env)], lambda: LookaheadPolicy(env, cfg))

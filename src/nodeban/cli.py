@@ -249,9 +249,9 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
 
 def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     """Per node, keep (count, s): the running total of x for hiper's scalar
-    rule, the ones count for the belief rules. Those remove a node iff (count,
-    ones) lies in the stream's one region, drawn from region_walk a count at a
-    time when a node first reaches it: O(largest count) memory and planning."""
+    rule, or the ones count for a belief rule, which removes iff (count, ones)
+    lies in the stream's one region, drawn from region_walk a count at a time
+    when a node first reaches it: O(largest count) memory and planning."""
     belief = not isinstance(policy, HiperPolicy)
     if belief:
         walk, region = region_walk(policy), [(0, -1)]  # region[t]: (lo, hi) at count t

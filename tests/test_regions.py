@@ -104,14 +104,19 @@ ENDPOINT_WORLDS = [
 ]
 
 
-def with_examples(test):
-    for example_world in ENDPOINT_WORLDS:
-        test = example(example_world)(test)
-    return test
+def with_examples(*extra):
+    """Add every endpoint world as an example, followed by `extra`."""
+
+    def decorate(test):
+        for example_world in ENDPOINT_WORLDS:
+            test = example(example_world, *extra)(test)
+        return test
+
+    return decorate
 
 
 @settings(SEEDED, max_examples=100)
-@with_examples
+@with_examples()
 @given(worlds())
 def test_posterior_table_is_posterior(draw):
     env = draw.env
@@ -151,7 +156,7 @@ def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
 
 
 @settings(SEEDED, max_examples=100)
-@with_examples
+@with_examples()
 @given(worlds())
 def test_hiper_regions(draw):
     for delta in (0.05, 0.5, 0.9, 0.999):
@@ -162,7 +167,7 @@ def test_hiper_regions(draw):
 
 
 @settings(SEEDED, max_examples=100)
-@with_examples
+@with_examples()
 @given(worlds())
 def test_myopic_and_optimistic_regions(draw):
     assert_region_is_the_rule("myopic", draw)
@@ -262,14 +267,8 @@ def assert_stream_is_replay(events, flags, make_policy, binarize=None):
     assert code == (2 if expected_err else 0)
 
 
-def with_stream_examples(test):
-    for example_world in ENDPOINT_WORLDS:
-        test = example(example_world, 0)(test)
-    return test
-
-
 @settings(SEEDED, max_examples=30)
-@with_stream_examples
+@with_examples(0)
 @given(worlds(), st.integers(0, 2**16))
 def test_stream_hiper_is_the_per_node_replay(draw, seed):
     env = draw.env
@@ -281,7 +280,7 @@ def test_stream_hiper_is_the_per_node_replay(draw, seed):
 
 
 @settings(SEEDED, max_examples=30)
-@with_stream_examples
+@with_examples(0)
 @given(worlds(), st.integers(0, 2**16))
 def test_stream_myopic_and_optimistic_are_the_per_node_replay(draw, seed):
     env = draw.env

@@ -45,7 +45,7 @@ from .hiper import (
 )
 from .model import Decision, EnvParams
 from .policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
-from .simulator import ExperimentSuite, region_walk
+from .simulator import ExperimentSuite, RegionWalk
 
 _CONFIG_KEYS = {"suite", "n_runs", "ma_window", "policies", "base_seed"}
 
@@ -250,11 +250,11 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
 def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     """Per node, keep (count, s): the running total of x for hiper's scalar
     rule, or the ones count for a belief rule, which removes iff (count, ones)
-    lies in the stream's one region, drawn from region_walk a count at a time
-    when a node first reaches it: O(largest count) memory and planning."""
+    lies in the stream's one region, a RegionWalk extended by a count when a
+    node first reaches it: O(largest count) memory and planning."""
     belief = not isinstance(policy, HiperPolicy)
     if belief:
-        walk, region = region_walk(policy), [(0, -1)]  # region[t]: (lo, hi) at count t
+        walk = RegionWalk(policy)
         model, prior = policy.model, policy.env.prior_malicious
         posterior = policies.posterior  # the module global, so a tracer sees it
     state: dict[str, tuple[int, float]] = {}
@@ -295,10 +295,9 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                     statistic = posterior(s, count, model, prior)
                 except ImpossibleEvidenceError as exc:
                     return _fail(f"line {line_no}: {exc}")
-                if count == len(region):
-                    region.append(next(walk))
-                lo, hi = region[count]
-                remove = lo <= s <= hi
+                if count == len(walk.lo):
+                    walk.extend(count)
+                remove = walk.lo[count] <= s <= walk.hi[count]
             else:
                 s += x
                 remove = policy.removes(count, s)

@@ -7,8 +7,7 @@ hierarchically:
     experiment seed -> per-run stream -> draw seed -> per-node streams
 
 so every policy evaluated on a draw sees identical nodes. A policy is
-compiled once per draw into a Region on the (count, ones) lattice by
-region_walk, which nodeban stream also draws from one count at a time;
+compiled once per draw into a Region by the RegionWalk nodeban stream grows;
 run_episode draws each node once and scores every region by first passage.
 simulate_node, the scalar per-node reference, walks the same draws through
 the policy's removes(count, ones) predicate one count at a time.
@@ -16,7 +15,6 @@ the policy's removes(count, ones) predicate one count at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -96,39 +94,43 @@ class Region(NamedTuple):
     hi: np.ndarray
 
 
-def region_walk(policy):
-    """Yield, for counts t = 1, 2, ... without end, the (lo, hi) such that
-    policy.removes(t, k) iff lo <= k <= hi; (0, -1) when no k removes.
+class RegionWalk:
+    """policy.removes(count, ones) as lists lo, hi that extend(n) grows in
+    place: at count t <= n it removes iff lo[t] <= ones <= hi[t], (0, -1) when
+    no ones does. Relies on each count's removal set being an interval of ones
+    holding, when nonempty, floor or ceil of policy.anchor * t: those seeds
+    decide emptiness, and each end is walked from its last position."""
 
-    Relies on the removal set at each count t being an interval of ones that,
-    when nonempty, holds floor(policy.anchor * t) or ceil(policy.anchor * t).
-    Those seeds decide emptiness; each end is walked from its last position.
-    """
-    removes, anchor = policy.removes, policy.anchor
-    a = b = None  # the interval at the previous count, if any
-    for t in itertools.count(1):
-        seed = anchor * t
-        inside = math.floor(seed)
-        if not removes(t, inside):
-            inside = math.ceil(seed)
-            if inside == seed or not removes(t, inside):
-                a = b = None
-                yield 0, -1
-                continue
-        a = _walk(removes, t, inside, inside if a is None else a, -1)
-        b = _walk(removes, t, inside, inside if b is None else b, 1)
-        yield a, b
+    def __init__(self, policy) -> None:
+        self._removes, self._anchor = policy.removes, policy.anchor
+        self.lo, self.hi = [0], [-1]
+
+    def extend(self, count: int) -> None:
+        removes, anchor, lo, hi = self._removes, self._anchor, self.lo, self.hi
+        for t in range(len(lo), count + 1):
+            seed = anchor * t
+            inside = math.floor(seed)
+            if not removes(t, inside):
+                inside = math.ceil(seed)
+                if inside == seed or not removes(t, inside):
+                    lo.append(0)
+                    hi.append(-1)
+                    continue
+            a, b = (lo[-1], hi[-1]) if lo[-1] <= hi[-1] else (inside, inside)
+            lo.append(_walk(removes, t, inside, a, -1))
+            hi.append(_walk(removes, t, inside, b, 1))
 
 
 def compile_region(policy, horizon: int) -> Region:
-    """region_walk up to the horizon; no policy removes at count 0."""
-    lo, hi = zip((0, -1), *itertools.islice(region_walk(policy), horizon))
-    return Region(np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64))
+    """The RegionWalk of policy up to the horizon, as arrays."""
+    walk = RegionWalk(policy)
+    walk.extend(horizon)
+    return Region(np.array(walk.lo, dtype=np.int64), np.array(walk.hi, dtype=np.int64))
 
 
 def table_region(removed: np.ndarray) -> Region:
     """The Region of removed[t, k] for counts 1..horizon and ones k <= t, whose
-    removing ones at each count must form an interval, as in region_walk."""
+    removing ones at each count must form an interval, as in RegionWalk."""
     removed = np.tril(removed)
     removed[0] = False
     some = removed.any(axis=1)

@@ -10,6 +10,7 @@ from .belief import (
     BeliefState,
     BernoulliModel,
     ImpossibleEvidenceError,
+    Posterior,
     expected_keep_gain,
     initial_belief,
     posterior,

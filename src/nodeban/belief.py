@@ -5,8 +5,10 @@ history enters the posterior only through (ones seen, samples seen). All
 likelihood work happens in log space: raw products like q^k (1-q)^(t-k)
 underflow near a thousand samples, well inside the horizons the simulator
 uses. Endpoint rates (0 or 1) are handled by exact zero-likelihood
-short-circuits before any logarithm is taken. posterior_table is posterior
-at every (count, ones) lattice point at once, bit for bit.
+short-circuits before any logarithm is used. A Posterior evaluator takes a
+(model, prior) pair's logarithms once; posterior is one evaluation, and
+posterior_table is posterior at every (count, ones) lattice point at once,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ def initial_belief(prior_malicious: float) -> BeliefState:
     return BeliefState(0, 0, prior_malicious, prior_malicious)
 
 
-def posterior(ones: int, count: int, model: BernoulliModel, prior_malicious: float) -> float:
-    """P(malicious | history with `ones` one-bits in `count` samples).
+class Posterior:
+    """P(malicious | history with `ones` one-bits in `count` samples) under
+    one (model, prior) pair, as evaluator(ones, count); the pair's logarithms
+    are taken once, when the evaluator is built.
 
     Computed as a logistic transform of prior log odds plus the
     log-likelihood difference between the two types. Raises
@@ -68,45 +72,55 @@ def posterior(ones: int, count: int, model: BernoulliModel, prior_malicious: flo
     contradicted by the data on one side and a degenerate prior on the
     other).
     """
-    if ones < 0 or count < 0 or ones > count:
-        raise ValueError(f"need 0 <= ones <= count, got ones={ones} count={count}")
-    if not 0.0 <= prior_malicious <= 1.0:
-        raise ValueError(f"prior_malicious must lie in [0, 1], got {prior_malicious}")
-    u = model.honest_mean
-    q = model.malicious_mean
-    zeros = count - ones
-    malicious_zero = (q == 0.0 and ones > 0) or (q == 1.0 and zeros > 0)
-    honest_zero = (u == 0.0 and ones > 0) or (u == 1.0 and zeros > 0)
-    malicious_dead = malicious_zero or prior_malicious == 0.0
-    honest_dead = honest_zero or prior_malicious == 1.0
-    if malicious_dead and honest_dead:
-        raise ImpossibleEvidenceError(
-            f"history (ones={ones}, count={count}) has zero prior-weighted "
-            f"likelihood under both types (u={u}, q={q}, prior={prior_malicious})"
+
+    def __init__(self, model: BernoulliModel, prior_malicious: float) -> None:
+        if not 0.0 <= prior_malicious <= 1.0:
+            raise ValueError(f"prior_malicious must lie in [0, 1], got {prior_malicious}")
+        self.model, self.prior = model, prior_malicious
+        u, q, prior = model.honest_mean, model.malicious_mean, prior_malicious
+        # only a rate or a prior of 0 or 1 can rule a type out, and its log is never used
+        self._endpoints = not (0.0 < u < 1.0 and 0.0 < q < 1.0 and 0.0 < prior < 1.0)
+        self.log_u, self.log_q = (math.log(r) if r > 0.0 else 0.0 for r in (u, q))
+        self.log_not_u, self.log_not_q = (math.log1p(-r) if r < 1.0 else 0.0 for r in (u, q))
+        self.prior_log_odds = math.log(prior) - math.log1p(-prior) if 0.0 < prior < 1.0 else 0.0
+
+    def __call__(self, ones: int, count: int) -> float:
+        if ones < 0 or count < 0 or ones > count:
+            raise ValueError(f"need 0 <= ones <= count, got ones={ones} count={count}")
+        zeros = count - ones
+        if self._endpoints:
+            u, q, prior = self.model.honest_mean, self.model.malicious_mean, self.prior
+            malicious_zero = (q == 0.0 and ones > 0) or (q == 1.0 and zeros > 0)
+            honest_zero = (u == 0.0 and ones > 0) or (u == 1.0 and zeros > 0)
+            malicious_dead = malicious_zero or prior == 0.0
+            honest_dead = honest_zero or prior == 1.0
+            if malicious_dead and honest_dead:
+                raise ImpossibleEvidenceError(
+                    f"history (ones={ones}, count={count}) has zero prior-weighted "
+                    f"likelihood under both types (u={u}, q={q}, prior={prior})"
+                )
+            if malicious_dead:
+                return 0.0
+            if honest_dead:
+                return 1.0
+        log_like_malicious = (ones * self.log_q if ones else 0.0) + (
+            zeros * self.log_not_q if zeros else 0.0
         )
-    if malicious_dead:
-        return 0.0
-    if honest_dead:
-        return 1.0
-    # Both branches are live: rates are interior wherever their log is taken.
-    log_like_malicious = (ones * math.log(q) if ones else 0.0) + (
-        zeros * math.log1p(-q) if zeros else 0.0
-    )
-    log_like_honest = (ones * math.log(u) if ones else 0.0) + (
-        zeros * math.log1p(-u) if zeros else 0.0
-    )
-    if log_like_malicious == log_like_honest:
-        return prior_malicious
-    log_odds = (
-        math.log(prior_malicious)
-        - math.log1p(-prior_malicious)
-        + log_like_malicious
-        - log_like_honest
-    )
-    if log_odds >= 0.0:
-        return 1.0 / (1.0 + math.exp(-log_odds))
-    weight = math.exp(log_odds)
-    return weight / (1.0 + weight)
+        log_like_honest = (ones * self.log_u if ones else 0.0) + (
+            zeros * self.log_not_u if zeros else 0.0
+        )
+        if log_like_malicious == log_like_honest:
+            return self.prior
+        log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
+        if log_odds >= 0.0:
+            return 1.0 / (1.0 + math.exp(-log_odds))
+        weight = math.exp(log_odds)
+        return weight / (1.0 + weight)
+
+
+def posterior(ones: int, count: int, model: BernoulliModel, prior_malicious: float) -> float:
+    """Posterior(model, prior_malicious)(ones, count)."""
+    return Posterior(model, prior_malicious)(ones, count)
 
 
 def posterior_table(size: int, model: BernoulliModel, prior_malicious: float) -> np.ndarray:
@@ -114,22 +128,20 @@ def posterior_table(size: int, model: BernoulliModel, prior_malicious: float) ->
     where posterior raises ImpossibleEvidenceError, and where ones > count.
     Performs posterior's IEEE operations and branches elementwise, each exp
     from math.exp: numpy's exp can differ from libm's in the last ulp."""
+    logs = Posterior(model, prior_malicious)
     count, ones = np.ogrid[:size, :size]
     zeros = count - ones
 
-    def log_like(rate: float) -> np.ndarray:
-        # an endpoint rate's log is never used: the histories it would score are dead
-        log_one = math.log(rate) if rate > 0.0 else 0.0
-        log_zero = math.log1p(-rate) if rate < 1.0 else 0.0
+    def log_like(log_one: float, log_zero: float) -> np.ndarray:
         return np.where(ones > 0, ones * log_one, 0.0) + np.where(zeros > 0, zeros * log_zero, 0.0)
 
     u, q, prior = model.honest_mean, model.malicious_mean, prior_malicious
     malicious_dead = (q == 0.0) & (ones > 0) | (q == 1.0) & (zeros > 0) | (prior == 0.0)
     honest_dead = (u == 0.0) & (ones > 0) | (u == 1.0) & (zeros > 0) | (prior == 1.0)
-    log_like_malicious, log_like_honest = log_like(q), log_like(u)
+    log_like_malicious = log_like(logs.log_q, logs.log_not_q)
+    log_like_honest = log_like(logs.log_u, logs.log_not_u)
     live = ~(malicious_dead | honest_dead) & (log_like_malicious != log_like_honest)
-    prior_log_odds = math.log(prior) - math.log1p(-prior) if 0.0 < prior < 1.0 else 0.0
-    log_odds = prior_log_odds + log_like_malicious - log_like_honest
+    log_odds = logs.prior_log_odds + log_like_malicious - log_like_honest
     weight = np.zeros(log_odds.shape)  # exp(-|log odds|), which never overflows
     weight[live] = np.fromiter(map(math.exp, -np.abs(log_odds[live])), float)
     table = np.where(log_odds >= 0.0, 1.0, weight) / (1.0 + weight)
@@ -163,7 +175,12 @@ def predictive(belief: BeliefState, model: BernoulliModel) -> float:
     return model.honest_mean * (1.0 - pm) + model.malicious_mean * pm
 
 
-def expected_keep_gain(belief: BeliefState, env: EnvParams) -> float:
-    """One-step expected gain of keeping the node (removing always yields 0)."""
-    pm = belief.posterior_malicious
+def keep_gain(pm: float, env: EnvParams) -> float:
+    """One-step expected gain of keeping a node that is malicious with
+    probability pm (removing always yields 0)."""
     return (1.0 - pm) * env.gain_honest - pm * env.loss_malicious
+
+
+def expected_keep_gain(belief: BeliefState, env: EnvParams) -> float:
+    """keep_gain at the belief's posterior."""
+    return keep_gain(belief.posterior_malicious, env)

@@ -24,9 +24,10 @@ from .belief import (
     BeliefState,
     BernoulliModel,
     ImpossibleEvidenceError,
-    expected_keep_gain,
+    Posterior,
     initial_belief,
-    posterior,
+    keep_gain,
+    posterior,  # unused here; perfbench's tracer wraps policies.posterior by name
     posterior_table,
     predictive,
     update,
@@ -54,33 +55,32 @@ class LookaheadConfig:
             raise ValueError(f"depth must be an integer in [1, {_MAX_DEPTH}], got {self.depth}")
 
 
+def _decision(margin: float) -> Decision:
+    return Decision.KEEP if margin > 0.0 else Decision.REMOVE
+
+
 def myopic_decide(belief: BeliefState, env: EnvParams) -> Decision:
     """Keep iff the one-step expected keep gain is strictly positive."""
-    if expected_keep_gain(belief, env) > 0.0:
-        return Decision.KEEP
-    return Decision.REMOVE
+    return _decision(keep_gain(belief.posterior_malicious, env))
 
 
-def _optimistic_margin(belief: BeliefState, env: EnvParams) -> float:
+def _optimistic_margin(pm: float, env: EnvParams) -> float:
     """P(honest) * gain / departure_rate - P(malicious) * loss."""
-    pm = belief.posterior_malicious
     return (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
 
 
 def optimistic_decide(belief: BeliefState, env: EnvParams) -> Decision:
     """Keep iff P(honest) * gain / departure_rate strictly exceeds
     P(malicious) * loss."""
-    if _optimistic_margin(belief, env) > 0.0:
-        return Decision.KEEP
-    return Decision.REMOVE
+    return _decision(_optimistic_margin(belief.posterior_malicious, env))
 
 
 def _leaf_value(belief: BeliefState, env: EnvParams, rule: LeafRule) -> float:
     if rule is LeafRule.ZERO:
         return 0.0
     if rule is LeafRule.MYOPIC_INFINITE:
-        return max(0.0, expected_keep_gain(belief, env)) / env.departure_rate
-    return max(0.0, _optimistic_margin(belief, env))
+        return max(0.0, keep_gain(belief.posterior_malicious, env)) / env.departure_rate
+    return max(0.0, _optimistic_margin(belief.posterior_malicious, env))
 
 
 def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
@@ -98,9 +98,9 @@ def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -
     both types carry probability zero along every path into them and are
     assigned value zero.
     """
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
-    depth = cfg.depth
     prior = belief.prior_malicious
+    evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), prior)
+    model, depth = evaluate.model, cfg.depth
 
     def state(i: int, j: int) -> BeliefState | None:
         if i == 0 and j == 0:
@@ -108,7 +108,7 @@ def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -
         ones = belief.ones + i
         count = belief.count + j
         try:
-            return BeliefState(ones, count, prior, posterior(ones, count, model, prior))
+            return BeliefState(ones, count, prior, evaluate(ones, count))
         except ImpossibleEvidenceError:
             return None
 
@@ -123,7 +123,7 @@ def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -
             if b is None:
                 layer.append(0.0)
                 continue
-            gain = expected_keep_gain(b, env)
+            gain = keep_gain(b.posterior_malicious, env)
             p_one = predictive(b, model)
             layer.append(max(0.0, gain + p_one * values[i + 1] + (1.0 - p_one) * values[i]))
         values = layer
@@ -139,8 +139,8 @@ def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.n
     posterior to the scalar's 0."""
     model = BernoulliModel(env.honest_mean, env.malicious_mean)
     posteriors = posterior_table(horizon + cfg.depth + 1, model, env.prior_malicious)
-    table = BeliefState(None, None, env.prior_malicious, posteriors)  # formulas read only this
-    gain = expected_keep_gain(table, env)
+    table = BeliefState(None, None, env.prior_malicious, posteriors)  # predictive reads only this
+    gain = keep_gain(posteriors, env)
     p_one = predictive(table, model)
     p_zero = 1.0 - p_one
     if cfg.leaf_rule is LeafRule.ZERO:
@@ -148,7 +148,7 @@ def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.n
     elif cfg.leaf_rule is LeafRule.MYOPIC_INFINITE:
         values = np.where(gain > 0.0, gain, 0.0) / env.departure_rate
     else:
-        margin = _optimistic_margin(table, env)
+        margin = _optimistic_margin(posteriors, env)
         values = np.where(margin > 0.0, margin, 0.0)
     for n in range(horizon + cfg.depth, horizon, -1):
         keep = gain[:n, :n] + p_one[:n, :n] * values[1:, 1:] + p_zero[:n, :n] * values[1:, :n]
@@ -158,36 +158,35 @@ def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.n
 
 def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> Decision:
     """Keep iff the depth-limited plan value is strictly positive."""
-    if lookahead_value(belief, env, cfg) > 0.0:
-        return Decision.KEEP
-    return Decision.REMOVE
+    return _decision(lookahead_value(belief, env, cfg))
 
 
 class _BeliefPolicy:
     """Shared plumbing for the online belief-tracking wrappers. Each subclass
-    names its rule as _decide(belief); removes(count, ones) applies it."""
+    names its rule as _margin(ones, count, pm), pm the malicious posterior;
+    removes(count, ones) and observe keep only where it is strictly positive."""
 
     def __init__(self, env: EnvParams) -> None:
         self.env = env
         self.model = BernoulliModel(env.honest_mean, env.malicious_mean)
+        self.posterior = Posterior(self.model, env.prior_malicious)
         self._belief = initial_belief(env.prior_malicious)
         # Every rule removes on a high posterior, highest at ones = count when
         # the malicious rate is the higher one and at ones = 0 otherwise.
         self.anchor = 1.0 if env.malicious_mean > env.honest_mean else 0.0
 
     def observe(self, x: float) -> Decision:
-        self._belief = update(self._belief, x, self.model)
-        return self._decide(self._belief)
+        belief = self._belief = update(self._belief, x, self.model)
+        return _decision(self._margin(belief.ones, belief.count, belief.posterior_malicious))
 
     def removes(self, count: int, ones: int) -> bool:
         """The rule after `ones` one-bits in `count` observations. A history
         impossible under both types is unreachable, and counts as removed."""
-        prior = self.env.prior_malicious
         try:
-            belief = BeliefState(ones, count, prior, posterior(ones, count, self.model, prior))
+            pm = self.posterior(ones, count)
         except ImpossibleEvidenceError:
             return True
-        return self._decide(belief) is Decision.REMOVE
+        return not self._margin(ones, count, pm) > 0.0
 
     @property
     def belief(self) -> BeliefState:
@@ -200,13 +199,13 @@ class _BeliefPolicy:
 
 
 class MyopicPolicy(_BeliefPolicy):
-    def _decide(self, belief: BeliefState) -> Decision:
-        return myopic_decide(belief, self.env)
+    def _margin(self, ones: int, count: int, pm: float) -> float:
+        return keep_gain(pm, self.env)
 
 
 class OptimisticPolicy(_BeliefPolicy):
-    def _decide(self, belief: BeliefState) -> Decision:
-        return optimistic_decide(belief, self.env)
+    def _margin(self, ones: int, count: int, pm: float) -> float:
+        return _optimistic_margin(pm, self.env)
 
 
 class LookaheadPolicy(_BeliefPolicy):
@@ -217,5 +216,6 @@ class LookaheadPolicy(_BeliefPolicy):
         super().__init__(env)
         self._cfg = cfg
 
-    def _decide(self, belief: BeliefState) -> Decision:
-        return lookahead_decide(belief, self.env, self._cfg)
+    def _margin(self, ones: int, count: int, pm: float) -> float:
+        belief = BeliefState(ones, count, self.env.prior_malicious, pm)
+        return lookahead_value(belief, self.env, self._cfg)

@@ -8,6 +8,7 @@ package's version is right.
 from __future__ import annotations
 
 import json
+import math
 
 from nodeban.belief import (
     BeliefState,
@@ -22,6 +23,69 @@ from nodeban.model import Decision, EnvParams
 from nodeban.policies import LookaheadConfig, _leaf_value
 
 _BRUTEFORCE_MAX_DEPTH = 12
+
+
+def posterior_per_call(ones: int, count: int, model: BernoulliModel, prior_malicious: float) -> float:
+    """posterior as one function that checks the prior and takes every
+    logarithm of the rates and the prior on each call."""
+    if ones < 0 or count < 0 or ones > count:
+        raise ValueError(f"need 0 <= ones <= count, got ones={ones} count={count}")
+    if not 0.0 <= prior_malicious <= 1.0:
+        raise ValueError(f"prior_malicious must lie in [0, 1], got {prior_malicious}")
+    u = model.honest_mean
+    q = model.malicious_mean
+    zeros = count - ones
+    malicious_zero = (q == 0.0 and ones > 0) or (q == 1.0 and zeros > 0)
+    honest_zero = (u == 0.0 and ones > 0) or (u == 1.0 and zeros > 0)
+    malicious_dead = malicious_zero or prior_malicious == 0.0
+    honest_dead = honest_zero or prior_malicious == 1.0
+    if malicious_dead and honest_dead:
+        raise ImpossibleEvidenceError(
+            f"history (ones={ones}, count={count}) has zero prior-weighted "
+            f"likelihood under both types (u={u}, q={q}, prior={prior_malicious})"
+        )
+    if malicious_dead:
+        return 0.0
+    if honest_dead:
+        return 1.0
+    log_like_malicious = (ones * math.log(q) if ones else 0.0) + (
+        zeros * math.log1p(-q) if zeros else 0.0
+    )
+    log_like_honest = (ones * math.log(u) if ones else 0.0) + (
+        zeros * math.log1p(-u) if zeros else 0.0
+    )
+    if log_like_malicious == log_like_honest:
+        return prior_malicious
+    log_odds = (
+        math.log(prior_malicious)
+        - math.log1p(-prior_malicious)
+        + log_like_malicious
+        - log_like_honest
+    )
+    if log_odds >= 0.0:
+        return 1.0 / (1.0 + math.exp(-log_odds))
+    weight = math.exp(log_odds)
+    return weight / (1.0 + weight)
+
+
+def belief_rule_removes(rule: str, env: EnvParams, count: int, ones: int) -> bool:
+    """MyopicPolicy's or OptimisticPolicy's removes(count, ones) (rule "myopic"
+    or "optimistic") in the form of a decision on a whole belief: the
+    BeliefState at (count, ones) from posterior_per_call, the rule's keep
+    margin read off it, and the Decision that margin gives."""
+    model = BernoulliModel(env.honest_mean, env.malicious_mean)
+    prior = env.prior_malicious
+    try:
+        belief = BeliefState(ones, count, prior, posterior_per_call(ones, count, model, prior))
+    except ImpossibleEvidenceError:
+        return True
+    pm = belief.posterior_malicious
+    if rule == "myopic":
+        margin = (1.0 - pm) * env.gain_honest - pm * env.loss_malicious
+    else:
+        margin = (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
+    decision = Decision.KEEP if margin > 0.0 else Decision.REMOVE
+    return decision is Decision.REMOVE
 
 
 def hiper_decision(count: int, total: float, params: HiperParams) -> Decision:

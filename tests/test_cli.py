@@ -333,6 +333,36 @@ class TestStream:
         assert 0 < read < 400
         assert [v["node_id"] for v in read_verdicts(outp)] == [f"n{i}" for i in range(read)]
 
+    @pytest.mark.parametrize(
+        "data, code, err",
+        [
+            (b'{"node_id": "\xff", "t": 1, "x": 1}\n', 2,
+             b"error: input after line 0 is not valid UTF-8 (invalid start byte)\n"),
+            ('{"node_id": "\u00e9", "t": 1, "x": 1}\n'.encode(), 0, b""),
+        ],
+        ids=["not_utf8", "utf8"],
+    )
+    def test_stdin_in_utf8_mode_is_read_as_a_file_argument(self, data, code, err, tmp_path):
+        # UTF-8 mode (also a C or POSIX locale) decodes stdin with surrogateescape
+        src = os.path.dirname(os.path.dirname(nodeban.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="1")
+        (tmp_path / "in.jsonl").write_bytes(data)
+        stdin_run, file_run = (
+            subprocess.run(
+                [sys.executable, "-m", "nodeban.cli", "stream", path, *HIPER],
+                input=data,
+                capture_output=True,
+                env=env,
+                cwd=tmp_path,
+                timeout=60,
+            )
+            for path in ("-", "in.jsonl")
+        )
+        assert (stdin_run.returncode, stdin_run.stderr) == (code, err)
+        assert (stdin_run.returncode, stdin_run.stdout, stdin_run.stderr) == (
+            file_run.returncode, file_run.stdout, file_run.stderr
+        )
+
     @pytest.mark.parametrize("policy", ["myopic", "optimistic", "lookahead"])
     def test_impossible_history_exits_2_and_keeps_earlier_verdicts(self, policy, tmp_path, capsys):
         # --prior 1 rules out an honest node, and --q 1.0 a malicious 0-bit

@@ -1,19 +1,31 @@
-"""Golden suite output: the CSV bytes of each suite's default policies at
-seed 7 and 50 runs. A change that claims to keep behaviour must keep these
-digests; they are the ones listed in ROADMAP.md."""
+"""Golden output: the CSV bytes of each suite's default policies at seed 7
+and 50 runs, and the verdict bytes of `nodeban stream` for each policy on
+the benchmark's seed-7 event file. A change that claims to keep behaviour
+must keep these digests; the suite ones are listed in ROADMAP.md, and all of
+them are in perfbench/golden.json, which the stream cases read together with
+the benchmark's event generator and policy flags."""
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from nodeban.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import streamgen  # noqa: E402
+import workloads  # noqa: E402
 
 GOLDEN_SHA256 = {
     "delta_sweep": "0306fa60723c672eff4955385f299538e8c85025d884db1454c6a99144617393",
     "policy_compare": "ff40ccd5ce491ed3f680c18dfb669dea12035be46dc14c2b57ba6b6e187d1545",
     "lookahead_compare": "937e401ecf81fa5e45aa03aeebb3f45f7eb2d18dc1b0920678f2d32316ce6cd1",
 }
+STREAM_GOLDEN_SHA256 = json.loads((PERFBENCH / "golden.json").read_text())["stream_churn"]
+STREAM_SEED = 7
 
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN_SHA256))
@@ -24,3 +36,19 @@ def test_suite_csv_matches_golden_digest(suite, tmp_path, capsys):
     assert main(["suite", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[suite]
+
+
+@pytest.fixture(scope="module")
+def stream_events(tmp_path_factory):
+    path = tmp_path_factory.mktemp("stream") / "events.jsonl"
+    streamgen.write_events(path, STREAM_SEED, workloads.N_EVENTS)
+    return path
+
+
+@pytest.mark.parametrize("policy", sorted(STREAM_GOLDEN_SHA256))
+def test_stream_verdicts_match_golden_digest(policy, stream_events, tmp_path, capsys):
+    out = tmp_path / "verdicts.jsonl"
+    argv = workloads.StreamWorkload.argv(policy, str(stream_events)) + ["--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_GOLDEN_SHA256[policy]

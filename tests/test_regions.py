@@ -1,5 +1,8 @@
 """Compiled removal regions against the scalar rules they compile.
 
+The posterior evaluator is checked bit for bit against posterior taken
+afresh per call, and myopic's and optimistic's margins against a decision
+on the whole belief, at every lattice point up to counts 200 and 60.
 compile_region evaluates a rule only near the ends of each count's removal
 interval, and lookahead compiles from lattice-wide tables. These tests
 evaluate the scalar rule (and, for the tables, the scalar posterior and plan
@@ -19,11 +22,13 @@ import os
 import random
 import tempfile
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, posterior
-from nodeban.belief import posterior_table
+from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, Posterior
+from nodeban.belief import posterior, posterior_table
 from nodeban.cli import main
 from nodeban.experiments import PolicySpec
 from nodeban.hiper import HiperParams, HiperPolicy
@@ -31,7 +36,7 @@ from nodeban.model import EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy
 from nodeban.policies import OptimisticPolicy, lookahead_value, lookahead_values
 from nodeban.simulator import ExperimentDraw, compile_region, table_region
-from oracles import stream_replay
+from oracles import belief_rule_removes, posterior_per_call, stream_replay
 
 HORIZON = 60
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -104,11 +109,26 @@ ENDPOINT_WORLDS = [
 ]
 
 
-def with_examples(*extra):
-    """Add every endpoint world as an example, followed by `extra`."""
+# worlds() keeps u != q for hiper; the belief layer also takes u == q, and
+# endpoint rates together with a prior of 0 or 1
+DEGENERATE_WORLDS = [
+    world(0.4, 0.4),
+    world(0.0, 0.0, prior=0.3),
+    world(1.0, 1.0, prior=1.0),
+    world(0.6, 0.6, prior=0.0),
+    world(0.0, 1.0, prior=0.0),
+    world(0.0, 1.0, prior=1.0),
+    world(1.0, 0.0, prior=0.0),
+    world(1.0, 0.0, prior=1.0),
+]
+
+
+def with_examples(*extra, degenerate=False):
+    """Add every endpoint world as an example, followed by `extra`; with
+    degenerate, the degenerate worlds too."""
 
     def decorate(test):
-        for example_world in ENDPOINT_WORLDS:
+        for example_world in ENDPOINT_WORLDS + (DEGENERATE_WORLDS if degenerate else []):
             test = example(example_world, *extra)(test)
         return test
 
@@ -133,6 +153,64 @@ def test_posterior_table_is_posterior(draw):
                 assert math.isnan(table[t, k]), (t, k)
             else:
                 assert table[t, k] == expected, (t, k)
+
+
+POSTERIOR_COUNTS = 200  # how far the evaluator is checked against posterior
+
+
+@settings(SEEDED, max_examples=10)
+@with_examples(degenerate=True)
+@given(worlds())
+def test_posterior_evaluator_is_posterior(draw):
+    env = draw.env
+    model, prior = BernoulliModel(env.honest_mean, env.malicious_mean), env.prior_malicious
+    counts, ones = np.tril_indices(POSTERIOR_COUNTS + 1)
+    points = list(zip(ones.tolist(), counts.tolist()))
+    expected, impossible = [], {}
+    for k, t in points:
+        try:
+            expected.append(posterior_per_call(k, t, model, prior))
+        except ImpossibleEvidenceError as exc:
+            expected.append(math.nan)
+            impossible[k, t] = str(exc)
+
+    def bits(evaluate) -> np.ndarray:
+        """evaluate at every point as float64 bits, NaN where it raises the
+        expected ImpossibleEvidenceError."""
+        values = []
+        for k, t in points:
+            try:
+                values.append(evaluate(k, t))
+            except ImpossibleEvidenceError as exc:
+                assert str(exc) == impossible.get((k, t)), (k, t)
+                values.append(math.nan)
+        return np.array(values).view(np.int64)
+
+    want = np.array(expected).view(np.int64)
+    assert np.array_equal(bits(Posterior(model, prior)), want)
+    assert np.array_equal(bits(lambda k, t: posterior(k, t, model, prior)), want)
+    table = posterior_table(POSTERIOR_COUNTS + 1, model, prior)
+    assert np.array_equal(table[counts, ones].view(np.int64), want)
+
+
+def test_posterior_evaluator_rejects_what_posterior_rejects():
+    model = BernoulliModel(0.3, 0.6)
+    for ones, count in [(-1, 3), (4, 3), (0, -1), (2, 1)]:
+        with pytest.raises(ValueError) as expected:
+            posterior_per_call(ones, count, model, 0.5)
+        for call in (Posterior(model, 0.5), lambda k, t: posterior(k, t, model, 0.5)):
+            with pytest.raises(ValueError) as raised:
+                call(ones, count)
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == str(expected.value)
+    for prior in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError) as expected:
+            posterior_per_call(1, 2, model, prior)
+        for call in (lambda: Posterior(model, prior), lambda: posterior(1, 2, model, prior)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == str(expected.value)
 
 
 @settings(SEEDED, max_examples=60)
@@ -164,6 +242,18 @@ def test_hiper_regions(draw):
     env = draw.env
     if env.gain_honest > 0.0 and env.loss_malicious > 0.0:
         assert_region_is_the_rule("hiper:star", draw)
+
+
+@settings(SEEDED, max_examples=100)
+@with_examples(degenerate=True)
+@given(worlds())
+def test_myopic_and_optimistic_are_their_belief_decisions(draw):
+    policies = {"myopic": MyopicPolicy(draw.env), "optimistic": OptimisticPolicy(draw.env)}
+    for t in range(HORIZON + 1):
+        for k in range(t + 1):
+            if reachable(draw, t, k):
+                for rule, policy in policies.items():
+                    assert policy.removes(t, k) == belief_rule_removes(rule, draw.env, t, k), (rule, t, k)
 
 
 @settings(SEEDED, max_examples=100)

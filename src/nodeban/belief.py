@@ -78,31 +78,32 @@ class Posterior:
             raise ValueError(f"prior_malicious must lie in [0, 1], got {prior_malicious}")
         self.model, self.prior = model, prior_malicious
         u, q, prior = model.honest_mean, model.malicious_mean, prior_malicious
-        # only a rate or a prior of 0 or 1 can rule a type out, and its log is never used
-        self._endpoints = not (0.0 < u < 1.0 and 0.0 < q < 1.0 and 0.0 < prior < 1.0)
-        self.log_u, self.log_q = (math.log(r) if r > 0.0 else 0.0 for r in (u, q))
-        self.log_not_u, self.log_not_q = (math.log1p(-r) if r < 1.0 else 0.0 for r in (u, q))
+        # an endpoint's log is never used: the histories it would score are dead
+        self.log_u = math.log(u) if u > 0.0 else 0.0
+        self.log_q = math.log(q) if q > 0.0 else 0.0
+        self.log_not_u = math.log1p(-u) if u < 1.0 else 0.0
+        self.log_not_q = math.log1p(-q) if q < 1.0 else 0.0
         self.prior_log_odds = math.log(prior) - math.log1p(-prior) if 0.0 < prior < 1.0 else 0.0
 
     def __call__(self, ones: int, count: int) -> float:
         if ones < 0 or count < 0 or ones > count:
             raise ValueError(f"need 0 <= ones <= count, got ones={ones} count={count}")
         zeros = count - ones
-        if self._endpoints:
-            u, q, prior = self.model.honest_mean, self.model.malicious_mean, self.prior
-            malicious_zero = (q == 0.0 and ones > 0) or (q == 1.0 and zeros > 0)
-            honest_zero = (u == 0.0 and ones > 0) or (u == 1.0 and zeros > 0)
-            malicious_dead = malicious_zero or prior == 0.0
-            honest_dead = honest_zero or prior == 1.0
-            if malicious_dead and honest_dead:
-                raise ImpossibleEvidenceError(
-                    f"history (ones={ones}, count={count}) has zero prior-weighted "
-                    f"likelihood under both types (u={u}, q={q}, prior={prior})"
-                )
-            if malicious_dead:
-                return 0.0
-            if honest_dead:
-                return 1.0
+        u, q, prior = self.model.honest_mean, self.model.malicious_mean, self.prior
+        malicious_zero = (q == 0.0 and ones > 0) or (q == 1.0 and zeros > 0)
+        honest_zero = (u == 0.0 and ones > 0) or (u == 1.0 and zeros > 0)
+        malicious_dead = malicious_zero or prior == 0.0
+        honest_dead = honest_zero or prior == 1.0
+        if malicious_dead and honest_dead:
+            raise ImpossibleEvidenceError(
+                f"history (ones={ones}, count={count}) has zero prior-weighted "
+                f"likelihood under both types (u={u}, q={q}, prior={prior})"
+            )
+        if malicious_dead:
+            return 0.0
+        if honest_dead:
+            return 1.0
+        # Both branches are live: rates are interior wherever their log is used.
         log_like_malicious = (ones * self.log_q if ones else 0.0) + (
             zeros * self.log_not_q if zeros else 0.0
         )

@@ -23,6 +23,7 @@ import sys
 import time
 from typing import NamedTuple
 
+from . import policies
 from .belief import ImpossibleEvidenceError
 from .experiments import (
     PolicySpec,
@@ -250,13 +251,12 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     """Per node, keep (count, s): the running total of x for hiper's scalar
     rule, or the ones count for a belief rule, which removes iff (count, ones)
     lies in the stream's one region, a RegionWalk extended by a count when a
-    node first reaches it: O(largest count) memory and planning. A belief
-    verdict's statistic is the policy's posterior evaluator at (count, ones),
-    which raises on an impossible history."""
+    node first reaches it: O(largest count) memory and planning."""
     belief = not isinstance(policy, HiperPolicy)
     if belief:
         walk = RegionWalk(policy)
-        posterior = policy.posterior
+        model, prior = policy.model, policy.env.prior_malicious
+        posterior = policies.posterior  # the module global, so a tracer sees it
     state: dict[str, tuple[int, float]] = {}
     last_t: dict[str, int] = {}
     removed: set[str] = set()
@@ -292,7 +292,7 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                     x = 1.0 if x >= args.binarize else 0.0
                 s += int(x)
                 try:
-                    statistic = posterior(s, count)
+                    statistic = posterior(s, count, model, prior)
                 except ImpossibleEvidenceError as exc:
                     return _fail(f"line {line_no}: {exc}")
                 if count == len(walk.lo):

@@ -27,7 +27,7 @@ from .belief import (
     Posterior,
     initial_belief,
     keep_gain,
-    posterior,  # unused here; perfbench's tracer wraps policies.posterior by name
+    posterior,
     posterior_table,
     predictive,
     update,

@@ -107,23 +107,18 @@ class RegionWalk:
 
     def extend(self, count: int) -> None:
         removes, anchor, lo, hi = self._removes, self._anchor, self.lo, self.hi
-        a, b = lo[-1], hi[-1]
         for t in range(len(lo), count + 1):
             seed = anchor * t
             inside = math.floor(seed)
             if not removes(t, inside):
                 inside = math.ceil(seed)
                 if inside == seed or not removes(t, inside):
-                    a, b = 0, -1
-                    lo.append(a)
-                    hi.append(b)
+                    lo.append(0)
+                    hi.append(-1)
                     continue
-            if a > b:
-                a = b = inside
-            a = _walk(removes, t, inside, a, -1)
-            b = _walk(removes, t, inside, b, 1)
-            lo.append(a)
-            hi.append(b)
+            a, b = (lo[-1], hi[-1]) if lo[-1] <= hi[-1] else (inside, inside)
+            lo.append(_walk(removes, t, inside, a, -1))
+            hi.append(_walk(removes, t, inside, b, 1))
 
 
 def compile_region(policy, horizon: int) -> Region:

@@ -6,6 +6,7 @@ them are in perfbench/golden.json, which the stream cases read together with
 the benchmark's event generator and policy flags."""
 
 import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -15,9 +16,6 @@ import pytest
 from nodeban.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
-import streamgen  # noqa: E402
-import workloads  # noqa: E402
 
 GOLDEN_SHA256 = {
     "delta_sweep": "0306fa60723c672eff4955385f299538e8c85025d884db1454c6a99144617393",
@@ -39,14 +37,29 @@ def test_suite_csv_matches_golden_digest(suite, tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def stream_events(tmp_path_factory):
+def workloads():
+    """perfbench/workloads.py, which imports perfbench/streamgen.py by name:
+    both are loaded from their files and left out of sys.modules afterwards,
+    so no later import in the session resolves to them."""
+    loaded = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("streamgen", "workloads"):
+            spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+            loaded[name] = importlib.util.module_from_spec(spec)
+            patch.setitem(sys.modules, name, loaded[name])
+            spec.loader.exec_module(loaded[name])
+    return loaded["workloads"]
+
+
+@pytest.fixture(scope="module")
+def stream_events(workloads, tmp_path_factory):
     path = tmp_path_factory.mktemp("stream") / "events.jsonl"
-    streamgen.write_events(path, STREAM_SEED, workloads.N_EVENTS)
+    workloads.streamgen.write_events(path, STREAM_SEED, workloads.N_EVENTS)
     return path
 
 
 @pytest.mark.parametrize("policy", sorted(STREAM_GOLDEN_SHA256))
-def test_stream_verdicts_match_golden_digest(policy, stream_events, tmp_path, capsys):
+def test_stream_verdicts_match_golden_digest(policy, workloads, stream_events, tmp_path, capsys):
     out = tmp_path / "verdicts.jsonl"
     argv = workloads.StreamWorkload.argv(policy, str(stream_events)) + ["--out", str(out)]
     assert main(argv) == 0

@@ -6,9 +6,9 @@ likelihood work happens in log space: raw products like q^k (1-q)^(t-k)
 underflow near a thousand samples, well inside the horizons the simulator
 uses. Endpoint rates (0 or 1) are handled by exact zero-likelihood
 short-circuits before any logarithm is used. A Posterior evaluator takes a
-(model, prior) pair's logarithms once; posterior is one evaluation, and
-posterior_table is posterior at every (count, ones) lattice point at once,
-bit for bit.
+(model, prior) pair's logarithms once; posterior is one evaluation, and the
+evaluator's elementwise method is many at once, bit for bit: posterior_table
+at every (count, ones) lattice point, region compilers near each boundary.
 """
 
 from __future__ import annotations
@@ -118,6 +118,31 @@ class Posterior:
         weight = math.exp(log_odds)
         return weight / (1.0 + weight)
 
+    def elementwise(self, ones: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """The evaluator at every pair of broadcast integer arrays, NaN where it
+        raises ImpossibleEvidenceError or ones > count: its IEEE operations
+        elementwise, each exp from math.exp (numpy's can differ in an ulp)."""
+        zeros = count - ones
+
+        def log_like(log_one: float, log_zero: float) -> np.ndarray:
+            return np.where(ones > 0, ones * log_one, 0.0) + np.where(zeros > 0, zeros * log_zero, 0.0)
+
+        u, q, prior = self.model.honest_mean, self.model.malicious_mean, self.prior
+        malicious_dead = (q == 0.0) & (ones > 0) | (q == 1.0) & (zeros > 0) | (prior == 0.0)
+        honest_dead = (u == 0.0) & (ones > 0) | (u == 1.0) & (zeros > 0) | (prior == 1.0)
+        log_like_malicious = log_like(self.log_q, self.log_not_q)
+        log_like_honest = log_like(self.log_u, self.log_not_u)
+        live = ~(malicious_dead | honest_dead) & (log_like_malicious != log_like_honest)
+        log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
+        weight = np.zeros(log_odds.shape)  # exp(-|log odds|), which never overflows
+        weight[live] = np.fromiter(map(math.exp, (-np.abs(log_odds[live])).tolist()), float)
+        table = np.where(log_odds >= 0.0, 1.0, weight) / (1.0 + weight)
+        table[~live] = prior
+        table[honest_dead] = 1.0
+        table[malicious_dead] = 0.0
+        table[malicious_dead & honest_dead | (zeros < 0)] = np.nan
+        return table
+
 
 def posterior(ones: int, count: int, model: BernoulliModel, prior_malicious: float) -> float:
     """Posterior(model, prior_malicious)(ones, count)."""
@@ -125,32 +150,10 @@ def posterior(ones: int, count: int, model: BernoulliModel, prior_malicious: flo
 
 
 def posterior_table(size: int, model: BernoulliModel, prior_malicious: float) -> np.ndarray:
-    """posterior at every point with count < size, indexed [count, ones]; NaN
-    where posterior raises ImpossibleEvidenceError, and where ones > count.
-    Performs posterior's IEEE operations and branches elementwise, each exp
-    from math.exp: numpy's exp can differ from libm's in the last ulp."""
-    logs = Posterior(model, prior_malicious)
+    """posterior at every point with count < size, indexed [count, ones]:
+    Posterior.elementwise on the full lattice."""
     count, ones = np.ogrid[:size, :size]
-    zeros = count - ones
-
-    def log_like(log_one: float, log_zero: float) -> np.ndarray:
-        return np.where(ones > 0, ones * log_one, 0.0) + np.where(zeros > 0, zeros * log_zero, 0.0)
-
-    u, q, prior = model.honest_mean, model.malicious_mean, prior_malicious
-    malicious_dead = (q == 0.0) & (ones > 0) | (q == 1.0) & (zeros > 0) | (prior == 0.0)
-    honest_dead = (u == 0.0) & (ones > 0) | (u == 1.0) & (zeros > 0) | (prior == 1.0)
-    log_like_malicious = log_like(logs.log_q, logs.log_not_q)
-    log_like_honest = log_like(logs.log_u, logs.log_not_u)
-    live = ~(malicious_dead | honest_dead) & (log_like_malicious != log_like_honest)
-    log_odds = logs.prior_log_odds + log_like_malicious - log_like_honest
-    weight = np.zeros(log_odds.shape)  # exp(-|log odds|), which never overflows
-    weight[live] = np.fromiter(map(math.exp, -np.abs(log_odds[live])), float)
-    table = np.where(log_odds >= 0.0, 1.0, weight) / (1.0 + weight)
-    table[~live] = prior
-    table[honest_dead] = 1.0
-    table[malicious_dead] = 0.0
-    table[malicious_dead & honest_dead | (zeros < 0)] = np.nan
-    return table
+    return Posterior(model, prior_malicious).elementwise(ones, count)
 
 
 def update(belief: BeliefState, x: float, model: BernoulliModel) -> BeliefState:

@@ -232,6 +232,9 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
     missing = {"node_id", "t", "x"} - set(obj)
     if missing:
         raise ValueError(f"line {line_no}: missing fields {sorted(missing)}")
+    node_id = obj["node_id"]
+    if not isinstance(node_id, str):  # 7 and "7" would otherwise be one node
+        raise ValueError(f"line {line_no}: node_id must be a JSON string, got {json.dumps(node_id)}")
     t = obj["t"]
     if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise ValueError(f"line {line_no}: t must be a positive integer, got {t!r}")
@@ -244,7 +247,7 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
         x = math.inf if x > 0 else -math.inf
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"line {line_no}: observation value must lie in [0, 1], got {x}")
-    return StreamEvent(str(obj["node_id"]), t, x)
+    return StreamEvent(node_id, t, x)
 
 
 def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:

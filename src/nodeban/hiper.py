@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .model import Decision
 
 _DELTA_MIN = 1e-6
@@ -173,8 +175,9 @@ class HiperPolicy:
     mean lies strictly inside confidence_radius(delta, count) of the
     malicious mean. Equality in either comparison keeps the node. The
     warm-up threshold and the log term of the radius are precomputed once.
-    removes(count, total) is the rule; observe, compile_region and
-    simulate_node call it.
+    removes(count, total) is the rule, scalar for nodeban stream's every
+    event, observe and simulate_node; compile_region evaluates its array
+    twin removes_elementwise near boundary's closed-form ends.
     """
 
     def __init__(self, params: HiperParams) -> None:
@@ -197,6 +200,17 @@ class HiperPolicy:
         return count > self._warmup and abs(
             total / count - self._params.malicious_mean
         ) < math.sqrt(self._log_term / (2.0 * count))
+
+    def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """removes at every pair of two broadcast arrays, by the same IEEE
+        operations (numpy's sqrt is correctly rounded, as math.sqrt is)."""
+        radius = np.sqrt(self._log_term / (2.0 * count))
+        return (count > self._warmup) & (np.abs(ones / count - self._params.malicious_mean) < radius)
+
+    def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The interval's ends up to rounding: count * (malicious_mean -+ radius)."""
+        spread = count * np.sqrt(self._log_term / (2.0 * count))
+        return count * self._params.malicious_mean - spread, count * self._params.malicious_mean + spread
 
     @property
     def statistic(self) -> float:

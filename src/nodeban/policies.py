@@ -188,6 +188,22 @@ class _BeliefPolicy:
             return True
         return not self._margin(ones, count, pm) > 0.0
 
+    def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """removes at every pair of two broadcast integer arrays, bit for bit
+        (myopic's and optimistic's margins take arrays)."""
+        return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
+
+    def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both interval ends up to rounding, for a margin affine in pm
+        (myopic's, optimistic's): the ones at which the log odds, linear in
+        ones, reach the logit of the pm at which the margin is 0."""
+        logs, m0, m1 = self.posterior, self._margin(None, None, 0.0), self._margin(None, None, 1.0)
+        per_zero = logs.log_not_q - logs.log_not_u
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN if stakes or rates are degenerate
+            logit = np.log(np.float64(m0)) - np.log(-np.float64(m1))  # of m(0) / (m(0) - m(1))
+            ones = (logit - logs.prior_log_odds - count * per_zero) / (logs.log_q - logs.log_u - per_zero)
+        return ones, ones
+
     @property
     def belief(self) -> BeliefState:
         return self._belief

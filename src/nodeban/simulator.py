@@ -7,9 +7,10 @@ hierarchically:
     experiment seed -> per-run stream -> draw seed -> per-node streams
 
 so every policy evaluated on a draw sees identical nodes. A policy is
-compiled once per draw into a Region by the RegionWalk nodeban stream grows;
-run_episode draws each node once and scores every region by first passage.
-simulate_node, the scalar per-node reference, walks the same draws through
+compiled once per draw into a Region, in numpy near its closed-form ends
+(nodeban stream grows it with a RegionWalk, count by count); run_episode
+draws each node once and scores every region by first passage.
+simulate_node, the scalar per-node reference, runs the same draws through
 the policy's removes(count, ones) predicate one count at a time.
 """
 
@@ -122,10 +123,41 @@ class RegionWalk:
 
 
 def compile_region(policy, horizon: int) -> Region:
-    """The RegionWalk of policy up to the horizon, as arrays."""
-    walk = RegionWalk(policy)
-    walk.extend(horizon)
-    return Region(np.array(walk.lo, dtype=np.int64), np.array(walk.hi, dtype=np.int64))
+    """RegionWalk's region to the horizon, in numpy, for a policy (hiper,
+    myopic, optimistic) with removes_elementwise, removes on arrays, and
+    boundary(count), each count's interval ends up to rounding. The seeds
+    decide emptiness as in the walk; each end is then probed near its guess."""
+    count = np.arange(1, horizon + 1)
+    removes = policy.removes_elementwise
+    seed = policy.anchor * count
+    floor, ceil = np.floor(seed).astype(np.int64), np.ceil(seed).astype(np.int64)
+    some = at_floor = removes(count, floor)
+    if (ceil != floor).any():  # a fractional anchor, as hiper's
+        some = at_floor | removes(count, ceil)
+    count, inside = count[some], np.where(at_floor, floor, ceil)[some]
+    guess_lo, guess_hi = policy.boundary(count)
+    lo, hi = np.zeros(horizon + 1, dtype=np.int64), np.full(horizon + 1, -1, dtype=np.int64)
+    lo[1:][some] = _end(removes, count, inside, guess_lo, -1)
+    hi[1:][some] = _end(removes, count, inside, guess_hi, 1)
+    return Region(lo, hi)
+
+
+def _end(removes, count, inside, guess, step: int) -> np.ndarray:
+    """Per count, the end in direction step of the removal interval holding
+    `inside`, as near (removes) and far (keeps, or is past the edge) in ones
+    from inside: probed at the guess -1, 0, +1, then bisected where missed."""
+    span = count - inside if step > 0 else inside
+    near, far = np.zeros_like(span), span + 1
+    at = np.clip((np.where(np.isnan(guess), inside, guess) - inside) * step, 0, span)
+    rows = np.flatnonzero(span)
+    probe = np.clip(at.astype(np.int64)[rows] + np.arange(-1, 2)[:, None], 0, span[rows])  # [probe, row]
+    while rows.size:
+        hit = removes(count[rows], inside[rows] + step * probe)
+        far[rows] = np.where(hit, far[rows], probe).min(axis=0)
+        near[rows] = np.where(hit & (probe < far[rows]), probe, near[rows]).max(axis=0)
+        rows = rows[far[rows] - near[rows] > 1]
+        probe = (near[rows] + far[rows])[None] // 2
+    return inside + step * near
 
 
 def table_region(removed: np.ndarray) -> Region:
@@ -219,8 +251,9 @@ def simulate_node(
     rng: np.random.Generator,
     node_id: int = 0,
 ) -> NodeRecord:
-    """Run one node against policy.removes(count, ones), the predicate
-    compile_region walks; one policy object serves every node of a draw.
+    """Run one node against policy.removes(count, ones), the predicate whose
+    elementwise twin compile_region evaluates; one policy object serves every
+    node of a draw.
 
     Per step: an honest node departs first with probability departure_rate
     (its departure step is drawn geometrically up front, which is the same

@@ -221,6 +221,17 @@ class TestStream:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("node_id, shown", [
+        (7, "7"), (7.5, "7.5"), (True, "true"), (None, "null"), ({"a": 1}, '{"a": 1}'), (["a"], '["a"]'),
+    ])
+    def test_node_id_that_is_not_a_string_exits_2(self, node_id, shown, tmp_path, capsys):
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, [{"node_id": "7", "t": 1, "x": 0.5}, {"node_id": node_id, "t": 2, "x": 0.5}])
+        code = run_cli(["stream", str(inp), "--out", str(outp), *HIPER])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line 2: node_id must be a JSON string, got {shown}\n"
+        assert [v["node_id"] for v in read_verdicts(outp)] == ["7"]
+
     def test_out_of_order_t_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"
         write_events(inp, [

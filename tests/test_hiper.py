@@ -168,6 +168,9 @@ class TestHiperDecide:
         inside, verdicts = fed(params, exact_sum_sequence(math.nextafter(radius, 0.0) * t, t))
         assert inside.statistic == math.nextafter(radius, 0.0)
         assert verdicts[-1] is Decision.REMOVE
+        # the elementwise twin compile_region evaluates compares as strictly
+        totals = np.array([radius * t, math.nextafter(radius, 0.0) * t])
+        assert HiperPolicy(params).removes_elementwise(np.array(t), totals).tolist() == [False, True]
 
     def test_requires_a_sample(self):
         # the compiled region removes nothing at count 0, even where a single

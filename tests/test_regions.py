@@ -3,15 +3,21 @@
 The posterior evaluator is checked bit for bit against posterior taken
 afresh per call, and myopic's and optimistic's margins against a decision
 on the whole belief, at every lattice point up to counts 200 and 60.
-compile_region evaluates a rule only near the ends of each count's removal
+compile_region evaluates hiper's, myopic's and optimistic's rule
+elementwise only near the closed-form ends of each count's removal
 interval, and lookahead compiles from lattice-wide tables. These tests
 evaluate the scalar rule (and, for the tables, the scalar posterior and plan
 value) at every lattice point (count t, ones k) with t <= 60 (40 for the
 plan values) and compare exactly, over seeded random worlds that include
-q > u, q < u, and observation means of exactly 0 and 1. nodeban stream
-grows its region by the same walk one count at a time; it is checked byte
-for byte against one observe-driven policy object per node, on event
-streams that outlive count 200, and lookahead's walk against its table.
+q > u, q < u, observation means of exactly 0 and 1, u == q, priors of 0
+and 1, and a gain or loss of 0, where the closed form is infinite or NaN.
+At long horizons, compile_region is checked against RegionWalk, the scalar
+walk of the same rule, at every count of every draw of the golden suite
+configs and of the benchmark's first timed unit (horizons up to 1000).
+nodeban stream grows its region by that walk one count at a time; it is
+checked byte for byte against one observe-driven policy object per node, on
+event streams that outlive count 200, and lookahead's walk against its
+table.
 """
 
 import contextlib
@@ -30,12 +36,13 @@ from hypothesis import strategies as st
 from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior, posterior_table
 from nodeban.cli import main
-from nodeban.experiments import PolicySpec
+from nodeban.experiments import PolicySpec, SuiteConfig
 from nodeban.hiper import HiperParams, HiperPolicy
 from nodeban.model import EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy
 from nodeban.policies import OptimisticPolicy, lookahead_value, lookahead_values
-from nodeban.simulator import ExperimentDraw, compile_region, table_region
+from nodeban.simulator import ExperimentDraw, ExperimentSuite, RegionWalk, compile_region
+from nodeban.simulator import sample_experiment, table_region
 from oracles import belief_rule_removes, posterior_per_call, stream_replay
 
 HORIZON = 60
@@ -120,6 +127,14 @@ DEGENERATE_WORLDS = [
     world(0.0, 1.0, prior=1.0),
     world(1.0, 0.0, prior=0.0),
     world(1.0, 0.0, prior=1.0),
+    # a gain or loss of 0: the posterior at which a belief rule's margin is 0
+    # is 0, 1 or 0/0, and its logit -inf, inf or NaN
+    world(0.3, 0.6, loss=0.0),
+    world(0.7, 0.2, loss=0.0),
+    world(0.7, 0.2, gain=0.0),
+    world(0.2, 0.7, gain=0.0, loss=0.0),
+    world(0.0, 1.0, loss=0.0),
+    world(0.4, 0.4, gain=0.0),
 ]
 
 
@@ -234,12 +249,16 @@ def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
 
 
 @settings(SEEDED, max_examples=100)
-@with_examples()
+@with_examples(degenerate=True)
 @given(worlds())
 def test_hiper_regions(draw):
+    env = draw.env
+    if env.gap == 0.0:  # hiper's warm-up never ends
+        with pytest.raises(ValueError, match="gap must be positive"):
+            PolicySpec.parse("hiper:0.5").policy(draw)
+        return
     for delta in (0.05, 0.5, 0.9, 0.999):
         assert_region_is_the_rule(f"hiper:{delta}", draw)
-    env = draw.env
     if env.gain_honest > 0.0 and env.loss_malicious > 0.0:
         assert_region_is_the_rule("hiper:star", draw)
 
@@ -257,11 +276,33 @@ def test_myopic_and_optimistic_are_their_belief_decisions(draw):
 
 
 @settings(SEEDED, max_examples=100)
-@with_examples()
+@with_examples(degenerate=True)
 @given(worlds())
 def test_myopic_and_optimistic_regions(draw):
     assert_region_is_the_rule("myopic", draw)
     assert_region_is_the_rule("optimistic", draw)
+
+
+@pytest.mark.parametrize("suite", list(ExperimentSuite))
+def test_compiled_regions_are_the_walk_at_long_horizons(suite):
+    """Each default hiper, myopic and optimistic policy on every draw of the
+    suite's golden config (base seed 7) and of the benchmark's first timed
+    unit (base seed (1 << 32) | 7), at every count up to the horizon."""
+    horizons = []
+    for base_seed in (7, (1 << 32) | 7):
+        cfg = SuiteConfig.make(suite, base_seed, n_runs=50)
+        specs = [spec for spec in map(PolicySpec.parse, cfg.policies) if spec.kind != "lookahead"]
+        for run in range(cfg.n_runs):
+            run_rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(run,)))
+            draw = sample_experiment(run_rng, suite)  # as run_suite draws run `run`
+            horizons.append(draw.horizon)
+            for spec in specs:
+                policy = spec.policy(draw)
+                region, walk = compile_region(policy, draw.horizon), RegionWalk(policy)
+                walk.extend(draw.horizon)
+                assert region.lo.tolist() == walk.lo, (spec.label, base_seed, run)
+                assert region.hi.tolist() == walk.hi, (spec.label, base_seed, run)
+    assert max(horizons) > (90 if suite is ExperimentSuite.LOOKAHEAD_COMPARE else 900)
 
 
 @settings(SEEDED, max_examples=40)
@@ -297,10 +338,11 @@ def test_lookahead_walk_is_the_table(draw, depth, leaf):
     exact table. The walk is right only where each count's removal set is an
     interval around the anchor, which this checks up to count 200."""
     env, cfg = draw.env, LookaheadConfig(depth, leaf)
-    walked = compile_region(LookaheadPolicy(env, cfg), WALK_COUNTS)
+    walk = RegionWalk(LookaheadPolicy(env, cfg))
+    walk.extend(WALK_COUNTS)
     table = table_region(lookahead_values(env, cfg, WALK_COUNTS) <= 0.0)
-    assert walked.lo.tolist() == table.lo.tolist()
-    assert walked.hi.tolist() == table.hi.tolist()
+    assert walk.lo == table.lo.tolist()
+    assert walk.hi == table.hi.tolist()
 
 
 LONG_LIFE = 230  # events of node n0, so the stream's region outgrows count 200

@@ -209,8 +209,8 @@ class HiperPolicy:
 
     def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The interval's ends up to rounding: count * (malicious_mean -+ radius)."""
-        spread = count * np.sqrt(self._log_term / (2.0 * count))
-        return count * self._params.malicious_mean - spread, count * self._params.malicious_mean + spread
+        centre, spread = count * self._params.malicious_mean, count * np.sqrt(self._log_term / (2.0 * count))
+        return centre - spread, centre + spread
 
     @property
     def statistic(self) -> float:

@@ -188,22 +188,6 @@ class _BeliefPolicy:
             return True
         return not self._margin(ones, count, pm) > 0.0
 
-    def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """removes at every pair of two broadcast integer arrays, bit for bit
-        (myopic's and optimistic's margins take arrays)."""
-        return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
-
-    def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both interval ends up to rounding, for a margin affine in pm
-        (myopic's, optimistic's): the ones at which the log odds, linear in
-        ones, reach the logit of the pm at which the margin is 0."""
-        logs, m0, m1 = self.posterior, self._margin(None, None, 0.0), self._margin(None, None, 1.0)
-        per_zero = logs.log_not_q - logs.log_not_u
-        with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN if stakes or rates are degenerate
-            logit = np.log(np.float64(m0)) - np.log(-np.float64(m1))  # of m(0) / (m(0) - m(1))
-            ones = (logit - logs.prior_log_odds - count * per_zero) / (logs.log_q - logs.log_u - per_zero)
-        return ones, ones
-
     @property
     def belief(self) -> BeliefState:
         return self._belief
@@ -214,12 +198,31 @@ class _BeliefPolicy:
         return self._belief.posterior_malicious
 
 
-class MyopicPolicy(_BeliefPolicy):
+class _AffineMarginPolicy(_BeliefPolicy):
+    """A rule whose margin is affine in pm and takes arrays (myopic's,
+    optimistic's), which compile_region compiles from its closed form."""
+
+    def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """removes at every pair of two broadcast integer arrays, bit for bit."""
+        return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
+
+    def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both interval ends up to rounding: the ones at which the log odds,
+        linear in ones, reach the logit of the pm at which the margin is 0."""
+        logs, m0, m1 = self.posterior, self._margin(None, None, 0.0), self._margin(None, None, 1.0)
+        per_zero = logs.log_not_q - logs.log_not_u
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN if stakes or rates are degenerate
+            logit = np.log(np.float64(m0)) - np.log(-np.float64(m1))  # of m(0) / (m(0) - m(1))
+            ones = (logit - logs.prior_log_odds - count * per_zero) / (logs.log_q - logs.log_u - per_zero)
+        return ones, ones
+
+
+class MyopicPolicy(_AffineMarginPolicy):
     def _margin(self, ones: int, count: int, pm: float) -> float:
         return keep_gain(pm, self.env)
 
 
-class OptimisticPolicy(_BeliefPolicy):
+class OptimisticPolicy(_AffineMarginPolicy):
     def _margin(self, ones: int, count: int, pm: float) -> float:
         return _optimistic_margin(pm, self.env)
 

@@ -9,8 +9,8 @@ Three subcommands:
   stream  apply a policy online to JSONL observation events from per-node
           (count, ones) state, one verdict per event until a node is removed
 
-Exit codes: 0 success, 1 runtime failure (including a closed output pipe),
-2 usage/config/input error.
+Exit codes: 0 success, 1 runtime failure (including a closed output pipe or
+a full disk), 2 usage/config/input error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .hiper import (
 )
 from .model import Decision, EnvParams
 from .policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
-from .simulator import ExperimentSuite, RegionWalk
+from .simulator import ExperimentSuite, compile_region
 
 _CONFIG_KEYS = {"suite", "n_runs", "ma_window", "policies", "base_seed"}
 
@@ -253,11 +253,11 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
 def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     """Per node, keep (count, s): the running total of x for hiper's scalar
     rule, or the ones count for a belief rule, which removes iff (count, ones)
-    lies in the stream's one region, a RegionWalk extended by a count when a
-    node first reaches it: O(largest count) memory and planning."""
+    lies in the stream's one region, compiled anew to twice the count when a
+    node first outgrows it: O(largest count) memory and planning."""
     belief = not isinstance(policy, HiperPolicy)
     if belief:
-        walk = RegionWalk(policy)
+        lo, hi = [0], [-1]
         model, prior = policy.model, policy.env.prior_malicious
         posterior = policies.posterior  # the module global, so a tracer sees it
     state: dict[str, tuple[int, float]] = {}
@@ -298,9 +298,10 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                     statistic = posterior(s, count, model, prior)
                 except ImpossibleEvidenceError as exc:
                     return _fail(f"line {line_no}: {exc}")
-                if count == len(walk.lo):
-                    walk.extend(count)
-                remove = walk.lo[count] <= s <= walk.hi[count]
+                if count == len(lo):
+                    region = compile_region(policy, 2 * count)
+                    lo, hi = region.lo.tolist(), region.hi.tolist()
+                remove = lo[count] <= s <= hi[count]
             else:
                 s += x
                 remove = policy.removes(count, s)
@@ -454,10 +455,14 @@ def main(argv=None) -> int:
     try:
         code = args.handler(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout (e.g. `| head -1`). Point stdout at devnull,
-        # as the Python docs recommend, so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # an output failed, as on a full disk
+        # A reader that closed stdout (e.g. `| head -1`) ends the command quietly.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"runtime failure: {exc}", file=sys.stderr)
+        # Point stdout at devnull, as the Python docs recommend, so the flush
+        # at exit cannot raise again (a stand-in for stdout has no descriptor).
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
 

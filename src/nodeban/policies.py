@@ -7,8 +7,10 @@ type were revealed next step (an honest node would then stay an expected
 1/departure_rate steps, a malicious one would be removed after a single
 step). Finite lookahead plans over every observation sequence up to a fixed
 depth with backward induction, treating removal as an absorbing action of
-value zero at every stage: lookahead_value from one belief (online), and
-lookahead_values over the whole (count, ones) lattice at once, bit for bit.
+value zero at every stage. The induction has one body, _plan, over any table
+of posteriors: rooted at each of some beliefs (lookahead_value,
+LookaheadPolicy's rule) or over the whole (count, ones) lattice at once
+(lookahead_values), with the same value at every point, bit for bit.
 
 Ties always remove: each rule keeps only on a strictly positive margin.
 """
@@ -29,7 +31,6 @@ from .belief import (
     keep_gain,
     posterior,
     posterior_table,
-    predictive,
     update,
 )
 from .model import Decision, EnvParams
@@ -75,85 +76,58 @@ def optimistic_decide(belief: BeliefState, env: EnvParams) -> Decision:
     return _decision(_optimistic_margin(belief.posterior_malicious, env))
 
 
-def _leaf_value(belief: BeliefState, env: EnvParams, rule: LeafRule) -> float:
-    if rule is LeafRule.ZERO:
-        return 0.0
-    if rule is LeafRule.MYOPIC_INFINITE:
-        return max(0.0, keep_gain(belief.posterior_malicious, env)) / env.departure_rate
-    return max(0.0, _optimistic_margin(belief.posterior_malicious, env))
+def _plan(pm: np.ndarray, model: BernoulliModel, env: EnvParams, cfg: LookaheadConfig) -> np.ndarray:
+    """The lookahead recursion over a table of posteriors pm[t, k, ...], each
+    t steps and k one-bits past the table's root: V_0 is the leaf rule at
+    every entry, and pass r gives V_r(t, .) from V_{r-1}(t + 1, .) by
 
+        V(t, k) = max(0, keep_gain + p V(t + 1, k + 1) + (1 - p) V(t + 1, k))
 
-def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
-    """Expected value of the best depth-limited keep/remove plan.
-
-    Backward induction over the recursion
-
-        V(b, d) = max(0, keep_gain(b) + p V(b + 1, d - 1) + (1 - p) V(b + 0, d - 1))
-
-    where p is the predictive probability of a 1-bit, b + x the one-step
-    belief update, and V(., 0) the configured leaf rule. Because the belief
-    after the root depends on the future only through (ones seen, steps
-    taken), the induction runs over that triangle of states, quadratic in
-    depth rather than exponential. States whose history is impossible under
-    both types carry probability zero along every path into them and are
-    assigned value zero.
-    """
-    prior = belief.prior_malicious
-    evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), prior)
-    model, depth = evaluate.model, cfg.depth
-
-    def state(i: int, j: int) -> BeliefState | None:
-        if i == 0 and j == 0:
-            return belief
-        ones = belief.ones + i
-        count = belief.count + j
-        try:
-            return BeliefState(ones, count, prior, evaluate(ones, count))
-        except ImpossibleEvidenceError:
-            return None
-
-    values: list[float] = []
-    for i in range(depth + 1):
-        leaf = state(i, depth)
-        values.append(0.0 if leaf is None else _leaf_value(leaf, env, cfg.leaf_rule))
-    for j in range(depth - 1, -1, -1):
-        layer: list[float] = []
-        for i in range(j + 1):
-            b = state(i, j)
-            if b is None:
-                layer.append(0.0)
-                continue
-            gain = keep_gain(b.posterior_malicious, env)
-            p_one = predictive(b, model)
-            layer.append(max(0.0, gain + p_one * values[i + 1] + (1.0 - p_one) * values[i]))
-        values = layer
-    return values[0]
-
-
-def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.ndarray:
-    """lookahead_value at every (count t, ones k) with t <= horizon, indexed
-    [t, k], 0 where k > t: its recursion run once over the lattice, not once
-    per root. V_0 is the leaf rule up to count horizon + depth; pass r gives
-    V_r(c, .) from V_{r-1}(c + 1, .) by the scalar's operations in its order,
-    max(0, x) being where(x > 0, x, 0), which maps an impossible point's NaN
-    posterior to the scalar's 0."""
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
-    posteriors = posterior_table(horizon + cfg.depth + 1, model, env.prior_malicious)
-    table = BeliefState(None, None, env.prior_malicious, posteriors)  # predictive reads only this
-    gain = keep_gain(posteriors, env)
-    p_one = predictive(table, model)
+    p being the predictive probability of a 1-bit at (t, k), and max(0, x)
+    where(x > 0, x, 0), which values a history impossible under both types
+    (a NaN posterior) at 0. Returns V_depth on the first len(pm) - depth
+    rows and columns."""
+    gain = keep_gain(pm, env)
+    p_one = model.honest_mean * (1.0 - pm) + model.malicious_mean * pm
     p_zero = 1.0 - p_one
     if cfg.leaf_rule is LeafRule.ZERO:
         values = np.zeros_like(gain)
     elif cfg.leaf_rule is LeafRule.MYOPIC_INFINITE:
         values = np.where(gain > 0.0, gain, 0.0) / env.departure_rate
     else:
-        margin = _optimistic_margin(posteriors, env)
+        margin = _optimistic_margin(pm, env)
         values = np.where(margin > 0.0, margin, 0.0)
-    for n in range(horizon + cfg.depth, horizon, -1):
+    for n in range(len(pm) - 1, len(pm) - 1 - cfg.depth, -1):
         keep = gain[:n, :n] + p_one[:n, :n] * values[1:, 1:] + p_zero[:n, :n] * values[1:, :n]
         values = np.where(keep > 0.0, keep, 0.0)
     return values
+
+
+def _rooted_plan(evaluate: Posterior, ones, count, pm, env: EnvParams, cfg: LookaheadConfig) -> np.ndarray:
+    """_plan's value at each root (count, ones) of posterior pm, all three
+    broadcast, from the (depth + 1)^2 posteriors past each root: quadratic in
+    depth rather than exponential, as the belief depends on the future only
+    through (ones seen, steps taken)."""
+    ones, count, pm = np.broadcast_arrays(ones, count, pm)
+    step = np.arange(cfg.depth + 1).reshape((-1,) + (1,) * pm.ndim)
+    table = evaluate.elementwise((ones + step)[None], (count + step)[:, None])
+    table[0, 0] = pm
+    return _plan(table, evaluate.model, env, cfg)[0, 0]
+
+
+def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
+    """Expected value of the best depth-limited keep/remove plan from the
+    belief: _plan rooted at it."""
+    evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), belief.prior_malicious)
+    return float(_rooted_plan(evaluate, belief.ones, belief.count, belief.posterior_malicious, env, cfg))
+
+
+def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.ndarray:
+    """lookahead_value at every (count t, ones k) with t <= horizon, indexed
+    [t, k], 0 where k > t: _plan once over the lattice up to count
+    horizon + depth, not once per root, with the same value at every point."""
+    model = BernoulliModel(env.honest_mean, env.malicious_mean)
+    return _plan(posterior_table(horizon + cfg.depth + 1, model, env.prior_malicious), model, env, cfg)
 
 
 def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> Decision:
@@ -163,8 +137,9 @@ def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) 
 
 class _BeliefPolicy:
     """Shared plumbing for the online belief-tracking wrappers. Each subclass
-    names its rule as _margin(ones, count, pm), pm the malicious posterior;
-    removes(count, ones) and observe keep only where it is strictly positive."""
+    names its rule as _margin(ones, count, pm), pm the malicious posterior,
+    on numbers or broadcast arrays; removes(count, ones), its elementwise
+    twin and observe keep only where it is strictly positive."""
 
     def __init__(self, env: EnvParams) -> None:
         self.env = env
@@ -188,6 +163,10 @@ class _BeliefPolicy:
             return True
         return not self._margin(ones, count, pm) > 0.0
 
+    def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """removes at every pair of two broadcast integer arrays, bit for bit."""
+        return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
+
     @property
     def belief(self) -> BeliefState:
         return self._belief
@@ -199,12 +178,8 @@ class _BeliefPolicy:
 
 
 class _AffineMarginPolicy(_BeliefPolicy):
-    """A rule whose margin is affine in pm and takes arrays (myopic's,
-    optimistic's), which compile_region compiles from its closed form."""
-
-    def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """removes at every pair of two broadcast integer arrays, bit for bit."""
-        return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
+    """A rule whose margin is affine in pm (myopic's, optimistic's), so that
+    each count's removal interval has closed-form ends."""
 
     def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both interval ends up to rounding: the ones at which the log odds,
@@ -228,13 +203,19 @@ class OptimisticPolicy(_AffineMarginPolicy):
 
 
 class LookaheadPolicy(_BeliefPolicy):
-    """Lookahead planner, quadratic in depth per lattice point: nodeban stream
-    plans only as its region grows, the suites through lookahead_values."""
+    """Lookahead planner, quadratic in depth per lattice point. Its margin,
+    the plan value, has no closed-form boundary, so compile_region bisects
+    each interval end from the anchor; the suites compile it through
+    lookahead_values instead, which shares every point's work."""
 
     def __init__(self, env: EnvParams, cfg: LookaheadConfig) -> None:
         super().__init__(env)
         self._cfg = cfg
 
     def _margin(self, ones: int, count: int, pm: float) -> float:
-        belief = BeliefState(ones, count, self.env.prior_malicious, pm)
-        return lookahead_value(belief, self.env, self._cfg)
+        return _rooted_plan(self.posterior, ones, count, pm, self.env, self._cfg)
+
+    def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unknown ends, NaN."""
+        unknown = np.full(count.shape, np.nan)
+        return unknown, unknown

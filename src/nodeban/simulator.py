@@ -7,16 +7,16 @@ hierarchically:
     experiment seed -> per-run stream -> draw seed -> per-node streams
 
 so every policy evaluated on a draw sees identical nodes. A policy is
-compiled once per draw into a Region, in numpy near its closed-form ends
-(nodeban stream grows it with a RegionWalk, count by count); run_episode
-draws each node once and scores every region by first passage.
+compiled once per draw into a Region, in numpy near its closed-form ends or
+by bisection where it has none (nodeban stream recompiles its region at
+twice the count a node outgrows); run_episode draws each node once and
+scores every region by first passage.
 simulate_node, the scalar per-node reference, runs the same draws through
 the policy's removes(count, ones) predicate one count at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
@@ -95,38 +95,13 @@ class Region(NamedTuple):
     hi: np.ndarray
 
 
-class RegionWalk:
-    """policy.removes(count, ones) as lists lo, hi that extend(n) grows in
-    place: at count t <= n it removes iff lo[t] <= ones <= hi[t], (0, -1) when
-    no ones does. Relies on each count's removal set being an interval of ones
-    holding, when nonempty, floor or ceil of policy.anchor * t: those seeds
-    decide emptiness, and each end is walked from its last position."""
-
-    def __init__(self, policy) -> None:
-        self._removes, self._anchor = policy.removes, policy.anchor
-        self.lo, self.hi = [0], [-1]
-
-    def extend(self, count: int) -> None:
-        removes, anchor, lo, hi = self._removes, self._anchor, self.lo, self.hi
-        for t in range(len(lo), count + 1):
-            seed = anchor * t
-            inside = math.floor(seed)
-            if not removes(t, inside):
-                inside = math.ceil(seed)
-                if inside == seed or not removes(t, inside):
-                    lo.append(0)
-                    hi.append(-1)
-                    continue
-            a, b = (lo[-1], hi[-1]) if lo[-1] <= hi[-1] else (inside, inside)
-            lo.append(_walk(removes, t, inside, a, -1))
-            hi.append(_walk(removes, t, inside, b, 1))
-
-
 def compile_region(policy, horizon: int) -> Region:
-    """RegionWalk's region to the horizon, in numpy, for a policy (hiper,
-    myopic, optimistic) with removes_elementwise, removes on arrays, and
-    boundary(count), each count's interval ends up to rounding. The seeds
-    decide emptiness as in the walk; each end is then probed near its guess."""
+    """policy.removes(count, ones) as a Region to the horizon, in numpy, for a
+    policy with removes_elementwise, removes on arrays, anchor, and
+    boundary(count), each count's interval ends up to rounding (NaN where it
+    has no closed form). Relies on each count's removal set being an interval
+    of ones holding, when nonempty, floor or ceil of anchor * count: those
+    seeds decide emptiness, and each end is then probed near its guess."""
     count = np.arange(1, horizon + 1)
     removes = policy.removes_elementwise
     seed = policy.anchor * count
@@ -162,28 +137,13 @@ def _end(removes, count, inside, guess, step: int) -> np.ndarray:
 
 def table_region(removed: np.ndarray) -> Region:
     """The Region of removed[t, k] for counts 1..horizon and ones k <= t, whose
-    removing ones at each count must form an interval, as in RegionWalk."""
+    removing ones at each count must form an interval, as in compile_region."""
     removed = np.tril(removed)
     removed[0] = False
     some = removed.any(axis=1)
     lo = np.where(some, removed.argmax(axis=1), 0)
     hi = np.where(some, removed.shape[1] - 1 - removed[:, ::-1].argmax(axis=1), -1)
     return Region(lo, hi)
-
-
-def _walk(removes, t: int, inside: int, start: int, step: int) -> int:
-    """The end, in direction step, of the removal interval at count t that
-    holds `inside`, searched from `start`."""
-    if (start - inside) * step <= 0:
-        start = inside
-    if start == inside or removes(t, start):
-        while 0 <= start + step <= t and removes(t, start + step):
-            start += step
-        return start
-    start -= step
-    while not removes(t, start):
-        start -= step
-    return start
 
 
 def episode_rng(draw: ExperimentDraw) -> np.random.Generator:

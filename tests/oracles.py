@@ -20,7 +20,7 @@ from nodeban.belief import (
 )
 from nodeban.hiper import HiperParams, confidence_radius, min_samples
 from nodeban.model import Decision, EnvParams
-from nodeban.policies import LookaheadConfig, _leaf_value
+from nodeban.policies import LeafRule, LookaheadConfig
 
 _BRUTEFORCE_MAX_DEPTH = 12
 
@@ -99,6 +99,18 @@ def hiper_decision(count: int, total: float, params: HiperParams) -> Decision:
     return Decision.KEEP
 
 
+def lookahead_leaf_value(belief: BeliefState, env: EnvParams, rule: LeafRule) -> float:
+    """The value a LeafRule puts on a belief at the planning frontier: 0; the
+    myopic keep gain, if positive, earned for an honest node's expected stay
+    of 1/departure_rate steps; or the optimistic margin, if positive."""
+    pm = belief.posterior_malicious
+    if rule is LeafRule.ZERO:
+        return 0.0
+    if rule is LeafRule.MYOPIC_INFINITE:
+        return max(0.0, (1.0 - pm) * env.gain_honest - pm * env.loss_malicious) / env.departure_rate
+    return max(0.0, (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious)
+
+
 def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
     """Reference evaluation of lookahead_value by expanding all 2^depth
     observation paths; validates the state-merged induction.
@@ -112,7 +124,7 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
 
     def expand(b: BeliefState, d: int) -> float:
         if d == 0:
-            return _leaf_value(b, env, cfg.leaf_rule)
+            return lookahead_leaf_value(b, env, cfg.leaf_rule)
         gain = expected_keep_gain(b, env)
         p_one = predictive(b, model)
         try:
@@ -153,3 +165,46 @@ def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:
         if decision is Decision.REMOVE:
             removed.add(node)
     return "".join(lines), ""
+
+
+class RegionWalk:
+    """policy.removes(count, ones) as lists lo, hi that extend(n) grows in
+    place, one count at a time: at count t <= n it removes iff
+    lo[t] <= ones <= hi[t], (0, -1) when no ones does. Relies on each count's
+    removal set being an interval of ones holding, when nonempty, floor or
+    ceil of policy.anchor * t: those seeds decide emptiness, and each end is
+    walked from its last position."""
+
+    def __init__(self, policy) -> None:
+        self._removes, self._anchor = policy.removes, policy.anchor
+        self.lo, self.hi = [0], [-1]
+
+    def extend(self, count: int) -> None:
+        removes, anchor, lo, hi = self._removes, self._anchor, self.lo, self.hi
+        for t in range(len(lo), count + 1):
+            seed = anchor * t
+            inside = math.floor(seed)
+            if not removes(t, inside):
+                inside = math.ceil(seed)
+                if inside == seed or not removes(t, inside):
+                    lo.append(0)
+                    hi.append(-1)
+                    continue
+            a, b = (lo[-1], hi[-1]) if lo[-1] <= hi[-1] else (inside, inside)
+            lo.append(_walk(removes, t, inside, a, -1))
+            hi.append(_walk(removes, t, inside, b, 1))
+
+
+def _walk(removes, t: int, inside: int, start: int, step: int) -> int:
+    """The end, in direction step, of the removal interval at count t that
+    holds `inside`, searched from `start`."""
+    if (start - inside) * step <= 0:
+        start = inside
+    if start == inside or removes(t, start):
+        while 0 <= start + step <= t and removes(t, start + step):
+            start += step
+        return start
+    start -= step
+    while not removes(t, start):
+        start -= step
+    return start

@@ -331,6 +331,36 @@ class TestStream:
         assert code == 1
         assert err == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out_flag", "stdout"])
+    @pytest.mark.parametrize("n_events", [3, 2000])
+    def test_full_output_exits_1_without_traceback(self, to_stdout, n_events, tmp_path):
+        # a few verdicts fail when the output is closed or flushed at the end,
+        # many when a write fills the buffer
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, [{"node_id": "a", "t": t, "x": 0.0} for t in range(1, n_events + 1)])
+        src = os.path.dirname(os.path.dirname(nodeban.__file__))
+        out_flag = [] if to_stdout else ["--out", "/dev/full"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nodeban.cli", "stream", str(inp), *HIPER, *out_flag],
+                stdout=full if to_stdout else subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src),
+                timeout=60,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.startswith("runtime failure: [Errno 28]") and err.count("\n") == 1, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_file_exits_1_in_process(self, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, [{"node_id": "a", "t": 1, "x": 0.0}])
+        assert run_cli(["stream", str(inp), *HIPER, "--out", "/dev/full"]) == 1
+        assert capsys.readouterr().err.startswith("runtime failure: [Errno 28]")
+
     def test_invalid_utf8_exits_2_and_keeps_earlier_verdicts(self, tmp_path, capsys):
         # the good lines fill more than one 8 KiB decoding chunk, so some are
         # read and answered before the bad bytes are decoded

@@ -3,21 +3,22 @@
 The posterior evaluator is checked bit for bit against posterior taken
 afresh per call, and myopic's and optimistic's margins against a decision
 on the whole belief, at every lattice point up to counts 200 and 60.
-compile_region evaluates hiper's, myopic's and optimistic's rule
-elementwise only near the closed-form ends of each count's removal
-interval, and lookahead compiles from lattice-wide tables. These tests
+compile_region evaluates each rule elementwise only near the ends of each
+count's removal interval, guessed from hiper's, myopic's and optimistic's
+closed forms and bisected for lookahead, which the suites compile from
+lattice-wide tables instead. These tests
 evaluate the scalar rule (and, for the tables, the scalar posterior and plan
 value) at every lattice point (count t, ones k) with t <= 60 (40 for the
 plan values) and compare exactly, over seeded random worlds that include
 q > u, q < u, observation means of exactly 0 and 1, u == q, priors of 0
 and 1, and a gain or loss of 0, where the closed form is infinite or NaN.
 At long horizons, compile_region is checked against RegionWalk, the scalar
-walk of the same rule, at every count of every draw of the golden suite
-configs and of the benchmark's first timed unit (horizons up to 1000).
-nodeban stream grows its region by that walk one count at a time; it is
-checked byte for byte against one observe-driven policy object per node, on
-event streams that outlive count 200, and lookahead's walk against its
-table.
+walk of the same rule in oracles.py, at every count of every draw of the
+golden suite configs and of the benchmark's first timed unit (horizons up
+to 1000). nodeban stream recompiles its region at twice the count a node
+outgrows; it is checked byte for byte against one observe-driven policy
+object per node, on event streams that outlive count 200, and lookahead's
+compiled region and walk against its table.
 """
 
 import contextlib
@@ -41,9 +42,9 @@ from nodeban.hiper import HiperParams, HiperPolicy
 from nodeban.model import EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy
 from nodeban.policies import OptimisticPolicy, lookahead_value, lookahead_values
-from nodeban.simulator import ExperimentDraw, ExperimentSuite, RegionWalk, compile_region
+from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region
 from nodeban.simulator import sample_experiment, table_region
-from oracles import belief_rule_removes, posterior_per_call, stream_replay
+from oracles import RegionWalk, belief_rule_removes, posterior_per_call, stream_replay
 
 HORIZON = 60
 SEEDED = settings(derandomize=True, database=None, deadline=None)
@@ -334,15 +335,19 @@ WALK_COUNTS = 200  # how far the lookahead walk is checked against its table
 @example(world(0.0, 0.4, prior=1.0), 5, LeafRule.ZERO)
 @given(worlds(), st.integers(1, 8), st.sampled_from(list(LeafRule)))
 def test_lookahead_walk_is_the_table(draw, depth, leaf):
-    """The stream walks lookahead's region; the suites compile it from the
-    exact table. The walk is right only where each count's removal set is an
-    interval around the anchor, which this checks up to count 200."""
+    """The stream compiles lookahead's region by bisection from the anchor,
+    the suites from the exact table. Both the compiler and the walk are
+    right only where each count's removal set is an interval around the
+    anchor, which this checks up to count 200."""
     env, cfg = draw.env, LookaheadConfig(depth, leaf)
     walk = RegionWalk(LookaheadPolicy(env, cfg))
     walk.extend(WALK_COUNTS)
     table = table_region(lookahead_values(env, cfg, WALK_COUNTS) <= 0.0)
     assert walk.lo == table.lo.tolist()
     assert walk.hi == table.hi.tolist()
+    region = compile_region(LookaheadPolicy(env, cfg), WALK_COUNTS)
+    assert region.lo.tolist() == table.lo.tolist()
+    assert region.hi.tolist() == table.hi.tolist()
 
 
 LONG_LIFE = 230  # events of node n0, so the stream's region outgrows count 200

@@ -78,7 +78,7 @@ class Posterior:
             raise ValueError(f"prior_malicious must lie in [0, 1], got {prior_malicious}")
         self.model, self.prior = model, prior_malicious
         u, q, prior = model.honest_mean, model.malicious_mean, prior_malicious
-        # an endpoint's log is never used: the histories it would score are dead
+        # an endpoint's log is 0.0: it multiplies a count of 0 or scores a dead history
         self.log_u = math.log(u) if u > 0.0 else 0.0
         self.log_q = math.log(q) if q > 0.0 else 0.0
         self.log_not_u = math.log1p(-u) if u < 1.0 else 0.0
@@ -104,12 +104,8 @@ class Posterior:
         if honest_dead:
             return 1.0
         # Both branches are live: rates are interior wherever their log is used.
-        log_like_malicious = (ones * self.log_q if ones else 0.0) + (
-            zeros * self.log_not_q if zeros else 0.0
-        )
-        log_like_honest = (ones * self.log_u if ones else 0.0) + (
-            zeros * self.log_not_u if zeros else 0.0
-        )
+        log_like_malicious = ones * self.log_q + zeros * self.log_not_q
+        log_like_honest = ones * self.log_u + zeros * self.log_not_u
         if log_like_malicious == log_like_honest:
             return self.prior
         log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
@@ -123,15 +119,11 @@ class Posterior:
         raises ImpossibleEvidenceError or ones > count: its IEEE operations
         elementwise, each exp from math.exp (numpy's can differ in an ulp)."""
         zeros = count - ones
-
-        def log_like(log_one: float, log_zero: float) -> np.ndarray:
-            return np.where(ones > 0, ones * log_one, 0.0) + np.where(zeros > 0, zeros * log_zero, 0.0)
-
         u, q, prior = self.model.honest_mean, self.model.malicious_mean, self.prior
         malicious_dead = (q == 0.0) & (ones > 0) | (q == 1.0) & (zeros > 0) | (prior == 0.0)
         honest_dead = (u == 0.0) & (ones > 0) | (u == 1.0) & (zeros > 0) | (prior == 1.0)
-        log_like_malicious = log_like(self.log_q, self.log_not_q)
-        log_like_honest = log_like(self.log_u, self.log_not_u)
+        log_like_malicious = ones * self.log_q + zeros * self.log_not_q
+        log_like_honest = ones * self.log_u + zeros * self.log_not_u
         live = ~(malicious_dead | honest_dead) & (log_like_malicious != log_like_honest)
         log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
         weight = np.zeros(log_odds.shape)  # exp(-|log odds|), which never overflows

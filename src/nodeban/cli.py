@@ -16,6 +16,7 @@ a full disk), 2 usage/config/input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -251,18 +252,19 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
 
 
 def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
-    """Per node, keep (count, s): the running total of x for hiper's scalar
-    rule, or the ones count for a belief rule, which removes iff (count, ones)
-    lies in the stream's one region, compiled anew to twice the count when a
-    node first outgrows it: O(largest count) memory and planning."""
+    """Per node id, keep one record (last t, count, s): s is the running total
+    of x for hiper's scalar rule, or the ones count for a belief rule, which
+    removes iff (count, ones) lies in the stream's one region, compiled anew
+    to twice the count when a node first outgrows it: O(largest count)
+    memory and planning. The count is None once the node is removed; its
+    later events still advance its last t, so they must stay ordered, and
+    are dropped."""
     belief = not isinstance(policy, HiperPolicy)
     if belief:
         lo, hi = [0], [-1]
         model, prior = policy.model, policy.env.prior_malicious
         posterior = policies.posterior  # the module global, so a tracer sees it
-    state: dict[str, tuple[int, float]] = {}
-    last_t: dict[str, int] = {}
-    removed: set[str] = set()
+    nodes: dict[str, tuple[int, int | None, float]] = {}
     line_no = 0
     try:
         for line_no, line in enumerate(infile, 1):
@@ -273,17 +275,16 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                 event = _parse_event(text, line_no)
             except ValueError as exc:
                 return _fail(str(exc))
-            previous = last_t.get(event.node_id)
-            if previous is not None and event.t <= previous:
+            previous, count, s = nodes.get(event.node_id, (0, 0, 0))
+            if event.t <= previous:  # t >= 1, so a new node passes
                 return _fail(
                     f"line {line_no}: t={event.t} for node {event.node_id!r} is not "
                     f"strictly increasing (previous {previous})"
                 )
-            last_t[event.node_id] = event.t
-            if event.node_id in removed:
+            if count is None:
+                nodes[event.node_id] = (event.t, None, s)
                 continue
             x = event.x
-            count, s = state.get(event.node_id, (0, 0))
             count += 1
             if belief:
                 if x != 0.0 and x != 1.0:
@@ -313,11 +314,7 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                 "statistic": statistic,
             }
             outfile.write(json.dumps(verdict) + "\n")
-            if remove:
-                removed.add(event.node_id)
-                state.pop(event.node_id, None)
-            else:
-                state[event.node_id] = (count, s)
+            nodes[event.node_id] = (event.t, None if remove else count, s)
     except UnicodeDecodeError as exc:
         return _fail(f"input after line {line_no} is not valid UTF-8 ({exc.reason})")
     return 0
@@ -329,35 +326,26 @@ def cmd_stream(args: argparse.Namespace) -> int:
         policy = _build_stream_policy(args)
     except ValueError as exc:
         return _fail(str(exc))
-    if args.input == "-":
-        infile = sys.stdin
-        if hasattr(infile, "reconfigure"):  # strict UTF-8, as a file argument is read
-            infile.reconfigure(encoding="utf-8", errors="strict")
-        close_in = False
-    else:
-        try:
-            infile = open(args.input, "r", encoding="utf-8")
-        except OSError as exc:
-            return _fail(f"cannot open input {args.input}: {exc}")
-        close_in = True
-    if args.out == "-":
-        outfile = sys.stdout
-        close_out = False
-    else:
-        try:
-            outfile = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            if close_in:
-                infile.close()
-            return _fail(f"cannot open output {args.out}: {exc}")
-        close_out = True
-    try:
+    with contextlib.ExitStack() as files:
+        if args.input == "-":
+            infile = sys.stdin
+            if hasattr(infile, "reconfigure"):  # strict UTF-8, as a file argument is read
+                infile.reconfigure(encoding="utf-8", errors="strict")
+        else:
+            try:
+                infile = files.enter_context(open(args.input, "r", encoding="utf-8"))
+            except OSError as exc:
+                return _fail(f"cannot open input {args.input}: {exc}")
+        if args.out == "-":
+            outfile = sys.stdout
+        elif args.input != "-" and os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+            return _fail(f"--out {args.out} is the input file; writing it would erase the input")
+        else:
+            try:
+                outfile = files.enter_context(open(args.out, "w", encoding="utf-8", newline=""))
+            except OSError as exc:
+                return _fail(f"cannot open output {args.out}: {exc}")
         return _run_stream(args, policy, infile, outfile)
-    finally:
-        if close_in:
-            infile.close()
-        if close_out:
-            outfile.close()
 
 
 # ----------------------------------------------------------------- main --

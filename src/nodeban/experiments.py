@@ -171,15 +171,15 @@ class SuiteConfig:
 
 
 def _execute_run(cfg: SuiteConfig, run_index: int) -> tuple:
-    """One world, every policy. Returns the sweep coordinates plus each
-    policy's (label, mean loss, realized malicious fraction)."""
+    """One world, every policy. Returns the run's coordinates in
+    SWEEP_VARIABLES order (the horizon as a float, the gap, the realized
+    malicious fraction, the honest gain) and each policy's (label, mean loss)."""
     run_rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(run_index,)))
     draw = sample_experiment(run_rng, cfg.suite)
     specs = [PolicySpec.parse(text) for text in cfg.policies]
     episode = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
-    fraction = episode.malicious_fraction
-    outcomes = [(spec.label, loss, fraction) for spec, loss in zip(specs, episode.mean_loss)]
-    return (draw.horizon, draw.env.gap, draw.env.gain_honest, outcomes)
+    coords = (float(draw.horizon), draw.env.gap, episode.malicious_fraction, draw.env.gain_honest)
+    return coords, [(spec.label, loss) for spec, loss in zip(specs, episode.mean_loss)]
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[SweepRecord]:
@@ -199,28 +199,12 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[SweepRecord]:
         chunk = max(1, cfg.n_runs // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_execute_run, [cfg] * cfg.n_runs, range(cfg.n_runs), chunksize=chunk))
-
-    records: list[SweepRecord] = []
-    for horizon, gap, gain, per_policy in outcomes:
-        for label, mean_loss, malicious_fraction in per_policy:
-            coords = (
-                ("horizon", float(horizon)),
-                ("gap", gap),
-                ("malicious_proportion", malicious_fraction),
-                ("gain", gain),
-            )
-            for variable, x in coords:
-                records.append(
-                    SweepRecord(
-                        suite=cfg.suite.value,
-                        sweep_variable=variable,
-                        x=x,
-                        policy_id=label,
-                        mean_loss=mean_loss,
-                        run_count=1,
-                    )
-                )
-    return records
+    return [
+        SweepRecord(cfg.suite.value, variable, x, label, mean_loss, run_count=1)
+        for coords, per_policy in outcomes
+        for label, mean_loss in per_policy
+        for variable, x in zip(SWEEP_VARIABLES, coords)
+    ]
 
 
 def moving_average(records: list[SweepRecord], window: int) -> list[SweepRecord]:

@@ -243,6 +243,31 @@ class TestStream:
         assert code == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_removed_node_events_stay_ordered(self, tmp_path, capsys):
+        # removed at t=3, as in test_events_after_remove_are_suppressed; t=5
+        # is dropped but still sets the node's last t
+        events = [{"node_id": "a", "t": t, "x": 0.3} for t in (1, 2, 3, 5, 4)]
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, events)
+        err = assert_usage_error(["stream", str(inp), "--out", str(outp), *HIPER], capsys).err
+        assert err == (
+            "error: line 5: t=4 for node 'a' is not strictly increasing (previous 5)\n"
+        )
+        assert [v["t"] for v in read_verdicts(outp)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same_path", "symlink"])
+    def test_out_naming_the_input_exits_2_and_keeps_it(self, link, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, [{"node_id": "a", "t": t, "x": 0.3} for t in range(1, 4)])
+        before = inp.read_bytes()
+        outp = inp
+        if link:
+            outp = tmp_path / "out.jsonl"
+            outp.symlink_to(inp)
+        err = assert_usage_error(["stream", str(inp), "--out", str(outp), *HIPER], capsys).err
+        assert err.startswith(f"error: --out {outp} is the input file")
+        assert inp.read_bytes() == before
+
     def test_bayesian_policy_rejects_non_binary_without_binarize(self, tmp_path, capsys):
         inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         for x in (0.7, 0.5):

@@ -7,8 +7,8 @@ underflow near a thousand samples, well inside the horizons the simulator
 uses. Endpoint rates (0 or 1) are handled by exact zero-likelihood
 short-circuits before any logarithm is used. A Posterior evaluator takes a
 (model, prior) pair's logarithms once; posterior is one evaluation, and the
-evaluator's elementwise method is many at once, bit for bit: posterior_table
-at every (count, ones) lattice point, region compilers near each boundary.
+evaluator's elementwise method is many at once from the same cases, bit for
+bit: the lookahead's lattice, region compilers near each boundary.
 """
 
 from __future__ import annotations
@@ -85,67 +85,54 @@ class Posterior:
         self.log_not_q = math.log1p(-q) if q < 1.0 else 0.0
         self.prior_log_odds = math.log(prior) - math.log1p(-prior) if 0.0 < prior < 1.0 else 0.0
 
-    def __call__(self, ones: int, count: int) -> float:
-        if ones < 0 or count < 0 or ones > count:
-            raise ValueError(f"need 0 <= ones <= count, got ones={ones} count={count}")
-        zeros = count - ones
-        u, q, prior = self.model.honest_mean, self.model.malicious_mean, self.prior
-        malicious_zero = (q == 0.0 and ones > 0) or (q == 1.0 and zeros > 0)
-        honest_zero = (u == 0.0 and ones > 0) or (u == 1.0 and zeros > 0)
-        malicious_dead = malicious_zero or prior == 0.0
-        honest_dead = honest_zero or prior == 1.0
-        if malicious_dead and honest_dead:
-            raise ImpossibleEvidenceError(
-                f"history (ones={ones}, count={count}) has zero prior-weighted "
-                f"likelihood under both types (u={u}, q={q}, prior={prior})"
-            )
-        if malicious_dead:
-            return 0.0
-        if honest_dead:
-            return 1.0
-        # Both branches are live: rates are interior wherever their log is used.
-        log_like_malicious = ones * self.log_q + zeros * self.log_not_q
-        log_like_honest = ones * self.log_u + zeros * self.log_not_u
-        if log_like_malicious == log_like_honest:
-            return self.prior
-        log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
-        if log_odds >= 0.0:
-            return 1.0 / (1.0 + math.exp(-log_odds))
-        weight = math.exp(log_odds)
-        return weight / (1.0 + weight)
-
-    def elementwise(self, ones: np.ndarray, count: np.ndarray) -> np.ndarray:
-        """The evaluator at every pair of broadcast integer arrays, NaN where it
-        raises ImpossibleEvidenceError or ones > count: its IEEE operations
-        elementwise, each exp from math.exp (numpy's can differ in an ulp)."""
+    def cases(self, ones, count):
+        """At (ones, count), numbers or broadcast integer arrays: whether each
+        type, malicious then honest, is dead (has zero prior-weighted
+        likelihood), then the two types' log-likelihoods in the same order."""
         zeros = count - ones
         u, q, prior = self.model.honest_mean, self.model.malicious_mean, self.prior
         malicious_dead = (q == 0.0) & (ones > 0) | (q == 1.0) & (zeros > 0) | (prior == 0.0)
         honest_dead = (u == 0.0) & (ones > 0) | (u == 1.0) & (zeros > 0) | (prior == 1.0)
         log_like_malicious = ones * self.log_q + zeros * self.log_not_q
         log_like_honest = ones * self.log_u + zeros * self.log_not_u
-        live = ~(malicious_dead | honest_dead) & (log_like_malicious != log_like_honest)
+        return malicious_dead, honest_dead, log_like_malicious, log_like_honest
+
+    def __call__(self, ones: int, count: int) -> float:
+        if ones < 0 or count < 0 or ones > count:
+            raise ValueError(f"need 0 <= ones <= count, got ones={ones} count={count}")
+        malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.cases(ones, count)
+        if malicious_dead and honest_dead:
+            raise ImpossibleEvidenceError(
+                f"history (ones={ones}, count={count}) has zero prior-weighted likelihood under both "
+                f"types (u={self.model.honest_mean}, q={self.model.malicious_mean}, prior={self.prior})"
+            )
+        if malicious_dead:
+            return 0.0
+        if honest_dead:
+            return 1.0
+        if log_like_malicious == log_like_honest:
+            return self.prior
         log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
-        weight = np.zeros(log_odds.shape)  # exp(-|log odds|), which never overflows
-        weight[live] = np.fromiter(map(math.exp, (-np.abs(log_odds[live])).tolist()), float)
+        weight = math.exp(-abs(log_odds))  # exp(-|log odds|), which never overflows
+        return (1.0 if log_odds >= 0.0 else weight) / (1.0 + weight)
+
+    def elementwise(self, ones: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """The evaluator at every pair of broadcast integer arrays, NaN where it
+        raises ImpossibleEvidenceError or ones > count: its cases in the same
+        order, each exp from math.exp (numpy's can differ in an ulp)."""
+        malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.cases(ones, count)
+        log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
+        weight = np.fromiter(map(math.exp, (-np.abs(log_odds)).ravel().tolist()), float).reshape(log_odds.shape)
         table = np.where(log_odds >= 0.0, 1.0, weight) / (1.0 + weight)
-        table[~live] = prior
-        table[honest_dead] = 1.0
-        table[malicious_dead] = 0.0
-        table[malicious_dead & honest_dead | (zeros < 0)] = np.nan
-        return table
+        table = np.where(log_like_malicious == log_like_honest, self.prior, table)
+        table = np.where(honest_dead, 1.0, table)  # each case overrides the ones above it
+        table = np.where(malicious_dead, 0.0, table)
+        return np.where(malicious_dead & honest_dead | (ones > count), np.nan, table)
 
 
 def posterior(ones: int, count: int, model: BernoulliModel, prior_malicious: float) -> float:
     """Posterior(model, prior_malicious)(ones, count)."""
     return Posterior(model, prior_malicious)(ones, count)
-
-
-def posterior_table(size: int, model: BernoulliModel, prior_malicious: float) -> np.ndarray:
-    """posterior at every point with count < size, indexed [count, ones]:
-    Posterior.elementwise on the full lattice."""
-    count, ones = np.ogrid[:size, :size]
-    return Posterior(model, prior_malicious).elementwise(ones, count)
 
 
 def update(belief: BeliefState, x: float, model: BernoulliModel) -> BeliefState:

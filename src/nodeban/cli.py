@@ -62,6 +62,16 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _same_file(out: str, source) -> bool:
+    """Whether `out` names the file `source` (a path or an open file) is, through
+    any link or redirection: never when `source` has no descriptor or no `out` exists."""
+    try:
+        stat = os.stat(source) if isinstance(source, str) else os.fstat(source.fileno())
+        return os.path.samestat(stat, os.stat(out))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
 # ---------------------------------------------------------------- suite --
 
 
@@ -128,6 +138,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
         cfg = _load_suite_config(args)
     except ValueError as exc:
         return _fail(str(exc))
+    if args.config is not None and _same_file(args.out, args.config):
+        return _fail(f"--out {args.out} is the config file; writing it would erase the config")
     try:
         start = time.perf_counter()
         records = run_suite(cfg, jobs=args.jobs)
@@ -338,7 +350,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 return _fail(f"cannot open input {args.input}: {exc}")
         if args.out == "-":
             outfile = sys.stdout
-        elif args.input != "-" and os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+        elif _same_file(args.out, infile):
             return _fail(f"--out {args.out} is the input file; writing it would erase the input")
         else:
             try:

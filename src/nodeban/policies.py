@@ -30,7 +30,6 @@ from .belief import (
     initial_belief,
     keep_gain,
     posterior,
-    posterior_table,
     update,
 )
 from .model import Decision, EnvParams
@@ -76,19 +75,19 @@ def optimistic_decide(belief: BeliefState, env: EnvParams) -> Decision:
     return _decision(_optimistic_margin(belief.posterior_malicious, env))
 
 
-def _plan(pm: np.ndarray, model: BernoulliModel, env: EnvParams, cfg: LookaheadConfig) -> np.ndarray:
+def _plan(pm: np.ndarray, env: EnvParams, cfg: LookaheadConfig) -> np.ndarray:
     """The lookahead recursion over a table of posteriors pm[t, k, ...], each
     t steps and k one-bits past the table's root: V_0 is the leaf rule at
     every entry, and pass r gives V_r(t, .) from V_{r-1}(t + 1, .) by
 
         V(t, k) = max(0, keep_gain + p V(t + 1, k + 1) + (1 - p) V(t + 1, k))
 
-    p being the predictive probability of a 1-bit at (t, k), and max(0, x)
-    where(x > 0, x, 0), which values a history impossible under both types
-    (a NaN posterior) at 0. Returns V_depth on the first len(pm) - depth
-    rows and columns."""
+    p being the predictive probability of a 1-bit at (t, k) from env's rates,
+    and max(0, x) where(x > 0, x, 0), which values a history impossible under
+    both types (a NaN posterior) at 0. Returns V_depth on the first
+    len(pm) - depth rows and columns."""
     gain = keep_gain(pm, env)
-    p_one = model.honest_mean * (1.0 - pm) + model.malicious_mean * pm
+    p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
     p_zero = 1.0 - p_one
     if cfg.leaf_rule is LeafRule.ZERO:
         values = np.zeros_like(gain)
@@ -112,7 +111,7 @@ def _rooted_plan(evaluate: Posterior, ones, count, pm, env: EnvParams, cfg: Look
     step = np.arange(cfg.depth + 1).reshape((-1,) + (1,) * pm.ndim)
     table = evaluate.elementwise((ones + step)[None], (count + step)[:, None])
     table[0, 0] = pm
-    return _plan(table, evaluate.model, env, cfg)[0, 0]
+    return _plan(table, env, cfg)[0, 0]
 
 
 def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
@@ -126,8 +125,9 @@ def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.n
     """lookahead_value at every (count t, ones k) with t <= horizon, indexed
     [t, k], 0 where k > t: _plan once over the lattice up to count
     horizon + depth, not once per root, with the same value at every point."""
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
-    return _plan(posterior_table(horizon + cfg.depth + 1, model, env.prior_malicious), model, env, cfg)
+    count, ones = np.ogrid[: horizon + cfg.depth + 1, : horizon + cfg.depth + 1]
+    evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), env.prior_malicious)
+    return _plan(evaluate.elementwise(ones, count), env, cfg)
 
 
 def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> Decision:

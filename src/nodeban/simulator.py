@@ -100,16 +100,15 @@ def compile_region(policy, horizon: int) -> Region:
     policy with removes_elementwise, removes on arrays, anchor, and
     boundary(count), each count's interval ends up to rounding (NaN where it
     has no closed form). Relies on each count's removal set being an interval
-    of ones holding, when nonempty, floor or ceil of anchor * count: those
-    seeds decide emptiness, and each end is then probed near its guess."""
+    of ones that, when nonempty, holds the ones value nearest anchor * count,
+    so that one seed there decides emptiness; each end is then probed near
+    its guess. The belief rules' anchors are 0 and 1; past its warm-up, hiper
+    removes the ones within t r_t of t q, and t r_t > sqrt(t ln 2 / 2) > 1/2."""
     count = np.arange(1, horizon + 1)
     removes = policy.removes_elementwise
-    seed = policy.anchor * count
-    floor, ceil = np.floor(seed).astype(np.int64), np.ceil(seed).astype(np.int64)
-    some = at_floor = removes(count, floor)
-    if (ceil != floor).any():  # a fractional anchor, as hiper's
-        some = at_floor | removes(count, ceil)
-    count, inside = count[some], np.where(at_floor, floor, ceil)[some]
+    seed = np.rint(policy.anchor * count).astype(np.int64)
+    some = removes(count, seed)
+    count, inside = count[some], seed[some]
     guess_lo, guess_hi = policy.boundary(count)
     lo, hi = np.zeros(horizon + 1, dtype=np.int64), np.full(horizon + 1, -1, dtype=np.int64)
     lo[1:][some] = _end(removes, count, inside, guess_lo, -1)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -268,6 +269,37 @@ class TestStream:
         assert err.startswith(f"error: --out {outp} is the input file")
         assert inp.read_bytes() == before
 
+    def test_out_naming_redirected_stdin_exits_2_and_keeps_it(self, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, [{"node_id": "a", "t": t, "x": 0.3} for t in range(1, 4)])
+        before = inp.read_bytes()
+        src = os.path.dirname(os.path.dirname(nodeban.__file__))
+        with open(inp, "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nodeban.cli", "stream", "--out", str(inp), *HIPER],
+                stdin=stdin,
+                capture_output=True,
+                env=dict(os.environ, PYTHONPATH=src),
+                timeout=60,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert "Traceback" not in err
+        assert sum(1 for line in err.splitlines() if "error:" in line) == 1
+        assert err.startswith(f"error: --out {inp} is the input file")
+        assert inp.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "stand_in", [io.StringIO, lambda text: iter(text.splitlines(True))], ids=["no_descriptor", "no_fileno"]
+    )
+    def test_stdin_without_a_descriptor_is_not_the_out_file(self, stand_in, tmp_path, monkeypatch):
+        outp = tmp_path / "out.jsonl"
+        outp.write_text("an earlier run's verdicts\n")
+        text = "".join(json.dumps({"node_id": "a", "t": t, "x": 0.3}) + "\n" for t in range(1, 4))
+        monkeypatch.setattr(sys, "stdin", stand_in(text))
+        assert run_cli(["stream", "--out", str(outp), *HIPER]) == 0
+        assert [v["t"] for v in read_verdicts(outp)] == [1, 2, 3]
+
     def test_bayesian_policy_rejects_non_binary_without_binarize(self, tmp_path, capsys):
         inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         for x in (0.7, 0.5):
@@ -480,6 +512,21 @@ class TestSuiteCommand:
         argv = ["suite", "--config", str(config), "--out", str(out), "--seed", "1"]
         assert str(config) in assert_usage_error(argv, capsys).err
         assert not out.exists()
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same_path", "symlink"])
+    def test_out_naming_the_config_exits_2_and_keeps_it(self, link, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        self.write_config(cfg, suite="policy_compare", n_runs=3)
+        before = cfg.read_bytes()
+        out = cfg
+        if link:
+            out = tmp_path / "out.csv"
+            out.symlink_to(cfg)
+        argv = ["suite", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+        err = assert_usage_error(argv, capsys).err
+        assert err.startswith(f"error: --out {out} is the config file")
+        assert cfg.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted({cfg.name, out.name})
 
     def test_seed_required(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -35,10 +35,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, Posterior
-from nodeban.belief import posterior, posterior_table
+from nodeban.belief import posterior
 from nodeban.cli import main
 from nodeban.experiments import PolicySpec, SuiteConfig
-from nodeban.hiper import HiperParams, HiperPolicy
+from nodeban.hiper import HiperParams, HiperPolicy, min_samples
 from nodeban.model import EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy
 from nodeban.policies import OptimisticPolicy, lookahead_value, lookahead_values
@@ -157,7 +157,8 @@ def with_examples(*extra, degenerate=False):
 def test_posterior_table_is_posterior(draw):
     env = draw.env
     model = BernoulliModel(env.honest_mean, env.malicious_mean)
-    table = posterior_table(HORIZON + 1, model, env.prior_malicious)
+    count, ones = np.ogrid[: HORIZON + 1, : HORIZON + 1]
+    table = Posterior(model, env.prior_malicious).elementwise(ones, count)
     assert table.shape == (HORIZON + 1, HORIZON + 1)
     for t in range(HORIZON + 1):
         for k in range(HORIZON + 1):
@@ -205,7 +206,8 @@ def test_posterior_evaluator_is_posterior(draw):
     want = np.array(expected).view(np.int64)
     assert np.array_equal(bits(Posterior(model, prior)), want)
     assert np.array_equal(bits(lambda k, t: posterior(k, t, model, prior)), want)
-    table = posterior_table(POSTERIOR_COUNTS + 1, model, prior)
+    lattice_count, lattice_ones = np.ogrid[: POSTERIOR_COUNTS + 1, : POSTERIOR_COUNTS + 1]
+    table = Posterior(model, prior).elementwise(lattice_ones, lattice_count)
     assert np.array_equal(table[counts, ones].view(np.int64), want)
 
 
@@ -304,6 +306,29 @@ def test_compiled_regions_are_the_walk_at_long_horizons(suite):
                 assert region.lo.tolist() == walk.lo, (spec.label, base_seed, run)
                 assert region.hi.tolist() == walk.hi, (spec.label, base_seed, run)
     assert max(horizons) > (90 if suite is ExperimentSuite.LOOKAHEAD_COMPARE else 900)
+
+
+SEED_COUNTS = 300  # how far compile_region's one seed per count is checked
+ENDPOINT_DELTAS = [1e-6, 0.5, 1.0 - 1e-6]  # the ends of optimal_delta's clamp, and its middle
+
+
+@settings(SEEDED, max_examples=150)
+@given(
+    st.one_of(st.sampled_from(ENDPOINT_DELTAS), st.floats(*ENDPOINT_DELTAS[::2])),
+    st.floats(0.01, 1.0, exclude_min=True),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_hiper_region_from_the_nearest_seed(delta, gap, q):
+    """compile_region seeds each count once, at the ones value nearest
+    q * count, where RegionWalk tries floor and ceil of it: the regions agree,
+    and are nonempty exactly at the counts past the warm-up."""
+    policy = HiperPolicy(HiperParams(delta, gap, q))
+    region, walk = compile_region(policy, SEED_COUNTS), RegionWalk(policy)
+    walk.extend(SEED_COUNTS)
+    assert region.lo.tolist() == walk.lo
+    assert region.hi.tolist() == walk.hi
+    past_warmup = np.arange(SEED_COUNTS + 1) > min_samples(delta, gap)
+    assert (region.lo <= region.hi).tolist() == past_warmup.tolist()
 
 
 @settings(SEEDED, max_examples=40)

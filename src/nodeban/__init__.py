@@ -11,10 +11,8 @@ from .belief import (
     BernoulliModel,
     ImpossibleEvidenceError,
     Posterior,
-    expected_keep_gain,
     initial_belief,
     posterior,
-    predictive,
 )
 from .hiper import (
     HiperParams,

@@ -152,18 +152,7 @@ def update(belief: BeliefState, x: float, model: BernoulliModel) -> BeliefState:
     return BeliefState(ones, count, belief.prior_malicious, post)
 
 
-def predictive(belief: BeliefState, model: BernoulliModel) -> float:
-    """P(next observation = 1 | history): the posterior-weighted 1-rate."""
-    pm = belief.posterior_malicious
-    return model.honest_mean * (1.0 - pm) + model.malicious_mean * pm
-
-
 def keep_gain(pm: float, env: EnvParams) -> float:
     """One-step expected gain of keeping a node that is malicious with
     probability pm (removing always yields 0)."""
     return (1.0 - pm) * env.gain_honest - pm * env.loss_malicious
-
-
-def expected_keep_gain(belief: BeliefState, env: EnvParams) -> float:
-    """keep_gain at the belief's posterior."""
-    return keep_gain(belief.posterior_malicious, env)

@@ -118,7 +118,7 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
         if not isinstance(policies, list) or not all(isinstance(p, str) for p in policies):
             raise ValueError("field 'policies': expected a list of policy strings")
         policies = tuple(policies)
-    ma_window = args.ma_window if args.ma_window is not None else raw.get("ma_window", 51)
+    ma_window = args.ma_window if args.ma_window is not None else raw.get("ma_window")
     try:
         return SuiteConfig.make(
             suite=suite,
@@ -163,23 +163,30 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _resolve_gap(args: argparse.Namespace) -> float | None:
-    if args.gap is not None:
-        return args.gap
-    if args.u is not None and args.q is not None:
-        return abs(args.u - args.q)
-    return None
+    """--Delta, else |u - q| if both means are given, else None. Scores lie in
+    [0, 1], so a given mean outside [0, 1] or a gap outside (0, 1] raises ValueError."""
+    for flag, mean in (("--u", args.u), ("--q", args.q)):
+        if mean is not None and not 0.0 <= mean <= 1.0:
+            raise ValueError(f"{flag} must lie in [0, 1], got {mean}")
+    gap = args.gap
+    if gap is None and args.u is not None and args.q is not None:
+        gap = abs(args.u - args.q)
+    if gap is not None and not 0.0 < gap <= 1.0:
+        raise ValueError(f"the gap (--Delta, or |u - q|) must lie in (0, 1], got {gap}")
+    return gap
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    gap = _resolve_gap(args)
+    try:
+        gap = _resolve_gap(args)
+    except ValueError as exc:
+        return _fail(str(exc))
     if gap is None:
         return _fail("provide --Delta, or both --u and --q to derive it")
     if args.lQ is None or args.gU is None or args.departure_rate is None:
         return _fail("--lQ, --gU and --lambda are required")
-    if args.lQ <= 0 or args.gU <= 0 or gap <= 0 or not 0 < args.departure_rate <= 1:
-        return _fail(
-            "--lQ, --gU and the gap must be positive and --lambda must lie in (0, 1]"
-        )
+    if args.lQ <= 0 or args.gU <= 0 or not 0 < args.departure_rate <= 1:
+        return _fail("--lQ and --gU must be positive and --lambda must lie in (0, 1]")
     try:
         tuned = optimal_delta(args.lQ, args.gU, args.departure_rate, gap)
         honest = bound_loss_honest(args.gU, args.departure_rate, gap)

@@ -157,7 +157,7 @@ class SuiteConfig:
         suite: ExperimentSuite | str,
         base_seed: int,
         n_runs: int | None = None,
-        ma_window: int = 51,
+        ma_window: int | None = None,
         policies: tuple[str, ...] | None = None,
     ) -> "SuiteConfig":
         suite = ExperimentSuite(suite)
@@ -165,7 +165,7 @@ class SuiteConfig:
             suite=suite,
             base_seed=base_seed,
             n_runs=_DEFAULT_RUNS[suite] if n_runs is None else n_runs,
-            ma_window=ma_window,
+            ma_window=51 if ma_window is None else ma_window,
             policies=_DEFAULT_POLICIES[suite] if policies is None else tuple(policies),
         )
 

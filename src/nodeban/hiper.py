@@ -211,10 +211,3 @@ class HiperPolicy:
         """The interval's ends up to rounding: count * (malicious_mean -+ radius)."""
         centre, spread = count * self._params.malicious_mean, count * np.sqrt(self._log_term / (2.0 * count))
         return centre - spread, centre + spread
-
-    @property
-    def statistic(self) -> float:
-        """Current running mean (the quantity the rule thresholds)."""
-        if self._count == 0:
-            raise ValueError("mean is undefined before the first observation")
-        return self._total / self._count

@@ -167,15 +167,6 @@ class _BeliefPolicy:
         """removes at every pair of two broadcast integer arrays, bit for bit."""
         return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
 
-    @property
-    def belief(self) -> BeliefState:
-        return self._belief
-
-    @property
-    def statistic(self) -> float:
-        """Current posterior probability of maliciousness."""
-        return self._belief.posterior_malicious
-
 
 class _AffineMarginPolicy(_BeliefPolicy):
     """A rule whose margin is affine in pm (myopic's, optimistic's), so that

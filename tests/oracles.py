@@ -10,15 +10,8 @@ from __future__ import annotations
 import json
 import math
 
-from nodeban.belief import (
-    BeliefState,
-    BernoulliModel,
-    ImpossibleEvidenceError,
-    expected_keep_gain,
-    predictive,
-    update,
-)
-from nodeban.hiper import HiperParams, confidence_radius, min_samples
+from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, update
+from nodeban.hiper import HiperParams, HiperPolicy, confidence_radius, min_samples
 from nodeban.model import Decision, EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig
 
@@ -125,8 +118,9 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
     def expand(b: BeliefState, d: int) -> float:
         if d == 0:
             return lookahead_leaf_value(b, env, cfg.leaf_rule)
-        gain = expected_keep_gain(b, env)
-        p_one = predictive(b, model)
+        pm = b.posterior_malicious
+        gain = (1.0 - pm) * env.gain_honest - pm * env.loss_malicious
+        p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
         try:
             v_one = expand(update(b, 1, model), d - 1)
         except ImpossibleEvidenceError:
@@ -143,9 +137,11 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
 def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:
     """nodeban stream's stdout and stderr on events (dicts with node_id, t and
     x), from one policy object per node fed through observe, as the stream
-    ran before it kept per-node (count, ones) state. binarize thresholds x
-    that are not 0 or 1, for the belief policies."""
-    policies, removed, lines = {}, set(), []
+    ran before it kept per-node (count, ones) state. Each verdict's statistic
+    comes from the replay's own running total per node: the mean for hiper,
+    posterior_per_call for a belief policy. binarize thresholds x that are
+    not 0 or 1, for the belief policies."""
+    nodes, removed, lines = {}, set(), []
     for line_no, event in enumerate(events, 1):
         node = event["node_id"]
         if node in removed:
@@ -153,14 +149,20 @@ def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:
         x = float(event["x"])
         if binarize is not None and x != 0.0 and x != 1.0:
             x = 1.0 if x >= binarize else 0.0
-        if node not in policies:
-            policies[node] = make_policy()
-        policy = policies[node]
+        policy, count, total = nodes.get(node) or (make_policy(), 0, 0.0)
         try:
             decision = policy.observe(x)
         except ImpossibleEvidenceError as exc:
             return "".join(lines), f"error: line {line_no}: {exc}\n"
-        verdict = {"node_id": node, "t": event["t"], "decision": decision.value, "statistic": policy.statistic}
+        count, total = count + 1, total + x
+        nodes[node] = policy, count, total
+        if isinstance(policy, HiperPolicy):
+            statistic = total / count
+        else:
+            env = policy.env
+            model = BernoulliModel(env.honest_mean, env.malicious_mean)
+            statistic = posterior_per_call(int(total), count, model, env.prior_malicious)
+        verdict = {"node_id": node, "t": event["t"], "decision": decision.value, "statistic": statistic}
         lines.append(json.dumps(verdict) + "\n")
         if decision is Decision.REMOVE:
             removed.add(node)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from nodeban.belief import (
-    BeliefState,
     BernoulliModel,
     ImpossibleEvidenceError,
-    expected_keep_gain,
     initial_belief,
+    keep_gain,
     posterior,
-    predictive,
     update,
 )
 from nodeban.model import EnvParams
@@ -150,30 +148,15 @@ class TestUpdate:
         assert a == b
 
 
-class TestPredictive:
-    def test_symmetric_prior(self):
-        model = BernoulliModel(0.8, 0.2)
-        assert predictive(initial_belief(0.5), model) == pytest.approx(0.5, rel=1e-12)
-
-    def test_degenerate_belief(self):
-        model = BernoulliModel(0.8, 0.3)
-        assert predictive(initial_belief(1.0), model) == pytest.approx(0.3, rel=1e-12)
-
-    def test_mixture(self):
-        model = BernoulliModel(0.8, 0.2)
-        belief = BeliefState(0, 0, 0.2, 0.2)
-        assert predictive(belief, model) == pytest.approx(0.68, rel=1e-12)
-
-
 class TestExpectedKeepGain:
     def test_balance_point(self):
-        assert expected_keep_gain(initial_belief(0.5), make_env(gain=1.0, loss=1.0)) == 0.0
+        assert keep_gain(0.5, make_env(gain=1.0, loss=1.0)) == 0.0
 
     def test_certain_honest(self):
-        assert expected_keep_gain(initial_belief(0.0), make_env(gain=0.7)) == pytest.approx(0.7)
+        assert keep_gain(0.0, make_env(gain=0.7)) == pytest.approx(0.7)
 
     def test_mostly_malicious(self):
-        got = expected_keep_gain(initial_belief(0.8), make_env(gain=1.0, loss=1.0))
+        got = keep_gain(0.8, make_env(gain=1.0, loss=1.0))
         assert got == pytest.approx(-0.6, rel=1e-12)
 
 

@@ -32,6 +32,11 @@ INVALID_FLAGS = [
     MYOPIC + ["--prior", "1.5"],
     ["--policy", "optimistic", *MYOPIC[2:]],  # no --lambda
     ["--policy", "lookahead", *MYOPIC[2:], "--lookahead-depth", "0"],
+    # means outside [0, 1], and gaps outside (0, 1]
+    ["--policy", "hiper", "--u", "5", "--q", "0.5", "--delta", "0.5"],
+    HIPER[:2] + ["--q", "1.5"] + HIPER[4:],
+    HIPER[:-1] + ["3"],
+    ["--policy", "hiper", "--u", "0.3", "--q", "0.3", "--delta", "0.5"],
 ]
 
 
@@ -140,6 +145,11 @@ class TestBounds:
             # finite gaps whose warm-up ln(2/delta) / (2 gap^2) is not
             ("--Delta", "1e-200"),
             ("--Delta", "1e-160"),
+            # means outside [0, 1], and gaps outside (0, 1]
+            ("--u", "5"),
+            ("--q", "-0.5"),
+            ("--Delta", "7"),
+            ("--Delta", "1.0000001"),
         ],
     )
     def test_non_finite_inputs_exit_2(self, flag, value, capsys):

@@ -1,9 +1,10 @@
 """Golden output: the CSV bytes of each suite's default policies at seed 7
-and 50 runs, and the verdict bytes of `nodeban stream` for each policy on
-the benchmark's seed-7 event file. A change that claims to keep behaviour
-must keep these digests; the suite ones are listed in ROADMAP.md, and all of
-them are in perfbench/golden.json, which the stream cases read together with
-the benchmark's event generator and policy flags."""
+and 50 runs, with one worker and with two, and the verdict bytes of
+`nodeban stream` for each policy on the benchmark's seed-7 event file. A
+change that claims to keep behaviour must keep these digests; the suite ones
+are listed in ROADMAP.md, and all of them are in perfbench/golden.json, which
+the stream cases read together with the benchmark's event generator and
+policy flags."""
 
 import hashlib
 import importlib.util
@@ -26,12 +27,16 @@ STREAM_GOLDEN_SHA256 = json.loads((PERFBENCH / "golden.json").read_text())["stre
 STREAM_SEED = 7
 
 
-@pytest.mark.parametrize("suite", sorted(GOLDEN_SHA256))
-def test_suite_csv_matches_golden_digest(suite, tmp_path, capsys):
+@pytest.mark.parametrize("suite, jobs", [
+    pytest.param(suite, jobs, id=suite if jobs == 1 else f"{suite}-jobs{jobs}")
+    for jobs in (1, 2) for suite in sorted(GOLDEN_SHA256)
+])
+def test_suite_csv_matches_golden_digest(suite, jobs, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suite": suite, "n_runs": 50}))
     out = tmp_path / "out.csv"
-    assert main(["suite", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    argv = ["suite", "--config", str(cfg), "--seed", "7", "--out", str(out), "--jobs", str(jobs)]
+    assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[suite]
 

@@ -1,8 +1,12 @@
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from nodeban.cli import main
 from nodeban.hiper import (
     HiperParams,
     HiperPolicy,
@@ -22,31 +26,38 @@ DELTA_E2 = 2.0 * math.exp(-2.0)  # makes ln(2/delta) = 2
 PARAMS = HiperParams(delta=0.5, gap=0.4, malicious_mean=0.3)
 
 
-def fed(params: HiperParams, xs) -> tuple[HiperPolicy, list[Decision]]:
-    """A fresh policy after observing xs, with its verdict on each."""
+def fed(params: HiperParams, xs) -> list[Decision]:
+    """A fresh policy's verdict on each of xs, observed in order."""
     policy = HiperPolicy(params)
-    return policy, [policy.observe(float(x)) for x in xs]
+    return [policy.observe(float(x)) for x in xs]
+
+
+def streamed_statistics(params: HiperParams, xs) -> list[float]:
+    """The `statistic` of each verdict `nodeban stream --policy hiper` gives
+    one node fed xs."""
+    flags = ["--q", repr(params.malicious_mean), "--delta", repr(params.delta), "--Delta", repr(params.gap)]
+    with tempfile.TemporaryDirectory() as tmp:
+        events, verdicts = os.path.join(tmp, "events.jsonl"), os.path.join(tmp, "verdicts.jsonl")
+        with open(events, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps({"node_id": "a", "t": t, "x": x}) + "\n" for t, x in enumerate(xs, 1))
+        assert main(["stream", events, "--out", verdicts, "--policy", "hiper", *flags]) == 0
+        with open(verdicts, encoding="utf-8") as handle:
+            return [json.loads(line)["statistic"] for line in handle]
 
 
 class TestRunningStat:
-    """The running mean that HiperPolicy thresholds (its `statistic`)."""
+    """The running mean that HiperPolicy thresholds, as the stream reports it."""
 
     def test_mean_of_alternating_sequence(self):
-        policy, verdicts = fed(PARAMS, (1.0, 0.0, 1.0, 0.0))
-        assert len(verdicts) == 4
-        assert policy.statistic == 0.5  # a sum of 2 over a count of 4
+        statistics = streamed_statistics(PARAMS, (1.0, 0.0, 1.0, 0.0))
+        assert len(statistics) == 4
+        assert statistics[-1] == 0.5  # a sum of 2 over a count of 4
 
     def test_single_sample(self):
-        policy, _ = fed(PARAMS, (0.7,))
-        assert policy.statistic == pytest.approx(0.7, rel=1e-12)
+        assert streamed_statistics(PARAMS, (0.7,)) == [pytest.approx(0.7, rel=1e-12)]
 
     def test_constant_sequence(self):
-        policy, _ = fed(PARAMS, (1.0, 1.0, 1.0))
-        assert policy.statistic == 1.0
-
-    def test_mean_undefined_without_samples(self):
-        with pytest.raises(ValueError):
-            HiperPolicy(PARAMS).statistic
+        assert streamed_statistics(PARAMS, (1.0, 1.0, 1.0))[-1] == 1.0
 
     def test_rejects_out_of_range(self):
         for x in (1.2, -0.1, math.nan):
@@ -55,11 +66,13 @@ class TestRunningStat:
 
     def test_mean_is_exact_ratio(self):
         xs = np.random.default_rng(3).uniform(0, 1, size=100).tolist()
-        policy, _ = fed(PARAMS, xs)
+        # a warm-up of ln(4) / (2 * 0.05^2) ~ 277 samples: no removal ends the stream
+        statistics = streamed_statistics(HiperParams(delta=0.5, gap=0.05, malicious_mean=0.3), xs)
         total = 0.0
         for x in xs:
             total += x
-        assert policy.statistic == total / len(xs)
+        assert len(statistics) == 100
+        assert statistics[-1] == total / len(xs)
 
 
 class TestConfidenceRadius:
@@ -138,19 +151,19 @@ class TestHiperDecide:
 
     def test_zero_deviation_after_warmup_removes(self):
         t = math.ceil(min_samples(0.5, 0.4)) + 1
-        _, verdicts = fed(PARAMS, [0.3] * t)
+        verdicts = fed(PARAMS, [0.3] * t)
         assert verdicts[-1] is Decision.REMOVE
 
     def test_warmup_guard_keeps(self):
         params = HiperParams(delta=0.5, gap=0.1, malicious_mean=0.3)
         warmup = min_samples(0.5, 0.1)
-        _, verdicts = fed(params, [0.3] * int(warmup))
+        verdicts = fed(params, [0.3] * int(warmup))
         assert verdicts == [Decision.KEEP] * int(warmup)
 
     def test_large_deviation_keeps(self):
         # radius at t=8 is sqrt(2/16) ~ 0.354 < |0.8 - 0.3|
         params = HiperParams(delta=DELTA_E2, gap=0.5, malicious_mean=0.3)
-        _, verdicts = fed(params, [0.8] * 8)
+        verdicts = fed(params, [0.8] * 8)
         assert verdicts[-1] is Decision.KEEP
 
     def test_boundary_equality_keeps(self):
@@ -162,12 +175,12 @@ class TestHiperDecide:
         t = 32
         assert t > min_samples(0.5, 0.3)
         radius = confidence_radius(0.5, t)
-        at_boundary, verdicts = fed(params, exact_sum_sequence(radius * t, t))
-        assert at_boundary.statistic == radius
-        assert verdicts[-1] is Decision.KEEP
-        inside, verdicts = fed(params, exact_sum_sequence(math.nextafter(radius, 0.0) * t, t))
-        assert inside.statistic == math.nextafter(radius, 0.0)
-        assert verdicts[-1] is Decision.REMOVE
+        at_boundary = exact_sum_sequence(radius * t, t)
+        assert sum(at_boundary) / t == radius
+        assert fed(params, at_boundary)[-1] is Decision.KEEP
+        inside = exact_sum_sequence(math.nextafter(radius, 0.0) * t, t)
+        assert sum(inside) / t == math.nextafter(radius, 0.0)
+        assert fed(params, inside)[-1] is Decision.REMOVE
         # the elementwise twin compile_region evaluates compares as strictly
         totals = np.array([radius * t, math.nextafter(radius, 0.0) * t])
         assert HiperPolicy(params).removes_elementwise(np.array(t), totals).tolist() == [False, True]
@@ -192,8 +205,8 @@ class TestHiperDecide:
             d_large = float(rng.uniform(0, min(q, 1 - q)))
             d_small = float(rng.uniform(0, d_large)) if d_large > 0 else 0.0
             params = HiperParams(delta=delta, gap=gap, malicious_mean=q)
-            _, large = fed(params, [q + d_large] * t)
-            _, small = fed(params, [q + d_small] * t)
+            large = fed(params, [q + d_large] * t)
+            small = fed(params, [q + d_small] * t)
             if large[-1] is Decision.REMOVE:
                 assert small[-1] is Decision.REMOVE
 
@@ -389,7 +402,6 @@ def test_policy_wrapper_matches_operations():
             verdict = policy.observe(x)
             assert verdict is hiper_decision(count, total, params)
             assert policy.removes(count, total) == (verdict is Decision.REMOVE)
-            assert policy.statistic == total / count
     # binary inputs, at the malicious rate so that removals occur: the
     # simulator's predicate sees the ones count as a Python int
     for _ in range(50):
@@ -405,7 +417,6 @@ def test_policy_wrapper_matches_operations():
             verdict = policy.observe(float(x))
             assert verdict is hiper_decision(count, ones, params)
             assert policy.removes(count, ones) == (verdict is Decision.REMOVE)
-            assert policy.statistic == ones / count
 
 
 def test_hiper_params_validation():

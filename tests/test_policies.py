@@ -215,14 +215,8 @@ class TestOnlineWrappers:
                 for name, (wrapper, decide) in wrappers.items():
                     verdict = wrapper.observe(float(x))
                     assert verdict is decide(belief, env), name
-                    assert wrapper.belief == belief
                     # the stream's observe and the simulator's predicate agree
                     assert wrapper.removes(count, ones) == (verdict is Decision.REMOVE), name
                 verdict = lookahead.observe(float(x))
                 assert verdict is lookahead_decide(belief, env, cfg)
                 assert lookahead.removes(count, ones) == (verdict is Decision.REMOVE)
-
-    def test_initial_decisions_keep(self):
-        env = make_env()
-        for policy in (MyopicPolicy(env), OptimisticPolicy(env), LookaheadPolicy(env, LookaheadConfig(2))):
-            assert policy.statistic == env.prior_malicious

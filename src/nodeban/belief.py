@@ -119,15 +119,18 @@ class Posterior:
     def elementwise(self, ones: np.ndarray, count: np.ndarray) -> np.ndarray:
         """The evaluator at every pair of broadcast integer arrays, NaN where it
         raises ImpossibleEvidenceError or ones > count: its cases in the same
-        order, each exp from math.exp (numpy's can differ in an ulp)."""
+        order, each exp from math.exp (numpy's can differ in an ulp), taken
+        only where ones <= count."""
         malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.cases(ones, count)
         log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
-        weight = np.fromiter(map(math.exp, (-np.abs(log_odds)).ravel().tolist()), float).reshape(log_odds.shape)
+        live = ones <= count
+        weight = np.full(log_odds.shape, np.nan)
+        weight[live] = np.fromiter(map(math.exp, (-np.abs(log_odds[live])).tolist()), float)
         table = np.where(log_odds >= 0.0, 1.0, weight) / (1.0 + weight)
         table = np.where(log_like_malicious == log_like_honest, self.prior, table)
         table = np.where(honest_dead, 1.0, table)  # each case overrides the ones above it
         table = np.where(malicious_dead, 0.0, table)
-        return np.where(malicious_dead & honest_dead | (ones > count), np.nan, table)
+        return np.where(malicious_dead & honest_dead | ~live, np.nan, table)
 
 
 def posterior(ones: int, count: int, model: BernoulliModel, prior_malicious: float) -> float:

@@ -211,6 +211,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def _build_stream_policy(args: argparse.Namespace):
     """Validate policy parameters and return the one policy every node shares."""
+    if args.binarize is not None and not 0.0 <= args.binarize <= 1.0:  # scores lie in [0, 1]
+        raise ValueError(f"--binarize must lie in [0, 1], got {args.binarize}")
     policy = args.policy
     if policy == "hiper":
         if args.q is None or args.delta is None:

@@ -10,8 +10,10 @@ so every policy evaluated on a draw sees identical nodes. A policy is
 compiled once per draw into a Region, in numpy near its closed-form ends or
 by bisection where it has none (nodeban stream recompiles its region at
 twice the count a node outgrows); run_episode draws each node once and
-scores every region by first passage.
-simulate_node, the scalar per-node reference, runs the same draws through
+scores every region by first passage. It seeds the draw's node streams in
+bulk (node_streams, the same bits as one node_rng per node) and draws every
+node's observations into one matrix, turned into running ones counts at once.
+simulate_node, the scalar per-node reference, runs node_rng's draws through
 the policy's removes(count, ones) predicate one count at a time.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from statistics import fmean
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,12 @@ _TYPES_STREAM = 0
 _NODE_STREAM = 1
 
 _DEFAULT_NODES = 100
+
+#: numpy's SeedSequence hash constants and PCG64's multiplier (node_streams).
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class ExperimentSuite(str, Enum):
@@ -53,8 +61,8 @@ class ExperimentDraw:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be at least 1, got {self.n_nodes}")
+        if not 1 <= self.n_nodes <= 2**32:  # node ids are single SeedSequence words
+            raise ValueError(f"n_nodes must lie in [1, 2**32], got {self.n_nodes}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -157,6 +165,67 @@ def node_rng(draw: ExperimentDraw, node_id: int) -> np.random.Generator:
     )
 
 
+def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
+    """node_rng(draw, node_id) for node_id = 0..n_nodes - 1, bit for bit, as one
+    Generator whose PCG64 state is reset before each node is yielded.
+
+    This is numpy's algorithm (random/bit_generator.pyx, random/src/pcg64):
+    SeedSequence hashmixes the first 4 words of its entropy into a 4-word
+    pool, mixes every pool word into every other, then mixes each remaining
+    word into all 4; generate_state(4, uint64) hashes the pool out to
+    (seed high, seed low, inc high, inc low); and PCG64 seeds with two
+    pcg_setseq_128_srandom_r steps. The entropy is the draw seed's 32-bit
+    words, zero-padded to 4, then 1 and the node id (one word, as n_nodes
+    <= 2**32), so every word but the id is mixed once per draw, in Python
+    ints, and the id for all nodes at once, in uint64 arrays of 32-bit
+    values. The hash constants advance the same way whatever the data.
+    """
+    seed_words = [draw.seed >> shift & _MASK32 for shift in range(0, max(draw.seed.bit_length(), 1), 32)]
+    entropy = seed_words + [0] * (4 - len(seed_words)) + [_NODE_STREAM]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(word_of_pool, hashmix(word)) for word_of_pool in pool]
+    node_id = np.arange(draw.n_nodes, dtype=np.uint64)
+    pool = [mix(word_of_pool, hashmix(node_id)) for word_of_pool in pool]  # now arrays
+    hash_const = _INIT_B
+    state = []
+    for word_of_pool in pool + pool:  # generate_state: 8 32-bit words
+        value = word_of_pool ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    words = [(state[2 * i] | state[2 * i + 1] << 32).tolist() for i in range(4)]
+    gen = np.random.Generator(np.random.PCG64())
+    bit_generator = gen.bit_generator
+    for seed_high, seed_low, inc_high, inc_low in zip(*words):
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        pcg_state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128  # 2 steps from 0
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": pcg_state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
+
+
 def sample_experiment(rng: np.random.Generator, suite: ExperimentSuite | str) -> ExperimentDraw:
     """Draw one world for the given sweep protocol.
 
@@ -237,16 +306,27 @@ def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Gene
     """Sample each node's type from `rng` with the draw's malicious prior, draw
     its departure and bits from its own stream as simulate_node does, and
     score every region by first passage. Removal steps and losses equal
-    simulate_node's with the policy each region was compiled from."""
+    simulate_node's with the policy each region was compiled from.
+
+    The streams come from node_streams. Each node's doubles go into its row
+    of one matrix pre-filled with 1.0, from column 1 to its stay (the
+    horizon, or an honest node's departure step - 1 if less); one comparison
+    against each row's type mean and one cumsum make every row's running
+    ones count, set to -1 past the node's stay, where no region holds it."""
     env = draw.env
     horizon = draw.horizon
     malicious = rng.random(draw.n_nodes) < env.prior_malicious
     departure = np.full(draw.n_nodes, NEVER)
-    ones = np.full((draw.n_nodes, horizon + 1), -1, dtype=np.int32)  # -1 once gone: in no region
-    ones[:, 0] = 0
-    for node_id, is_malicious in enumerate(malicious.tolist()):
-        departure[node_id], bits = _node_draws(is_malicious, draw, node_rng(draw, node_id))
-        ones[node_id, 1 : bits.size + 1] = np.cumsum(bits)
+    stay = np.full(draw.n_nodes, horizon)
+    doubles = np.ones((draw.n_nodes, horizon + 1))  # column 0 is count 0: never a one
+    for node_id, (is_malicious, gen) in enumerate(zip(malicious.tolist(), node_streams(draw))):
+        if not is_malicious:  # _node_draws' order: the departure, then the bits
+            departure[node_id] = gen.geometric(env.departure_rate)
+            stay[node_id] = min(int(departure[node_id]) - 1, horizon)
+        gen.random(out=doubles[node_id, 1 : stay[node_id] + 1])
+    mean = np.where(malicious, env.malicious_mean, env.honest_mean)
+    ones = np.cumsum(doubles < mean[:, None], axis=1, dtype=np.int32)
+    ones[np.arange(horizon + 1) > stay[:, None]] = -1  # gone: in no region
     removal = np.empty((len(regions), draw.n_nodes))
     for row, region in enumerate(regions):
         hit = (region.lo <= ones) & (ones <= region.hi)

@@ -37,6 +37,9 @@ INVALID_FLAGS = [
     HIPER[:2] + ["--q", "1.5"] + HIPER[4:],
     HIPER[:-1] + ["3"],
     ["--policy", "hiper", "--u", "0.3", "--q", "0.3", "--delta", "0.5"],
+    # a --binarize threshold outside [0, 1] maps every non-binary score to one value
+    MYOPIC + ["--binarize", "7"],
+    MYOPIC + ["--binarize", "-3"],
 ]
 
 

@@ -209,6 +209,7 @@ def test_posterior_evaluator_is_posterior(draw):
     lattice_count, lattice_ones = np.ogrid[: POSTERIOR_COUNTS + 1, : POSTERIOR_COUNTS + 1]
     table = Posterior(model, prior).elementwise(lattice_ones, lattice_count)
     assert np.array_equal(table[counts, ones].view(np.int64), want)
+    assert np.isnan(table[np.triu_indices(POSTERIOR_COUNTS + 1, 1)]).all()  # ones > count
 
 
 def test_posterior_evaluator_rejects_what_posterior_rejects():

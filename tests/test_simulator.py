@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from statistics import fmean
 
 import numpy as np
@@ -12,6 +13,7 @@ from nodeban.simulator import (
     ExperimentSuite,
     episode_rng,
     node_rng,
+    node_streams,
     run_episode,
     sample_experiment,
     simulate_node,
@@ -269,15 +271,20 @@ class TestRegionsMatchPolicyObjects:
                     )
 
     def test_suite_draws_match(self):
-        # The suites' own worlds, at the suites' own sizes, for a few runs.
+        # The suites' own worlds, at the suites' own sizes, for a few runs;
+        # lookahead_compare's horizons start at 1, so it also runs a draw at 1.
         for suite, texts in (
             ("policy_compare", ("hiper:star", "myopic", "optimistic")),
             ("delta_sweep", ("hiper:0.9", "hiper:0.99")),
+            ("lookahead_compare", ("optimistic", "lookahead:4", "lookahead:8")),
         ):
             rng = np.random.default_rng(607)
             specs = [PolicySpec.parse(text) for text in texts]
-            for _ in range(4):
-                draw = sample_experiment(rng, suite)
+            draws = [sample_experiment(rng, suite) for _ in range(4)]
+            if suite == "lookahead_compare":
+                env = replace(draws[0].env, departure_rate=1.0)  # 1 / horizon, as sampled
+                draws.append(replace(draws[0], horizon=1, env=env))
+            for draw in draws:
                 result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
                 for row, spec in enumerate(specs):
                     policy = spec.policy(draw)
@@ -288,6 +295,28 @@ class TestRegionsMatchPolicyObjects:
                     assert result.mean_loss[row] == fmean(losses)
 
 
+class TestNodeStreams:
+    """node_streams redoes numpy's SeedSequence and PCG64 seeding in bulk; if a
+    numpy release changed either, these fail before any golden digest moves."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 2**32 - 1, 2**32, 2**63 - 1, 2**128 + 5]  # 1, 1, 2, 2 and 5 seed words
+        + np.random.default_rng(608).integers(0, 2**63, size=4).tolist()
+        + np.random.default_rng(609).integers(0, 2**32, size=2).tolist(),
+    )
+    def test_bulk_streams_are_node_rng(self, seed):
+        draw = make_draw(seed=seed, n_nodes=3000)
+        n_streams = 0
+        for node_id, stream in enumerate(node_streams(draw)):
+            reference = node_rng(draw, node_id)
+            assert stream.bit_generator.state == reference.bit_generator.state, node_id
+            got = (stream.geometric(0.01), stream.random(20).tolist())
+            assert got == (reference.geometric(0.01), reference.random(20).tolist()), node_id
+            n_streams += 1
+        assert n_streams == draw.n_nodes
+
+
 class TestDrawValidation:
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -296,3 +325,10 @@ class TestDrawValidation:
             make_draw(n_nodes=0)
         with pytest.raises(ValueError):
             make_draw(seed=-1)
+
+    def test_node_ids_fit_one_seed_word(self):
+        # node_streams mixes each node id as one 32-bit SeedSequence word;
+        # constructing a draw allocates nothing per node
+        assert make_draw(n_nodes=2**32).n_nodes == 2**32
+        with pytest.raises(ValueError, match="n_nodes"):
+            make_draw(n_nodes=2**32 + 1)

@@ -209,10 +209,27 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- stream --
 
 
+#: Each stream flag's domain, checked whenever the flag is given, whether or
+#: not the chosen policy reads it. Scores lie in [0, 1], so --binarize too.
+_STREAM_FLAG_DOMAINS = (
+    ("--binarize", "binarize", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("--prior", "prior", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("--delta", "delta", "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    ("--lambda", "departure_rate", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    ("--Delta", "gap", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    ("--gU", "gU", "be nonnegative", lambda v: v >= 0.0),
+    ("--lQ", "lQ", "be nonnegative", lambda v: v >= 0.0),
+)
+
+
 def _build_stream_policy(args: argparse.Namespace):
     """Validate policy parameters and return the one policy every node shares."""
-    if args.binarize is not None and not 0.0 <= args.binarize <= 1.0:  # scores lie in [0, 1]
-        raise ValueError(f"--binarize must lie in [0, 1], got {args.binarize}")
+    for flag, dest, domain, holds in _STREAM_FLAG_DOMAINS:
+        value = getattr(args, dest)
+        if value is not None and not holds(value):
+            raise ValueError(f"{flag} must {domain}, got {value}")
+    leaf = LeafRule(args.leaf_rule)
+    lookahead = LookaheadConfig(args.lookahead_depth, leaf)  # validates the depth
     policy = args.policy
     if policy == "hiper":
         if args.q is None or args.delta is None:
@@ -225,7 +242,6 @@ def _build_stream_policy(args: argparse.Namespace):
 
     if args.u is None or args.q is None or args.gU is None or args.lQ is None:
         raise ValueError(f"{policy} needs --u, --q, --gU and --lQ")
-    leaf = LeafRule(args.leaf_rule)
     needs_rate = policy == "optimistic" or (policy == "lookahead" and leaf is not LeafRule.ZERO)
     if needs_rate and args.departure_rate is None:
         raise ValueError(f"{policy} (with leaf rule {leaf.value}) needs --lambda")
@@ -241,7 +257,7 @@ def _build_stream_policy(args: argparse.Namespace):
         return MyopicPolicy(env)
     if policy == "optimistic":
         return OptimisticPolicy(env)
-    return LookaheadPolicy(env, LookaheadConfig(args.lookahead_depth, leaf))
+    return LookaheadPolicy(env, lookahead)
 
 
 def _parse_event(line: str, line_no: int) -> StreamEvent:

@@ -6,11 +6,18 @@ against four sweep variables: the horizon, the gap between observation
 means, the realized fraction of malicious nodes, and the honest gain.
 Curves are produced by sorting runs along each variable and taking a
 centered moving average, matching a scatter-plus-trend reading.
+
+Each policy is built into a removal region once per draw (build_regions).
+On a draw with a lookahead policy, one posterior lattice to count horizon +
+the deepest depth, and one plan per leaf rule, serve every lookahead depth
+and every myopic or optimistic policy of the draw; hiper, and the belief
+rules of a draw without lookahead, are compiled per policy.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import fmean
@@ -18,8 +25,7 @@ from statistics import fmean
 import numpy as np
 
 from .hiper import HiperParams, HiperPolicy, optimal_delta
-from .policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
-from .policies import lookahead_values
+from .policies import Lattice, LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
 from .simulator import run_episode, sample_experiment, table_region
 
@@ -52,8 +58,10 @@ class SweepRecord:
             raise ValueError(f"unknown sweep variable {self.sweep_variable!r}")
         if self.run_count < 1:
             raise ValueError(f"run_count must be at least 1, got {self.run_count}")
-        if self.mean_loss < 0.0:
-            raise ValueError(f"mean_loss must be nonnegative, got {self.mean_loss}")
+        if not math.isfinite(self.x):  # NaN would also slip past moving_average's sortedness check
+            raise ValueError(f"x must be finite, got {self.x}")
+        if not (math.isfinite(self.mean_loss) and self.mean_loss >= 0.0):
+            raise ValueError(f"mean_loss must be finite and nonnegative, got {self.mean_loss}")
 
 
 @dataclass(frozen=True)
@@ -119,14 +127,36 @@ class PolicySpec:
             return MyopicPolicy(env)
         if self.kind == "optimistic":
             return OptimisticPolicy(env)
-        return LookaheadPolicy(env, LookaheadConfig(self.depth, self.leaf_rule))
+        return LookaheadPolicy(env, self.lookahead_config)
 
-    def build(self, draw: ExperimentDraw) -> Region:
-        """The policy's removal region on the draw, compiled once for all its nodes."""
+    @property
+    def lookahead_config(self) -> LookaheadConfig:
+        return LookaheadConfig(self.depth, self.leaf_rule)
+
+    def build(self, draw: ExperimentDraw, lattice: Lattice | None = None) -> Region:
+        """The policy's removal region on the draw, compiled once for all its
+        nodes. A belief rule reads it off the draw's lattice where one is given
+        (a lookahead rule off its own lattice if none is), the same region
+        that compile_region finds at every reachable (count, ones); hiper's is
+        always compiled."""
         if self.kind == "lookahead":
-            cfg = LookaheadConfig(self.depth, self.leaf_rule)
-            return table_region(lookahead_values(draw.env, cfg, draw.horizon) <= 0.0)
+            cfg = self.lookahead_config
+            if lattice is None:
+                lattice = Lattice(draw.env, draw.horizon, [cfg])
+            return table_region(lattice.values(cfg) <= 0.0)
+        if lattice is not None and self.kind != "hiper":
+            return table_region(self.policy(draw).removes_posterior(lattice.posterior()))
         return compile_region(self.policy(draw), draw.horizon)
+
+
+def build_regions(specs: list[PolicySpec], draw: ExperimentDraw) -> list[Region]:
+    """Each spec's region on the draw, one build per spec. Where any spec
+    plans ahead, every belief spec shares one Lattice: one posterior table, and
+    one plan per leaf rule that serves each of its depths. The lattice is
+    computed inside the first build that reads it."""
+    configs = [spec.lookahead_config for spec in specs if spec.kind == "lookahead"]
+    lattice = Lattice(draw.env, draw.horizon, configs) if configs else None
+    return [spec.build(draw, lattice) for spec in specs]
 
 
 @dataclass(frozen=True)
@@ -177,7 +207,7 @@ def _execute_run(cfg: SuiteConfig, run_index: int) -> tuple:
     run_rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(run_index,)))
     draw = sample_experiment(run_rng, cfg.suite)
     specs = [PolicySpec.parse(text) for text in cfg.policies]
-    episode = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
+    episode = run_episode(build_regions(specs, draw), draw, episode_rng(draw))
     coords = (float(draw.horizon), draw.env.gap, episode.malicious_fraction, draw.env.gain_honest)
     return coords, [(spec.label, loss) for spec, loss in zip(specs, episode.mean_loss)]
 

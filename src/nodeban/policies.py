@@ -9,8 +9,11 @@ step). Finite lookahead plans over every observation sequence up to a fixed
 depth with backward induction, treating removal as an absorbing action of
 value zero at every stage. The induction has one body, _plan, over any table
 of posteriors: rooted at each of some beliefs (lookahead_value,
-LookaheadPolicy's rule) or over the whole (count, ones) lattice at once
-(lookahead_values), with the same value at every point, bit for bit.
+LookaheadPolicy's rule) or over the whole (count, ones) lattice at once, with
+the same value at every point, bit for bit. A Lattice holds one world's
+posterior table and runs _plan once per leaf rule, to its deepest depth, so
+one table serves every depth, leaf rule and belief rule of a simulated draw;
+lookahead_values is a Lattice of one config.
 
 Ties always remove: each rule keeps only on a strictly positive margin.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +79,7 @@ def optimistic_decide(belief: BeliefState, env: EnvParams) -> Decision:
     return _decision(_optimistic_margin(belief.posterior_malicious, env))
 
 
-def _plan(pm: np.ndarray, env: EnvParams, cfg: LookaheadConfig) -> np.ndarray:
+def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[int, np.ndarray]:
     """The lookahead recursion over a table of posteriors pm[t, k, ...], each
     t steps and k one-bits past the table's root: V_0 is the leaf rule at
     every entry, and pass r gives V_r(t, .) from V_{r-1}(t + 1, .) by
@@ -84,22 +88,28 @@ def _plan(pm: np.ndarray, env: EnvParams, cfg: LookaheadConfig) -> np.ndarray:
 
     p being the predictive probability of a 1-bit at (t, k) from env's rates,
     and max(0, x) where(x > 0, x, 0), which values a history impossible under
-    both types (a NaN posterior) at 0. Returns V_depth on the first
-    len(pm) - depth rows and columns."""
+    both types (a NaN posterior) at 0. Runs to the deepest of depths and
+    returns V_r for each r in depths, on the first len(pm) - r rows and
+    columns. An entry of V_r reads only its own posterior and r rows below
+    it, so it does not depend on the table's size or on the other depths."""
     gain = keep_gain(pm, env)
     p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
     p_zero = 1.0 - p_one
-    if cfg.leaf_rule is LeafRule.ZERO:
+    if leaf_rule is LeafRule.ZERO:
         values = np.zeros_like(gain)
-    elif cfg.leaf_rule is LeafRule.MYOPIC_INFINITE:
+    elif leaf_rule is LeafRule.MYOPIC_INFINITE:
         values = np.where(gain > 0.0, gain, 0.0) / env.departure_rate
     else:
         margin = _optimistic_margin(pm, env)
         values = np.where(margin > 0.0, margin, 0.0)
-    for n in range(len(pm) - 1, len(pm) - 1 - cfg.depth, -1):
+    kept = {}
+    for depth in range(1, max(depths) + 1):
+        n = len(pm) - depth
         keep = gain[:n, :n] + p_one[:n, :n] * values[1:, 1:] + p_zero[:n, :n] * values[1:, :n]
         values = np.where(keep > 0.0, keep, 0.0)
-    return values
+        if depth in depths:
+            kept[depth] = values
+    return kept
 
 
 def _rooted_plan(evaluate: Posterior, ones, count, pm, env: EnvParams, cfg: LookaheadConfig) -> np.ndarray:
@@ -111,7 +121,7 @@ def _rooted_plan(evaluate: Posterior, ones, count, pm, env: EnvParams, cfg: Look
     step = np.arange(cfg.depth + 1).reshape((-1,) + (1,) * pm.ndim)
     table = evaluate.elementwise((ones + step)[None], (count + step)[:, None])
     table[0, 0] = pm
-    return _plan(table, env, cfg)[0, 0]
+    return _plan(table, env, cfg.leaf_rule, {cfg.depth})[cfg.depth][0, 0]
 
 
 def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
@@ -121,13 +131,48 @@ def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -
     return float(_rooted_plan(evaluate, belief.ones, belief.count, belief.posterior_malicious, env, cfg))
 
 
+class Lattice:
+    """One world's posteriors at every (count t, ones k) up to count horizon +
+    the deepest of configs' depths, and each leaf rule's _plan run once over
+    them to its deepest depth, keeping the values at each depth configs ask
+    for: each computed on first use, then shared by every rule on the world.
+    Read on t, k <= horizon, every entry is the one a lattice of any other
+    size or set of depths holds, bit for bit."""
+
+    def __init__(self, env: EnvParams, horizon: int, configs: list[LookaheadConfig]) -> None:
+        self.env, self.horizon = env, horizon
+        self._depths: dict[LeafRule, set[int]] = {}
+        for cfg in configs:
+            self._depths.setdefault(cfg.leaf_rule, set()).add(cfg.depth)
+        self._size = horizon + 1 + max(cfg.depth for cfg in configs)
+        self._plans: dict[LeafRule, dict[int, np.ndarray]] = {}
+
+    @cached_property
+    def _posterior(self) -> np.ndarray:
+        env = self.env
+        count, ones = np.ogrid[: self._size, : self._size]
+        evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), env.prior_malicious)
+        return evaluate.elementwise(ones, count)
+
+    def posterior(self) -> np.ndarray:
+        """The posterior at every (count t, ones k) with t, k <= horizon,
+        indexed [t, k], NaN where k > t or the history is impossible."""
+        return self._posterior[: self.horizon + 1, : self.horizon + 1]
+
+    def values(self, cfg: LookaheadConfig) -> np.ndarray:
+        """lookahead_value at every (count t, ones k) with t, k <= horizon,
+        indexed [t, k], 0 where k > t, for one of the lattice's configs."""
+        leaf = cfg.leaf_rule
+        if leaf not in self._plans:
+            self._plans[leaf] = _plan(self._posterior, self.env, leaf, self._depths[leaf])
+        return self._plans[leaf][cfg.depth][: self.horizon + 1, : self.horizon + 1]
+
+
 def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.ndarray:
     """lookahead_value at every (count t, ones k) with t <= horizon, indexed
     [t, k], 0 where k > t: _plan once over the lattice up to count
     horizon + depth, not once per root, with the same value at every point."""
-    count, ones = np.ogrid[: horizon + cfg.depth + 1, : horizon + cfg.depth + 1]
-    evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), env.prior_malicious)
-    return _plan(evaluate.elementwise(ones, count), env, cfg)
+    return Lattice(env, horizon, [cfg]).values(cfg)
 
 
 def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> Decision:
@@ -172,6 +217,11 @@ class _AffineMarginPolicy(_BeliefPolicy):
     """A rule whose margin is affine in pm (myopic's, optimistic's), so that
     each count's removal interval has closed-form ends."""
 
+    def removes_posterior(self, pm: np.ndarray) -> np.ndarray:
+        """removes_elementwise at each posterior of an array pm, such as
+        Lattice.posterior(), bit for bit, as the margin reads only pm."""
+        return ~(self._margin(None, None, pm) > 0.0)
+
     def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both interval ends up to rounding: the ones at which the log odds,
         linear in ones, reach the logit of the pm at which the margin is 0."""
@@ -196,8 +246,9 @@ class OptimisticPolicy(_AffineMarginPolicy):
 class LookaheadPolicy(_BeliefPolicy):
     """Lookahead planner, quadratic in depth per lattice point. Its margin,
     the plan value, has no closed-form boundary, so compile_region bisects
-    each interval end from the anchor; the suites compile it through
-    lookahead_values instead, which shares every point's work."""
+    each interval end from the anchor (nodeban stream's route); the suites
+    read it off their draw's Lattice instead, which shares every point's work
+    and the draw's posterior table with the draw's other belief rules."""
 
     def __init__(self, env: EnvParams, cfg: LookaheadConfig) -> None:
         super().__init__(env)

@@ -9,10 +9,13 @@ hierarchically:
 so every policy evaluated on a draw sees identical nodes. A policy is
 compiled once per draw into a Region, in numpy near its closed-form ends or
 by bisection where it has none (nodeban stream recompiles its region at
-twice the count a node outgrows); run_episode draws each node once and
-scores every region by first passage. It seeds the draw's node streams in
-bulk (node_streams, the same bits as one node_rng per node) and draws every
-node's observations into one matrix, turned into running ones counts at once.
+twice the count a node outgrows), or read off a table of the draw's whole
+(count, ones) lattice by table_region: the suites read every belief rule of
+a draw that plans ahead off one shared posterior lattice (policies.Lattice).
+run_episode draws each node once and scores every region by first passage.
+It seeds the draw's node streams in bulk (node_streams, the same bits as one
+node_rng per node) and draws every node's observations into one matrix,
+turned into running ones counts at once.
 simulate_node, the scalar per-node reference, runs node_rng's draws through
 the policy's removes(count, ones) predicate one count at a time.
 """

@@ -40,6 +40,17 @@ INVALID_FLAGS = [
     # a --binarize threshold outside [0, 1] maps every non-binary score to one value
     MYOPIC + ["--binarize", "7"],
     MYOPIC + ["--binarize", "-3"],
+    # out-of-range values of flags the chosen policy does not read
+    HIPER + ["--prior", "7"],
+    HIPER + ["--lookahead-depth", "0"],
+    HIPER + ["--lambda", "5"],
+    HIPER + ["--gU", "-3"],
+    HIPER + ["--lQ", "-1"],
+    HIPER + ["--lookahead-depth", "25"],
+    MYOPIC + ["--delta", "1.5"],
+    MYOPIC + ["--Delta", "5"],
+    MYOPIC + ["--lookahead-depth", "25"],
+    ["--policy", "optimistic", *MYOPIC[2:], "--lambda", "0.5", "--delta", "0"],
 ]
 
 
@@ -384,6 +395,16 @@ class TestStream:
         argv = ["stream", str(inp), "--out", str(outp), *HIPER[:-1], "1e-200"]
         assert_usage_error(argv, capsys)
         assert not outp.exists()
+
+    @pytest.mark.parametrize("policy", ["hiper", "myopic", "optimistic", "lookahead"])
+    def test_in_range_flags_the_policy_ignores_are_accepted(self, policy, tmp_path, capsys):
+        # every flag at an end of its domain, read or not by the policy
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, [{"node_id": "a", "t": 1, "x": 1.0}])
+        flags = ["--u", "0.7", "--q", "0.3", "--gU", "0", "--lQ", "0", "--lambda", "1", "--prior", "1",
+                 "--delta", "0.5", "--Delta", "1", "--lookahead-depth", "24", "--binarize", "0"]
+        assert run_cli(["stream", str(inp), "--policy", policy, *flags]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("policy_args", NON_FINITE_FLAGS + INVALID_FLAGS)
     def test_flag_error_keeps_existing_out(self, policy_args, tmp_path, capsys):

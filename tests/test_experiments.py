@@ -206,6 +206,13 @@ class TestEmitCsv:
 def test_sweep_record_validation():
     with pytest.raises(ValueError):
         rec(1.0, -0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            rec(bad, 1.0)
+        with pytest.raises(ValueError, match="mean_loss must be finite"):
+            rec(1.0, bad)
+    with pytest.raises(ValueError):
+        SweepRecord("policy_compare", "gap", math.nan, "myopic", math.nan, 1)
     with pytest.raises(ValueError):
         rec(1.0, 1.0, runs=0)
     with pytest.raises(ValueError):

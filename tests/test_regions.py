@@ -28,6 +28,7 @@ import math
 import os
 import random
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from hypothesis import strategies as st
 from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior
 from nodeban.cli import main
-from nodeban.experiments import PolicySpec, SuiteConfig
+from nodeban.experiments import PolicySpec, SuiteConfig, build_regions
 from nodeban.hiper import HiperParams, HiperPolicy, min_samples
 from nodeban.model import EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy
@@ -346,6 +347,47 @@ def test_hiper_region_from_the_nearest_seed(delta, gap, q):
 @given(worlds(), st.integers(1, 5), st.sampled_from(list(LeafRule)))
 def test_lookahead_regions(draw, depth, leaf):
     assert_region_is_the_rule(f"lookahead:{depth}:{leaf.value}", draw)
+
+
+belief_specs = st.one_of(
+    st.sampled_from(["myopic", "optimistic"]),
+    st.builds("lookahead:{}:{}".format, st.integers(1, 8), st.sampled_from([leaf.value for leaf in LeafRule])),
+)
+
+
+def with_shared_examples(test):
+    leaves = list(LeafRule)
+    for i, example_world in enumerate(ENDPOINT_WORLDS + DEGENERATE_WORLDS):
+        texts = ["optimistic", f"lookahead:{1 + i % 8}:{leaves[i // 3 % 3].value}", "myopic", "lookahead:8"]
+        test = example(example_world, (60, 2, 1)[i % 3], texts)(test)
+    return test
+
+
+@settings(SEEDED, max_examples=100)
+@with_shared_examples
+@given(worlds(), st.sampled_from([1, 2, 60]), st.lists(belief_specs, min_size=2, max_size=6, unique=True))
+def test_shared_lattice_regions_are_each_rule_alone(draw, horizon, texts):
+    """build_regions serves every belief spec of a draw from one posterior
+    lattice and one plan per leaf rule when any spec plans ahead. Each region
+    is the one its spec gets alone: lookahead's own table, compile_region for
+    myopic and optimistic. Where a rate or the prior is 0 or 1, they agree at
+    every reachable point; the lattice removes an impossible history, which
+    compile_region may leave out of an empty count."""
+    draw = replace(draw, horizon=horizon)
+    env, specs = draw.env, [PolicySpec.parse(text) for text in texts]
+    interior = all(0.0 < p < 1.0 for p in (env.honest_mean, env.malicious_mean, env.prior_malicious))
+    points = [(t, k) for t in range(horizon + 1) for k in range(t + 1) if reachable(draw, t, k)]
+    for spec, region in zip(specs, build_regions(specs, draw)):
+        if spec.kind == "lookahead":
+            alone = table_region(lookahead_values(env, spec.lookahead_config, horizon) <= 0.0)
+        else:
+            alone = compile_region(spec.policy(draw), horizon)
+        if interior:
+            assert region.lo.tolist() == alone.lo.tolist(), (spec.label, texts)
+            assert region.hi.tolist() == alone.hi.tolist(), (spec.label, texts)
+        for t, k in points:
+            got = region.lo[t] <= k <= region.hi[t]
+            assert got == (alone.lo[t] <= k <= alone.hi[t]), (spec.label, texts, t, k)
 
 
 WALK_COUNTS = 200  # how far the lookahead walk is checked against its table

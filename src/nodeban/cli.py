@@ -45,7 +45,7 @@ from .hiper import (
     optimal_delta,
 )
 from .model import Decision, EnvParams
-from .policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
+from .policies import MAX_DEPTH, LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
 from .simulator import ExperimentSuite, compile_region
 
 _CONFIG_KEYS = {"suite", "n_runs", "ma_window", "policies", "base_seed"}
@@ -162,22 +162,46 @@ def cmd_suite(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- bounds --
 
 
+#: Each flag's domain, by its argparse dest: a flag given outside it raises
+#: ValueError wherever _check_flags reads it. Scores lie in [0, 1], so the
+#: means and --binarize do too.
+_FLAG_DOMAINS = {
+    "u": ("--u", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "q": ("--q", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "gap": ("--Delta", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "binarize": ("--binarize", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "prior": ("--prior", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "delta": ("--delta", "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
+    "departure_rate": ("--lambda", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "gU": ("--gU", "be nonnegative", lambda v: v >= 0.0),
+    "lQ": ("--lQ", "be nonnegative", lambda v: v >= 0.0),
+    "lookahead_depth": ("--lookahead-depth", f"lie in [1, {MAX_DEPTH}]", lambda v: 1 <= v <= MAX_DEPTH),
+}
+
+
+def _check_flags(args: argparse.Namespace, dests) -> None:
+    """Raise ValueError for the first of dests given outside its domain."""
+    for dest in dests:
+        flag, domain, holds = _FLAG_DOMAINS[dest]
+        value = getattr(args, dest)
+        if value is not None and not holds(value):
+            raise ValueError(f"{flag} must {domain}, got {value}")
+
+
 def _resolve_gap(args: argparse.Namespace) -> float | None:
-    """--Delta, else |u - q| if both means are given, else None. Scores lie in
-    [0, 1], so a given mean outside [0, 1] or a gap outside (0, 1] raises ValueError."""
-    for flag, mean in (("--u", args.u), ("--q", args.q)):
-        if mean is not None and not 0.0 <= mean <= 1.0:
-            raise ValueError(f"{flag} must lie in [0, 1], got {mean}")
+    """--Delta, else |u - q| if both means are given, else None. Read after
+    _check_flags, so the gap lies in [0, 1]; a gap of 0 raises ValueError."""
     gap = args.gap
     if gap is None and args.u is not None and args.q is not None:
         gap = abs(args.u - args.q)
-    if gap is not None and not 0.0 < gap <= 1.0:
-        raise ValueError(f"the gap (--Delta, or |u - q|) must lie in (0, 1], got {gap}")
+    if gap == 0.0:
+        raise ValueError("the gap |u - q| must be positive, got 0")
     return gap
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
+        _check_flags(args, ("u", "q", "gap"))
         gap = _resolve_gap(args)
     except ValueError as exc:
         return _fail(str(exc))
@@ -209,27 +233,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- stream --
 
 
-#: Each stream flag's domain, checked whenever the flag is given, whether or
-#: not the chosen policy reads it. Scores lie in [0, 1], so --binarize too.
-_STREAM_FLAG_DOMAINS = (
-    ("--binarize", "binarize", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    ("--prior", "prior", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    ("--delta", "delta", "lie in (0, 1)", lambda v: 0.0 < v < 1.0),
-    ("--lambda", "departure_rate", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    ("--Delta", "gap", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    ("--gU", "gU", "be nonnegative", lambda v: v >= 0.0),
-    ("--lQ", "lQ", "be nonnegative", lambda v: v >= 0.0),
-)
-
-
 def _build_stream_policy(args: argparse.Namespace):
-    """Validate policy parameters and return the one policy every node shares."""
-    for flag, dest, domain, holds in _STREAM_FLAG_DOMAINS:
-        value = getattr(args, dest)
-        if value is not None and not holds(value):
-            raise ValueError(f"{flag} must {domain}, got {value}")
-    leaf = LeafRule(args.leaf_rule)
-    lookahead = LookaheadConfig(args.lookahead_depth, leaf)  # validates the depth
+    """Validate policy parameters and return the one policy every node shares.
+    Every given flag is checked against its domain, whether or not the chosen
+    policy reads it."""
+    _check_flags(args, _FLAG_DOMAINS)
     policy = args.policy
     if policy == "hiper":
         if args.q is None or args.delta is None:
@@ -242,6 +250,7 @@ def _build_stream_policy(args: argparse.Namespace):
 
     if args.u is None or args.q is None or args.gU is None or args.lQ is None:
         raise ValueError(f"{policy} needs --u, --q, --gU and --lQ")
+    leaf = LeafRule(args.leaf_rule)
     needs_rate = policy == "optimistic" or (policy == "lookahead" and leaf is not LeafRule.ZERO)
     if needs_rate and args.departure_rate is None:
         raise ValueError(f"{policy} (with leaf rule {leaf.value}) needs --lambda")
@@ -257,7 +266,7 @@ def _build_stream_policy(args: argparse.Namespace):
         return MyopicPolicy(env)
     if policy == "optimistic":
         return OptimisticPolicy(env)
-    return LookaheadPolicy(env, lookahead)
+    return LookaheadPolicy(env, LookaheadConfig(args.lookahead_depth, leaf))
 
 
 def _parse_event(line: str, line_no: int) -> StreamEvent:

@@ -26,6 +26,7 @@ import numpy as np
 
 from .hiper import HiperParams, HiperPolicy, optimal_delta
 from .policies import Lattice, LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
+from .policies import lookahead_values
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
 from .simulator import run_episode, sample_experiment, table_region
 
@@ -141,9 +142,8 @@ class PolicySpec:
         always compiled."""
         if self.kind == "lookahead":
             cfg = self.lookahead_config
-            if lattice is None:
-                lattice = Lattice(draw.env, draw.horizon, [cfg])
-            return table_region(lattice.values(cfg) <= 0.0)
+            values = lookahead_values(draw.env, cfg, draw.horizon) if lattice is None else lattice.values(cfg)
+            return table_region(values <= 0.0)
         if lattice is not None and self.kind != "hiper":
             return table_region(self.policy(draw).removes_posterior(lattice.posterior()))
         return compile_region(self.policy(draw), draw.horizon)

@@ -38,7 +38,7 @@ from .belief import (
 )
 from .model import Decision, EnvParams
 
-_MAX_DEPTH = 24
+MAX_DEPTH = 24
 
 
 class LeafRule(Enum):
@@ -55,8 +55,8 @@ class LookaheadConfig:
     leaf_rule: LeafRule = LeafRule.ZERO
 
     def __post_init__(self) -> None:
-        if not isinstance(self.depth, int) or not 1 <= self.depth <= _MAX_DEPTH:
-            raise ValueError(f"depth must be an integer in [1, {_MAX_DEPTH}], got {self.depth}")
+        if not isinstance(self.depth, int) or not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be an integer in [1, {MAX_DEPTH}], got {self.depth}")
 
 
 def _decision(margin: float) -> Decision:

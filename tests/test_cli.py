@@ -406,6 +406,24 @@ class TestStream:
         assert run_cli(["stream", str(inp), "--policy", policy, *flags]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("base", [HIPER, MYOPIC], ids=["hiper", "myopic"])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--lookahead-depth", "0"), ("--lookahead-depth", "25"), ("--Delta", "5"), ("--u", "5"), ("--q", "-1")],
+    )
+    def test_out_of_range_flag_error_names_the_flag(self, base, flag, value, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, [{"node_id": "a", "t": 1, "x": 1.0}])
+        err = assert_usage_error(["stream", str(inp), *base, flag, value], capsys).err
+        assert f"{flag} must " in err
+
+    def test_belief_rules_take_equal_means(self, tmp_path, capsys):
+        # only hiper reads the gap, so |u - q| = 0 stops it alone
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, [{"node_id": "a", "t": 1, "x": 1.0}])
+        assert run_cli(["stream", str(inp), "--policy", "myopic", *MYOPIC[2:4], "--q", "0.8", *MYOPIC[6:]]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("policy_args", NON_FINITE_FLAGS + INVALID_FLAGS)
     def test_flag_error_keeps_existing_out(self, policy_args, tmp_path, capsys):
         inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"

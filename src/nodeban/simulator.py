@@ -14,8 +14,10 @@ twice the count a node outgrows), or read off a table of the draw's whole
 a draw that plans ahead off one shared posterior lattice (policies.Lattice).
 run_episode draws each node once and scores every region by first passage.
 It seeds the draw's node streams in bulk (node_streams, the same bits as one
-node_rng per node) and draws every node's observations into one matrix,
-turned into running ones counts at once.
+node_rng per node, each SeedSequence hash run on stacked rows of all node
+ids) and draws every node's observations into one matrix, turned into
+running ones counts at once (int16 below horizon 2**15); each region is then
+one subtraction and one unsigned comparison against the counts.
 simulate_node, the scalar per-node reference, runs node_rng's draws through
 the policy's removes(count, ones) predicate one count at a time.
 """
@@ -62,6 +64,11 @@ class ExperimentDraw:
     n_nodes: int = _DEFAULT_NODES
 
     def __post_init__(self) -> None:
+        for name in ("horizon", "seed", "n_nodes"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # node_streams reads seed.bit_length()
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if not 1 <= self.n_nodes <= 2**32:  # node ids are single SeedSequence words
@@ -180,8 +187,10 @@ def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
     pcg_setseq_128_srandom_r steps. The entropy is the draw seed's 32-bit
     words, zero-padded to 4, then 1 and the node id (one word, as n_nodes
     <= 2**32), so every word but the id is mixed once per draw, in Python
-    ints, and the id for all nodes at once, in uint64 arrays of 32-bit
-    values. The hash constants advance the same way whatever the data.
+    ints. The hash constants advance the same way whatever the data, so the
+    id is mixed into the 4 pool words, and the pool hashed out to 8 state
+    words, for all nodes at once: as stacked (4, n_nodes) and (8, n_nodes)
+    uint64 arrays of 32-bit values, one hash constant per row.
     """
     seed_words = [draw.seed >> shift & _MASK32 for shift in range(0, max(draw.seed.bit_length(), 1), 32)]
     entropy = seed_words + [0] * (4 - len(seed_words)) + [_NODE_STREAM]
@@ -205,17 +214,14 @@ def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for word in entropy[4:]:
         pool = [mix(word_of_pool, hashmix(word)) for word_of_pool in pool]
+    # the node id, hashed once per pool word: row i of hashmix(stacked ids)
+    # takes the i-th constant, as 4 hashmix calls in turn would
     node_id = np.arange(draw.n_nodes, dtype=np.uint64)
-    pool = [mix(word_of_pool, hashmix(node_id)) for word_of_pool in pool]  # now arrays
-    hash_const = _INIT_B
-    state = []
-    for word_of_pool in pool + pool:  # generate_state: 8 32-bit words
-        value = word_of_pool ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        state.append(value ^ value >> 16)
-    words = [(state[2 * i] | state[2 * i + 1] << 32).tolist() for i in range(4)]
-    gen = np.random.Generator(np.random.PCG64())
+    hashed_id = _hash_rows(node_id, *_hash_consts(hash_const, _MULT_A, 4))
+    pool = mix(np.array(pool, dtype=np.uint64)[:, None], hashed_id)
+    state = _hash_rows(pool, *_STATE_CONSTS).reshape(8, -1)  # generate_state: pool words 0-3, twice
+    words = (state[0::2] | state[1::2] << 32).tolist()
+    gen = np.random.Generator(np.random.PCG64(0))  # any seed: each node's state is set before it is yielded
     bit_generator = gen.bit_generator
     for seed_high, seed_low, inc_high, inc_low in zip(*words):
         inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
@@ -227,6 +233,28 @@ def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
             "uinteger": 0,
         }
         yield gen
+
+
+def _hash_consts(hash_const: int, mult: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of `rows` successive SeedSequence hashes from hash_const,
+    as (rows, 1) uint64 columns: each hash XORs one in, then multiplies by
+    the next."""
+    consts = [hash_const]
+    for _ in range(rows):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint64)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hash_rows(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint64 values below 2**32, broadcast against
+    the constant columns: row i takes the i-th hash's constants."""
+    values = (values ^ xor) * mult & _MASK32
+    return values ^ values >> 16
+
+
+#: generate_state's 8 hashes, as (2, 4, 1) columns against the 4 pool rows.
+_STATE_CONSTS = tuple(column.reshape(2, 4, 1) for column in _hash_consts(_INIT_B, _MULT_B, 8))
 
 
 def sample_experiment(rng: np.random.Generator, suite: ExperimentSuite | str) -> ExperimentDraw:
@@ -315,25 +343,39 @@ def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Gene
     of one matrix pre-filled with 1.0, from column 1 to its stay (the
     horizon, or an honest node's departure step - 1 if less); one comparison
     against each row's type mean and one cumsum make every row's running
-    ones count, set to -1 past the node's stay, where no region holds it."""
+    ones count, int16 below horizon 2**15 and int32 from there, which stays
+    level past the stay. A region is scored in one subtraction and one
+    unsigned comparison, (ones - lo) < hi + 1 - lo (0 where lo > hi + 1),
+    where a count below lo wraps above every width; argmax finds each row's
+    first hit, which counts if it is a hit and at or before the node's stay.
+    Each region's lo and hi must be integer arrays of length horizon + 1."""
     env = draw.env
     horizon = draw.horizon
+    counts = (np.int16, np.uint16) if horizon < 2**15 else (np.int32, np.uint32)
+    bounds = [_region_bounds(index, region, horizon, *counts) for index, region in enumerate(regions)]
     malicious = rng.random(draw.n_nodes) < env.prior_malicious
-    departure = np.full(draw.n_nodes, NEVER)
-    stay = np.full(draw.n_nodes, horizon)
+    rate = env.departure_rate
+    departure = [NEVER] * draw.n_nodes
+    stay = [horizon] * draw.n_nodes
     doubles = np.ones((draw.n_nodes, horizon + 1))  # column 0 is count 0: never a one
     for node_id, (is_malicious, gen) in enumerate(zip(malicious.tolist(), node_streams(draw))):
-        if not is_malicious:  # _node_draws' order: the departure, then the bits
-            departure[node_id] = gen.geometric(env.departure_rate)
-            stay[node_id] = min(int(departure[node_id]) - 1, horizon)
-        gen.random(out=doubles[node_id, 1 : stay[node_id] + 1])
+        if is_malicious:
+            gen.random(out=doubles[node_id, 1:])
+            continue
+        steps = gen.geometric(rate)  # _node_draws' order: the departure, then the bits
+        departure[node_id] = steps
+        stay[node_id] = node_stay = min(steps - 1, horizon)
+        gen.random(out=doubles[node_id, 1 : node_stay + 1])
+    departure = np.array(departure, dtype=float)
+    stay = np.array(stay)
     mean = np.where(malicious, env.malicious_mean, env.honest_mean)
-    ones = np.cumsum(doubles < mean[:, None], axis=1, dtype=np.int32)
-    ones[np.arange(horizon + 1) > stay[:, None]] = -1  # gone: in no region
+    ones = np.cumsum(doubles < mean[:, None], axis=1, dtype=counts[0])
+    nodes = np.arange(draw.n_nodes)
     removal = np.empty((len(regions), draw.n_nodes))
-    for row, region in enumerate(regions):
-        hit = (region.lo <= ones) & (ones <= region.hi)
-        removal[row] = np.where(hit.any(axis=1), hit.argmax(axis=1), NEVER)
+    for row, (lo, width) in enumerate(bounds):
+        hit = (ones - lo).view(width.dtype) < width
+        first = hit.argmax(axis=1)
+        removal[row] = np.where(hit[nodes, first] & (first <= stay), first, NEVER)
     capped_removal = np.minimum(removal, horizon)
     capped_departure = np.minimum(departure, horizon)
     gain = env.gain_honest
@@ -344,3 +386,21 @@ def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Gene
         capped_departure * gain - np.minimum(capped_departure, capped_removal) * gain,
     )
     return EpisodeResult(malicious, np.where(departure <= horizon, departure, NEVER), removal, loss)
+
+
+def _region_bounds(index: int, region: Region, horizon: int, signed, unsigned):
+    """Region `index`'s lo as `signed`, the ones counts' dtype, and its
+    interval widths, max(hi + 1 - lo, 0), as `unsigned`, of the same size,
+    both clipped to the ones a count up to the horizon can hold."""
+    lo, hi = np.asarray(region.lo), np.asarray(region.hi)
+    for name, end in (("lo", lo), ("hi", hi)):
+        if end.shape != (horizon + 1,) or end.dtype.kind not in "iu":
+            raise ValueError(
+                f"region {index}: {name} must be an integer array of length horizon + 1 = {horizon + 1}, "
+                f"got shape {end.shape} and dtype {end.dtype}"
+            )
+    lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+    lo = np.maximum(lo, 0)
+    width = np.maximum(np.minimum(hi, horizon) - lo + 1, 0)
+    lo = np.minimum(lo, horizon)  # changes lo only where the width is 0
+    return lo.astype(signed), width.astype(unsigned)

@@ -12,7 +12,7 @@ import math
 
 from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, update
 from nodeban.hiper import HiperParams, HiperPolicy, confidence_radius, min_samples
-from nodeban.model import Decision, EnvParams
+from nodeban.model import NEVER, Decision, EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig
 
 _BRUTEFORCE_MAX_DEPTH = 12
@@ -210,3 +210,25 @@ def _walk(removes, t: int, inside: int, start: int, step: int) -> int:
     while not removes(t, start):
         start -= step
     return start
+
+
+def first_passage(lo, hi, draw, is_malicious: bool, rng) -> tuple[float, float]:
+    """A node's removal and departure steps under the region (lo, hi), one
+    count at a time in plain Python: the departure (NEVER if malicious) and
+    then one double per step of the node's stay (the horizon, or the
+    departure step - 1 if less) from rng, as node_rng's stream yields them;
+    the removal step is the first count t from 0 to the stay with
+    lo[t] <= ones <= hi[t], NEVER if none."""
+    env = draw.env
+    departure, stay = NEVER, draw.horizon
+    if not is_malicious:
+        departure = float(rng.geometric(env.departure_rate))
+        stay = min(int(departure) - 1, draw.horizon)
+    mean = env.malicious_mean if is_malicious else env.honest_mean
+    ones = 0
+    for t, double in enumerate([None] + rng.random(stay).tolist()):
+        if t and double < mean:
+            ones += 1
+        if lo[t] <= ones <= hi[t]:
+            return float(t), departure
+    return NEVER, departure

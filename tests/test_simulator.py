@@ -11,6 +11,7 @@ from nodeban.simulator import (
     EpisodeResult,
     ExperimentDraw,
     ExperimentSuite,
+    Region,
     episode_rng,
     node_rng,
     node_streams,
@@ -18,6 +19,7 @@ from nodeban.simulator import (
     sample_experiment,
     simulate_node,
 )
+from oracles import first_passage
 
 
 def make_env(rate=0.1, prior=0.5, gain=1.0, loss=1.0, u=0.8, q=0.3):
@@ -222,6 +224,21 @@ class TestRunEpisode:
         assert np.array_equal(result.malicious, expected)
         assert result.removal_step.shape == result.loss.shape == (3, 20)
 
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (np.array([1]), np.array([100])),  # would broadcast to every count
+            (np.zeros(10, dtype=np.int64), np.full(10, -1)),  # one count short
+            (np.zeros(12, dtype=np.int64), np.full(11, -1)),
+            (np.zeros(11), np.full(11, -1.0)),  # not integers
+            (np.zeros((1, 11), dtype=np.int64), np.full((1, 11), -1)),
+        ],
+    )
+    def test_region_not_horizon_plus_one_long_is_rejected(self, lo, hi):
+        draw = make_draw(horizon=10)
+        with pytest.raises(ValueError, match="region 1: lo"):
+            run_episode([hiper_region(draw), Region(lo, hi)], draw, episode_rng(draw))
+
 
 def random_draw(rng, max_horizon):
     u, q = rng.choice([0.0, 1.0, rng.random(), rng.random()], size=2, replace=False)
@@ -295,6 +312,102 @@ class TestRegionsMatchPolicyObjects:
                     assert result.mean_loss[row] == fmean(losses)
 
 
+def hand_made_regions(rng, horizon):
+    """Random regions to the horizon that no rule compiles to: per count an
+    empty set, written as (0, -1) or as lo > hi + 1, or an interval of ones
+    from 0, to the count, inside, or past both ends, at three rates of empty
+    counts; the first region also removes at count 0. The last is empty up
+    to a random count and holds every ones from there, so an honest node
+    that departs before it can meet it only past its stay."""
+    regions = []
+    for p_empty in (0.5, 0.9, 0.98):
+        lo, hi = [], []
+        for t in range(horizon + 1):
+            a, b = sorted(rng.integers(0, t + 1, size=2).tolist())
+            if rng.random() < p_empty:
+                ends = [(0, -1), (b + 2 + int(rng.integers(3)), b)][rng.integers(2)]
+            else:
+                ends = [(0, b), (a, t), (a, b), (-1 - a, t + 1 + b)][rng.integers(4)]
+            lo.append(ends[0])
+            hi.append(ends[1])
+        regions.append(Region(np.array(lo), np.array(hi)))
+    regions[0].lo[0], regions[0].hi[0] = 0, 0
+    start = int(rng.integers(1, horizon + 1))
+    counts = np.arange(horizon + 1)
+    regions.append(Region(np.zeros(horizon + 1, dtype=np.int64), np.where(counts >= start, counts, -1)))
+    return regions
+
+
+class TestFirstPassage:
+    """run_episode on hand-made regions against first_passage, the per-node
+    count-by-count walk in oracles.py, on node_rng's own streams."""
+
+    def test_hand_made_regions_equal_first_passage(self):
+        rng = np.random.default_rng(610)
+        seen = {"count 0": 0, "past stay only": 0, "empty as lo > hi + 1": 0}
+        for max_horizon in [60] * 40 + [1000] * 3:
+            draw = random_draw(rng, max_horizon)
+            regions = hand_made_regions(rng, draw.horizon)
+            result = run_episode(regions, draw, episode_rng(draw))
+            for row, region in enumerate(regions):
+                lo, hi = region.lo.tolist(), region.hi.tolist()
+                seen["empty as lo > hi + 1"] += sum(a > b + 1 for a, b in zip(lo, hi))
+                for node_id, is_malicious in enumerate(result.malicious.tolist()):
+                    removal, departure = first_passage(lo, hi, draw, is_malicious, node_rng(draw, node_id))
+                    capped_departure = min(departure, draw.horizon)
+                    loss = realized_loss(
+                        node_type(is_malicious), capped_departure, min(removal, draw.horizon), draw.env
+                    )
+                    got = (
+                        result.removal_step[row, node_id],
+                        result.departure_step[node_id],
+                        result.loss[row, node_id],
+                    )
+                    expected = (removal, departure if departure <= draw.horizon else NEVER, loss)
+                    assert got == expected, (row, draw, node_id)
+                    seen["count 0"] += removal == 0.0
+                    stay = min(departure - 1, draw.horizon)
+                    if row == len(regions) - 1 and removal == NEVER and stay < draw.horizon:
+                        seen["past stay only"] += hi[draw.horizon] >= 0
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("horizon", [2**15 - 1, 2**15])
+    def test_horizons_either_side_of_int16_counts_equal_simulate_node(self, horizon):
+        # The hand-made region removes every node still present at the
+        # horizon, where its interval of ones is horizon + 1 wide; all-ones
+        # malicious nodes get there with ones = count = horizon.
+        env = make_env(rate=0.1 / horizon, prior=0.5, u=0.5, q=1.0)
+        draw = ExperimentDraw(horizon=horizon, env=env, seed=612, n_nodes=6)
+        hi = np.full(horizon + 1, -1)
+        hi[-1] = horizon
+        hand_made = Region(np.zeros(horizon + 1, dtype=np.int64), hi)
+        hiper = PolicySpec(kind="hiper", delta=0.9)
+        regions, policies = [hiper.build(draw), hand_made], [hiper.policy(draw), RegionPolicy(hand_made)]
+        result = run_episode(regions, draw, episode_rng(draw))
+        for row, policy in enumerate(policies):
+            for node_id, is_malicious in enumerate(result.malicious.tolist()):
+                rng = node_rng(draw, node_id)
+                record = simulate_node(policy, node_type(is_malicious), draw, rng, node_id)
+                got = (
+                    result.removal_step[row, node_id],
+                    result.departure_step[node_id],
+                    result.loss[row, node_id],
+                )
+                assert got == (record.removal_step, record.departure_step, record.realized_loss), (row, node_id)
+        removed_at_horizon = result.malicious[result.removal_step[1] == horizon]
+        assert removed_at_horizon.any() and not removed_at_horizon.all(), result.removal_step
+
+
+class RegionPolicy:
+    """A Region as a removes(count, ones) predicate, for simulate_node."""
+
+    def __init__(self, region):
+        self.lo, self.hi = region.lo.tolist(), region.hi.tolist()
+
+    def removes(self, count, ones):
+        return self.lo[count] <= ones <= self.hi[count]
+
+
 class TestNodeStreams:
     """node_streams redoes numpy's SeedSequence and PCG64 seeding in bulk; if a
     numpy release changed either, these fail before any golden digest moves."""
@@ -325,6 +438,21 @@ class TestDrawValidation:
             make_draw(n_nodes=0)
         with pytest.raises(ValueError):
             make_draw(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("horizon", True), ("horizon", 10.5), ("horizon", 10.0), ("horizon", "10"), ("seed", 3.0),
+         ("seed", False), ("seed", np.True_), ("n_nodes", 2.0), ("n_nodes", True), ("n_nodes", None)],
+    )
+    def test_non_integer_fields_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_draw(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        draw = make_draw(horizon=np.int64(12), seed=np.uint64(2**63 + 5), n_nodes=np.int32(3))
+        assert (draw.horizon, draw.seed, draw.n_nodes) == (12, 2**63 + 5, 3)
+        assert all(type(value) is int for value in (draw.horizon, draw.seed, draw.n_nodes))
+        assert len(list(node_streams(draw))) == 3
 
     def test_node_ids_fit_one_seed_word(self):
         # node_streams mixes each node id as one 32-bit SeedSequence word;

@@ -351,8 +351,8 @@ def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Gene
     Each region's lo and hi must be integer arrays of length horizon + 1."""
     env = draw.env
     horizon = draw.horizon
-    counts = (np.int16, np.uint16) if horizon < 2**15 else (np.int32, np.uint32)
-    bounds = [_region_bounds(index, region, horizon, *counts) for index, region in enumerate(regions)]
+    signed, unsigned = (np.int16, np.uint16) if horizon < 2**15 else (np.int32, np.uint32)
+    bounds = [_region_bounds(index, region, horizon, signed, unsigned) for index, region in enumerate(regions)]
     malicious = rng.random(draw.n_nodes) < env.prior_malicious
     rate = env.departure_rate
     departure = [NEVER] * draw.n_nodes
@@ -369,11 +369,11 @@ def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Gene
     departure = np.array(departure, dtype=float)
     stay = np.array(stay)
     mean = np.where(malicious, env.malicious_mean, env.honest_mean)
-    ones = np.cumsum(doubles < mean[:, None], axis=1, dtype=counts[0])
+    ones = np.cumsum(doubles < mean[:, None], axis=1, dtype=signed)
     nodes = np.arange(draw.n_nodes)
     removal = np.empty((len(regions), draw.n_nodes))
     for row, (lo, width) in enumerate(bounds):
-        hit = (ones - lo).view(width.dtype) < width
+        hit = (ones - lo).view(unsigned) < width
         first = hit.argmax(axis=1)
         removal[row] = np.where(hit[nodes, first] & (first <= stay), first, NEVER)
     capped_removal = np.minimum(removal, horizon)

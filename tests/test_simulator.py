@@ -239,6 +239,17 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="region 1: lo"):
             run_episode([hiper_region(draw), Region(lo, hi)], draw, episode_rng(draw))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_region_dtype_does_not_change_scores(self, dtype):
+        draw = make_draw(horizon=200, n_nodes=40, seed=5)
+        region = hiper_region(draw)
+        empty = region.lo > region.hi
+        lo, hi = np.where(empty, 2, region.lo), np.where(empty, 0, region.hi)  # no negative end
+        expected = run_episode([region], draw, episode_rng(draw))
+        got = run_episode([Region(lo.astype(dtype), hi.astype(dtype))], draw, episode_rng(draw))
+        assert np.isfinite(expected.removal_step).any()
+        assert np.array_equal(got.removal_step, expected.removal_step)
+
 
 def random_draw(rng, max_horizon):
     u, q = rng.choice([0.0, 1.0, rng.random(), rng.random()], size=2, replace=False)
@@ -316,18 +327,21 @@ def hand_made_regions(rng, horizon):
     """Random regions to the horizon that no rule compiles to: per count an
     empty set, written as (0, -1) or as lo > hi + 1, or an interval of ones
     from 0, to the count, inside, or past both ends, at three rates of empty
-    counts; the first region also removes at count 0. The last is empty up
+    counts; the first region also removes at count 0. Some ends lie far
+    outside what any count's ones dtype holds. The last region is empty up
     to a random count and holds every ones from there, so an honest node
     that departs before it can meet it only past its stay."""
     regions = []
+    far = 2**40 - 1  # -1 modulo the range of any counts' dtype
     for p_empty in (0.5, 0.9, 0.98):
         lo, hi = [], []
         for t in range(horizon + 1):
             a, b = sorted(rng.integers(0, t + 1, size=2).tolist())
             if rng.random() < p_empty:
-                ends = [(0, -1), (b + 2 + int(rng.integers(3)), b)][rng.integers(2)]
+                ends = [(0, -1), (b + 2 + int(rng.integers(3)), b), (b + far, b), (-far, a - far)]
             else:
-                ends = [(0, b), (a, t), (a, b), (-1 - a, t + 1 + b)][rng.integers(4)]
+                ends = [(0, b), (a, t), (a, b), (-1 - a, t + 1 + b), (-far, b), (a, far)]
+            ends = ends[rng.integers(len(ends))]
             lo.append(ends[0])
             hi.append(ends[1])
         regions.append(Region(np.array(lo), np.array(hi)))
@@ -336,6 +350,16 @@ def hand_made_regions(rng, horizon):
     counts = np.arange(horizon + 1)
     regions.append(Region(np.zeros(horizon + 1, dtype=np.int64), np.where(counts >= start, counts, -1)))
     return regions
+
+
+class RegionPolicy:
+    """A Region as a removes(count, ones) predicate, for simulate_node."""
+
+    def __init__(self, region):
+        self.lo, self.hi = region.lo.tolist(), region.hi.tolist()
+
+    def removes(self, count, ones):
+        return self.lo[count] <= ones <= self.hi[count]
 
 
 class TestFirstPassage:
@@ -396,16 +420,6 @@ class TestFirstPassage:
                 assert got == (record.removal_step, record.departure_step, record.realized_loss), (row, node_id)
         removed_at_horizon = result.malicious[result.removal_step[1] == horizon]
         assert removed_at_horizon.any() and not removed_at_horizon.all(), result.removal_step
-
-
-class RegionPolicy:
-    """A Region as a removes(count, ones) predicate, for simulate_node."""
-
-    def __init__(self, region):
-        self.lo, self.hi = region.lo.tolist(), region.hi.tolist()
-
-    def removes(self, count, ones):
-        return self.lo[count] <= ones <= self.hi[count]
 
 
 class TestNodeStreams:

@@ -31,8 +31,6 @@ from .model import (
     Decision,
     EnvParams,
     NodeType,
-    oracle_gain,
-    realized_gain,
     realized_loss,
 )
 from .policies import (
@@ -41,10 +39,7 @@ from .policies import (
     LookaheadPolicy,
     MyopicPolicy,
     OptimisticPolicy,
-    lookahead_decide,
     lookahead_value,
-    myopic_decide,
-    optimistic_decide,
 )
 from .simulator import (
     EpisodeResult,

@@ -87,7 +87,7 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
                 raw = json.load(handle)
         except OSError as exc:  # missing, a directory, unreadable
             raise ValueError(f"cannot read config file {args.config}: {exc}")
-        except ValueError as exc:  # a JSON syntax error, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # a syntax error, non-UTF-8 bytes, or too deep
             raise ValueError(f"config file {args.config} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
@@ -272,7 +272,7 @@ def _build_stream_policy(args: argparse.Namespace):
 def _parse_event(line: str, line_no: int) -> StreamEvent:
     try:
         obj = json.loads(line)
-    except ValueError as exc:  # also an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
         raise ValueError(f"line {line_no}: not valid JSON ({exc})")
     if not isinstance(obj, dict):
         raise ValueError(f"line {line_no}: expected a JSON object")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from statistics import fmean
@@ -26,7 +27,6 @@ import numpy as np
 
 from .hiper import HiperParams, HiperPolicy, optimal_delta
 from .policies import Lattice, LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
-from .policies import lookahead_values
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
 from .simulator import run_episode, sample_experiment, table_region
 
@@ -142,8 +142,9 @@ class PolicySpec:
         always compiled."""
         if self.kind == "lookahead":
             cfg = self.lookahead_config
-            values = lookahead_values(draw.env, cfg, draw.horizon) if lattice is None else lattice.values(cfg)
-            return table_region(values <= 0.0)
+            if lattice is None:
+                lattice = Lattice(draw.env, draw.horizon, [cfg])
+            return table_region(lattice.values(cfg) <= 0.0)
         if lattice is not None and self.kind != "hiper":
             return table_region(self.policy(draw).removes_posterior(lattice.posterior()))
         return compile_region(self.policy(draw), draw.horizon)
@@ -217,17 +218,19 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[SweepRecord]:
     record per (run, policy, sweep variable). Records are unsmoothed
     (run_count is 1); apply smooth_records before plotting or emission.
 
-    jobs > 1 distributes whole runs over worker processes; results are
-    assembled in run order, so the output is byte-identical regardless of
-    worker count.
+    jobs > 1 distributes whole runs over worker processes, at most one per
+    run and per CPU, since the pool starts every worker at once; results
+    are assembled in run order, so the output is byte-identical regardless
+    of worker count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1 or cfg.n_runs == 1:
         outcomes = [_execute_run(cfg, r) for r in range(cfg.n_runs)]
     else:
-        chunk = max(1, cfg.n_runs // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, cfg.n_runs, os.cpu_count() or 1)
+        chunk = max(1, cfg.n_runs // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_run, [cfg] * cfg.n_runs, range(cfg.n_runs), chunksize=chunk))
     return [
         SweepRecord(cfg.suite.value, variable, x, label, mean_loss, run_count=1)

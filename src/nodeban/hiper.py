@@ -138,7 +138,9 @@ def bound_loss_malicious_warmup(loss_malicious: float, delta: float, gap: float)
 
 def bound_loss_honest(gain_honest: float, departure_rate: float, gap: float) -> float:
     """Closed-form expected-loss ceiling against an honest node:
-    gain_honest (gap^2 + 2) / (rate (gap^2 + 2 rate))."""
+    gain_honest (gap^2 + 2) / (rate (gap^2 + 2 rate)). Raises ValueError
+    where it is not finite (the denominator underflows, or the quotient
+    overflows)."""
     if gain_honest < 0.0:
         raise ValueError(f"gain_honest must be nonnegative, got {gain_honest}")
     if not 0.0 < departure_rate <= 1.0:
@@ -146,7 +148,11 @@ def bound_loss_honest(gain_honest: float, departure_rate: float, gap: float) -> 
     if gap <= 0.0:
         raise ValueError(f"gap must be positive, got {gap}")
     gap2 = gap * gap
-    return gain_honest * (gap2 + 2.0) / (departure_rate * (gap2 + 2.0 * departure_rate))
+    denominator = departure_rate * (gap2 + 2.0 * departure_rate)
+    bound = gain_honest * (gap2 + 2.0) / denominator if denominator else math.inf
+    if bound == math.inf:
+        raise ValueError(f"the honest loss bound is not finite at rate={departure_rate}, gap={gap}")
+    return bound
 
 
 def bound_loss_combined(

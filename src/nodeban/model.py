@@ -71,47 +71,18 @@ class EnvParams:
         return abs(self.honest_mean - self.malicious_mean)
 
 
-def _check_step_count(name: str, value: float) -> None:
-    if math.isnan(value) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative step count, got {value}")
-
-
-def realized_gain(node_type: NodeType, departure: float, removal: float, env: EnvParams) -> float:
-    """Total gain from one node, removed at `removal`, departing at `departure`.
-
-    Malicious nodes cost loss_malicious per step until removed. Honest nodes
-    earn gain_honest per step until they are removed or leave, whichever is
-    first. A malicious node with removal == NEVER is rejected: its loss is
-    unbounded, so the caller must cap the removal step at the episode horizon
-    before accounting.
-    """
-    _check_step_count("departure", departure)
-    _check_step_count("removal", removal)
-    if node_type is NodeType.MALICIOUS:
-        if math.isinf(removal):
-            raise ValueError(
-                "malicious node with removal=NEVER: cap the removal step at the "
-                "episode horizon before accounting"
-            )
-        return -removal * env.loss_malicious
-    steps = min(departure, removal)
-    if math.isinf(steps):
-        return math.inf if env.gain_honest > 0.0 else 0.0
-    return steps * env.gain_honest
-
-
-def oracle_gain(node_type: NodeType, departure: float, env: EnvParams) -> float:
-    """Gain of the type-aware reference policy (remove malicious at step 0)."""
-    _check_step_count("departure", departure)
-    if math.isinf(departure):
-        raise ValueError("oracle accounting requires a realized (finite) departure step")
-    if node_type is NodeType.MALICIOUS:
-        return 0.0
-    return departure * env.gain_honest
-
-
 def realized_loss(node_type: NodeType, departure: float, removal: float, env: EnvParams) -> float:
-    """Oracle gain minus realized gain; both step counts must be capped."""
-    if math.isinf(departure) or math.isinf(removal):
-        raise ValueError("realized_loss requires step counts capped at the episode horizon")
-    return oracle_gain(node_type, departure, env) - realized_gain(node_type, departure, removal, env)
+    """Oracle gain minus realized gain for one node, removed at `removal` and
+    departing at `departure`: a malicious node costs loss_malicious per step
+    until removed, and an honest node's gain_honest per step is lost from
+    its removal until it leaves. Both step counts must be nonnegative and
+    capped at the episode horizon (never NEVER), since a malicious node that
+    is never removed costs without bound."""
+    for name, value in (("departure", departure), ("removal", removal)):
+        if math.isnan(value) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative step count, got {value}")
+        if math.isinf(value):
+            raise ValueError(f"{name} must be capped at the episode horizon, got {value}")
+    if node_type is NodeType.MALICIOUS:
+        return removal * env.loss_malicious
+    return departure * env.gain_honest - min(departure, removal) * env.gain_honest

@@ -12,8 +12,7 @@ of posteriors: rooted at each of some beliefs (lookahead_value,
 LookaheadPolicy's rule) or over the whole (count, ones) lattice at once, with
 the same value at every point, bit for bit. A Lattice holds one world's
 posterior table and runs _plan once per leaf rule, to its deepest depth, so
-one table serves every depth, leaf rule and belief rule of a simulated draw;
-lookahead_values is a Lattice of one config.
+one table serves every depth, leaf rule and belief rule of a simulated draw.
 
 Ties always remove: each rule keeps only on a strictly positive margin.
 """
@@ -59,24 +58,9 @@ class LookaheadConfig:
             raise ValueError(f"depth must be an integer in [1, {MAX_DEPTH}], got {self.depth}")
 
 
-def _decision(margin: float) -> Decision:
-    return Decision.KEEP if margin > 0.0 else Decision.REMOVE
-
-
-def myopic_decide(belief: BeliefState, env: EnvParams) -> Decision:
-    """Keep iff the one-step expected keep gain is strictly positive."""
-    return _decision(keep_gain(belief.posterior_malicious, env))
-
-
 def _optimistic_margin(pm: float, env: EnvParams) -> float:
     """P(honest) * gain / departure_rate - P(malicious) * loss."""
     return (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
-
-
-def optimistic_decide(belief: BeliefState, env: EnvParams) -> Decision:
-    """Keep iff P(honest) * gain / departure_rate strictly exceeds
-    P(malicious) * loss."""
-    return _decision(_optimistic_margin(belief.posterior_malicious, env))
 
 
 def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[int, np.ndarray]:
@@ -168,18 +152,6 @@ class Lattice:
         return self._plans[leaf][cfg.depth][: self.horizon + 1, : self.horizon + 1]
 
 
-def lookahead_values(env: EnvParams, cfg: LookaheadConfig, horizon: int) -> np.ndarray:
-    """lookahead_value at every (count t, ones k) with t <= horizon, indexed
-    [t, k], 0 where k > t: _plan once over the lattice up to count
-    horizon + depth, not once per root, with the same value at every point."""
-    return Lattice(env, horizon, [cfg]).values(cfg)
-
-
-def lookahead_decide(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> Decision:
-    """Keep iff the depth-limited plan value is strictly positive."""
-    return _decision(lookahead_value(belief, env, cfg))
-
-
 class _BeliefPolicy:
     """Shared plumbing for the online belief-tracking wrappers. Each subclass
     names its rule as _margin(ones, count, pm), pm the malicious posterior,
@@ -197,7 +169,8 @@ class _BeliefPolicy:
 
     def observe(self, x: float) -> Decision:
         belief = self._belief = update(self._belief, x, self.model)
-        return _decision(self._margin(belief.ones, belief.count, belief.posterior_malicious))
+        keep = self._margin(belief.ones, belief.count, belief.posterior_malicious) > 0.0
+        return Decision.KEEP if keep else Decision.REMOVE
 
     def removes(self, count: int, ones: int) -> bool:
         """The rule after `ones` one-bits in `count` observations. A history

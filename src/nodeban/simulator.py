@@ -293,16 +293,6 @@ def sample_experiment(rng: np.random.Generator, suite: ExperimentSuite | str) ->
     return ExperimentDraw(horizon=horizon, env=env, seed=seed)
 
 
-def _node_draws(is_malicious: bool, draw: ExperimentDraw, rng: np.random.Generator):
-    """A node's departure step (NEVER if malicious) and its observation bits,
-    one per step it stays, up to the horizon."""
-    env = draw.env
-    if is_malicious:
-        return NEVER, rng.random(draw.horizon) < env.malicious_mean
-    departure = float(rng.geometric(env.departure_rate))
-    return departure, rng.random(min(int(departure) - 1, draw.horizon)) < env.honest_mean
-
-
 def simulate_node(
     policy,
     node_type: NodeType,
@@ -321,15 +311,19 @@ def simulate_node(
     rule removes before the first observation. Loss accounting caps both the
     departure and removal steps at the episode horizon.
     """
-    departure, bits = _node_draws(node_type is NodeType.MALICIOUS, draw, rng)
+    env, horizon = draw.env, draw.horizon
+    if node_type is NodeType.MALICIOUS:
+        departure, bits = NEVER, rng.random(horizon) < env.malicious_mean
+    else:
+        departure = float(rng.geometric(env.departure_rate))
+        bits = rng.random(min(int(departure) - 1, horizon)) < env.honest_mean
     removal = NEVER
     removes = policy.removes
     for t, ones in enumerate(np.cumsum(bits).tolist(), 1):
         if removes(t, ones):
             removal = float(t)
             break
-    horizon = draw.horizon
-    loss = realized_loss(node_type, min(departure, horizon), min(removal, horizon), draw.env)
+    loss = realized_loss(node_type, min(departure, horizon), min(removal, horizon), env)
     return NodeRecord(node_id, node_type, removal, departure if departure <= horizon else NEVER, loss)
 
 
@@ -362,7 +356,7 @@ def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Gene
         if is_malicious:
             gen.random(out=doubles[node_id, 1:])
             continue
-        steps = gen.geometric(rate)  # _node_draws' order: the departure, then the bits
+        steps = gen.geometric(rate)  # simulate_node's order: the departure, then the bits
         departure[node_id] = steps
         stay[node_id] = node_stay = min(steps - 1, horizon)
         gen.random(out=doubles[node_id, 1 : node_stay + 1])

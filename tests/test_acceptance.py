@@ -15,7 +15,7 @@ import pytest
 
 from nodeban.belief import BernoulliModel, initial_belief, posterior, update
 from nodeban.cli import main as cli_main
-from nodeban.experiments import SuiteConfig, aggregate_mean_loss, run_suite
+from nodeban.experiments import PolicySpec, SuiteConfig, aggregate_mean_loss, build_regions, run_suite
 from nodeban.hiper import (
     HiperParams,
     HiperPolicy,
@@ -28,14 +28,16 @@ from nodeban.hiper import (
 )
 from nodeban.model import EnvParams, NodeType
 from nodeban.policies import (
+    Lattice,
     LeafRule,
     LookaheadConfig,
-    lookahead_decide,
+    LookaheadPolicy,
+    MyopicPolicy,
+    OptimisticPolicy,
     lookahead_value,
-    myopic_decide,
-    optimistic_decide,
 )
-from nodeban.simulator import ExperimentDraw, compile_region, episode_rng, run_episode
+from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region, episode_rng
+from nodeban.simulator import run_episode, sample_experiment
 from oracles import lookahead_value_bruteforce
 
 
@@ -238,16 +240,20 @@ def test_c05_lookahead_matches_enumeration():
         for x in (rng.random(int(rng.integers(0, 20))) < 0.5).astype(int).tolist():
             belief = update(belief, x, model)
         cfg = LookaheadConfig(int(rng.integers(1, 9)), rules[i % 3])
-        dp = lookahead_value(belief, env, cfg)
         bf = lookahead_value_bruteforce(belief, env, cfg)
-        assert dp == pytest.approx(bf, rel=1e-12, abs=1e-15), f"instance {i}: {dp} vs {bf}"
-        if bf != 0.0:
-            worst_rel = max(worst_rel, abs(dp - bf) / abs(bf))
+        # lookahead_value plans from the belief; the suites read the value off
+        # a lattice of the world's posteriors
+        lattice = Lattice(env, belief.count, [cfg]).values(cfg)[belief.count, belief.ones]
+        for dp in (lookahead_value(belief, env, cfg), float(lattice)):
+            assert dp == pytest.approx(bf, rel=1e-12, abs=1e-15), f"instance {i}: {dp} vs {bf}"
+            if bf != 0.0:
+                worst_rel = max(worst_rel, abs(dp - bf) / abs(bf))
     elapsed = time.perf_counter() - start
     report(
         "criterion 05 lookahead matches enumeration",
         True,
-        f"{instances} instances depth<=8, worst relative gap {worst_rel:.2e} ({elapsed:.1f}s)",
+        f"{instances} instances depth<=8, plan and lattice values, worst relative gap {worst_rel:.2e} "
+        f"({elapsed:.1f}s)",
     )
 
 
@@ -258,7 +264,6 @@ def test_c06_policy_reductions():
     points = 0
     disagreements = 0
     for pm in posteriors:
-        belief = initial_belief(float(pm))
         for gain in stakes:
             for loss in stakes:
                 env = EnvParams(
@@ -270,15 +275,33 @@ def test_c06_policy_reductions():
                     prior_malicious=float(pm),
                 )
                 points += 1
-                base = myopic_decide(belief, env)
-                if optimistic_decide(belief, env) is not base:
+                # removes(0, 0) reads the posterior before any observation: the prior, pm
+                base = MyopicPolicy(env).removes(0, 0)
+                if OptimisticPolicy(env).removes(0, 0) is not base:
                     disagreements += 1
-                if lookahead_decide(belief, env, lookahead_cfg) is not base:
+                if LookaheadPolicy(env, lookahead_cfg).removes(0, 0) is not base:
                     disagreements += 1
+    # the regions the suites build, at every count of random draws
+    rng = np.random.default_rng(106)
+    myopic, optimistic, lookahead = (PolicySpec.parse(text) for text in ("myopic", "optimistic", "lookahead:1"))
+    draws = counts = 0
+    for suite in (ExperimentSuite.POLICY_COMPARE, ExperimentSuite.LOOKAHEAD_COMPARE):
+        for _ in range(10):
+            draw = sample_experiment(rng, suite)
+            full_rate = replace(draw, env=replace(draw.env, departure_rate=1.0))
+            pairs = (
+                build_regions([myopic, lookahead], draw),  # both off one lattice
+                [myopic.build(draw), lookahead.build(draw)],  # compile_region, and lookahead's own lattice
+                build_regions([myopic, optimistic], full_rate),
+            )
+            for base, region in pairs:
+                disagreements += int(((base.lo != region.lo) | (base.hi != region.hi)).sum())
+            draws += 1
+            counts += draw.horizon + 1
     report(
         "criterion 06 policy reductions",
         disagreements == 0,
-        f"{points} grid points, {disagreements} disagreements "
+        f"{points} grid points and {counts} counts of {draws} suite draws, {disagreements} disagreements "
         "(lookahead depth-1/zero-leaf vs myopic; optimistic at full departure rate vs myopic)",
     )
 

@@ -144,6 +144,11 @@ class TestBounds:
         out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
         assert float(out["loss_bound_combined"]) == pytest.approx(50.0, rel=1e-8)
 
+    def test_honest_bound_that_underflows_exits_2(self, capsys):
+        # lambda (gap^2 + 2 lambda) underflows to 0 at these finite flags
+        argv = ["bounds", "--Delta", "1e-200", "--gU", "1", "--lQ", "1", "--lambda", "1e-300"]
+        assert "honest loss bound is not finite" in assert_usage_error(argv, capsys).err
+
     def test_nonpositive_inputs_exit_2(self):
         assert run_cli(["bounds", "--lQ", "0", "--gU", "1", "--lambda", "0.1", "--Delta", "0.5"]) == 2
         assert run_cli(["bounds", "--lQ", "1", "--gU", "1", "--lambda", "0.1"]) == 2
@@ -235,6 +240,12 @@ class TestStream:
             err = capsys.readouterr().err
             assert err.startswith("error: line 2: ") and shown in err
             assert err.count("\n") == 1
+
+    def test_deeply_nested_line_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text('{"node_id": "a", "t": 1, "x": 0}\n' + "[" * 200_000 + "]" * 200_000 + "\n")
+        err = assert_usage_error(["stream", str(inp), *HIPER], capsys).err
+        assert err.startswith("error: line 2: not valid JSON (maximum recursion depth exceeded")
 
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"
@@ -563,6 +574,13 @@ class TestSuiteCommand:
         out = tmp_path / "o.csv"
         argv = ["suite", "--config", str(config), "--out", str(out), "--seed", "1"]
         assert str(config) in assert_usage_error(argv, capsys).err
+        assert not out.exists()
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        config, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        config.write_text("[" * 200_000 + "]" * 200_000)
+        argv = ["suite", "--config", str(config), "--out", str(out), "--seed", "1"]
+        assert f"config file {config} is not valid JSON" in assert_usage_error(argv, capsys).err
         assert not out.exists()
 
     @pytest.mark.parametrize("link", [False, True], ids=["same_path", "symlink"])

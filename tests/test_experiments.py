@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nodeban import experiments
 from nodeban.experiments import (
     PolicySpec,
     SuiteConfig,
@@ -136,6 +137,36 @@ class TestRunSuite:
         c = run_suite(cfg, jobs=2)
         assert a == b
         assert a == c
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (100_000, 4, 4), (100_000, 64, 6), (100_000, None, 1), (3, 64, 3), (2, 1, 1),
+    ])
+    def test_pool_has_at_most_one_worker_per_run_and_cpu(self, jobs, cpus, workers, monkeypatch):
+        """The pool starts all its workers at the first submit, so its size
+        is capped; any jobs > 1 still takes the pool path."""
+        sizes = []
+
+        class InlinePool:
+            """Records its size and maps in this process: starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        cfg = SuiteConfig.make("policy_compare", base_seed=90, n_runs=6, ma_window=3, policies=("myopic",))
+        expected = run_suite(cfg, jobs=1)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        assert run_suite(cfg, jobs=jobs) == expected
+        assert sizes == [workers]
 
     def test_aggregate_requires_raw_records(self):
         cfg = SuiteConfig.make(

@@ -269,6 +269,12 @@ class TestLossBounds:
         with pytest.raises(ValueError):
             bound_loss_honest(1.0, -0.2, 0.5)
 
+    def test_honest_bound_rejects_a_value_that_is_not_finite(self):
+        with pytest.raises(ValueError, match="not finite"):
+            bound_loss_honest(1.0, 1e-300, 1e-200)  # the denominator underflows to 0
+        with pytest.raises(ValueError, match="not finite"):
+            bound_loss_honest(1e300, 1e-300, 0.5)  # the quotient overflows
+
     def test_combined_value(self):
         assert bound_loss_combined(1.0, 1.0, 0.1, 0.5) == pytest.approx(50.0, rel=1e-9)
 

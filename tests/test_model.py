@@ -5,15 +5,7 @@ import numpy as np
 import pytest
 
 from nodeban.cli import _parse_event, main
-from nodeban.model import (
-    NEVER,
-    Decision,
-    EnvParams,
-    NodeType,
-    oracle_gain,
-    realized_gain,
-    realized_loss,
-)
+from nodeban.model import NEVER, Decision, EnvParams, NodeType, realized_loss
 
 
 def env(gain=1.0, loss=1.0, rate=0.1):
@@ -27,38 +19,47 @@ def env(gain=1.0, loss=1.0, rate=0.1):
     )
 
 
+# realized_loss is the oracle's gain minus the realized gain. The two
+# classes below check each gain's part of it; horizons of 1000 cap the steps.
+
+
 class TestRealizedGain:
     def test_malicious_cost_accrues_until_removal(self):
-        assert realized_gain(NodeType.MALICIOUS, NEVER, 3, env(loss=1.0)) == -3.0
+        assert realized_loss(NodeType.MALICIOUS, 1000, 3, env(loss=1.0)) == 3.0
 
     def test_honest_capped_by_departure(self):
-        assert realized_gain(NodeType.HONEST, 10, NEVER, env(gain=0.5)) == 5.0
+        # kept past its departure: the realized gain is the oracle's
+        assert realized_loss(NodeType.HONEST, 10, 1000, env(gain=0.5)) == 0.0
 
     def test_honest_capped_by_removal(self):
-        assert realized_gain(NodeType.HONEST, 10, 4, env(gain=0.5)) == 2.0
+        # 2.0 realized of the oracle's 5.0
+        assert realized_loss(NodeType.HONEST, 10, 4, env(gain=0.5)) == 3.0
 
     def test_uncapped_malicious_removal_rejected(self):
-        with pytest.raises(ValueError):
-            realized_gain(NodeType.MALICIOUS, NEVER, NEVER, env())
+        with pytest.raises(ValueError, match="removal must be capped"):
+            realized_loss(NodeType.MALICIOUS, 1000, NEVER, env())
 
     def test_negative_steps_rejected(self):
-        with pytest.raises(ValueError):
-            realized_gain(NodeType.HONEST, -1, 3, env())
+        for departure, removal in ((-1, 3), (3, -1), (math.nan, 3), (3, math.nan)):
+            with pytest.raises(ValueError, match="nonnegative step count"):
+                realized_loss(NodeType.HONEST, departure, removal, env())
 
 
 class TestOracleGain:
     def test_malicious_yields_zero(self):
-        assert oracle_gain(NodeType.MALICIOUS, 100, env()) == 0.0
+        # the oracle removes a malicious node at step 0, whenever it would leave
+        assert realized_loss(NodeType.MALICIOUS, 100, 0, env()) == 0.0
 
     def test_honest_earns_until_departure(self):
-        assert oracle_gain(NodeType.HONEST, 7, env(gain=1.0)) == 7.0
+        # removed at once, the node loses all the oracle earns
+        assert realized_loss(NodeType.HONEST, 7, 0, env(gain=1.0)) == 7.0
 
     def test_immediate_departure(self):
-        assert oracle_gain(NodeType.HONEST, 0, env(gain=2.0)) == 0.0
+        assert realized_loss(NodeType.HONEST, 0, 0, env(gain=2.0)) == 0.0
 
     def test_infinite_departure_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_gain(NodeType.HONEST, NEVER, env())
+        with pytest.raises(ValueError, match="departure must be capped"):
+            realized_loss(NodeType.HONEST, NEVER, 3, env())
 
 
 class TestRealizedLoss:
@@ -77,16 +78,17 @@ class TestRealizedLoss:
             realized_loss(NodeType.HONEST, NEVER, 4, env())
 
 
-def per_step_gain(node_type, departure, removal, e):
-    """Independent per-step bookkeeping: -loss for each step a malicious node
-    is present (steps 1..removal), +gain for each step an honest node is
-    present (steps 1..min(departure, removal))."""
+def per_step_loss(node_type, departure, removal, e):
+    """Independent per-step bookkeeping against the oracle: loss for each
+    step a malicious node is present (steps 1..removal), gain for each step
+    an honest node would still be present had it not been removed (steps
+    removal + 1..departure)."""
     total = 0.0
     if node_type is NodeType.MALICIOUS:
         for t in range(1, int(removal) + 1):
-            total -= e.loss_malicious
+            total += e.loss_malicious
     else:
-        for t in range(1, int(min(departure, removal)) + 1):
+        for t in range(int(removal) + 1, int(departure) + 1):
             total += e.gain_honest
     return total
 
@@ -98,8 +100,8 @@ def test_per_step_accounting_matches_closed_form():
         departure = int(rng.integers(0, 40))
         removal = int(rng.integers(0, 40))
         node_type = NodeType.MALICIOUS if rng.random() < 0.5 else NodeType.HONEST
-        closed = realized_gain(node_type, departure, removal, e)
-        stepped = per_step_gain(node_type, departure, removal, e)
+        closed = realized_loss(node_type, departure, removal, e)
+        stepped = per_step_loss(node_type, departure, removal, e)
         assert closed == pytest.approx(stepped, rel=1e-12, abs=1e-12)
 
 

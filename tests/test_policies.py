@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nodeban.belief import BeliefState, BernoulliModel, initial_belief, update
+from nodeban.belief import BernoulliModel, initial_belief, update
 from nodeban.model import Decision, EnvParams
 from nodeban.policies import (
     LeafRule,
@@ -11,12 +11,9 @@ from nodeban.policies import (
     LookaheadPolicy,
     MyopicPolicy,
     OptimisticPolicy,
-    lookahead_decide,
     lookahead_value,
-    myopic_decide,
-    optimistic_decide,
 )
-from oracles import lookahead_value_bruteforce
+from oracles import belief_rule_removes, lookahead_value_bruteforce
 
 
 def make_env(u=0.8, q=0.2, gain=1.0, loss=1.0, rate=0.1, prior=0.5):
@@ -28,11 +25,6 @@ def make_env(u=0.8, q=0.2, gain=1.0, loss=1.0, rate=0.1, prior=0.5):
         departure_rate=rate,
         prior_malicious=prior,
     )
-
-
-def belief_with_posterior(pm: float) -> BeliefState:
-    # a fresh belief's posterior equals its prior
-    return initial_belief(pm)
 
 
 def random_instance(rng, max_history=30):
@@ -54,29 +46,29 @@ def random_instance(rng, max_history=30):
     return belief, env
 
 
+# A rule's removes(0, 0) reads the posterior before any observation, which
+# is exactly the env's prior_malicious: the tests below set the posterior
+# through the prior.
+
+
 class TestMyopic:
     def test_tie_removes(self):
-        env = make_env(gain=1.0, loss=1.0)
-        assert myopic_decide(belief_with_posterior(0.5), env) is Decision.REMOVE
+        assert MyopicPolicy(make_env(gain=1.0, loss=1.0, prior=0.5)).removes(0, 0)
 
     def test_profitable_keeps(self):
-        env = make_env(gain=1.0, loss=1.0)
-        assert myopic_decide(belief_with_posterior(0.4), env) is Decision.KEEP
+        assert not MyopicPolicy(make_env(gain=1.0, loss=1.0, prior=0.4)).removes(0, 0)
 
     def test_certain_honest_keeps(self):
-        env = make_env(gain=0.01)
-        assert myopic_decide(belief_with_posterior(0.0), env) is Decision.KEEP
+        assert not MyopicPolicy(make_env(gain=0.01, prior=0.0)).removes(0, 0)
 
 
 class TestOptimistic:
     def test_patient_keep(self):
         # expected honest value 0.2 * 1 / 0.1 = 2 beats expected cost 0.8
-        env = make_env(gain=1.0, loss=1.0, rate=0.1)
-        assert optimistic_decide(belief_with_posterior(0.8), env) is Decision.KEEP
+        assert not OptimisticPolicy(make_env(gain=1.0, loss=1.0, rate=0.1, prior=0.8)).removes(0, 0)
 
     def test_certain_malicious_removes(self):
-        env = make_env(gain=1.0, loss=1.0, rate=0.1)
-        assert optimistic_decide(belief_with_posterior(1.0), env) is Decision.REMOVE
+        assert OptimisticPolicy(make_env(gain=1.0, loss=1.0, rate=0.1, prior=1.0)).removes(0, 0)
 
     def test_full_departure_rate_equals_myopic(self):
         rng = np.random.default_rng(31)
@@ -85,9 +77,11 @@ class TestOptimistic:
                 gain=float(rng.uniform(0, 2)),
                 loss=float(rng.uniform(0, 2)),
                 rate=1.0,
+                prior=float(rng.uniform(0, 1)),
             )
-            belief = belief_with_posterior(float(rng.uniform(0, 1)))
-            assert optimistic_decide(belief, env) is myopic_decide(belief, env)
+            count = int(rng.integers(0, 30))
+            ones = int(rng.integers(0, count + 1))
+            assert OptimisticPolicy(env).removes(count, ones) == MyopicPolicy(env).removes(count, ones)
 
 
 class TestLookaheadValue:
@@ -166,33 +160,28 @@ def test_lookahead_handles_boundary_rates():
 
 class TestLookaheadDecide:
     def test_certain_malicious_removes(self):
-        env = make_env()
-        assert lookahead_decide(belief_with_posterior(1.0), env, LookaheadConfig(4)) is Decision.REMOVE
+        assert LookaheadPolicy(make_env(prior=1.0), LookaheadConfig(4)).removes(0, 0)
 
     def test_uninformative_profitable_keeps(self):
         env = make_env(u=0.5, q=0.5, gain=1.0, loss=1.0, prior=0.25)
         for depth in (1, 2, 8):
-            assert lookahead_decide(initial_belief(0.25), env, LookaheadConfig(depth)) is Decision.KEEP
+            assert not LookaheadPolicy(env, LookaheadConfig(depth)).removes(0, 0)
 
     def test_depth_one_zero_leaf_equals_myopic(self):
         rng = np.random.default_rng(36)
         cfg = LookaheadConfig(1)
         for _ in range(500):
             belief, env = random_instance(rng, max_history=10)
-            assert lookahead_decide(belief, env, cfg) is myopic_decide(belief, env)
+            lookahead, myopic = LookaheadPolicy(env, cfg), MyopicPolicy(env)
+            assert lookahead.removes(belief.count, belief.ones) == myopic.removes(belief.count, belief.ones)
 
 
 def test_posterior_extremes_align_all_policies():
-    env = make_env(gain=1.0, loss=1.0, rate=0.2)
-    certain_malicious = belief_with_posterior(1.0)
-    certain_honest = belief_with_posterior(0.0)
     cfg = LookaheadConfig(4)
-    assert myopic_decide(certain_malicious, env) is Decision.REMOVE
-    assert optimistic_decide(certain_malicious, env) is Decision.REMOVE
-    assert lookahead_decide(certain_malicious, env, cfg) is Decision.REMOVE
-    assert myopic_decide(certain_honest, env) is Decision.KEEP
-    assert optimistic_decide(certain_honest, env) is Decision.KEEP
-    assert lookahead_decide(certain_honest, env, cfg) is Decision.KEEP
+    for pm, removed in ((1.0, True), (0.0, False)):
+        env = make_env(gain=1.0, loss=1.0, rate=0.2, prior=pm)
+        for policy in (MyopicPolicy(env), OptimisticPolicy(env), LookaheadPolicy(env, cfg)):
+            assert policy.removes(0, 0) is removed, (pm, type(policy).__name__)
 
 
 class TestOnlineWrappers:
@@ -202,21 +191,18 @@ class TestOnlineWrappers:
             _, env = random_instance(rng, max_history=0)
             model = BernoulliModel(env.honest_mean, env.malicious_mean)
             cfg = LookaheadConfig(3)
-            wrappers = {
-                "myopic": (MyopicPolicy(env), myopic_decide),
-                "optimistic": (OptimisticPolicy(env), optimistic_decide),
-            }
+            wrappers = {"myopic": MyopicPolicy(env), "optimistic": OptimisticPolicy(env)}
             belief = initial_belief(env.prior_malicious)
             lookahead = LookaheadPolicy(env, cfg)
             count = ones = 0
             for x in (rng.random(25) < 0.5).astype(int).tolist():
                 belief = update(belief, float(x), model)
                 count, ones = count + 1, ones + x  # ones stays a Python int
-                for name, (wrapper, decide) in wrappers.items():
+                for name, wrapper in wrappers.items():
                     verdict = wrapper.observe(float(x))
-                    assert verdict is decide(belief, env), name
+                    assert (verdict is Decision.REMOVE) == belief_rule_removes(name, env, count, ones), name
                     # the stream's observe and the simulator's predicate agree
                     assert wrapper.removes(count, ones) == (verdict is Decision.REMOVE), name
                 verdict = lookahead.observe(float(x))
-                assert verdict is lookahead_decide(belief, env, cfg)
+                assert (verdict is Decision.KEEP) == (lookahead_value(belief, env, cfg) > 0.0)
                 assert lookahead.removes(count, ones) == (verdict is Decision.REMOVE)

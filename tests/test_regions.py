@@ -42,7 +42,7 @@ from nodeban.experiments import PolicySpec, SuiteConfig, build_regions
 from nodeban.hiper import HiperParams, HiperPolicy, min_samples
 from nodeban.model import EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy
-from nodeban.policies import OptimisticPolicy, lookahead_value, lookahead_values
+from nodeban.policies import Lattice, OptimisticPolicy, lookahead_value
 from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region
 from nodeban.simulator import sample_experiment, table_region
 from oracles import RegionWalk, belief_rule_removes, posterior_per_call, stream_replay
@@ -241,7 +241,7 @@ def test_posterior_evaluator_rejects_what_posterior_rejects():
 @given(worlds(), st.integers(1, 8), st.sampled_from(list(LeafRule)))
 def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
     env, cfg, horizon = draw.env, LookaheadConfig(depth, leaf), 40
-    values = lookahead_values(env, cfg, horizon)
+    values = Lattice(env, horizon, [cfg]).values(cfg)
     assert values.shape == (horizon + 1, horizon + 1)
     model = BernoulliModel(env.honest_mean, env.malicious_mean)
     for t in range(horizon + 1):
@@ -378,10 +378,7 @@ def test_shared_lattice_regions_are_each_rule_alone(draw, horizon, texts):
     interior = all(0.0 < p < 1.0 for p in (env.honest_mean, env.malicious_mean, env.prior_malicious))
     points = [(t, k) for t in range(horizon + 1) for k in range(t + 1) if reachable(draw, t, k)]
     for spec, region in zip(specs, build_regions(specs, draw)):
-        if spec.kind == "lookahead":
-            alone = table_region(lookahead_values(env, spec.lookahead_config, horizon) <= 0.0)
-        else:
-            alone = compile_region(spec.policy(draw), horizon)
+        alone = spec.build(draw)  # with no lattice given: a lookahead spec builds its own
         if interior:
             assert region.lo.tolist() == alone.lo.tolist(), (spec.label, texts)
             assert region.hi.tolist() == alone.hi.tolist(), (spec.label, texts)
@@ -410,7 +407,7 @@ def test_lookahead_walk_is_the_table(draw, depth, leaf):
     env, cfg = draw.env, LookaheadConfig(depth, leaf)
     walk = RegionWalk(LookaheadPolicy(env, cfg))
     walk.extend(WALK_COUNTS)
-    table = table_region(lookahead_values(env, cfg, WALK_COUNTS) <= 0.0)
+    table = table_region(Lattice(env, WALK_COUNTS, [cfg]).values(cfg) <= 0.0)
     assert walk.lo == table.lo.tolist()
     assert walk.hi == table.hi.tolist()
     region = compile_region(LookaheadPolicy(env, cfg), WALK_COUNTS)

@@ -44,7 +44,7 @@ from .hiper import (
     bound_loss_malicious_warmup,
     optimal_delta,
 )
-from .model import Decision, EnvParams
+from .model import EnvParams
 from .policies import MAX_DEPTH, LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
 from .simulator import ExperimentSuite, compile_region
 
@@ -213,18 +213,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         return _fail("--lQ and --gU must be positive and --lambda must lie in (0, 1]")
     try:
         tuned = optimal_delta(args.lQ, args.gU, args.departure_rate, gap)
+        malicious = bound_loss_malicious(args.lQ, tuned.value)
         honest = bound_loss_honest(args.gU, args.departure_rate, gap)
+        combined = bound_loss_combined(args.lQ, args.gU, args.departure_rate, gap)
         malicious_warmup = bound_loss_malicious_warmup(args.lQ, tuned.value, gap)
     except ValueError as exc:
         return _fail(str(exc))
     print(f"delta_star {_fmt(tuned.value)}")
     print(f"delta_star_clamped {str(tuned.clamped).lower()}")
-    print(f"loss_bound_malicious {_fmt(bound_loss_malicious(args.lQ, tuned.value))}")
+    print(f"loss_bound_malicious {_fmt(malicious)}")
     print(f"loss_bound_honest {_fmt(honest)}")
-    print(
-        "loss_bound_combined "
-        f"{_fmt(bound_loss_combined(args.lQ, args.gU, args.departure_rate, gap))}"
-    )
+    print(f"loss_bound_combined {_fmt(combined)}")
     print(f"loss_bound_malicious_warmup {_fmt(malicious_warmup)}")
     print(f"loss_bound_combined_warmup {_fmt(max(malicious_warmup, honest))}")
     return 0
@@ -274,24 +273,24 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
         raise ValueError(f"line {line_no}: not valid JSON ({exc})")
-    if not isinstance(obj, dict):
-        raise ValueError(f"line {line_no}: expected a JSON object")
-    missing = {"node_id", "t", "x"} - set(obj)
-    if missing:
-        raise ValueError(f"line {line_no}: missing fields {sorted(missing)}")
-    node_id = obj["node_id"]
-    if not isinstance(node_id, str):  # 7 and "7" would otherwise be one node
-        raise ValueError(f"line {line_no}: node_id must be a JSON string, got {json.dumps(node_id)}")
-    t = obj["t"]
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise ValueError(f"line {line_no}: t must be a positive integer, got {t!r}")
-    x = obj["x"]
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"line {line_no}: x must be a number, got {x!r}")
     try:
-        x = float(x)
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf if x > 0 else -math.inf
+        node_id, t, x = obj["node_id"], obj["t"], obj["x"]
+    except (KeyError, TypeError):  # a KeyError only from a dict
+        if type(obj) is not dict:
+            raise ValueError(f"line {line_no}: expected a JSON object")
+        raise ValueError(f"line {line_no}: missing fields {sorted({'node_id', 't', 'x'} - set(obj))}")
+    # json.loads gives exact types, so `type(v) is int` excludes a JSON true
+    if type(node_id) is not str:  # 7 and "7" would otherwise be one node
+        raise ValueError(f"line {line_no}: node_id must be a JSON string, got {json.dumps(node_id)}")
+    if type(t) is not int or t < 1:
+        raise ValueError(f"line {line_no}: t must be a positive integer, got {t!r}")
+    if type(x) is int:
+        try:
+            x = float(x)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf if x > 0 else -math.inf
+    elif type(x) is not float:
+        raise ValueError(f"line {line_no}: x must be a number, got {x!r}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"line {line_no}: observation value must lie in [0, 1], got {x}")
     return StreamEvent(node_id, t, x)
@@ -304,7 +303,11 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     to twice the count when a node first outgrows it: O(largest count)
     memory and planning. The count is None once the node is removed; its
     later events still advance its last t, so they must stay ordered, and
-    are dropped."""
+    are dropped.
+
+    Each verdict line is written directly, with the json module encoding
+    only the node id: the bytes are json.dumps of the verdict object, since
+    t is an int and the statistic a finite float, whose repr is json's."""
     belief = not isinstance(policy, HiperPolicy)
     if belief:
         lo, hi = [0], [-1]
@@ -318,19 +321,18 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
             if not text:
                 return _fail(f"line {line_no}: blank line")
             try:
-                event = _parse_event(text, line_no)
+                node_id, t, x = _parse_event(text, line_no)
             except ValueError as exc:
                 return _fail(str(exc))
-            previous, count, s = nodes.get(event.node_id, (0, 0, 0))
-            if event.t <= previous:  # t >= 1, so a new node passes
+            previous, count, s = nodes.get(node_id, (0, 0, 0))
+            if t <= previous:  # t >= 1, so a new node passes
                 return _fail(
-                    f"line {line_no}: t={event.t} for node {event.node_id!r} is not "
+                    f"line {line_no}: t={t} for node {node_id!r} is not "
                     f"strictly increasing (previous {previous})"
                 )
             if count is None:
-                nodes[event.node_id] = (event.t, None, s)
+                nodes[node_id] = (t, None, s)
                 continue
-            x = event.x
             count += 1
             if belief:
                 if x != 0.0 and x != 1.0:
@@ -353,14 +355,11 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                 s += x
                 remove = policy.removes(count, s)
                 statistic = s / count
-            verdict = {
-                "node_id": event.node_id,
-                "t": event.t,
-                "decision": (Decision.REMOVE if remove else Decision.KEEP).value,
-                "statistic": statistic,
-            }
-            outfile.write(json.dumps(verdict) + "\n")
-            nodes[event.node_id] = (event.t, None if remove else count, s)
+            outfile.write(
+                f'{{"node_id": {json.dumps(node_id)}, "t": {t}, '
+                f'"decision": "{"remove" if remove else "keep"}", "statistic": {statistic!r}}}\n'
+            )
+            nodes[node_id] = (t, None if remove else count, s)
     except UnicodeDecodeError as exc:
         return _fail(f"input after line {line_no} is not valid UTF-8 ({exc.reason})")
     return 0

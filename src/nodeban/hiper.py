@@ -113,13 +113,17 @@ def bound_loss_malicious(loss_malicious: float, delta: float) -> float:
     departs) loses at least loss_malicious * (floor(W) + 1). The value
     therefore bounds this rule's malicious loss only where
     floor(W) + 1 <= 1 / (1 - delta)^2; bound_loss_malicious_warmup is the
-    ceiling that counts the warm-up.
+    ceiling that counts the warm-up. Raises ValueError where it is not
+    finite (the quotient overflows).
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
     if loss_malicious < 0.0:
         raise ValueError(f"loss_malicious must be nonnegative, got {loss_malicious}")
-    return loss_malicious / ((1.0 - delta) * (1.0 - delta))
+    bound = loss_malicious / ((1.0 - delta) * (1.0 - delta))
+    if not math.isfinite(bound):
+        raise ValueError(f"the malicious loss bound is not finite at loss={loss_malicious}, delta={delta}")
+    return bound
 
 
 def bound_loss_malicious_warmup(loss_malicious: float, delta: float, gap: float) -> float:
@@ -130,10 +134,17 @@ def bound_loss_malicious_warmup(loss_malicious: float, delta: float, gap: float)
     floor(W) + 1, the first step at which the rule can remove a node, plus
     the floor(W) warm-up steps before it. It equals bound_loss_malicious when
     W < 1 and is never below the warm-up floor loss_malicious * (floor(W) + 1).
-    Rejects what bound_loss_malicious rejects, and what min_samples rejects.
+    Rejects what bound_loss_malicious rejects, what min_samples rejects, and
+    a sum that is not finite.
     """
     paper = bound_loss_malicious(loss_malicious, delta)
-    return paper + loss_malicious * math.floor(min_samples(delta, gap))
+    bound = paper + loss_malicious * math.floor(min_samples(delta, gap))
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"the warm-up-aware malicious loss bound is not finite at loss={loss_malicious}, "
+            f"delta={delta}, gap={gap}"
+        )
+    return bound
 
 
 def bound_loss_honest(gain_honest: float, departure_rate: float, gap: float) -> float:

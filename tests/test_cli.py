@@ -7,9 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import nodeban
 from nodeban.cli import main
+from nodeban.hiper import HiperParams, HiperPolicy
 
 HIPER = ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"]
 MYOPIC = ["--policy", "myopic", "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"]
@@ -149,6 +152,16 @@ class TestBounds:
         argv = ["bounds", "--Delta", "1e-200", "--gU", "1", "--lQ", "1", "--lambda", "1e-300"]
         assert "honest loss bound is not finite" in assert_usage_error(argv, capsys).err
 
+    @pytest.mark.parametrize("flags", [
+        ["--Delta", "0.5", "--gU", "1e-308", "--lQ", "1e308", "--lambda", "1"],
+        ["--Delta", "0.5", "--gU", "1", "--lQ", "1.7e308", "--lambda", "0.5"],
+    ])
+    def test_warmup_bound_that_overflows_exits_2(self, flags, capsys):
+        # delta* clamps to 1e-6, so lQ times the 29 warm-up steps overflows
+        captured = assert_usage_error(["bounds", *flags], capsys)
+        assert captured.out == ""
+        assert "malicious loss bound is not finite" in captured.err
+
     def test_nonpositive_inputs_exit_2(self):
         assert run_cli(["bounds", "--lQ", "0", "--gU", "1", "--lambda", "0.1", "--Delta", "0.5"]) == 2
         assert run_cli(["bounds", "--lQ", "1", "--gU", "1", "--lambda", "0.1"]) == 2
@@ -267,6 +280,60 @@ class TestStream:
         assert code == 2
         assert capsys.readouterr().err == f"error: line 2: node_id must be a JSON string, got {shown}\n"
         assert [v["node_id"] for v in read_verdicts(outp)] == ["7"]
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param("[1]", "expected a JSON object", id="array"),
+        pytest.param('"a"', "expected a JSON object", id="string"),
+        pytest.param("null", "expected a JSON object", id="null"),
+        pytest.param('{"t": 2, "x": 0.5}', "missing fields ['node_id']", id="no_node_id"),
+        pytest.param('{"x": 0.5, "node_id": "a"}', "missing fields ['t']", id="no_t"),
+        pytest.param('{"node_id": "a", "t": 2}', "missing fields ['x']", id="no_x"),
+        pytest.param('{"y": 1}', "missing fields ['node_id', 't', 'x']", id="no_fields"),
+        pytest.param('{"node_id": 7, "t": 2, "x": 0.5}', "node_id must be a JSON string, got 7", id="numeric_id"),
+        pytest.param('{"node_id": "a", "t": true, "x": 0.5}', "t must be a positive integer, got True", id="t_true"),
+        pytest.param('{"node_id": "a", "t": 0, "x": 0.5}', "t must be a positive integer, got 0", id="t_0"),
+        pytest.param('{"node_id": "a", "t": 1.0, "x": 0.5}', "t must be a positive integer, got 1.0", id="t_float"),
+        pytest.param('{"node_id": "a", "t": "1", "x": 0.5}', "t must be a positive integer, got '1'", id="t_string"),
+        pytest.param('{"node_id": "a", "t": 2, "x": true}', "x must be a number, got True", id="x_true"),
+        pytest.param('{"node_id": "a", "t": 2, "x": "0.5"}', "x must be a number, got '0.5'", id="x_string"),
+        pytest.param('{"node_id": "a", "t": 2, "x": null}', "x must be a number, got None", id="x_null"),
+        pytest.param('{"node_id": "a", "t": 2, "x": 1.5}', "observation value must lie in [0, 1], got 1.5", id="x_1.5"),
+        pytest.param('{"node_id": "a", "t": 2, "x": 1%s}' % ("0" * 400),
+                     "observation value must lie in [0, 1], got inf", id="x_huge_int"),
+    ])
+    def test_malformed_event_exits_2_with_its_message(self, line, message, tmp_path, capsys):
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        inp.write_text('{"node_id": "b", "t": 1, "x": 0.5}\n' + line + "\n")
+        assert run_cli(["stream", str(inp), "--out", str(outp), *HIPER]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert [v["node_id"] for v in read_verdicts(outp)] == ["b"]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(events=st.lists(
+        st.tuples(
+            st.text(st.characters(exclude_categories=())),  # surrogates too
+            st.integers(1, 10**100),
+            st.sampled_from([0.0, 1.0, 5e-324, 0.1]) | st.floats(0.0, 1.0),
+        ),
+        min_size=1, max_size=6, unique_by=lambda event: event[0],
+    ))
+    @example(events=[('"', 1, 0.0), ("\\", 2, 1.0), ("\x00\n\x1f\x7f", 10**100, 5e-324), ("é—\U0001f600", 3, 0.1)])
+    @example(events=[(json.loads('"\\ud800"'), 1, 0.5)])
+    def test_verdict_lines_are_the_json_modules_bytes(self, events, tmp_path):
+        # at delta 0.99 and gap 1 the warm-up is below 1, so a node's first
+        # event is removed iff |x - q| lies inside the radius: both decisions show
+        flags = ["--policy", "hiper", "--q", "0.3", "--delta", "0.99", "--Delta", "1"]
+        rule = HiperPolicy(HiperParams(delta=0.99, gap=1.0, malicious_mean=0.3))
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, [{"node_id": node_id, "t": t, "x": x} for node_id, t, x in events])
+        assert run_cli(["stream", str(inp), "--out", str(outp), *flags]) == 0
+        expected = "".join(
+            json.dumps({"node_id": node_id, "t": t, "decision": "remove" if rule.removes(1, x) else "keep",
+                        "statistic": x}) + "\n"
+            for node_id, t, x in events
+        )
+        assert outp.read_bytes() == expected.encode()
 
     def test_out_of_order_t_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"

@@ -258,6 +258,12 @@ class TestLossBounds:
         with pytest.raises(ValueError):
             bound_loss_malicious(1.0, -0.1)
 
+    def test_malicious_bound_rejects_a_value_that_is_not_finite(self):
+        with pytest.raises(ValueError, match="malicious loss bound is not finite"):
+            bound_loss_malicious(1e300, 1.0 - 1e-10)  # the quotient overflows
+        with pytest.raises(ValueError, match="malicious loss bound is not finite"):
+            bound_loss_malicious(math.inf, 0.5)
+
     def test_honest_bound_values(self):
         assert bound_loss_honest(1.0, 0.01, 0.5) == pytest.approx(2.25 / 0.0027, rel=1e-9)
         assert bound_loss_honest(0.0, 0.3, 0.2) == 0.0
@@ -342,6 +348,14 @@ class TestWarmupBound:
                 bound_loss_malicious_warmup(loss, delta, 0.5)
         with pytest.raises(ValueError):
             bound_loss_malicious_warmup(1.0, 0.5, 0.0)
+
+    def test_rejects_a_value_that_is_not_finite(self):
+        # the paper's part is finite; lQ times the 29 warm-up steps overflows
+        assert math.isfinite(bound_loss_malicious(1e308, 1e-6))
+        with pytest.raises(ValueError, match="warm-up-aware malicious loss bound is not finite"):
+            bound_loss_malicious_warmup(1e308, 1e-6, 0.5)
+        with pytest.raises(ValueError, match="malicious loss bound is not finite"):
+            bound_loss_malicious_warmup(1e300, 1.0 - 1e-10, 1.0)  # the paper's part overflows
 
 
 def test_bernoulli_mean_deviation_tail():

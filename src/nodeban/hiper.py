@@ -18,9 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Decision
+from .simulator import Region, compile_region
 
 _DELTA_MIN = 1e-6
 _DELTA_MAX = 1.0 - 1e-6
+
+#: HiperPolicy.region's probe rows, (lo, lo - 1, hi, hi + 1), and whether
+#: each must remove for its guessed ends to be the interval's.
+_PROBE_REMOVES = np.array([[True], [False], [True], [False]])
 
 
 @dataclass(frozen=True)
@@ -193,8 +198,9 @@ class HiperPolicy:
     malicious mean. Equality in either comparison keeps the node. The
     warm-up threshold and the log term of the radius are precomputed once.
     removes(count, total) is the rule, scalar for nodeban stream's every
-    event, observe and simulate_node; compile_region evaluates its array
-    twin removes_elementwise near boundary's closed-form ends.
+    event, observe and simulate_node; removes_elementwise is its array twin,
+    and boundary its one closed form. region compiles the rule for a
+    horizon from boundary's ends, confirmed by removes_elementwise.
     """
 
     def __init__(self, params: HiperParams) -> None:
@@ -228,3 +234,33 @@ class HiperPolicy:
         """The interval's ends up to rounding: count * (malicious_mean -+ radius)."""
         centre, spread = count * self._params.malicious_mean, count * np.sqrt(self._log_term / (2.0 * count))
         return centre - spread, centre + spread
+
+    def region(self, horizon: int) -> Region:
+        """compile_region(self, horizon), from boundary's ends without a seed
+        pass or a bisection.
+
+        No count up to floor(W), W = min_samples(delta, gap), removes, and
+        every count t past it does: the rule removes the ones k with
+        |k / t - q| < r_t, an interval of k (each operation is monotone in k,
+        in floating point too) around t q of half-width
+        t r_t = sqrt(t ln(2 / delta) / 2) > sqrt(ln(2) / 2) > 1/2. So the
+        interval holds rint(q t), compile_region's seed, and the two agree.
+        Its ends are boundary's rounded inward, as the strict comparison
+        asks: floor(t (q - r_t)) + 1, at least 0, and ceil(t (q + r_t)) - 1,
+        at most t. One removes_elementwise call confirms them all, on four
+        probes per count: each end must remove, and its outer neighbour keep
+        or lie outside [0, t], which makes it the interval's end. If any end
+        is not confirmed, the region is compile_region's.
+        """
+        first = min(math.floor(self._warmup), horizon) + 1
+        count = np.arange(first, horizon + 1)
+        low, high = self.boundary(count)
+        lo = np.maximum(np.floor(low) + 1.0, 0.0).astype(np.int64)
+        hi = np.minimum(np.ceil(high) - 1.0, count).astype(np.int64)
+        probe = np.stack([lo, lo - 1, hi, hi + 1])
+        hit = self.removes_elementwise(count, probe) & (probe >= 0) & (probe <= count)
+        if (hit != _PROBE_REMOVES).any():
+            return compile_region(self, horizon)
+        region = Region(np.zeros(horizon + 1, dtype=np.int64), np.full(horizon + 1, -1, dtype=np.int64))
+        region.lo[first:], region.hi[first:] = lo, hi
+        return region

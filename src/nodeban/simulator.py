@@ -9,9 +9,11 @@ hierarchically:
 so every policy evaluated on a draw sees identical nodes. A policy is
 compiled once per draw into a Region, in numpy near its closed-form ends or
 by bisection where it has none (nodeban stream recompiles its region at
-twice the count a node outgrows), or read off a table of the draw's whole
-(count, ones) lattice by table_region: the suites read every belief rule of
-a draw that plans ahead off one shared posterior lattice (policies.Lattice).
+twice the count a node outgrows), straight from its closed-form ends where
+one call of the rule confirms them all (hiper, HiperPolicy.region), or read
+off a table of the draw's whole (count, ones) lattice by table_region: the
+suites read every belief rule of a draw that plans ahead off one shared
+posterior lattice (policies.Lattice).
 run_episode draws each node once and scores every region by first passage.
 It seeds the draw's node streams in bulk (node_streams, the same bits as one
 node_rng per node, each SeedSequence hash run on stacked rows of all node
@@ -120,8 +122,8 @@ def compile_region(policy, horizon: int) -> Region:
     has no closed form). Relies on each count's removal set being an interval
     of ones that, when nonempty, holds the ones value nearest anchor * count,
     so that one seed there decides emptiness; each end is then probed near
-    its guess. The belief rules' anchors are 0 and 1; past its warm-up, hiper
-    removes the ones within t r_t of t q, and t r_t > sqrt(t ln 2 / 2) > 1/2."""
+    its guess. The belief rules' anchors are 0 and 1; HiperPolicy.region shows
+    why hiper's is its malicious mean, and calls this only as a fallback."""
     count = np.arange(1, horizon + 1)
     removes = policy.removes_elementwise
     seed = np.rint(policy.anchor * count).astype(np.int64)

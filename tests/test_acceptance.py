@@ -36,7 +36,7 @@ from nodeban.policies import (
     OptimisticPolicy,
     lookahead_value,
 )
-from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region, episode_rng
+from nodeban.simulator import ExperimentDraw, ExperimentSuite, episode_rng
 from nodeban.simulator import run_episode, sample_experiment
 from oracles import lookahead_value_bruteforce
 
@@ -57,7 +57,7 @@ def hiper_losses(node_type, draw, params):
     id, so the prior that fixes the type leaves them unchanged."""
     malicious = node_type is NodeType.MALICIOUS
     draw = replace(draw, env=replace(draw.env, prior_malicious=1.0 if malicious else 0.0))
-    episode = run_episode([compile_region(HiperPolicy(params), draw.horizon)], draw, episode_rng(draw))
+    episode = run_episode([HiperPolicy(params).region(draw.horizon)], draw, episode_rng(draw))
     assert (episode.malicious == malicious).all()
     return episode.loss[0]
 

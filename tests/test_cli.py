@@ -693,6 +693,15 @@ class TestSuiteCommand:
         assert "runs=5" in stdout
         assert "policy hiper:0.9 mean_loss=" in stdout
 
+    def test_deltas_that_differ_past_6_digits_are_distinct_policies(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "curves.csv"
+        self.write_config(cfg, suite="delta_sweep", n_runs=2, ma_window=1, policies=["hiper:0.95", "hiper:0.9500001"])
+        assert run_cli(["suite", "--config", str(cfg), "--out", str(out), "--seed", "11"]) == 0
+        policies = {line.split(",")[2] for line in out.read_text().splitlines()[1:]}
+        assert policies == {"hiper:0.95", "hiper:0.9500001"}
+        stdout = capsys.readouterr().out
+        assert "policy hiper:0.95 mean_loss=" in stdout and "policy hiper:0.9500001 mean_loss=" in stdout
+
     def test_byte_identical_across_runs_and_jobs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         self.write_config(cfg, suite="policy_compare", n_runs=4, ma_window=3, policies=["myopic", "optimistic"])

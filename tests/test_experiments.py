@@ -34,8 +34,20 @@ class TestPolicySpec:
             ("optimistic", "optimistic"),
             ("lookahead:4", "lookahead:4"),
             ("lookahead:8:optimistic", "lookahead:8:optimistic"),
+            ("hiper:.90", "hiper:0.9"),
+            ("hiper:1e-6", "hiper:1e-06"),
+            ("hiper:0.9500001", "hiper:0.9500001"),  # 7 significant digits
+            ("hiper:0.9999999999999999", "hiper:0.9999999999999999"),  # not hiper:1
         ]:
             assert PolicySpec.parse(text).label == label
+            assert PolicySpec.parse(label).label == label
+
+    def test_distinct_deltas_get_distinct_labels(self):
+        texts = ("hiper:0.95", "hiper:0.9500001", "hiper:0.9999999999999999", "hiper:0.99")
+        cfg = SuiteConfig.make("delta_sweep", base_seed=1, policies=texts)
+        labels = [PolicySpec.parse(text).label for text in cfg.policies]
+        assert labels == list(texts)
+        assert [PolicySpec.parse(label).delta for label in labels] == [float(text[6:]) for text in texts]
 
     def test_parse_rejects_garbage(self):
         for text in ("hiper", "hiper:2.0", "lookahead", "lookahead:zero", "sprt", "myopic:1"):

@@ -19,7 +19,6 @@ from nodeban.hiper import (
     optimal_delta,
 )
 from nodeban.model import Decision
-from nodeban.simulator import compile_region
 from oracles import hiper_decision
 
 DELTA_E2 = 2.0 * math.exp(-2.0)  # makes ln(2/delta) = 2
@@ -181,7 +180,7 @@ class TestHiperDecide:
         inside = exact_sum_sequence(math.nextafter(radius, 0.0) * t, t)
         assert sum(inside) / t == math.nextafter(radius, 0.0)
         assert fed(params, inside)[-1] is Decision.REMOVE
-        # the elementwise twin compile_region evaluates compares as strictly
+        # the elementwise twin that confirms region's ends compares as strictly
         totals = np.array([radius * t, math.nextafter(radius, 0.0) * t])
         assert HiperPolicy(params).removes_elementwise(np.array(t), totals).tolist() == [False, True]
 
@@ -190,7 +189,7 @@ class TestHiperDecide:
         # observation at the malicious mean removes the node
         params = HiperParams(delta=0.9, gap=1.0, malicious_mean=0.3)
         assert min_samples(0.9, 1.0) < 1.0
-        region = compile_region(HiperPolicy(params), 1)
+        region = HiperPolicy(params).region(1)
         assert region.lo[0] > region.hi[0]
         assert region.lo[1] <= 0 <= region.hi[1]  # one zero bit: mean 0 is within the radius
         assert HiperPolicy(params).observe(0.3) is Decision.REMOVE

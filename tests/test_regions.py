@@ -6,16 +6,18 @@ on the whole belief, at every lattice point up to counts 200 and 60.
 compile_region evaluates each rule elementwise only near the ends of each
 count's removal interval, guessed from hiper's, myopic's and optimistic's
 closed forms and bisected for lookahead, which the suites compile from
-lattice-wide tables instead. These tests
+lattice-wide tables instead. HiperPolicy.region takes hiper's ends from its
+closed form, confirmed by one probe either side of each end, and falls back
+to compile_region where one is not confirmed. These tests
 evaluate the scalar rule (and, for the tables, the scalar posterior and plan
 value) at every lattice point (count t, ones k) with t <= 60 (40 for the
 plan values) and compare exactly, over seeded random worlds that include
 q > u, q < u, observation means of exactly 0 and 1, u == q, priors of 0
 and 1, and a gain or loss of 0, where the closed form is infinite or NaN.
-At long horizons, compile_region is checked against RegionWalk, the scalar
-walk of the same rule in oracles.py, at every count of every draw of the
-golden suite configs and of the benchmark's first timed unit (horizons up
-to 1000). nodeban stream recompiles its region at twice the count a node
+At long horizons, the suites' regions are checked against RegionWalk, the
+scalar walk of the same rule in oracles.py, at every count of every draw of
+the golden suite configs and of the benchmark's first timed unit (horizons
+up to 1000), and hiper's past horizon 2**15. nodeban stream recompiles its region at twice the count a node
 outgrows; it is checked byte for byte against one observe-driven policy
 object per node, on event streams that outlive count 200, and lookahead's
 compiled region and walk against its table.
@@ -35,6 +37,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nodeban import hiper
 from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior
 from nodeban.cli import main
@@ -292,7 +295,9 @@ def test_myopic_and_optimistic_regions(draw):
 def test_compiled_regions_are_the_walk_at_long_horizons(suite):
     """Each default hiper, myopic and optimistic policy on every draw of the
     suite's golden config (base seed 7) and of the benchmark's first timed
-    unit (base seed (1 << 32) | 7), at every count up to the horizon."""
+    unit (base seed (1 << 32) | 7), at every count up to the horizon: built
+    as a suite without a lattice builds it, HiperPolicy.region for hiper and
+    compile_region for the belief rules."""
     horizons = []
     for base_seed in (7, (1 << 32) | 7):
         cfg = SuiteConfig.make(suite, base_seed, n_runs=50)
@@ -302,15 +307,14 @@ def test_compiled_regions_are_the_walk_at_long_horizons(suite):
             draw = sample_experiment(run_rng, suite)  # as run_suite draws run `run`
             horizons.append(draw.horizon)
             for spec in specs:
-                policy = spec.policy(draw)
-                region, walk = compile_region(policy, draw.horizon), RegionWalk(policy)
+                region, walk = spec.build(draw), RegionWalk(spec.policy(draw))
                 walk.extend(draw.horizon)
                 assert region.lo.tolist() == walk.lo, (spec.label, base_seed, run)
                 assert region.hi.tolist() == walk.hi, (spec.label, base_seed, run)
     assert max(horizons) > (90 if suite is ExperimentSuite.LOOKAHEAD_COMPARE else 900)
 
 
-SEED_COUNTS = 300  # how far compile_region's one seed per count is checked
+SEED_COUNTS = 300  # how far hiper's region is checked against the walk
 ENDPOINT_DELTAS = [1e-6, 0.5, 1.0 - 1e-6]  # the ends of optimal_delta's clamp, and its middle
 
 
@@ -321,16 +325,122 @@ ENDPOINT_DELTAS = [1e-6, 0.5, 1.0 - 1e-6]  # the ends of optimal_delta's clamp, 
     st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
 )
 def test_hiper_region_from_the_nearest_seed(delta, gap, q):
-    """compile_region seeds each count once, at the ones value nearest
-    q * count, where RegionWalk tries floor and ceil of it: the regions agree,
-    and are nonempty exactly at the counts past the warm-up."""
+    """HiperPolicy.region has no seed pass: it takes every count past the
+    warm-up to remove the ones nearest q * count, where RegionWalk tries floor
+    and ceil of it. The regions agree, and are nonempty exactly at the counts
+    past the warm-up."""
     policy = HiperPolicy(HiperParams(delta, gap, q))
-    region, walk = compile_region(policy, SEED_COUNTS), RegionWalk(policy)
+    region, walk = policy.region(SEED_COUNTS), RegionWalk(policy)
     walk.extend(SEED_COUNTS)
     assert region.lo.tolist() == walk.lo
     assert region.hi.tolist() == walk.hi
     past_warmup = np.arange(SEED_COUNTS + 1) > min_samples(delta, gap)
     assert (region.lo <= region.hi).tolist() == past_warmup.tolist()
+
+
+def assert_hiper_region_is_removes(policy, region, horizon):
+    """region is policy.removes at every lattice point up to the horizon."""
+    assert region.lo.shape == region.hi.shape == (horizon + 1,)
+    assert region.lo.dtype == region.hi.dtype == np.int64
+    for t in range(horizon + 1):
+        removed = [policy.removes(t, k) for k in range(t + 1)] if t else [False]
+        assert [region.lo[t] <= k <= region.hi[t] for k in range(t + 1)] == removed, t
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The horizons at which HiperPolicy.region fell back to compile_region."""
+    calls = []
+
+    def counted(policy, horizon):
+        calls.append(horizon)
+        return compile_region(policy, horizon)
+
+    monkeypatch.setattr(hiper, "compile_region", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, 0.3])
+@pytest.mark.parametrize("delta", [1e-6, 1.0 - 1e-6])
+@pytest.mark.parametrize("gap", [1.0, 0.3, 0.05])  # warm-ups 7.3 / 0.35, 81 / 3.9, 2902 / 139
+def test_hiper_region_is_removes_at_every_point(q, delta, gap, fallbacks):
+    """At q = 0 and 1 an end is clipped to the lattice's edge, and past it
+    the rule would remove again; delta at both ends of optimal_delta's clamp;
+    and gap 0.05 puts the warm-up at delta = 1e-6 beyond the horizon."""
+    horizon = 200
+    policy = HiperPolicy(HiperParams(delta, gap, q))
+    region = policy.region(horizon)
+    assert_hiper_region_is_removes(policy, region, horizon)
+    assert (region.lo <= region.hi).tolist() == (np.arange(horizon + 1) > min_samples(delta, gap)).tolist()
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("delta, q", [(0.5, 0.3), (1e-6, 1.0)])
+def test_hiper_region_past_horizon_2_to_the_15(delta, q, fallbacks):
+    """At horizons where run_episode counts ones in int32, region is the walk
+    of the scalar rule at every count."""
+    horizon = 2**15 + 300
+    policy = HiperPolicy(HiperParams(delta, 0.2, q))
+    region, walk = policy.region(horizon), RegionWalk(policy)
+    walk.extend(horizon)
+    assert region.lo.tolist() == walk.lo
+    assert region.hi.tolist() == walk.hi
+    assert fallbacks == []
+
+
+def test_hiper_region_keeps_a_tie_at_an_exact_integer_end(fallbacks):
+    """delta = 2 / e^2 to the last bit makes ln(2 / delta) exactly 2, so at
+    count 16 the radius is 1/4 and, at q = 1/2, both t (q -+ r_t) = 4 and 12
+    are exact integers: the mean there is exactly one radius from q, and the
+    strict comparison keeps it. region's inward rounding gets those ends
+    without falling back. At count 36, r_t = 1/6 is not a double: t (q + r_t)
+    rounds to 24, where the rule removes (and 12 keeps), so the guess is one
+    short and region falls back, still exact."""
+    delta = 0.2706705664732254
+    assert math.log(2.0 / delta) == 2.0
+    policy = HiperPolicy(HiperParams(delta, 1.0, 0.5))
+    t = 16
+    assert tuple(policy.boundary(np.array(t))) == (4.0, 12.0)
+    assert not policy.removes(t, 4) and not policy.removes(t, 12)
+    assert policy.removes(t, 5) and policy.removes(t, 11)
+    region = policy.region(t)
+    assert (region.lo[t], region.hi[t]) == (5, 11)
+    assert_hiper_region_is_removes(policy, region, t)
+    assert fallbacks == []
+    assert policy.boundary(np.array(36))[1] == 24.0 and policy.removes(36, 24)
+    region = policy.region(40)
+    assert fallbacks == [40]
+    assert (region.lo[16], region.hi[16], region.lo[36], region.hi[36]) == (5, 11, 13, 24)
+    assert_hiper_region_is_removes(policy, region, 40)
+
+
+class DisplacedBoundary(HiperPolicy):
+    """hiper with boundary's ends moved by a fixed number of ones."""
+
+    def __init__(self, params, shift_lo, shift_hi):
+        super().__init__(params)
+        self._shift = shift_lo, shift_hi
+
+    def boundary(self, count):
+        low, high = super().boundary(count)
+        return low + self._shift[0], high + self._shift[1]
+
+
+@pytest.mark.parametrize("shift_lo, shift_hi", [(-3, 3), (3, -3), (0, 1), (-1, 0), (3, 0), (0, -3)])
+@pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
+def test_hiper_region_falls_back_when_an_end_is_not_confirmed(shift_lo, shift_hi, q, fallbacks):
+    """Guesses moved off the ends fail their confirming probes, so region
+    falls back to compile_region, and is still the rule's region."""
+    params = HiperParams(0.9, 0.5, q)
+    displaced = DisplacedBoundary(params, shift_lo, shift_hi)
+    region = displaced.region(120)
+    # an end moved past the lattice's edge is clipped back onto it, where it is
+    clipped = (shift_lo == 0 or q == 0.0 and shift_lo < 0) and (shift_hi == 0 or q == 1.0 and shift_hi > 0)
+    assert fallbacks == ([] if clipped else [120])
+    exact = HiperPolicy(params).region(120)
+    assert region.lo.tolist() == exact.lo.tolist()
+    assert region.hi.tolist() == exact.hi.tolist()
+    assert_hiper_region_is_removes(displaced, region, 120)
 
 
 @settings(SEEDED, max_examples=40)

@@ -117,10 +117,10 @@ class Posterior:
         return (1.0 if log_odds >= 0.0 else weight) / (1.0 + weight)
 
     def elementwise(self, ones: np.ndarray, count: np.ndarray) -> np.ndarray:
-        """The evaluator at every pair of broadcast integer arrays, NaN where it
-        raises ImpossibleEvidenceError or ones > count: its cases in the same
-        order, each exp from math.exp (numpy's can differ in an ulp), taken
-        only where ones <= count."""
+        """The evaluator at every pair of broadcast integer-valued arrays, NaN
+        where it raises ImpossibleEvidenceError or ones > count: its cases in
+        the same order, each exp from math.exp (numpy's can differ in an ulp),
+        taken only where ones <= count."""
         malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.cases(ones, count)
         log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
         live = ones <= count

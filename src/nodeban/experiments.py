@@ -10,9 +10,9 @@ centered moving average, matching a scatter-plus-trend reading.
 Each policy is built into a removal region once per draw (build_regions).
 On a draw with a lookahead policy, one posterior lattice to count horizon +
 the deepest depth, and one plan per leaf rule, serve every lookahead depth
-and every myopic or optimistic policy of the draw; the belief rules of a
-draw without lookahead are compiled per policy, and hiper's region is
-written from its closed-form ends (HiperPolicy.region).
+and every myopic or optimistic policy of the draw. hiper, and the belief
+rules of a draw without lookahead, are compiled per policy from their
+closed-form ends, confirmed by one call of the rule (compile_region).
 """
 
 from __future__ import annotations
@@ -139,19 +139,17 @@ class PolicySpec:
 
     def build(self, draw: ExperimentDraw, lattice: Lattice | None = None) -> Region:
         """The policy's removal region on the draw, compiled once for all its
-        nodes. hiper's is HiperPolicy.region, its ends in closed form. A belief
-        rule reads it off the draw's lattice where one is given (a lookahead
-        rule off its own lattice if none is), the same region that
-        compile_region finds at every reachable (count, ones); where none is,
-        myopic's and optimistic's are compiled."""
+        nodes. A belief rule reads it off the draw's lattice where one is
+        given (a lookahead rule off its own lattice if none is), the same
+        region that compile_region finds at every reachable (count, ones);
+        hiper's, and myopic's and optimistic's where no lattice is given, are
+        compiled from their closed-form ends."""
         if self.kind == "lookahead":
             cfg = self.lookahead_config
             if lattice is None:
                 lattice = Lattice(draw.env, draw.horizon, [cfg])
             return table_region(lattice.values(cfg) <= 0.0)
-        if self.kind == "hiper":
-            return self.policy(draw).region(draw.horizon)
-        if lattice is not None:
+        if lattice is not None and self.kind != "hiper":
             return table_region(self.policy(draw).removes_posterior(lattice.posterior()))
         return compile_region(self.policy(draw), draw.horizon)
 

@@ -182,7 +182,8 @@ class _BeliefPolicy:
         return not self._margin(ones, count, pm) > 0.0
 
     def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """removes at every pair of two broadcast integer arrays, bit for bit."""
+        """removes at every pair of two broadcast integer-valued arrays, bit
+        for bit."""
         return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
 
 
@@ -196,14 +197,17 @@ class _AffineMarginPolicy(_BeliefPolicy):
         return ~(self._margin(None, None, pm) > 0.0)
 
     def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both interval ends up to rounding: the ones at which the log odds,
-        linear in ones, reach the logit of the pm at which the margin is 0."""
+        """The interval's ends up to rounding, for a margin that falls as pm
+        rises: x, the ones at which the log odds, linear in ones, reach the
+        logit of the pm at which the margin is 0, and the anchor's edge. The
+        interval is (x, inf) where the malicious rate is the higher one, so
+        that pm rises with ones, and (-inf, x) otherwise."""
         logs, m0, m1 = self.posterior, self._margin(None, None, 0.0), self._margin(None, None, 1.0)
         per_zero = logs.log_not_q - logs.log_not_u
         with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN if stakes or rates are degenerate
             logit = np.log(np.float64(m0)) - np.log(-np.float64(m1))  # of m(0) / (m(0) - m(1))
             ones = (logit - logs.prior_log_odds - count * per_zero) / (logs.log_q - logs.log_u - per_zero)
-        return ones, ones
+        return (ones, np.inf) if self.anchor == 1.0 else (-np.inf, ones)
 
 
 class MyopicPolicy(_AffineMarginPolicy):

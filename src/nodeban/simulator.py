@@ -7,13 +7,13 @@ hierarchically:
     experiment seed -> per-run stream -> draw seed -> per-node streams
 
 so every policy evaluated on a draw sees identical nodes. A policy is
-compiled once per draw into a Region, in numpy near its closed-form ends or
-by bisection where it has none (nodeban stream recompiles its region at
-twice the count a node outgrows), straight from its closed-form ends where
-one call of the rule confirms them all (hiper, HiperPolicy.region), or read
-off a table of the draw's whole (count, ones) lattice by table_region: the
-suites read every belief rule of a draw that plans ahead off one shared
-posterior lattice (policies.Lattice).
+compiled once per draw into a Region (nodeban stream recompiles its region
+at twice the count a node outgrows): by compile_region, from its
+closed-form ends where one call of the rule confirms them, and by bisection
+where it has none (lookahead) or a guess is not confirmed; or read off a
+table of the draw's whole (count, ones) lattice by table_region: the suites
+read every belief rule of a draw that plans ahead off one shared posterior
+lattice (policies.Lattice).
 run_episode draws each node once and scores every region by first passage.
 It seeds the draw's node streams in bulk (node_streams, the same bits as one
 node_rng per node, each SeedSequence hash run on stacked rows of all node
@@ -118,33 +118,52 @@ class Region(NamedTuple):
 def compile_region(policy, horizon: int) -> Region:
     """policy.removes(count, ones) as a Region to the horizon, in numpy, for a
     policy with removes_elementwise, removes on arrays, anchor, and
-    boundary(count), each count's interval ends up to rounding (NaN where it
-    has no closed form). Relies on each count's removal set being an interval
-    of ones that, when nonempty, holds the ones value nearest anchor * count,
-    so that one seed there decides emptiness; each end is then probed near
-    its guess. The belief rules' anchors are 0 and 1; HiperPolicy.region shows
-    why hiper's is its malicious mean, and calls this only as a fallback."""
-    count = np.arange(1, horizon + 1)
+    boundary(count), each count's strict interval ends up to rounding (NaN
+    where it has no closed form). Relies on each count's removal set being an
+    interval of ones that, when nonempty, holds the ones value nearest
+    anchor * count, its seed: rint(q t) for hiper, 0 or t for the belief rules.
+
+    Each count's guess is boundary's ends rounded inward, floor(low) + 1 and
+    ceil(high) - 1, clipped to [0, t]; a NaN end guesses the count empty. One
+    removes_elementwise call confirms every guess: a nonempty one if both
+    ends remove and their outer neighbours keep or lie outside [0, t], an
+    empty one if its seed and the seed's neighbours keep. Only the counts not
+    confirmed have their seed probed and each end bisected from it; where
+    every count is guessed empty (lookahead's NaN ends), the seeds are probed
+    without the confirming call."""
+    count = np.arange(1.0, horizon + 1)  # floats: the rules' arithmetic is float, the values exact
     removes = policy.removes_elementwise
-    seed = np.rint(policy.anchor * count).astype(np.int64)
-    some = removes(count, seed)
-    count, inside = count[some], seed[some]
-    guess_lo, guess_hi = policy.boundary(count)
+    seed = np.rint(policy.anchor * count)
+    low, high = policy.boundary(count)
+    first, last = np.maximum(np.floor(low) + 1.0, 0.0), np.minimum(np.ceil(high) - 1.0, count)
+    some = first <= last
     lo, hi = np.zeros(horizon + 1, dtype=np.int64), np.full(horizon + 1, -1, dtype=np.int64)
-    lo[1:][some] = _end(removes, count, inside, guess_lo, -1)
-    hi[1:][some] = _end(removes, count, inside, guess_hi, 1)
+    if some.any():
+        first, last = np.where(some, first, seed), np.where(some, last, seed)
+        hit = removes(count, np.array((first, first - 1.0, last, last + 1.0)))
+        # an empty guess probes its seed twice, so hit[0] == hit[2] there
+        wrong = ((hit[0] & hit[2]) != some) | hit[1] & (first > 0.0) | hit[3] & (last < count)
+        lo[1:], hi[1:] = np.where(some, first, 0.0), np.where(some, last, -1.0)
+        unsure = np.flatnonzero(wrong)
+        if not unsure.size:
+            return Region(lo, hi)
+        lo[1:][unsure], hi[1:][unsure] = 0, -1
+    else:
+        unsure = np.arange(horizon)
+    inside = unsure[removes(count[unsure], seed[unsure])]  # the unsure counts whose seed removes
+    lo[1:][inside] = _end(removes, count[inside], seed[inside], -1)
+    hi[1:][inside] = _end(removes, count[inside], seed[inside], 1)
     return Region(lo, hi)
 
 
-def _end(removes, count, inside, guess, step: int) -> np.ndarray:
+def _end(removes, count, inside, step: int) -> np.ndarray:
     """Per count, the end in direction step of the removal interval holding
     `inside`, as near (removes) and far (keeps, or is past the edge) in ones
-    from inside: probed at the guess -1, 0, +1, then bisected where missed."""
+    from inside: probed one step out, then bisected."""
     span = count - inside if step > 0 else inside
     near, far = np.zeros_like(span), span + 1
-    at = np.clip((np.where(np.isnan(guess), inside, guess) - inside) * step, 0, span)
     rows = np.flatnonzero(span)
-    probe = np.clip(at.astype(np.int64)[rows] + np.arange(-1, 2)[:, None], 0, span[rows])  # [probe, row]
+    probe = np.ones((1, rows.size), dtype=np.int64)  # [probe, row]
     while rows.size:
         hit = removes(count[rows], inside[rows] + step * probe)
         far[rows] = np.where(hit, far[rows], probe).min(axis=0)

@@ -9,9 +9,12 @@ import json
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nodeban.belief import BernoulliModel, initial_belief, posterior, update
 from nodeban.cli import main as cli_main
@@ -36,7 +39,7 @@ from nodeban.policies import (
     OptimisticPolicy,
     lookahead_value,
 )
-from nodeban.simulator import ExperimentDraw, ExperimentSuite, episode_rng
+from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region, episode_rng
 from nodeban.simulator import run_episode, sample_experiment
 from oracles import lookahead_value_bruteforce
 
@@ -57,7 +60,7 @@ def hiper_losses(node_type, draw, params):
     id, so the prior that fixes the type leaves them unchanged."""
     malicious = node_type is NodeType.MALICIOUS
     draw = replace(draw, env=replace(draw.env, prior_malicious=1.0 if malicious else 0.0))
-    episode = run_episode([HiperPolicy(params).region(draw.horizon)], draw, episode_rng(draw))
+    episode = run_episode([compile_region(HiperPolicy(params), draw.horizon)], draw, episode_rng(draw))
     assert (episode.malicious == malicious).all()
     return episode.loss[0]
 
@@ -108,6 +111,37 @@ def test_c02_honest_loss_bound():
         f"mean={mean:.3f} se={se:.3f} mean+3se={mean + 3 * se:.3f} <= {bound:.2f} "
         f"(n={losses.size}, {elapsed:.1f}s)",
     )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@example(1.876928025711171, 1.0, 1.0)  # the bound rounds one ulp below g at rate 1
+@example(1e-06, 0.19300674981406024, 791305935664159.0)  # gap^2 + 2 rounds to gap^2
+@example(1.0103853822934488e97, 0.6001024187654664, 1.644260776076373e72)  # 2.17 ulps below
+@example(4.2e-322, 0.9999999999998364, 0.4896935204622582)  # a subnormal g
+@example(2e-323, 0.9730914801778461, 2.9368796537734697e-92)
+@example(1.0, math.nextafter(1.0, 0.0), 1e-3)
+@example(0.0, 0.5, 0.5)
+@example(1.0, 1e-150, 1e150)
+@given(
+    st.floats(0.0, 1e308),
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    st.floats(0.0, 1e308, exclude_min=True),
+)
+def test_c02_honest_bound_is_at_least_gain_over_rate(gain, rate, gap):
+    """The honest bound g (gap^2 + 2) / (rate (gap^2 + 2 rate)) is at least
+    g / rate at every input bound_loss_honest accepts, as rate <= 1. An
+    honest node loses g per step it is kept out of before it departs, at
+    most its stay, whose mean is 1 / rate; so every rule's expected honest
+    loss is at most g / rate, and criterion 02 holds for any region, HIPER's
+    or not. Compared exactly, in Fractions, to within five ulps of g / rate,
+    one per rounding of the bound's five operations: the two sides are
+    equal in real arithmetic at rate 1, and closer than that rounding near
+    it or where gap^2 swamps 2."""
+    try:
+        bound = bound_loss_honest(gain, rate, gap)
+    except ValueError:
+        return  # not an accepted input: the bound is not finite
+    assert Fraction(bound) >= Fraction(gain) / Fraction(rate) - 5 * Fraction(math.ulp(gain / rate))
 
 
 def test_c03_tuned_delta_combined_bound():

@@ -19,6 +19,7 @@ from nodeban.hiper import (
     optimal_delta,
 )
 from nodeban.model import Decision
+from nodeban.simulator import compile_region
 from oracles import hiper_decision
 
 DELTA_E2 = 2.0 * math.exp(-2.0)  # makes ln(2/delta) = 2
@@ -189,7 +190,7 @@ class TestHiperDecide:
         # observation at the malicious mean removes the node
         params = HiperParams(delta=0.9, gap=1.0, malicious_mean=0.3)
         assert min_samples(0.9, 1.0) < 1.0
-        region = HiperPolicy(params).region(1)
+        region = compile_region(HiperPolicy(params), 1)
         assert region.lo[0] > region.hi[0]
         assert region.lo[1] <= 0 <= region.hi[1]  # one zero bit: mean 0 is within the radius
         assert HiperPolicy(params).observe(0.3) is Decision.REMOVE
@@ -279,6 +280,9 @@ class TestLossBounds:
             bound_loss_honest(1.0, 1e-300, 1e-200)  # the denominator underflows to 0
         with pytest.raises(ValueError, match="not finite"):
             bound_loss_honest(1e300, 1e-300, 0.5)  # the quotient overflows
+        for gap in (1e200, math.inf, math.nan):  # gap^2 overflows: inf / inf
+            with pytest.raises(ValueError, match="not finite"):
+                bound_loss_honest(1.0, 0.5, gap)
 
     def test_combined_value(self):
         assert bound_loss_combined(1.0, 1.0, 0.1, 0.5) == pytest.approx(50.0, rel=1e-9)

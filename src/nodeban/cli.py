@@ -296,12 +296,20 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
     return StreamEvent(node_id, t, x)
 
 
+def _verdict_tail(remove: bool, statistic: float) -> str:
+    return f'"decision": "{"remove" if remove else "keep"}", "statistic": {statistic!r}}}\n'
+
+
 def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     """Per node id, keep one record (last t, count, s): s is the running total
     of x for hiper's scalar rule, or the ones count for a belief rule, which
     removes iff (count, ones) lies in the stream's one region, compiled anew
-    to twice the count when a node first outgrows it: O(largest count)
-    memory and planning. The count is None once the node is removed; its
+    to twice the count when a node first outgrows it. A belief verdict
+    depends on (count, ones) alone, so it is kept per lattice point, with
+    its posterior formatted once: region and verdicts hold at most one
+    entry per point up to the largest count C, (C + 1)(C + 2) / 2, and
+    never more entries than verdicts. hiper's total may be any real, so its
+    verdicts are not kept. The count is None once the node is removed; its
     later events still advance its last t, so they must stay ordered, and
     are dropped.
 
@@ -313,6 +321,7 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
         lo, hi = [0], [-1]
         model, prior = policy.model, policy.env.prior_malicious
         posterior = policies.posterior  # the module global, so a tracer sees it
+        verdicts: dict[tuple[int, int], tuple[bool, str]] = {}  # one run's, per (count, ones)
     nodes: dict[str, tuple[int, int | None, float]] = {}
     line_no = 0
     try:
@@ -343,22 +352,23 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                         )
                     x = 1.0 if x >= args.binarize else 0.0
                 s += int(x)
-                try:
-                    statistic = posterior(s, count, model, prior)
-                except ImpossibleEvidenceError as exc:
-                    return _fail(f"line {line_no}: {exc}")
-                if count == len(lo):
-                    region = compile_region(policy, 2 * count)
-                    lo, hi = region.lo.tolist(), region.hi.tolist()
-                remove = lo[count] <= s <= hi[count]
+                verdict = verdicts.get((count, s))
+                if verdict is None:
+                    try:
+                        statistic = posterior(s, count, model, prior)
+                    except ImpossibleEvidenceError as exc:
+                        return _fail(f"line {line_no}: {exc}")
+                    if count == len(lo):
+                        region = compile_region(policy, 2 * count)
+                        lo, hi = region.lo.tolist(), region.hi.tolist()
+                    remove = lo[count] <= s <= hi[count]
+                    verdict = verdicts[count, s] = (remove, _verdict_tail(remove, statistic))
+                remove, tail = verdict
             else:
                 s += x
                 remove = policy.removes(count, s)
-                statistic = s / count
-            outfile.write(
-                f'{{"node_id": {json.dumps(node_id)}, "t": {t}, '
-                f'"decision": "{"remove" if remove else "keep"}", "statistic": {statistic!r}}}\n'
-            )
+                tail = _verdict_tail(remove, s / count)
+            outfile.write(f'{{"node_id": {json.dumps(node_id)}, "t": {t}, {tail}')
             nodes[node_id] = (t, None if remove else count, s)
     except UnicodeDecodeError as exc:
         return _fail(f"input after line {line_no} is not valid UTF-8 ({exc.reason})")

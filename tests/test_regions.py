@@ -22,7 +22,9 @@ up to 1000), with no bisection, and hiper's past horizon 2**15. nodeban
 stream recompiles its region at twice the count a node outgrows; it is
 checked byte for byte against one observe-driven policy object per node, on
 event streams that outlive count 200, and lookahead's compiled region and
-walk against its table.
+walk against its table. On a churn of short-lived ids, a belief rule's
+stream computes the posterior once per (count, ones) point that gets a
+verdict, and nothing it keeps per point outlives one run.
 """
 
 import contextlib
@@ -39,7 +41,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodeban import simulator
+from nodeban import policies, simulator
 from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior
 from nodeban.cli import main
@@ -658,3 +660,74 @@ def test_stream_lookahead_is_the_per_node_replay(draw, seed, depth, leaf):
     flags = ["--policy", "lookahead", "--lookahead-depth", str(depth), "--leaf-rule", leaf.value]
     events = stream_events(draw, seed, binary=True)
     assert_stream_is_replay(events, [*flags, *world_flags(env)], lambda: LookaheadPolicy(env, cfg))
+
+
+def churn_events(env, seed, nodes=300):
+    """Events of `nodes` short-lived ids, each sending 1 to 8 bits of its
+    type's mean, interleaved at random and stamped with the global tick, so
+    that many ids reach the same few (count, ones) points."""
+    rng = random.Random(seed)
+    sends = []
+    for n in range(nodes):
+        mean = env.malicious_mean if rng.random() < env.prior_malicious else env.honest_mean
+        sends += [(f"c{n}", int(rng.random() < mean)) for _ in range(rng.randint(1, 8))]
+    rng.shuffle(sends)
+    return [{"node_id": node, "t": tick, "x": x} for tick, (node, x) in enumerate(sends, 1)]
+
+
+def verdict_points(events, out):
+    """The (count, ones) point of each verdict line of out, read against
+    the events it answers (a removed node's later events get none)."""
+    lines = iter(out.splitlines())
+    state, removed, points = {}, set(), []
+    for event in events:
+        node = event["node_id"]
+        if node in removed:
+            continue
+        count, ones = state.get(node, (0, 0))
+        state[node] = count, ones = count + 1, ones + event["x"]
+        verdict = json.loads(next(lines))
+        assert verdict["node_id"] == node and verdict["t"] == event["t"]
+        points.append((count, ones))
+        if verdict["decision"] == "remove":
+            removed.add(node)
+    assert next(lines, None) is None
+    return points
+
+
+STREAM_RULES = [
+    ("myopic", [], MyopicPolicy),
+    ("optimistic", [], OptimisticPolicy),
+    ("lookahead", ["--lookahead-depth", "3"], lambda env: LookaheadPolicy(env, LookaheadConfig(3))),
+]
+
+
+@pytest.mark.parametrize("name, extra, rule", STREAM_RULES, ids=[name for name, _, _ in STREAM_RULES])
+@pytest.mark.parametrize("u, q", [(0.8, 0.3), (0.2, 0.7)])
+def test_stream_computes_one_posterior_per_lattice_point(name, extra, rule, u, q, monkeypatch):
+    env = world(u, q).env
+    events = churn_events(env, seed=26)
+    expected, _ = stream_replay(events, lambda: rule(env))
+    points = verdict_points(events, expected)
+    assert len(set(points)) < len(points) / 10  # ids share points
+    assert {json.loads(line)["decision"] for line in expected.splitlines()} == {"keep", "remove"}
+    calls = []
+    original = policies.posterior
+
+    def counted(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(policies, "posterior", counted)
+    assert_stream_is_replay(events, ["--policy", name, *extra, *world_flags(env)], lambda: rule(env))
+    assert sorted(calls) == sorted((ones, count) for count, ones in set(points))
+
+
+def test_stream_verdicts_are_not_kept_across_runs():
+    """One process, the same events, three worlds: each run is its own
+    replay, so nothing a run keeps per (count, ones) outlives it."""
+    first = world(0.8, 0.3).env
+    events = churn_events(first, seed=11)
+    for env in (first, replace(first, honest_mean=0.2, malicious_mean=0.7), replace(first, prior_malicious=0.05)):
+        for name, extra, rule in STREAM_RULES:
+            assert_stream_is_replay(events, ["--policy", name, *extra, *world_flags(env)], lambda: rule(env))

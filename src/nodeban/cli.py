@@ -27,7 +27,6 @@ from typing import NamedTuple
 from . import policies
 from .belief import ImpossibleEvidenceError
 from .experiments import (
-    PolicySpec,
     SuiteConfig,
     _fmt,
     aggregate_mean_loss,
@@ -153,9 +152,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
         f"suite={cfg.suite.value} runs={cfg.n_runs} policies={len(cfg.policies)} "
         f"seed={cfg.base_seed} wall_s={wall:.2f} out={args.out}"
     )
-    for text in cfg.policies:
-        label = PolicySpec.parse(text).label
-        print(f"policy {label} mean_loss={_fmt(aggregate_mean_loss(records, label))}")
+    for spec in cfg.specs:
+        print(f"policy {spec.label} mean_loss={_fmt(aggregate_mean_loss(records, spec.label))}")
     return 0
 
 

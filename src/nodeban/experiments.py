@@ -8,11 +8,13 @@ Curves are produced by sorting runs along each variable and taking a
 centered moving average, matching a scatter-plus-trend reading.
 
 Each policy is built into a removal region once per draw (build_regions).
-On a draw with a lookahead policy, one posterior lattice to count horizon +
-the deepest depth, and one plan per leaf rule, serve every lookahead depth
-and every myopic or optimistic policy of the draw. hiper, and the belief
-rules of a draw without lookahead, are compiled per policy from their
-closed-form ends, confirmed by one call of the rule (compile_region).
+myopic and optimistic are the depth-0 plans of their leaf rules, so every
+belief policy is a (depth, leaf rule) plan. On a draw with a policy that
+plans ahead (depth 1 or more), one posterior lattice to count horizon + the
+deepest depth, and one plan per leaf rule, serve every belief policy of the
+draw. hiper, and the belief rules of a draw without lookahead, are compiled
+per policy from their closed-form ends, confirmed by one call of the rule
+(compile_region).
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from statistics import fmean
 
 import numpy as np
 
 from .hiper import HiperParams, HiperPolicy, optimal_delta
-from .policies import Lattice, LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
+from .policies import Lattice, LeafRule, LookaheadConfig, MyopicPolicy, OptimisticPolicy, _BeliefPolicy
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
 from .simulator import run_episode, sample_experiment, table_region
 
@@ -72,7 +74,9 @@ class PolicySpec:
 
     Accepted forms: "hiper:<delta>" or "hiper:star" (tuned delta per draw),
     "myopic", "optimistic", "lookahead:<depth>" with an optional
-    ":<leaf_rule>" suffix (zero, myopic_infinite, optimistic).
+    ":<leaf_rule>" suffix (zero, myopic_infinite, optimistic). A belief
+    rule's spec holds its plan's depth and leaf rule: myopic's and
+    optimistic's are their classes', at depth 0.
     """
 
     kind: str
@@ -87,7 +91,8 @@ class PolicySpec:
         if kind == "myopic" or kind == "optimistic":
             if len(parts) != 1:
                 raise ValueError(f"policy {text!r} takes no arguments")
-            return cls(kind=kind)
+            rule = MyopicPolicy if kind == "myopic" else OptimisticPolicy
+            return cls(kind=kind, depth=rule.depth, leaf_rule=rule.leaf_rule)
         if kind == "hiper":
             if len(parts) != 2:
                 raise ValueError(f"policy {text!r} needs a delta, e.g. hiper:0.9 or hiper:star")
@@ -127,40 +132,27 @@ class PolicySpec:
                     env.loss_malicious, env.gain_honest, env.departure_rate, env.gap
                 ).value
             return HiperPolicy(HiperParams(delta=delta, gap=env.gap, malicious_mean=env.malicious_mean))
-        if self.kind == "myopic":
-            return MyopicPolicy(env)
-        if self.kind == "optimistic":
-            return OptimisticPolicy(env)
-        return LookaheadPolicy(env, self.lookahead_config)
-
-    @property
-    def lookahead_config(self) -> LookaheadConfig:
-        return LookaheadConfig(self.depth, self.leaf_rule)
+        return _BeliefPolicy(env, self.depth, self.leaf_rule)
 
     def build(self, draw: ExperimentDraw, lattice: Lattice | None = None) -> Region:
         """The policy's removal region on the draw, compiled once for all its
         nodes. A belief rule reads it off the draw's lattice where one is
-        given (a lookahead rule off its own lattice if none is), the same
-        region that compile_region finds at every reachable (count, ones);
-        hiper's, and myopic's and optimistic's where no lattice is given, are
-        compiled from their closed-form ends."""
-        if self.kind == "lookahead":
-            cfg = self.lookahead_config
-            if lattice is None:
-                lattice = Lattice(draw.env, draw.horizon, [cfg])
-            return table_region(lattice.values(cfg) <= 0.0)
+        given, the same region that compile_region finds at every reachable
+        (count, ones); every other region is compile_region's, from hiper's
+        and the depth-0 rules' closed-form ends, or by bisection for
+        lookahead."""
         if lattice is not None and self.kind != "hiper":
-            return table_region(self.policy(draw).removes_posterior(lattice.posterior()))
+            return table_region(lattice.values(self) <= 0.0)
         return compile_region(self.policy(draw), draw.horizon)
 
 
 def build_regions(specs: list[PolicySpec], draw: ExperimentDraw) -> list[Region]:
     """Each spec's region on the draw, one build per spec. Where any spec
     plans ahead, every belief spec shares one Lattice: one posterior table, and
-    one plan per leaf rule that serves each of its depths. The lattice is
-    computed inside the first build that reads it."""
-    configs = [spec.lookahead_config for spec in specs if spec.kind == "lookahead"]
-    lattice = Lattice(draw.env, draw.horizon, configs) if configs else None
+    one plan per leaf rule that serves each of its depths, 0 included. The
+    lattice is computed inside the first build that reads it."""
+    beliefs = [spec for spec in specs if spec.kind != "hiper"]
+    lattice = Lattice(draw.env, draw.horizon, beliefs) if any(spec.depth for spec in beliefs) else None
     return [spec.build(draw, lattice) for spec in specs]
 
 
@@ -171,6 +163,7 @@ class SuiteConfig:
     n_runs: int
     ma_window: int
     policies: tuple[str, ...]
+    specs: tuple[PolicySpec, ...] = field(init=False, repr=False, compare=False)  # policies, parsed
 
     def __post_init__(self) -> None:
         # type() and not isinstance(): a JSON true is a bool, which is an int
@@ -180,7 +173,8 @@ class SuiteConfig:
             raise ValueError(f"ma_window must be a positive odd integer, got {self.ma_window!r}")
         if not self.policies:
             raise ValueError("policies must not be empty")
-        labels = [PolicySpec.parse(text).label for text in self.policies]
+        object.__setattr__(self, "specs", tuple(map(PolicySpec.parse, self.policies)))
+        labels = [spec.label for spec in self.specs]
         if len(set(labels)) < len(labels):
             raise ValueError(f"policies must name distinct policies, got labels {labels}")
         if self.base_seed < 0:
@@ -211,10 +205,9 @@ def _execute_run(cfg: SuiteConfig, run_index: int) -> tuple:
     malicious fraction, the honest gain) and each policy's (label, mean loss)."""
     run_rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(run_index,)))
     draw = sample_experiment(run_rng, cfg.suite)
-    specs = [PolicySpec.parse(text) for text in cfg.policies]
-    episode = run_episode(build_regions(specs, draw), draw, episode_rng(draw))
+    episode = run_episode(build_regions(cfg.specs, draw), draw, episode_rng(draw))
     coords = (float(draw.horizon), draw.env.gap, episode.malicious_fraction, draw.env.gain_honest)
-    return coords, [(spec.label, loss) for spec, loss in zip(specs, episode.mean_loss)]
+    return coords, [(spec.label, loss) for spec, loss in zip(cfg.specs, episode.mean_loss)]
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[SweepRecord]:

@@ -1,18 +1,20 @@
 """Belief-based response policies: myopic, optimistic, and finite lookahead.
 
-All three act on the same Bernoulli-model posterior. Myopic keeps a node
-while the next step is profitable in expectation. Optimistic keeps it while
-an upper bound on the value of keeping is positive, pretending the true
-type were revealed next step (an honest node would then stay an expected
-1/departure_rate steps, a malicious one would be removed after a single
-step). Finite lookahead plans over every observation sequence up to a fixed
-depth with backward induction, treating removal as an absorbing action of
-value zero at every stage. The induction has one body, _plan, over any table
-of posteriors: rooted at each of some beliefs (lookahead_value,
-LookaheadPolicy's rule) or over the whole (count, ones) lattice at once, with
-the same value at every point, bit for bit. A Lattice holds one world's
-posterior table and runs _plan once per leaf rule, to its deepest depth, so
-one table serves every depth, leaf rule and belief rule of a simulated draw.
+Each is one rule on the same Bernoulli-model posterior: the best keep/remove
+plan over every observation sequence up to a depth, by backward induction
+with removal an absorbing action of value zero, valuing the beliefs at the
+planning frontier by a leaf rule. Myopic and optimistic plan to depth 0.
+Myopic's leaf keeps a node while the next step is profitable in expectation;
+optimistic's keeps it while an upper bound on the value of keeping is
+positive, pretending the true type were revealed next step (an honest node
+would then stay an expected 1/departure_rate steps, a malicious one would be
+removed after a single step). Lookahead plans to depth 1 or more over any
+leaf rule. The induction has one body, _plan, over any table of posteriors:
+rooted at each of some beliefs (lookahead_value, a lookahead rule's margin)
+or over the whole (count, ones) lattice at once, with the same value at
+every point, bit for bit. A Lattice holds one world's posterior table and
+runs _plan once per leaf rule, to its deepest depth, so one table serves
+every belief rule of a simulated draw.
 
 Ties always remove: each rule keeps only on a strictly positive margin.
 """
@@ -58,54 +60,62 @@ class LookaheadConfig:
             raise ValueError(f"depth must be an integer in [1, {MAX_DEPTH}], got {self.depth}")
 
 
-def _optimistic_margin(pm: float, env: EnvParams) -> float:
-    """P(honest) * gain / departure_rate - P(malicious) * loss."""
-    return (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
+def _leaf_margin(pm, env: EnvParams, leaf_rule: LeafRule):
+    """The leaf rule's signed margin at each posterior of pm, a number or an
+    array: 0; the one-step keep gain; or the optimistic P(honest) * gain /
+    departure_rate - P(malicious) * loss."""
+    if leaf_rule is LeafRule.MYOPIC_INFINITE:
+        return keep_gain(pm, env)
+    if leaf_rule is LeafRule.OPTIMISTIC:
+        with np.errstate(over="ignore"):  # inf, which keeps, at a departure rate near 0
+            return (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
+    return np.zeros_like(pm)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # V_0 inf at a departure rate near 0, and 0 * inf NaN
 def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[int, np.ndarray]:
     """The lookahead recursion over a table of posteriors pm[t, k, ...], each
-    t steps and k one-bits past the table's root: V_0 is the leaf rule at
-    every entry, and pass r gives V_r(t, .) from V_{r-1}(t + 1, .) by
+    t steps and k one-bits past the table's root: V_0 is the leaf rule's
+    margin where positive, else 0 (over departure_rate for myopic_infinite,
+    an honest node's expected stay), and pass r gives V_r(t, .) by
 
         V(t, k) = max(0, keep_gain + p V(t + 1, k + 1) + (1 - p) V(t + 1, k))
 
     p being the predictive probability of a 1-bit at (t, k) from env's rates,
-    and max(0, x) where(x > 0, x, 0), which values a history impossible under
-    both types (a NaN posterior) at 0. Runs to the deepest of depths and
+    and max(0, x) fmax(x, 0), which values a history impossible under both
+    types (a NaN posterior) at 0. Runs to the deepest of depths and
     returns V_r for each r in depths, on the first len(pm) - r rows and
     columns. An entry of V_r reads only its own posterior and r rows below
     it, so it does not depend on the table's size or on the other depths."""
-    gain = keep_gain(pm, env)
-    p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
-    p_zero = 1.0 - p_one
-    if leaf_rule is LeafRule.ZERO:
-        values = np.zeros_like(gain)
-    elif leaf_rule is LeafRule.MYOPIC_INFINITE:
-        values = np.where(gain > 0.0, gain, 0.0) / env.departure_rate
-    else:
-        margin = _optimistic_margin(pm, env)
-        values = np.where(margin > 0.0, margin, 0.0)
-    kept = {}
-    for depth in range(1, max(depths) + 1):
+    margin = _leaf_margin(pm, env, leaf_rule)
+    values = margin if leaf_rule is LeafRule.ZERO else np.fmax(margin, 0.0)
+    if leaf_rule is LeafRule.MYOPIC_INFINITE:
+        values /= env.departure_rate
+    kept = {0: values} if 0 in depths else {}
+    deepest = max(depths)
+    if deepest:
+        gain = margin if leaf_rule is LeafRule.MYOPIC_INFINITE else keep_gain(pm, env)
+        p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
+        p_zero = 1.0 - p_one
+    for depth in range(1, deepest + 1):
         n = len(pm) - depth
         keep = gain[:n, :n] + p_one[:n, :n] * values[1:, 1:] + p_zero[:n, :n] * values[1:, :n]
-        values = np.where(keep > 0.0, keep, 0.0)
+        values = np.fmax(keep, 0.0)
         if depth in depths:
             kept[depth] = values
     return kept
 
 
-def _rooted_plan(evaluate: Posterior, ones, count, pm, env: EnvParams, cfg: LookaheadConfig) -> np.ndarray:
-    """_plan's value at each root (count, ones) of posterior pm, all three
-    broadcast, from the (depth + 1)^2 posteriors past each root: quadratic in
-    depth rather than exponential, as the belief depends on the future only
-    through (ones seen, steps taken)."""
+def _rooted_plan(evaluate: Posterior, ones, count, pm, env: EnvParams, rule) -> np.ndarray:
+    """_plan's value to rule's depth and leaf_rule at each root (count, ones)
+    of posterior pm, all three broadcast, from the (depth + 1)^2 posteriors
+    past each root: quadratic in depth rather than exponential, as the
+    belief depends on the future only through (ones seen, steps taken)."""
     ones, count, pm = np.broadcast_arrays(ones, count, pm)
-    step = np.arange(cfg.depth + 1).reshape((-1,) + (1,) * pm.ndim)
+    step = np.arange(rule.depth + 1).reshape((-1,) + (1,) * pm.ndim)
     table = evaluate.elementwise((ones + step)[None], (count + step)[:, None])
     table[0, 0] = pm
-    return _plan(table, env, cfg.leaf_rule, {cfg.depth})[cfg.depth][0, 0]
+    return _plan(table, env, rule.leaf_rule, {rule.depth})[rule.depth][0, 0]
 
 
 def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
@@ -117,55 +127,60 @@ def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -
 
 class Lattice:
     """One world's posteriors at every (count t, ones k) up to count horizon +
-    the deepest of configs' depths, and each leaf rule's _plan run once over
-    them to its deepest depth, keeping the values at each depth configs ask
+    the deepest depth of rules (belief PolicySpecs or LookaheadConfigs), and
+    each leaf rule's _plan run once to its deepest depth d, on the first
+    horizon + 1 + d rows, keeping the values at each depth the rules ask
     for: each computed on first use, then shared by every rule on the world.
     Read on t, k <= horizon, every entry is the one a lattice of any other
-    size or set of depths holds, bit for bit."""
+    size or set of rules holds, bit for bit."""
 
-    def __init__(self, env: EnvParams, horizon: int, configs: list[LookaheadConfig]) -> None:
+    def __init__(self, env: EnvParams, horizon: int, rules) -> None:
         self.env, self.horizon = env, horizon
         self._depths: dict[LeafRule, set[int]] = {}
-        for cfg in configs:
-            self._depths.setdefault(cfg.leaf_rule, set()).add(cfg.depth)
-        self._size = horizon + 1 + max(cfg.depth for cfg in configs)
+        for rule in rules:
+            self._depths.setdefault(rule.leaf_rule, set()).add(rule.depth)
         self._plans: dict[LeafRule, dict[int, np.ndarray]] = {}
 
     @cached_property
     def _posterior(self) -> np.ndarray:
         env = self.env
-        count, ones = np.ogrid[: self._size, : self._size]
+        size = self.horizon + 1 + max(map(max, self._depths.values()))
+        count, ones = np.ogrid[:size, :size]
         evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), env.prior_malicious)
         return evaluate.elementwise(ones, count)
 
-    def posterior(self) -> np.ndarray:
-        """The posterior at every (count t, ones k) with t, k <= horizon,
-        indexed [t, k], NaN where k > t or the history is impossible."""
-        return self._posterior[: self.horizon + 1, : self.horizon + 1]
-
-    def values(self, cfg: LookaheadConfig) -> np.ndarray:
-        """lookahead_value at every (count t, ones k) with t, k <= horizon,
-        indexed [t, k], 0 where k > t, for one of the lattice's configs."""
-        leaf = cfg.leaf_rule
+    def values(self, rule) -> np.ndarray:
+        """The value of rule's plan at every (count t, ones k) with t, k <=
+        horizon, indexed [t, k], 0 where k > t or the history is impossible,
+        for one of the lattice's rules: lookahead_value above depth 0, the
+        leaf rule's value at depth 0."""
+        leaf = rule.leaf_rule
         if leaf not in self._plans:
-            self._plans[leaf] = _plan(self._posterior, self.env, leaf, self._depths[leaf])
-        return self._plans[leaf][cfg.depth][: self.horizon + 1, : self.horizon + 1]
+            depths = self._depths[leaf]
+            size = self.horizon + 1 + max(depths)
+            self._plans[leaf] = _plan(self._posterior[:size, :size], self.env, leaf, depths)
+        return self._plans[leaf][rule.depth][: self.horizon + 1, : self.horizon + 1]
 
 
 class _BeliefPolicy:
-    """Shared plumbing for the online belief-tracking wrappers. Each subclass
-    names its rule as _margin(ones, count, pm), pm the malicious posterior,
-    on numbers or broadcast arrays; removes(count, ones), its elementwise
-    twin and observe keep only where it is strictly positive."""
+    """The plan to depth over leaf_rule. Its margin _margin(ones, count, pm),
+    pm the malicious posterior, on numbers or broadcast arrays, is the leaf's
+    own at depth 0 and the plan value above; removes(count, ones), its
+    elementwise twin and observe keep only where it is strictly positive."""
 
-    def __init__(self, env: EnvParams) -> None:
-        self.env = env
+    def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule) -> None:
+        self.env, self.depth, self.leaf_rule = env, depth, leaf_rule
         self.model = BernoulliModel(env.honest_mean, env.malicious_mean)
         self.posterior = Posterior(self.model, env.prior_malicious)
         self._belief = initial_belief(env.prior_malicious)
         # Every rule removes on a high posterior, highest at ones = count when
         # the malicious rate is the higher one and at ones = 0 otherwise.
         self.anchor = 1.0 if env.malicious_mean > env.honest_mean else 0.0
+
+    def _margin(self, ones, count, pm):
+        if self.depth:
+            return _rooted_plan(self.posterior, ones, count, pm, self.env, self)
+        return _leaf_margin(pm, self.env, self.leaf_rule)
 
     def observe(self, x: float) -> Decision:
         belief = self._belief = update(self._belief, x, self.model)
@@ -186,22 +201,16 @@ class _BeliefPolicy:
         for bit."""
         return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
 
-
-class _AffineMarginPolicy(_BeliefPolicy):
-    """A rule whose margin is affine in pm (myopic's, optimistic's), so that
-    each count's removal interval has closed-form ends."""
-
-    def removes_posterior(self, pm: np.ndarray) -> np.ndarray:
-        """removes_elementwise at each posterior of an array pm, such as
-        Lattice.posterior(), bit for bit, as the margin reads only pm."""
-        return ~(self._margin(None, None, pm) > 0.0)
-
     def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The interval's ends up to rounding, for a margin that falls as pm
-        rises: x, the ones at which the log odds, linear in ones, reach the
-        logit of the pm at which the margin is 0, and the anchor's edge. The
-        interval is (x, inf) where the malicious rate is the higher one, so
-        that pm rises with ones, and (-inf, x) otherwise."""
+        """The removal interval's ends up to rounding, NaN above depth 0. At
+        depth 0 the margin is affine in pm and falls as pm rises: x, the ones
+        at which the log odds, linear in ones, reach the logit of the pm at
+        which the margin is 0, and the anchor's edge. The interval is (x, inf)
+        where the malicious rate is the higher one, so that pm rises with
+        ones, and (-inf, x) otherwise."""
+        if self.depth:
+            unknown = np.full(count.shape, np.nan)
+            return unknown, unknown
         logs, m0, m1 = self.posterior, self._margin(None, None, 0.0), self._margin(None, None, 1.0)
         per_zero = logs.log_not_q - logs.log_not_u
         with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN if stakes or rates are degenerate
@@ -210,31 +219,28 @@ class _AffineMarginPolicy(_BeliefPolicy):
         return (ones, np.inf) if self.anchor == 1.0 else (-np.inf, ones)
 
 
-class MyopicPolicy(_AffineMarginPolicy):
-    def _margin(self, ones: int, count: int, pm: float) -> float:
-        return keep_gain(pm, self.env)
+class MyopicPolicy(_BeliefPolicy):
+    """The depth-0 plan of the myopic_infinite leaf: keep_gain is its margin."""
+
+    depth, leaf_rule = 0, LeafRule.MYOPIC_INFINITE
+
+    def __init__(self, env: EnvParams) -> None:
+        super().__init__(env, self.depth, self.leaf_rule)
 
 
-class OptimisticPolicy(_AffineMarginPolicy):
-    def _margin(self, ones: int, count: int, pm: float) -> float:
-        return _optimistic_margin(pm, self.env)
+class OptimisticPolicy(_BeliefPolicy):
+    """The depth-0 plan of the optimistic leaf."""
+
+    depth, leaf_rule = 0, LeafRule.OPTIMISTIC
+
+    def __init__(self, env: EnvParams) -> None:
+        super().__init__(env, self.depth, self.leaf_rule)
 
 
 class LookaheadPolicy(_BeliefPolicy):
-    """Lookahead planner, quadratic in depth per lattice point. Its margin,
-    the plan value, has no closed-form boundary, so compile_region bisects
-    each interval end from the anchor (nodeban stream's route); the suites
-    read it off their draw's Lattice instead, which shares every point's work
-    and the draw's posterior table with the draw's other belief rules."""
+    """The plan to cfg's depth over cfg's leaf rule. Its margin has no closed
+    form, so compile_region bisects each end from the anchor (nodeban
+    stream's route); the suites read it off their draw's Lattice instead."""
 
     def __init__(self, env: EnvParams, cfg: LookaheadConfig) -> None:
-        super().__init__(env)
-        self._cfg = cfg
-
-    def _margin(self, ones: int, count: int, pm: float) -> float:
-        return _rooted_plan(self.posterior, ones, count, pm, self.env, self._cfg)
-
-    def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unknown ends, NaN."""
-        unknown = np.full(count.shape, np.nan)
-        return unknown, unknown
+        super().__init__(env, cfg.depth, cfg.leaf_rule)

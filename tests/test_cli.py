@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -308,7 +309,7 @@ class TestStream:
         assert capsys.readouterr().err == f"error: line 2: {message}\n"
         assert [v["node_id"] for v in read_verdicts(outp)] == ["b"]
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60,
+    @settings(max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(events=st.lists(
         st.tuples(
@@ -771,3 +772,74 @@ class TestSuiteCommand:
         )
         assert code == 1
         assert err == ""
+
+
+# ------------------------------------------------------------ flag fuzz --
+
+UNIT = ("0", "1", "5e-324", "1e-300", "0.3", "0.5", "0.9")
+STAKE = ("0", "1", "5e-324", "1e-300", "1e300", "0.5", "2")
+RATE = ("1", "5e-324", "1e-300", "0.01", "0.5")
+#: Each flag's values: five times each in-domain value, from 0 and 1 to the
+#: smallest subnormal and a huge double, then values outside most domains.
+FUZZ_VALUES = {
+    flag: st.sampled_from([*domain * 5, "-1", "-5e-324", "1e300"])
+    for flags, domain in [
+        (("--u", "--q", "--prior", "--binarize"), UNIT),
+        (("--gU", "--lQ"), STAKE),
+        (("--lambda", "--Delta"), RATE),
+        (("--delta",), ("5e-324", "1e-300", "0.01", "0.5", "0.9")),
+        (("--lookahead-depth",), ("1", "3", "24")),
+    ]
+    for flag in flags
+}
+FUZZ_VALUES["--leaf-rule"] = st.sampled_from(["zero", "myopic_infinite", "optimistic"])
+#: Three nodes' binary events, then real x, which a belief rule rejects
+#: without --binarize.
+FUZZ_EVENTS = [{"node_id": f"n{t % 3}", "t": t, "x": float(t % 4 == 0)} for t in range(1, 19)] + [
+    {"node_id": "n0", "t": 19, "x": 0.25},
+    {"node_id": "n1", "t": 20, "x": 0.75},
+]
+
+
+def flag_sets(required, optional):
+    """Each flag given once as --flag=value: all of required but at most one,
+    and any of optional."""
+    given = st.fixed_dictionaries(
+        {flag: FUZZ_VALUES[flag] for flag in required}, optional={flag: FUZZ_VALUES[flag] for flag in optional}
+    )
+    dropped = st.sets(st.sampled_from(required), max_size=1)
+    return st.tuples(given, dropped).map(
+        lambda drawn: [f"{flag}={value}" for flag, value in drawn[0].items() if flag not in drawn[1]]
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_events(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "events.jsonl"
+    write_events(path, FUZZ_EVENTS)
+    return str(path)
+
+
+STREAM_REQUIRED = ("--u", "--q", "--gU", "--lQ", "--lambda", "--delta")
+STREAM_OPTIONAL = ("--Delta", "--prior", "--binarize", "--lookahead-depth", "--leaf-rule")
+
+
+@settings(max_examples=400)
+@given(command=st.one_of(
+    flag_sets(("--gU", "--lQ", "--lambda"), ("--u", "--q", "--Delta")).map(lambda flags: ["bounds", *flags]),
+    st.tuples(
+        st.sampled_from(["hiper", "myopic", "optimistic", "lookahead"]), flag_sets(STREAM_REQUIRED, STREAM_OPTIONAL)
+    ).map(lambda drawn: ["stream", "--policy", drawn[0], *drawn[1]]),
+))
+def test_random_flag_sets_exit_cleanly(command, fuzz_events):
+    """bounds and stream on any flag set: exit 0, 1 or 2, no traceback,
+    exactly one error line on a usage error, and no inf or NaN printed."""
+    argv = [*command[:1], *([fuzz_events] if command[0] == "stream" else []), *command[1:]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+    assert not re.search(r"\b(inf|nan|infinity)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())

@@ -73,6 +73,19 @@ class TestSuiteConfig:
         assert cfg.policies == ("optimistic", "lookahead:4", "lookahead:8")
         assert cfg.ma_window == 51
 
+    def test_policies_are_parsed_once_per_suite(self, monkeypatch):
+        parse, texts = PolicySpec.parse.__func__, []
+
+        def counted(cls, text):
+            texts.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(PolicySpec, "parse", classmethod(counted))
+        cfg = SuiteConfig.make("lookahead_compare", base_seed=1, n_runs=3)
+        assert [spec.label for spec in cfg.specs] == list(cfg.policies)
+        run_suite(cfg)
+        assert texts == list(cfg.policies)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SuiteConfig.make("delta_sweep", base_seed=1, ma_window=10)

@@ -3,18 +3,22 @@
 The posterior evaluator is checked bit for bit against posterior taken
 afresh per call, and myopic's and optimistic's margins against a decision
 on the whole belief, at every lattice point up to counts 200 and 60.
-compile_region evaluates each rule elementwise only near the ends of each
-count's removal interval: guessed from hiper's, myopic's and optimistic's
-closed forms and confirmed by one probe either side of each end, and
-bisected from the seed where a guess is not confirmed, and for lookahead,
-which the suites compile from lattice-wide tables instead. The bisected
-fixture counts the bisections, so that a guess the closed form gets wrong
-shows even where the region comes out right. These tests
-evaluate the scalar rule (and, for the tables, the scalar posterior and plan
-value) at every lattice point (count t, ones k) with t <= 60 (40 for the
-plan values) and compare exactly, over seeded random worlds that include
-q > u, q < u, observation means of exactly 0 and 1, u == q, priors of 0
-and 1, and a gain or loss of 0, where the closed form is infinite or NaN.
+myopic and optimistic are the depth-0 plans of their leaf rules: the
+lattice's depth-0 values are each leaf rule's value, and every belief
+rule's region read off a draw's lattice (one read, Lattice.values) is its
+rule's. compile_region evaluates each rule elementwise only near the ends
+of each count's removal interval: guessed from hiper's, myopic's and
+optimistic's closed forms and confirmed by one probe either side of each
+end, and bisected from the seed where a guess is not confirmed, and for
+lookahead, which has no closed form (a lookahead spec built alone, and
+nodeban stream). The bisected fixture counts the bisections, so that a
+guess the closed form gets wrong shows even where the region comes out
+right. These tests evaluate the scalar rule (and, for the tables, the
+scalar posterior and plan value) at every lattice point (count t, ones k)
+with t <= 60 (40 for the plan values) and compare exactly, over seeded
+random worlds that include q > u, q < u, observation means of exactly 0
+and 1, u == q, priors of 0 and 1, and a gain or loss of 0, where the
+closed form is infinite or NaN.
 At long horizons, the suites' regions are checked against RegionWalk, the
 scalar walk of the same rule in oracles.py, at every count of every draw of
 the golden suite configs and of the benchmark's first timed unit (horizons
@@ -35,6 +39,7 @@ import os
 import random
 import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,10 +57,9 @@ from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicP
 from nodeban.policies import Lattice, OptimisticPolicy, _BeliefPolicy, lookahead_value
 from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region
 from nodeban.simulator import sample_experiment, table_region
-from oracles import RegionWalk, belief_rule_removes, posterior_per_call, stream_replay
+from oracles import RegionWalk, belief_rule_removes, lookahead_leaf_value, posterior_per_call, stream_replay
 
 HORIZON = 60
-SEEDED = settings(derandomize=True, database=None, deadline=None)
 
 
 def world(u, q, gain=1.0, loss=1.0, rate=0.1, prior=0.5):
@@ -159,7 +163,7 @@ def with_examples(*extra, degenerate=False):
     return decorate
 
 
-@settings(SEEDED, max_examples=100)
+@settings(max_examples=100)
 @with_examples()
 @given(worlds())
 def test_posterior_table_is_posterior(draw):
@@ -183,7 +187,7 @@ def test_posterior_table_is_posterior(draw):
 POSTERIOR_COUNTS = 200  # how far the evaluator is checked against posterior
 
 
-@settings(SEEDED, max_examples=10)
+@settings(max_examples=10)
 @with_examples(degenerate=True)
 @given(worlds())
 def test_posterior_evaluator_is_posterior(draw):
@@ -240,7 +244,7 @@ def test_posterior_evaluator_rejects_what_posterior_rejects():
             assert str(raised.value) == str(expected.value)
 
 
-@settings(SEEDED, max_examples=60)
+@settings(max_examples=60)
 @example(world(0.8, 0.3), 8, LeafRule.ZERO)
 @example(world(0.2, 0.7), 8, LeafRule.MYOPIC_INFINITE)
 @example(world(0.0, 1.0), 8, LeafRule.OPTIMISTIC)
@@ -260,7 +264,44 @@ def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
             assert values[t, k] == lookahead_value(belief, env, cfg), (t, k)
 
 
-@settings(SEEDED, max_examples=100)
+@settings(max_examples=50)
+@with_examples(degenerate=True)
+@given(worlds())
+def test_myopic_and_optimistic_are_depth_0_plans(draw):
+    """_plan's V_0 is each leaf rule's value at every reachable point, also
+    on a lattice that plans the same leaf deeper; and myopic's and
+    optimistic's regions read off a draw's lattice are their rules'."""
+    env = draw.env
+    depth_0 = [SimpleNamespace(depth=0, leaf_rule=leaf) for leaf in LeafRule]
+    lattice = Lattice(env, HORIZON, [*depth_0, LookaheadConfig(2, LeafRule.OPTIMISTIC)])
+    values = [lattice.values(rule) for rule in depth_0]
+    specs = [PolicySpec.parse(text) for text in ("myopic", "optimistic", "lookahead:1")]
+    regions = build_regions(specs, draw)[:2]
+    rules = MyopicPolicy(env), OptimisticPolicy(env)
+    model = BernoulliModel(env.honest_mean, env.malicious_mean)
+    for t in range(HORIZON + 1):
+        for k in range(t + 1):
+            if not reachable(draw, t, k):
+                continue
+            belief = BeliefState(k, t, env.prior_malicious, posterior(k, t, model, env.prior_malicious))
+            for rule, value in zip(depth_0, values):
+                assert value[t, k] == lookahead_leaf_value(belief, env, rule.leaf_rule), (rule.leaf_rule, t, k)
+            for rule, region in zip(rules, regions):
+                removed = t > 0 and region.lo[t] <= k <= region.hi[t]
+                assert removed == (t > 0 and rule.removes(t, k)), (type(rule).__name__, t, k)
+
+
+def test_depth_0_is_no_lookahead_depth():
+    with pytest.raises(ValueError, match=r"^depth must be an integer in \[1, 24\], got 0$"):
+        PolicySpec.parse("lookahead:0")
+    flags = ["--policy", "lookahead", "--lookahead-depth", "0", *world_flags(world(0.2, 0.7).env)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["stream", os.devnull, *flags]) == 2
+    assert err.getvalue() == "error: --lookahead-depth must lie in [1, 24], got 0\n"
+
+
+@settings(max_examples=100)
 @with_examples(degenerate=True)
 @given(worlds())
 def test_hiper_regions(draw):
@@ -275,7 +316,7 @@ def test_hiper_regions(draw):
         assert_region_is_the_rule("hiper:star", draw)
 
 
-@settings(SEEDED, max_examples=100)
+@settings(max_examples=100)
 @with_examples(degenerate=True)
 @given(worlds())
 def test_myopic_and_optimistic_are_their_belief_decisions(draw):
@@ -287,7 +328,7 @@ def test_myopic_and_optimistic_are_their_belief_decisions(draw):
                     assert policy.removes(t, k) == belief_rule_removes(rule, draw.env, t, k), (rule, t, k)
 
 
-@settings(SEEDED, max_examples=100)
+@settings(max_examples=100)
 @with_examples(degenerate=True)
 @given(worlds())
 def test_myopic_and_optimistic_regions(draw):
@@ -355,7 +396,7 @@ SEED_COUNTS = 300  # how far hiper's region is checked against the walk
 ENDPOINT_DELTAS = [1e-6, 0.5, 1.0 - 1e-6]  # the ends of optimal_delta's clamp, and its middle
 
 
-@settings(SEEDED, max_examples=150)
+@settings(max_examples=150)
 @given(
     st.one_of(st.sampled_from(ENDPOINT_DELTAS), st.floats(*ENDPOINT_DELTAS[::2])),
     st.floats(0.01, 1.0, exclude_min=True),
@@ -484,7 +525,7 @@ def test_belief_region_falls_back_when_an_end_is_not_confirmed(shift, u, q, rule
     assert (region.lo <= region.hi)[30:].all()
 
 
-@settings(SEEDED, max_examples=40)
+@settings(max_examples=40)
 @example(world(0.8, 0.3), 8, LeafRule.ZERO)
 @example(world(0.2, 0.7), 8, LeafRule.MYOPIC_INFINITE)
 @example(world(0.3, 0.9, rate=0.05), 8, LeafRule.OPTIMISTIC)
@@ -514,22 +555,22 @@ def with_shared_examples(test):
     return test
 
 
-@settings(SEEDED, max_examples=100)
+@settings(max_examples=100)
 @with_shared_examples
 @given(worlds(), st.sampled_from([1, 2, 60]), st.lists(belief_specs, min_size=2, max_size=6, unique=True))
 def test_shared_lattice_regions_are_each_rule_alone(draw, horizon, texts):
     """build_regions serves every belief spec of a draw from one posterior
     lattice and one plan per leaf rule when any spec plans ahead. Each region
-    is the one its spec gets alone: lookahead's own table, compile_region for
-    myopic and optimistic. Where a rate or the prior is 0 or 1, they agree at
-    every reachable point; the lattice removes an impossible history, which
-    compile_region may leave out of an empty count."""
+    is the one its spec gets alone, from compile_region. Where a rate or the
+    prior is 0 or 1, they agree at every reachable point; the lattice
+    removes an impossible history, which compile_region may leave out of an
+    empty count."""
     draw = replace(draw, horizon=horizon)
     env, specs = draw.env, [PolicySpec.parse(text) for text in texts]
     interior = all(0.0 < p < 1.0 for p in (env.honest_mean, env.malicious_mean, env.prior_malicious))
     points = [(t, k) for t in range(horizon + 1) for k in range(t + 1) if reachable(draw, t, k)]
     for spec, region in zip(specs, build_regions(specs, draw)):
-        alone = spec.build(draw)  # with no lattice given: a lookahead spec builds its own
+        alone = spec.build(draw)  # with no lattice given: compile_region, by bisection for lookahead
         if interior:
             assert region.lo.tolist() == alone.lo.tolist(), (spec.label, texts)
             assert region.hi.tolist() == alone.hi.tolist(), (spec.label, texts)
@@ -541,7 +582,7 @@ def test_shared_lattice_regions_are_each_rule_alone(draw, horizon, texts):
 WALK_COUNTS = 200  # how far the lookahead walk is checked against its table
 
 
-@settings(SEEDED, max_examples=40)
+@settings(max_examples=40)
 @example(world(0.8, 0.3), 8, LeafRule.ZERO)
 @example(world(0.2, 0.7), 6, LeafRule.MYOPIC_INFINITE)
 @example(world(0.3, 0.9, rate=0.05), 6, LeafRule.OPTIMISTIC)
@@ -620,7 +661,7 @@ def assert_stream_is_replay(events, flags, make_policy, binarize=None):
     assert code == (2 if expected_err else 0)
 
 
-@settings(SEEDED, max_examples=30)
+@settings(max_examples=30)
 @with_examples(0)
 @given(worlds(), st.integers(0, 2**16))
 def test_stream_hiper_is_the_per_node_replay(draw, seed):
@@ -632,7 +673,7 @@ def test_stream_hiper_is_the_per_node_replay(draw, seed):
         assert_stream_is_replay(events, flags, lambda: HiperPolicy(params))
 
 
-@settings(SEEDED, max_examples=30)
+@settings(max_examples=30)
 @with_examples(0)
 @given(worlds(), st.integers(0, 2**16))
 def test_stream_myopic_and_optimistic_are_the_per_node_replay(draw, seed):
@@ -652,7 +693,7 @@ def with_lookahead_examples(test):
     return test
 
 
-@settings(SEEDED, max_examples=30)
+@settings(max_examples=30)
 @with_lookahead_examples
 @given(worlds(), st.integers(0, 2**16), st.integers(1, 6), st.sampled_from(list(LeafRule)))
 def test_stream_lookahead_is_the_per_node_replay(draw, seed, depth, leaf):

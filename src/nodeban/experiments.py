@@ -101,6 +101,8 @@ class PolicySpec:
             delta = float(parts[1])
             if not 0.0 < delta < 1.0:
                 raise ValueError(f"hiper delta must lie in (0, 1), got {delta}")
+            if math.isinf(2.0 / delta):  # the warm-up ln(2/delta) / (2 gap^2) is infinite at every gap
+                raise ValueError(f"hiper delta {delta!r} is too small: ln(2/delta) is not finite")
             return cls(kind=kind, delta=delta)
         if kind == "lookahead":
             if len(parts) not in (2, 3):

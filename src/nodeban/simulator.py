@@ -16,10 +16,11 @@ read every belief rule of a draw that plans ahead off one shared posterior
 lattice (policies.Lattice).
 run_episode draws each node once and scores every region by first passage.
 It seeds the draw's node streams in bulk (node_streams, the same bits as one
-node_rng per node, each SeedSequence hash run on stacked rows of all node
-ids) and draws every node's observations into one matrix, turned into
-running ones counts at once (int16 below horizon 2**15); each region is then
-one subtraction and one unsigned comparison against the counts.
+node_rng per node: numpy's pool of their parent SeedSequence, with each
+remaining hash run on stacked rows of all node ids) and draws every node's
+observations into one matrix, turned into running ones counts at once
+(int16 below horizon 2**15); each region is then one subtraction and one
+unsigned comparison against the counts.
 simulate_node, the scalar per-node reference, runs node_rng's draws through
 the policy's removes(count, ones) predicate one count at a time.
 """
@@ -200,46 +201,27 @@ def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
     """node_rng(draw, node_id) for node_id = 0..n_nodes - 1, bit for bit, as one
     Generator whose PCG64 state is reset before each node is yielded.
 
-    This is numpy's algorithm (random/bit_generator.pyx, random/src/pcg64):
-    SeedSequence hashmixes the first 4 words of its entropy into a 4-word
-    pool, mixes every pool word into every other, then mixes each remaining
-    word into all 4; generate_state(4, uint64) hashes the pool out to
-    (seed high, seed low, inc high, inc low); and PCG64 seeds with two
-    pcg_setseq_128_srandom_r steps. The entropy is the draw seed's 32-bit
-    words, zero-padded to 4, then 1 and the node id (one word, as n_nodes
-    <= 2**32), so every word but the id is mixed once per draw, in Python
-    ints. The hash constants advance the same way whatever the data, so the
-    id is mixed into the 4 pool words, and the pool hashed out to 8 state
-    words, for all nodes at once: as stacked (4, n_nodes) and (8, n_nodes)
-    uint64 arrays of 32-bit values, one hash constant per row.
+    Every node_rng SeedSequence is a child of the parent SeedSequence(draw.seed,
+    spawn_key=(_NODE_STREAM,)), whose entropy it extends by one word, the node
+    id (n_nodes <= 2**32), so numpy's mixing (random/bit_generator.pyx) gives
+    it the parent's pool with the id mixed into each of the 4 pool words.
+    The parent's entropy is the seed's 32-bit words zero-padded to 4, then
+    _NODE_STREAM, each word hashed 4 times, which sets the constant the id's
+    hashes start from. The id's mixing, generate_state(4, uint64)'s hash of
+    the pool out to (seed high, seed low, inc high, inc low), and PCG64's two
+    pcg_setseq_128_srandom_r steps (random/src/pcg64) are run for all nodes
+    at once: as stacked (4, n_nodes) and (8, n_nodes) uint64 arrays of
+    32-bit values, one hash constant per row.
     """
-    seed_words = [draw.seed >> shift & _MASK32 for shift in range(0, max(draw.seed.bit_length(), 1), 32)]
-    entropy = seed_words + [0] * (4 - len(seed_words)) + [_NODE_STREAM]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        pool = [mix(word_of_pool, hashmix(word)) for word_of_pool in pool]
-    # the node id, hashed once per pool word: row i of hashmix(stacked ids)
-    # takes the i-th constant, as 4 hashmix calls in turn would
+    pool = np.random.SeedSequence(draw.seed, spawn_key=(_NODE_STREAM,)).pool.astype(np.uint64)[:, None]
+    entropy_words = max(-(-draw.seed.bit_length() // 32), 4) + 1
+    hash_const = _INIT_A * pow(_MULT_A, 4 * entropy_words, 2**32) & _MASK32
+    # the node id, hashed once per pool word: row i of the stacked ids takes
+    # the i-th hash's constants, as numpy's 4 hashmix calls in turn would
     node_id = np.arange(draw.n_nodes, dtype=np.uint64)
     hashed_id = _hash_rows(node_id, *_hash_consts(hash_const, _MULT_A, 4))
-    pool = mix(np.array(pool, dtype=np.uint64)[:, None], hashed_id)
+    pool = (_MIX_MULT_L * pool - _MIX_MULT_R * hashed_id) & _MASK32  # SeedSequence's mix
+    pool ^= pool >> 16
     state = _hash_rows(pool, *_STATE_CONSTS).reshape(8, -1)  # generate_state: pool words 0-3, twice
     words = (state[0::2] | state[1::2] << 32).tolist()
     gen = np.random.Generator(np.random.PCG64(0))  # any seed: each node's state is set before it is yielded

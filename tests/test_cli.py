@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import nodeban
 from nodeban.cli import main
 from nodeban.hiper import HiperParams, HiperPolicy
+from nodeban.simulator import ExperimentSuite
 
 HIPER = ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"]
 MYOPIC = ["--policy", "myopic", "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"]
@@ -843,3 +844,48 @@ def test_random_flag_sets_exit_cleanly(command, fuzz_events):
     if code == 2:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, (argv, err.getvalue())
     assert not re.search(r"\b(inf|nan|infinity)\b", out.getvalue(), re.IGNORECASE), (argv, out.getvalue())
+
+
+#: Policy strings for any suite: hiper deltas whose 2/delta overflows, the
+#: largest delta below 1, a depth past MAX_DEPTH, a padded name, and pairs
+#: with one label (hiper:.90, " myopic"). A valid lookahead plan runs only
+#: on lookahead_compare, whose horizons stay at most 100.
+SUITE_POLICIES = ["hiper:0.9", "hiper:.90", "hiper:star", "hiper:1e-310", "hiper:5e-324",
+                  "hiper:0.9999999999999999", "myopic", " myopic", "optimistic", "lookahead:25"]
+#: Bad values besides 1 to 3 runs and windows 1 and 3 (each drawn three
+#: times as often). A null n_runs is the suite's default, 1,000 or 10,000
+#: runs, so null is drawn for ma_window only, where it means a window of 51.
+BAD_COUNTS = [0, -1, True, 7.0, "x"]
+
+
+@st.composite
+def suite_configs(draw):
+    suite = draw(st.sampled_from([suite.value for suite in ExperimentSuite]))
+    policies = SUITE_POLICIES + (["lookahead:2", "lookahead:3:optimistic"] if suite == "lookahead_compare" else [])
+    config = {
+        "suite": suite,
+        "n_runs": draw(st.sampled_from([1, 2, 3] * 3 + BAD_COUNTS)),
+        "ma_window": draw(st.sampled_from([1, 3, None] * 3 + BAD_COUNTS)),
+    }
+    if draw(st.integers(0, 3)):
+        config["policies"] = draw(st.lists(st.sampled_from(policies), max_size=3))
+    return config
+
+
+@settings(max_examples=150)
+@given(config=suite_configs(), jobs=st.sampled_from(["1", "2"]), seed=st.integers(0, 2**32))
+def test_random_suite_configs_exit_cleanly(config, jobs, seed, tmp_path_factory):
+    """suite on any small config: exit 0 or 2, no traceback, exactly one
+    error line and no CSV on a config error."""
+    folder = tmp_path_factory.mktemp("suite")
+    cfg, out = folder / "cfg.json", folder / "o.csv"
+    cfg.write_text(json.dumps(config))
+    argv = ["suite", "--config", str(cfg), "--out", str(out), "--seed", str(seed), "--jobs", jobs]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    assert code in (0, 2), (config, err.getvalue())
+    assert "Traceback" not in err.getvalue(), config
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, (config, err.getvalue())
+    assert out.exists() == (code == 0), config

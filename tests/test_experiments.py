@@ -54,6 +54,14 @@ class TestPolicySpec:
             with pytest.raises(ValueError):
                 PolicySpec.parse(text)
 
+    @pytest.mark.parametrize("text", ["hiper:1e-310", "hiper:5e-324", "hiper:1.1e-308"])
+    def test_parse_rejects_a_delta_without_finite_warm_up(self, text):
+        # 2/delta overflows, so no gap gives hiper a finite warm-up: a config
+        # error, found before any run starts
+        with pytest.raises(ValueError, match=f"hiper delta {text[6:]} is too small"):
+            PolicySpec.parse(text)
+        assert PolicySpec.parse("hiper:1.2e-308").delta == 1.2e-308  # ln(2/delta) is about 709.7
+
     def test_leaf_rule_parsed(self):
         spec = PolicySpec.parse("lookahead:6:myopic_infinite")
         assert spec.depth == 6

@@ -423,12 +423,15 @@ class TestFirstPassage:
 
 
 class TestNodeStreams:
-    """node_streams redoes numpy's SeedSequence and PCG64 seeding in bulk; if a
-    numpy release changed either, these fail before any golden digest moves."""
+    """node_streams redoes, in bulk from numpy's parent pool, the SeedSequence
+    mixing of each node id and PCG64's seeding; if a numpy release changed
+    either, these fail before any golden digest moves."""
 
     @pytest.mark.parametrize(
         "seed",
-        [0, 2**32 - 1, 2**32, 2**63 - 1, 2**128 + 5]  # 1, 1, 2, 2 and 5 seed words
+        # 1, 1, 2, 2, 3, 4, 5 and 6 seed words; 3 and 4 are the two sides of
+        # the zero padding to 4 words, which sets how many hashes precede the id
+        [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**127 + 1, 2**128 + 5, 2**160 + 7]
         + np.random.default_rng(608).integers(0, 2**63, size=4).tolist()
         + np.random.default_rng(609).integers(0, 2**32, size=2).tolist(),
     )

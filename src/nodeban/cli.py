@@ -266,9 +266,29 @@ def _build_stream_policy(args: argparse.Namespace):
     return LookaheadPolicy(env, LookaheadConfig(args.lookahead_depth, leaf))
 
 
-def _parse_event(line: str, line_no: int) -> StreamEvent:
+#: The scanner and the string encoder that json.loads and json.dumps run
+#: under their default arguments, bound once for the stream's per-event calls.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _parse_event(text: str, line_no: int) -> StreamEvent:
+    """The event on a stripped input line, parsed exactly as json.loads
+    parses it: the same lines are accepted, with the same values, and a
+    rejected line's error reads the same. The scanner json.loads runs is
+    called directly, and json.loads' own errors are rebuilt only when the
+    scan fails or stops short. A stripped line has no JSON whitespace at
+    either end, so its document starts at 0 and must end at len(text): text
+    left after the scan is always extra data, and JSON whitespace is skipped
+    there only to report the index json.loads reports."""
     try:
-        obj = json.loads(line)
+        obj, end = _scan_once(text, 0)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, json.decoder.WHITESPACE.match(text, end).end())
+    except StopIteration as stop:  # no JSON value starts at stop.value, which is 0 after a BOM
+        bom = text.startswith("\ufeff")
+        reason = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else "Expecting value"
+        raise ValueError(f"line {line_no}: not valid JSON ({json.JSONDecodeError(reason, text, stop.value)})")
     except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
         raise ValueError(f"line {line_no}: not valid JSON ({exc})")
     try:
@@ -277,7 +297,7 @@ def _parse_event(line: str, line_no: int) -> StreamEvent:
         if type(obj) is not dict:
             raise ValueError(f"line {line_no}: expected a JSON object")
         raise ValueError(f"line {line_no}: missing fields {sorted({'node_id', 't', 'x'} - set(obj))}")
-    # json.loads gives exact types, so `type(v) is int` excludes a JSON true
+    # the scanner gives exact types, so `type(v) is int` excludes a JSON true
     if type(node_id) is not str:  # 7 and "7" would otherwise be one node
         raise ValueError(f"line {line_no}: node_id must be a JSON string, got {json.dumps(node_id)}")
     if type(t) is not int or t < 1:
@@ -311,9 +331,10 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     later events still advance its last t, so they must stay ordered, and
     are dropped.
 
-    Each verdict line is written directly, with the json module encoding
-    only the node id: the bytes are json.dumps of the verdict object, since
-    t is an int and the statistic a finite float, whose repr is json's."""
+    Each verdict line is written directly, with the json module's ASCII
+    string encoder, the one json.dumps runs on a str, writing only the node
+    id: the bytes are json.dumps of the verdict object, since t is an int
+    and the statistic a finite float, whose repr is json's."""
     belief = not isinstance(policy, HiperPolicy)
     if belief:
         lo, hi = [0], [-1]
@@ -366,7 +387,7 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                 s += x
                 remove = policy.removes(count, s)
                 tail = _verdict_tail(remove, s / count)
-            outfile.write(f'{{"node_id": {json.dumps(node_id)}, "t": {t}, {tail}')
+            outfile.write(f'{{"node_id": {_encode_string(node_id)}, "t": {t}, {tail}')
             nodes[node_id] = (t, None if remove else count, s)
     except UnicodeDecodeError as exc:
         return _fail(f"input after line {line_no} is not valid UTF-8 ({exc.reason})")

@@ -11,6 +11,7 @@ import json
 import math
 
 from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, update
+from nodeban.cli import StreamEvent
 from nodeban.hiper import HiperParams, HiperPolicy, confidence_radius, min_samples
 from nodeban.model import NEVER, Decision, EnvParams
 from nodeban.policies import LeafRule, LookaheadConfig
@@ -132,6 +133,37 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
         return max(0.0, gain + p_one * v_one + (1.0 - p_one) * v_zero)
 
     return expand(belief, cfg.depth)
+
+
+def parse_event_loads(line: str, line_no: int) -> StreamEvent:
+    """One stripped input line of nodeban stream parsed by json.loads
+    itself: the reference that cli._parse_event must match, event for event
+    and error text for error text."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
+        raise ValueError(f"line {line_no}: not valid JSON ({exc})")
+    try:
+        node_id, t, x = obj["node_id"], obj["t"], obj["x"]
+    except (KeyError, TypeError):  # a KeyError only from a dict
+        if type(obj) is not dict:
+            raise ValueError(f"line {line_no}: expected a JSON object")
+        raise ValueError(f"line {line_no}: missing fields {sorted({'node_id', 't', 'x'} - set(obj))}")
+    # json.loads gives exact types, so `type(v) is int` excludes a JSON true
+    if type(node_id) is not str:  # 7 and "7" would otherwise be one node
+        raise ValueError(f"line {line_no}: node_id must be a JSON string, got {json.dumps(node_id)}")
+    if type(t) is not int or t < 1:
+        raise ValueError(f"line {line_no}: t must be a positive integer, got {t!r}")
+    if type(x) is int:
+        try:
+            x = float(x)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf if x > 0 else -math.inf
+    elif type(x) is not float:
+        raise ValueError(f"line {line_no}: x must be a number, got {x!r}")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"line {line_no}: observation value must lie in [0, 1], got {x}")
+    return StreamEvent(node_id, t, x)
 
 
 def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:

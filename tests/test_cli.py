@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,12 +14,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nodeban
-from nodeban.cli import main
+from nodeban.cli import _parse_event, main
 from nodeban.hiper import HiperParams, HiperPolicy
+from nodeban.model import EnvParams
+from nodeban.policies import MyopicPolicy
 from nodeban.simulator import ExperimentSuite
+from oracles import parse_event_loads, stream_replay
 
 HIPER = ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"]
 MYOPIC = ["--policy", "myopic", "--u", "0.8", "--q", "0.2", "--gU", "1", "--lQ", "1"]
+MYOPIC_ENV = EnvParams(honest_mean=0.8, malicious_mean=0.2, gain_honest=1.0, loss_malicious=1.0,
+                       departure_rate=1.0, prior_malicious=0.5)
 
 # stream policy flags that argparse rejects
 NON_FINITE_FLAGS = [
@@ -310,6 +317,14 @@ class TestStream:
         assert capsys.readouterr().err == f"error: line 2: {message}\n"
         assert [v["node_id"] for v in read_verdicts(outp)] == ["b"]
 
+    @pytest.mark.parametrize("flags, make_policy, binarize", [
+        # at delta 0.99 and gap 1 the warm-up is below 1, so a node's first
+        # event is removed iff |x - q| lies inside the radius: both decisions show
+        pytest.param(["--policy", "hiper", "--q", "0.3", "--delta", "0.99", "--Delta", "1"],
+                     lambda: HiperPolicy(HiperParams(delta=0.99, gap=1.0, malicious_mean=0.3)), None, id="hiper"),
+        # a node's first 0 is removed and its first 1 kept
+        pytest.param([*MYOPIC, "--binarize", "0.5"], lambda: MyopicPolicy(MYOPIC_ENV), 0.5, id="myopic"),
+    ])
     @settings(max_examples=60,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(events=st.lists(
@@ -322,19 +337,12 @@ class TestStream:
     ))
     @example(events=[('"', 1, 0.0), ("\\", 2, 1.0), ("\x00\n\x1f\x7f", 10**100, 5e-324), ("é—\U0001f600", 3, 0.1)])
     @example(events=[(json.loads('"\\ud800"'), 1, 0.5)])
-    def test_verdict_lines_are_the_json_modules_bytes(self, events, tmp_path):
-        # at delta 0.99 and gap 1 the warm-up is below 1, so a node's first
-        # event is removed iff |x - q| lies inside the radius: both decisions show
-        flags = ["--policy", "hiper", "--q", "0.3", "--delta", "0.99", "--Delta", "1"]
-        rule = HiperPolicy(HiperParams(delta=0.99, gap=1.0, malicious_mean=0.3))
+    def test_verdict_lines_are_the_json_modules_bytes(self, flags, make_policy, binarize, events, tmp_path):
+        events = [{"node_id": node_id, "t": t, "x": x} for node_id, t, x in events]
         inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-        write_events(inp, [{"node_id": node_id, "t": t, "x": x} for node_id, t, x in events])
+        write_events(inp, events)
         assert run_cli(["stream", str(inp), "--out", str(outp), *flags]) == 0
-        expected = "".join(
-            json.dumps({"node_id": node_id, "t": t, "decision": "remove" if rule.removes(1, x) else "keep",
-                        "statistic": x}) + "\n"
-            for node_id, t, x in events
-        )
+        expected, _ = stream_replay(events, make_policy, binarize)  # json.dumps of each verdict
         assert outp.read_bytes() == expected.encode()
 
     def test_out_of_order_t_exits_2(self, tmp_path, capsys):
@@ -889,3 +897,97 @@ def test_random_suite_configs_exit_cleanly(config, jobs, seed, tmp_path_factory)
     if code == 2:
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, (config, err.getvalue())
     assert out.exists() == (code == 0), config
+
+
+# ------------------------------------------------- stream line parsing --
+
+#: Pieces of JSON and near-JSON that the fuzz strings together: structure,
+#: the event's keys (one escaped), numbers at and past the grammar's edges,
+#: the non-standard constants json accepts, strings with escapes (a lone
+#: surrogate, an unknown escape, a raw control character), whitespace JSON
+#: skips and whitespace it does not, and a BOM.
+PARSE_FRAGMENTS = [
+    "{", "}", "[", "]", ",", ":", '"node_id"', '"t"', '"x"', '"node\\u005fid"', '"a"', '""',
+    "0", "1", "-0", "7", "0.5", "1e0", "-1E-2", "1.", ".5", "01", "-", "+1", "1" * 30, "2e400",
+    "NaN", "Infinity", "-Infinity", "nan", "true", "false", "null", "nul",
+    '"\\ud800"', '"\\u00e9"', '"\\uzzzz"', '"\\q"', '"\x00"', '"\\"', "'a'", "é", "\U0001f600",
+    " ", "\t", "\n", "\r", "\x0b", "\xa0", "\u2028", "\ufeff",
+]
+
+
+def parse_fuzz_lines(seed, n):
+    """n input lines, derandomized by seed: half strung together from
+    PARSE_FRAGMENTS, half valid events in several layouts with up to three
+    insertions (of a fragment or one character of one) or deletions."""
+    rng = random.Random(seed)
+    chars = sorted(set("".join(PARSE_FRAGMENTS)))
+    for i in range(n):
+        if i % 2:
+            yield "".join(rng.choice(PARSE_FRAGMENTS) for _ in range(rng.randint(1, 12)))
+            continue
+        event = {"node_id": rng.choice(["a", "n7", "\ud800", 'q"\\']), "t": rng.choice([1, 2, 10**20]),
+                 "x": rng.choice([0, 1, 0.0, 0.25, 1.0, 5e-324])}
+        items = list(event.items())
+        rng.shuffle(items)
+        separators = rng.choice([(", ", ": "), (",", ":"), (" ,\t", "\t: ")])
+        line = json.dumps(dict(items), separators=separators, ensure_ascii=rng.random() < 0.5)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(line))
+            if rng.random() < 0.5:
+                line = line[:at] + line[at + rng.randint(1, 3):]
+            else:
+                piece = rng.choice(PARSE_FRAGMENTS)
+                line = line[:at] + (piece if rng.random() < 0.5 else rng.choice(chars)) + line[at:]
+        yield line
+
+
+def parse_outcome(parse, text):
+    """parse(text, 1) as a comparable value: the event's fields, with x by
+    its repr, or the error type and text."""
+    try:
+        node_id, t, x = parse(text, 1)
+    except (ValueError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+    return node_id, t, repr(x)
+
+
+def test_parse_event_is_json_loads_on_fuzzed_lines():
+    """_parse_event on the stripped lines the stream hands it: the same
+    event as json.loads-based parsing, or the same error text."""
+    outcomes = collections.Counter()
+    for line in parse_fuzz_lines(seed=30, n=24_000):
+        text = line.strip()
+        expected = parse_outcome(parse_event_loads, text)
+        assert parse_outcome(_parse_event, text) == expected, text
+        # an event, or the reason json gives, or "" for an event's own check
+        outcomes["event" if len(expected) == 3 else expected[1].partition(" (")[2].partition(":")[0]] += 1
+    # accepted events show, and so does every error the parse rebuilds
+    assert outcomes["event"] > 2000
+    assert min(outcomes[reason] for reason in
+               ("Expecting value", "Extra data", "Unexpected UTF-8 BOM (decode using utf-8-sig)")) > 100
+
+
+@pytest.mark.parametrize("text, outcome", [
+    pytest.param('\ufeff{"node_id": "a", "t": 1, "x": 0.5}',
+                 "not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))", id="bom"),
+    pytest.param('{"node_id": "a", "t": 1, "x": 0.5}  \t {}',
+                 "not valid JSON (Extra data: line 1 column 39 (char 38))", id="padded_extra_data"),
+    pytest.param('"a"\t1', "not valid JSON (Extra data: line 1 column 5 (char 4))", id="tab_extra_data"),
+    pytest.param("[" * 100_000, "not valid JSON (maximum recursion depth exceeded", id="deep_nesting"),
+    pytest.param('{"node_id": "a", "t": 1%s, "x": 0.5}' % ("0" * 4999),
+                 "not valid JSON (Exceeds the limit (4300 digits)", id="5000_digit_t"),
+    pytest.param('{"node_id": "a", "t": 1, "x": NaN}', "observation value must lie in [0, 1], got nan", id="nan"),
+    pytest.param('{"node_id": "a", "t": 1, "x": Infinity}', "observation value must lie in [0, 1], got inf", id="inf"),
+    pytest.param('{"node_id": "a", "t": 1, "x": -Infinity}', "observation value must lie in [0, 1], got -inf",
+                 id="minus_inf"),
+    pytest.param('{"node_id": "\\ud800", "t": 1, "x": 0.5}', ("\ud800", 1, "0.5"), id="lone_surrogate"),
+    pytest.param('{"node_id": "a", "t": 1, "x": 0.5, "node_id": "b", "t": 2}', ("b", 2, "0.5"), id="duplicate_keys"),
+    pytest.param("", "not valid JSON (Expecting value: line 1 column 1 (char 0))", id="empty"),
+])
+def test_parse_event_is_json_loads_on_edge_lines(text, outcome):
+    expected = parse_outcome(parse_event_loads, text)
+    assert parse_outcome(_parse_event, text) == expected
+    if isinstance(outcome, tuple):
+        assert expected == outcome
+    else:
+        assert expected[1].startswith(f"line 1: {outcome}")

@@ -28,7 +28,8 @@ checked byte for byte against one observe-driven policy object per node, on
 event streams that outlive count 200, and lookahead's compiled region and
 walk against its table. On a churn of short-lived ids, a belief rule's
 stream computes the posterior once per (count, ones) point that gets a
-verdict, and nothing it keeps per point outlives one run.
+verdict, and nothing it keeps per point outlives one run. Every rule's
+stream is its replay whatever the JSON layout of its input lines.
 """
 
 import contextlib
@@ -647,11 +648,13 @@ def world_flags(env):
     ]
 
 
-def assert_stream_is_replay(events, flags, make_policy, binarize=None):
+def assert_stream_is_replay(events, flags, make_policy, binarize=None, layout=json.dumps):
+    """nodeban stream on events, each written as the line layout(event),
+    against stream_replay."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(json.dumps(event) + "\n" for event in events)
+            handle.writelines(layout(event) + "\n" for event in events)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["stream", path, *flags])
@@ -772,3 +775,36 @@ def test_stream_verdicts_are_not_kept_across_runs():
     for env in (first, replace(first, honest_mean=0.2, malicious_mean=0.7), replace(first, prior_malicious=0.05)):
         for name, extra, rule in STREAM_RULES:
             assert_stream_is_replay(events, ["--policy", name, *extra, *world_flags(env)], lambda: rule(env))
+
+
+def shuffled_keys(event):
+    items = list(event.items())
+    random.Random(event["t"]).shuffle(items)
+    return json.dumps(dict(items))
+
+
+#: Event lines in JSON layouts other than json.dumps' default. In the last,
+#: a decoy node_id comes first, and the event's own, the last, wins.
+LAYOUTS = {
+    "compact": lambda event: json.dumps(event, separators=(",", ":")),
+    "tab_padded": lambda event: json.dumps(event, separators=("\t,\t", "\t:\t")),
+    "padded_line": lambda event: " \t" + json.dumps(event) + "\t ",
+    "shuffled_keys": shuffled_keys,
+    "escaped_key": lambda event: json.dumps(event).replace('"node_id"', '"node\\u005fid"'),
+    "duplicate_node_id": lambda event: '{"node_id": "decoy", ' + json.dumps(event)[1:],
+}
+LAYOUT_RULES = [
+    ("hiper", ["--delta", "0.5"],
+     lambda env: HiperPolicy(HiperParams(delta=0.5, gap=env.gap, malicious_mean=env.malicious_mean))),
+    *STREAM_RULES,
+]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@pytest.mark.parametrize("name, extra, rule", LAYOUT_RULES, ids=[name for name, _, _ in LAYOUT_RULES])
+def test_stream_verdicts_do_not_depend_on_the_input_layout(name, extra, rule, layout):
+    env = world(0.8, 0.3).env
+    events = churn_events(env, seed=30, nodes=80)
+    assert_stream_is_replay(
+        events, ["--policy", name, *extra, *world_flags(env)], lambda: rule(env), layout=layout
+    )

@@ -22,29 +22,30 @@ import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import policies
 from .belief import ImpossibleEvidenceError
 from .experiments import (
+    PolicySpec,
     SuiteConfig,
     _fmt,
     aggregate_mean_loss,
     emit_csv,
     run_suite,
     smooth_records,
+    tuned_delta,
 )
 from .hiper import (
-    HiperParams,
     HiperPolicy,
     bound_loss_combined,
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
-    optimal_delta,
 )
 from .model import EnvParams
-from .policies import MAX_DEPTH, LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy, OptimisticPolicy
+from .policies import MAX_DEPTH, LeafRule
 from .simulator import ExperimentSuite, compile_region
 
 _CONFIG_KEYS = {"suite", "n_runs", "ma_window", "policies", "base_seed"}
@@ -197,20 +198,21 @@ def _resolve_gap(args: argparse.Namespace) -> float | None:
     return gap
 
 
+def _hiper_world(args: argparse.Namespace, gap: float) -> SimpleNamespace:
+    """What hiper, and hiper:star's tuned delta, read of a world: no honest mean."""
+    return SimpleNamespace(malicious_mean=args.q, gap=gap, loss_malicious=args.lQ, gain_honest=args.gU,
+                           departure_rate=args.departure_rate)
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
-        _check_flags(args, ("u", "q", "gap"))
+        _check_flags(args, ("u", "q", "gap", "departure_rate"))
         gap = _resolve_gap(args)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if gap is None:
-        return _fail("provide --Delta, or both --u and --q to derive it")
-    if args.lQ is None or args.gU is None or args.departure_rate is None:
-        return _fail("--lQ, --gU and --lambda are required")
-    if args.lQ <= 0 or args.gU <= 0 or not 0 < args.departure_rate <= 1:
-        return _fail("--lQ and --gU must be positive and --lambda must lie in (0, 1]")
-    try:
-        tuned = optimal_delta(args.lQ, args.gU, args.departure_rate, gap)
+        if gap is None:
+            raise ValueError("provide --Delta, or both --u and --q to derive it")
+        if args.lQ is None or args.gU is None or args.departure_rate is None:
+            raise ValueError("--lQ, --gU and --lambda are required")
+        tuned = tuned_delta(_hiper_world(args, gap))
         malicious = bound_loss_malicious(args.lQ, tuned.value)
         honest = bound_loss_honest(args.gU, args.departure_rate, gap)
         combined = bound_loss_combined(args.lQ, args.gU, args.departure_rate, gap)
@@ -231,39 +233,44 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _build_stream_policy(args: argparse.Namespace):
-    """Validate policy parameters and return the one policy every node shares.
-    Every given flag is checked against its domain, whether or not the chosen
-    policy reads it."""
+    """Validate policy parameters and return the one policy every node shares:
+    the --policy spec's, in the world the flags give. Bare hiper and
+    lookahead are aliases, of hiper:<--delta> and of
+    lookahead:<--lookahead-depth>:<--leaf-rule> (at defaults 4 and zero);
+    any other spec sets its own delta, or depth and leaf rule, and takes
+    none of those flags. Every given flag is checked against its domain,
+    whether or not the chosen policy reads it."""
     _check_flags(args, _FLAG_DOMAINS)
-    policy = args.policy
-    if policy == "hiper":
+    if args.policy == "hiper":
         if args.q is None or args.delta is None:
             raise ValueError("hiper needs --q and --delta")
+        spec = PolicySpec.parse(f"hiper:{args.delta!r}")
+    elif args.policy == "lookahead":  # a depth of 0 failed _check_flags
+        spec = PolicySpec.parse(f"lookahead:{args.lookahead_depth or 4}:{args.leaf_rule or 'zero'}")
+    else:
+        spec = PolicySpec.parse(args.policy)
+        sets = {"hiper": {"--delta": args.delta},
+                "lookahead": {"--lookahead-depth": args.lookahead_depth, "--leaf-rule": args.leaf_rule}}
+        for flag, value in sets.get(spec.kind, {}).items():
+            if value is not None:
+                raise ValueError(f"{flag} conflicts with --policy {args.policy}, which sets it")
+    if spec.kind == "hiper":
+        if args.q is None:
+            raise ValueError(f"{spec.label} needs --q")
         gap = _resolve_gap(args)
         if gap is None:
-            raise ValueError("hiper needs --Delta, or --u together with --q")
-        params = HiperParams(delta=args.delta, gap=gap, malicious_mean=args.q)
-        return HiperPolicy(params)
+            raise ValueError(f"{spec.label} needs --Delta, or --u together with --q")
+        if spec.delta is None and None in (args.lQ, args.gU, args.departure_rate):
+            raise ValueError(f"{spec.label} needs --lQ, --gU and --lambda")
+        return spec.policy(_hiper_world(args, gap))
 
     if args.u is None or args.q is None or args.gU is None or args.lQ is None:
-        raise ValueError(f"{policy} needs --u, --q, --gU and --lQ")
-    leaf = LeafRule(args.leaf_rule)
-    needs_rate = policy == "optimistic" or (policy == "lookahead" and leaf is not LeafRule.ZERO)
-    if needs_rate and args.departure_rate is None:
-        raise ValueError(f"{policy} (with leaf rule {leaf.value}) needs --lambda")
-    env = EnvParams(
-        honest_mean=args.u,
-        malicious_mean=args.q,
-        gain_honest=args.gU,
-        loss_malicious=args.lQ,
-        departure_rate=args.departure_rate if args.departure_rate is not None else 1.0,
-        prior_malicious=args.prior,
-    )
-    if policy == "myopic":
-        return MyopicPolicy(env)
-    if policy == "optimistic":
-        return OptimisticPolicy(env)
-    return LookaheadPolicy(env, LookaheadConfig(args.lookahead_depth, leaf))
+        raise ValueError(f"{spec.label} needs --u, --q, --gU and --lQ")
+    leaf = spec.leaf_rule  # myopic_infinite reads the rate only past depth 0, and optimistic at every depth
+    if leaf is not LeafRule.ZERO and (spec.depth or leaf is LeafRule.OPTIMISTIC) and args.departure_rate is None:
+        raise ValueError(f"{spec.label} needs --lambda")
+    rate = 1.0 if args.departure_rate is None else args.departure_rate
+    return spec.policy(EnvParams(args.u, args.q, args.gU, args.lQ, departure_rate=rate, prior_malicious=args.prior))
 
 
 #: The scanner and the string encoder that json.loads and json.dumps run
@@ -441,15 +448,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=_finite_float, help="malicious observation mean in [0, 1]")
     parser.add_argument("--gU", type=_finite_float, help="per-step gain from an honest node")
     parser.add_argument("--lQ", type=_finite_float, help="per-step loss from a malicious node")
-    parser.add_argument(
-        "--lambda",
-        dest="departure_rate",
-        type=_finite_float,
-        help="per-step honest departure probability in (0, 1]",
-    )
-    parser.add_argument(
-        "--Delta", dest="gap", type=_finite_float, help="gap between the means (default |u - q|)"
-    )
+    parser.add_argument("--lambda", dest="departure_rate", type=_finite_float,
+                        help="per-step honest departure probability in (0, 1]")
+    parser.add_argument("--Delta", dest="gap", type=_finite_float, help="gap between the means (default |u - q|)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,37 +478,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(handler=cmd_bounds)
 
     p_stream = sub.add_parser("stream", help="apply a policy to a JSONL event stream")
-    p_stream.add_argument(
-        "input", nargs="?", default="-", help="JSONL events file (default: stdin)"
-    )
+    p_stream.add_argument("input", nargs="?", default="-", help="JSONL events file (default: stdin)")
     p_stream.add_argument("--out", default="-", help="verdicts output (default: stdout)")
-    p_stream.add_argument(
-        "--policy",
-        required=True,
-        choices=["hiper", "myopic", "optimistic", "lookahead"],
-    )
+    p_stream.add_argument("--policy", required=True, help=(
+        "a policy as a suite config's policies name it: hiper:<delta>, hiper:star (delta tuned from --lQ, --gU, "
+        "--lambda and the gap), myopic, optimistic or lookahead:<depth>[:<leaf_rule>]; bare hiper reads --delta, "
+        "and bare lookahead --lookahead-depth and --leaf-rule"))
     _add_param_flags(p_stream)
-    p_stream.add_argument("--delta", type=_finite_float, help="hiper error probability in (0, 1)")
-    p_stream.add_argument(
-        "--prior",
-        type=_finite_float,
-        default=0.5,
-        help="prior malicious probability (default 0.5)",
-    )
-    p_stream.add_argument(
-        "--lookahead-depth", type=int, default=4, help="planning depth (default 4)"
-    )
-    p_stream.add_argument(
-        "--leaf-rule",
-        choices=[r.value for r in LeafRule],
-        default=LeafRule.ZERO.value,
-        help="value rule at the planning frontier (default zero)",
-    )
-    p_stream.add_argument(
-        "--binarize",
-        type=_finite_float,
-        help="threshold mapping x >= THRESHOLD to 1 for the belief policies",
-    )
+    p_stream.add_argument("--delta", type=_finite_float, help="bare hiper's error probability in (0, 1)")
+    p_stream.add_argument("--prior", type=_finite_float, default=0.5,
+                          help="prior malicious probability (default 0.5)")
+    p_stream.add_argument("--lookahead-depth", type=int, help="bare lookahead's planning depth (default 4)")
+    p_stream.add_argument("--leaf-rule", choices=[r.value for r in LeafRule],
+                          help="bare lookahead's value rule at the planning frontier (default zero)")
+    p_stream.add_argument("--binarize", type=_finite_float,
+                          help="threshold mapping x >= THRESHOLD to 1 for the belief policies")
     p_stream.set_defaults(handler=cmd_stream)
     return parser
 

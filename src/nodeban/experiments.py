@@ -28,7 +28,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .hiper import HiperParams, HiperPolicy, optimal_delta
+from .hiper import HiperParams, HiperPolicy, OptimalDelta, optimal_delta
 from .policies import Lattice, LeafRule, LookaheadConfig, MyopicPolicy, OptimisticPolicy, _BeliefPolicy
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
 from .simulator import run_episode, sample_experiment, table_region
@@ -70,9 +70,10 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Parsed policy identifier.
+    """Parsed policy identifier: the one policy grammar, of a suite config's
+    policies and of nodeban stream's --policy.
 
-    Accepted forms: "hiper:<delta>" or "hiper:star" (tuned delta per draw),
+    Accepted forms: "hiper:<delta>" or "hiper:star" (tuned delta per world),
     "myopic", "optimistic", "lookahead:<depth>" with an optional
     ":<leaf_rule>" suffix (zero, myopic_infinite, optimistic). A belief
     rule's spec holds its plan's depth and leaf rule: myopic's and
@@ -98,7 +99,10 @@ class PolicySpec:
                 raise ValueError(f"policy {text!r} needs a delta, e.g. hiper:0.9 or hiper:star")
             if parts[1] == "star":
                 return cls(kind=kind, delta=None)
-            delta = float(parts[1])
+            try:
+                delta = float(parts[1])
+            except ValueError:
+                raise ValueError(f"policy {text!r}: expected a delta in (0, 1) or star, got {parts[1]!r}") from None
             if not 0.0 < delta < 1.0:
                 raise ValueError(f"hiper delta must lie in (0, 1), got {delta}")
             if math.isinf(2.0 / delta):  # the warm-up ln(2/delta) / (2 gap^2) is infinite at every gap
@@ -107,9 +111,13 @@ class PolicySpec:
         if kind == "lookahead":
             if len(parts) not in (2, 3):
                 raise ValueError(f"policy {text!r} needs a depth, e.g. lookahead:4")
-            leaf = LeafRule(parts[2]) if len(parts) == 3 else LeafRule.ZERO
-            cfg = LookaheadConfig(int(parts[1]), leaf)  # validates the depth
-            return cls(kind=kind, depth=cfg.depth, leaf_rule=leaf)
+            try:
+                depth, leaf = int(parts[1]), LeafRule(parts[2] if len(parts) == 3 else "zero")
+            except ValueError:  # int() and LeafRule() name neither the policy nor what they expect
+                leaves = ", ".join(rule.value for rule in LeafRule)
+                raise ValueError(f"policy {text!r}: expected an integer depth and leaf rule ({leaves})") from None
+            LookaheadConfig(depth, leaf)  # validates the depth
+            return cls(kind=kind, depth=depth, leaf_rule=leaf)
         raise ValueError(f"unknown policy kind {kind!r} in {text!r}")
 
     @property
@@ -123,16 +131,13 @@ class PolicySpec:
             return f"lookahead:{self.depth}{suffix}"
         return self.kind
 
-    def policy(self, draw: ExperimentDraw):
-        """The policy on the given draw: one instance serves every node of
-        the draw, through its removes(count, ones) predicate."""
-        env = draw.env
+    def policy(self, env):
+        """The policy in the world env: one instance serves every node,
+        through its removes(count, ones) predicate. hiper reads only env's
+        malicious_mean and gap, and for hiper:star what tuned_delta reads, so
+        its env may be any object with those attributes."""
         if self.kind == "hiper":
-            delta = self.delta
-            if delta is None:
-                delta = optimal_delta(
-                    env.loss_malicious, env.gain_honest, env.departure_rate, env.gap
-                ).value
+            delta = tuned_delta(env).value if self.delta is None else self.delta
             return HiperPolicy(HiperParams(delta=delta, gap=env.gap, malicious_mean=env.malicious_mean))
         return _BeliefPolicy(env, self.depth, self.leaf_rule)
 
@@ -145,7 +150,14 @@ class PolicySpec:
         lookahead."""
         if lattice is not None and self.kind != "hiper":
             return table_region(lattice.values(self) <= 0.0)
-        return compile_region(self.policy(draw), draw.horizon)
+        return compile_region(self.policy(draw.env), draw.horizon)
+
+
+def tuned_delta(env) -> OptimalDelta:
+    """hiper:star's delta in env, optimal_delta at its stakes and gap: the
+    one call of optimal_delta, which the suites, nodeban stream and nodeban
+    bounds share, and so its checks of the stakes."""
+    return optimal_delta(env.loss_malicious, env.gain_honest, env.departure_rate, env.gap)
 
 
 def build_regions(specs: list[PolicySpec], draw: ExperimentDraw) -> list[Region]:

@@ -92,7 +92,7 @@ def optimal_delta(
     malicious node forever is no worse than losing an honest one.
     """
     if loss_malicious <= 0.0 or gain_honest <= 0.0 or gap <= 0.0:
-        raise ValueError("loss_malicious, gain_honest and gap must be positive")
+        raise ValueError(f"lQ, gU and gap must be positive, got lQ={loss_malicious}, gU={gain_honest}, gap={gap}")
     if not 0.0 < departure_rate <= 1.0:
         raise ValueError(f"departure_rate must lie in (0, 1], got {departure_rate}")
     gap2 = gap * gap

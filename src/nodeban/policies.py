@@ -240,7 +240,8 @@ class OptimisticPolicy(_BeliefPolicy):
 class LookaheadPolicy(_BeliefPolicy):
     """The plan to cfg's depth over cfg's leaf rule. Its margin has no closed
     form, so compile_region bisects each end from the anchor (nodeban
-    stream's route); the suites read it off their draw's Lattice instead."""
+    stream's route); the suites read it off their draw's Lattice instead.
+    Neither names this class: both build the rule through PolicySpec."""
 
     def __init__(self, env: EnvParams, cfg: LookaheadConfig) -> None:
         super().__init__(env, cfg.depth, cfg.leaf_rule)

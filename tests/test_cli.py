@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import nodeban
 from nodeban.cli import _parse_event, main
-from nodeban.hiper import HiperParams, HiperPolicy
+from nodeban.hiper import HiperParams, HiperPolicy, optimal_delta
 from nodeban.model import EnvParams
 from nodeban.policies import MyopicPolicy
 from nodeban.simulator import ExperimentSuite
@@ -63,6 +63,15 @@ INVALID_FLAGS = [
     MYOPIC + ["--Delta", "5"],
     MYOPIC + ["--lookahead-depth", "25"],
     ["--policy", "optimistic", *MYOPIC[2:], "--lambda", "0.5", "--delta", "0"],
+]
+
+
+#: A world every policy reads in full, and binary events from three nodes
+#: near q and three near u, which every policy keeps and removes on.
+WORLD = ["--u", "0.8", "--q", "0.3", "--gU", "1", "--lQ", "1", "--lambda", "0.1"]
+ALIAS_EVENTS = [
+    {"node_id": f"n{t % 6}", "t": t, "x": float(random.Random(t).random() < (0.3 if t % 6 < 3 else 0.8))}
+    for t in range(1, 181)
 ]
 
 
@@ -629,6 +638,77 @@ class TestStream:
         verdicts = read_verdicts(outp)
         assert verdicts[-1]["decision"] == "remove"  # zeros look malicious
 
+    @pytest.mark.parametrize("alias, spec", [
+        (["hiper", "--delta", "0.9"], "hiper:0.9"),
+        (["hiper", "--delta", "0.95000001"], "hiper:0.95000001"),
+        (["lookahead"], "lookahead:4"),
+        (["lookahead", "--lookahead-depth", "3"], "lookahead:3"),
+        (["lookahead", "--leaf-rule", "myopic_infinite"], "lookahead:4:myopic_infinite"),
+        (["lookahead", "--lookahead-depth", "4", "--leaf-rule", "optimistic"], "lookahead:4:optimistic"),
+        (["lookahead", "--lookahead-depth", "2", "--leaf-rule", "zero"], "lookahead:2:zero"),
+    ])
+    def test_alias_writes_the_specs_bytes(self, alias, spec, tmp_path):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        outs = []
+        for policy in (alias, [spec]):
+            outs.append(tmp_path / f"out{len(outs)}.jsonl")
+            assert run_cli(["stream", str(inp), "--out", str(outs[-1]), *WORLD, "--policy", *policy]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert {v["decision"] for v in read_verdicts(outs[0])} == {"keep", "remove"}
+
+    def test_hiper_star_is_hiper_at_the_tuned_delta(self, tmp_path):
+        inp, star, tuned = tmp_path / "in.jsonl", tmp_path / "star.jsonl", tmp_path / "tuned.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        delta = optimal_delta(1.0, 1.0, 0.1, abs(0.8 - 0.3)).value  # --lQ, --gU, --lambda and |u - q| of WORLD
+        assert run_cli(["stream", str(inp), "--out", str(star), *WORLD, "--policy", "hiper:star"]) == 0
+        assert run_cli(["stream", str(inp), "--out", str(tuned), *WORLD, "--policy", f"hiper:{delta!r}"]) == 0
+        assert star.read_bytes() == tuned.read_bytes()
+        assert {v["decision"] for v in read_verdicts(star)} == {"keep", "remove"}
+
+    @pytest.mark.parametrize("flags", [
+        [*WORLD[:4], "--gU", "0", *WORLD[6:]],
+        WORLD[:-2],  # no --lambda
+    ], ids=["gU-0", "no-lambda"])
+    def test_hiper_star_without_positive_stakes_exits_2(self, flags, tmp_path, capsys):
+        inp, outp = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        assert_usage_error(["stream", str(inp), "--out", str(outp), *flags, "--policy", "hiper:star"], capsys)
+        assert not outp.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--gU", "0"), ("--lQ", "0"), ("--lambda", "5"), ("--lambda", "0")])
+    def test_bounds_and_hiper_star_reject_a_stake_alike(self, flag, value, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        flags = [*WORLD[:WORLD.index(flag)], flag, value, *WORLD[WORLD.index(flag) + 2:]]
+        bounds = assert_usage_error(["bounds", *flags], capsys).err
+        assert assert_usage_error(["stream", str(inp), *flags, "--policy", "hiper:star"], capsys).err == bounds
+
+    @pytest.mark.parametrize("policy, label", [
+        (["optimistic", "--leaf-rule", "myopic_infinite"], "optimistic"),
+        (["optimistic"], "optimistic"),
+        (["lookahead:4:optimistic"], "lookahead:4:optimistic"),
+        (["lookahead", "--leaf-rule", "myopic_infinite"], "lookahead:4:myopic_infinite"),
+    ])
+    def test_missing_lambda_error_names_the_spec(self, policy, label, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        err = assert_usage_error(["stream", str(inp), *WORLD[:-2], "--policy", *policy], capsys).err
+        assert err == f"error: {label} needs --lambda\n"
+
+    @pytest.mark.parametrize("policy, flag, value", [
+        ("hiper:0.9", "--delta", "0.9"),
+        ("hiper:star", "--delta", "0.5"),
+        ("lookahead:4", "--lookahead-depth", "4"),
+        ("lookahead:4", "--leaf-rule", "zero"),
+        ("lookahead:3:optimistic", "--leaf-rule", "optimistic"),
+    ])
+    def test_flag_that_the_spec_sets_exits_2_naming_it(self, policy, flag, value, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        err = assert_usage_error(["stream", str(inp), *WORLD, "--policy", policy, flag, value], capsys).err
+        assert err == f"error: {flag} conflicts with --policy {policy}, which sets it\n"
+
 
 class TestSuiteCommand:
     def write_config(self, path, **kwargs):
@@ -829,6 +909,10 @@ def fuzz_events(tmp_path_factory):
     return str(path)
 
 
+#: --policy spec strings besides the four alias names: hiper:star, which
+#: tunes delta from the stakes, deltas in range and too small, a leaf rule,
+#: a depth past MAX_DEPTH, and no policy.
+FUZZ_SPECS = ["hiper:star", "hiper:0.9", "hiper:1e-310", "lookahead:3:optimistic", "lookahead:25", "bogus"]
 STREAM_REQUIRED = ("--u", "--q", "--gU", "--lQ", "--lambda", "--delta")
 STREAM_OPTIONAL = ("--Delta", "--prior", "--binarize", "--lookahead-depth", "--leaf-rule")
 
@@ -837,7 +921,8 @@ STREAM_OPTIONAL = ("--Delta", "--prior", "--binarize", "--lookahead-depth", "--l
 @given(command=st.one_of(
     flag_sets(("--gU", "--lQ", "--lambda"), ("--u", "--q", "--Delta")).map(lambda flags: ["bounds", *flags]),
     st.tuples(
-        st.sampled_from(["hiper", "myopic", "optimistic", "lookahead"]), flag_sets(STREAM_REQUIRED, STREAM_OPTIONAL)
+        st.sampled_from(["hiper", "myopic", "optimistic", "lookahead"] + FUZZ_SPECS),
+        flag_sets(STREAM_REQUIRED, STREAM_OPTIONAL),
     ).map(lambda drawn: ["stream", "--policy", drawn[0], *drawn[1]]),
 ))
 def test_random_flag_sets_exit_cleanly(command, fuzz_events):

@@ -62,6 +62,19 @@ class TestPolicySpec:
             PolicySpec.parse(text)
         assert PolicySpec.parse("hiper:1.2e-308").delta == 1.2e-308  # ln(2/delta) is about 709.7
 
+    @pytest.mark.parametrize("text, message", [
+        ("lookahead:x", "policy 'lookahead:x': expected an integer depth and leaf rule "
+                        "(zero, myopic_infinite, optimistic)"),
+        ("lookahead:4:foo", "policy 'lookahead:4:foo': expected an integer depth and leaf rule "
+                            "(zero, myopic_infinite, optimistic)"),
+        ("hiper:abc", "policy 'hiper:abc': expected a delta in (0, 1) or star, got 'abc'"),
+    ])
+    def test_parse_error_names_the_policy(self, text, message):
+        # int(), float() and LeafRule() name neither the policy nor what it expects
+        with pytest.raises(ValueError) as raised:
+            PolicySpec.parse(text)
+        assert str(raised.value) == message
+
     def test_leaf_rule_parsed(self):
         spec = PolicySpec.parse("lookahead:6:myopic_infinite")
         assert spec.depth == 6

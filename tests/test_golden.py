@@ -6,6 +6,8 @@ are listed in ROADMAP.md, and all of them are in perfbench/golden.json, which
 the stream cases read together with the benchmark's event generator and
 policy flags."""
 
+import ast
+import collections
 import hashlib
 import importlib.util
 import json
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import nodeban
 from nodeban.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -70,3 +73,43 @@ def test_stream_verdicts_match_golden_digest(policy, workloads, stream_events, t
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_GOLDEN_SHA256[policy]
+
+
+#: numpy's transcendental ufuncs: unlike IEEE arithmetic and np.sqrt, which
+#: are correctly rounded, their float64 bits may differ between hosts, with
+#: the SIMD loops numpy dispatches to (np.exp does, on AVX-512).
+TRANSCENDENTAL = {"exp", "log", "log1p", "expm1", "log2", "log10", "power", "float_power"}
+#: Each allowed call, by (file, enclosing function, ufunc), with its count:
+#: _BeliefPolicy.boundary's logit of the depth-0 margin's zero is a guess of
+#: each removal interval's end, which compile_region confirms with
+#: removes_elementwise, whose posteriors come from math.exp.
+ALLOWED_TRANSCENDENTAL_CALLS = {("policies.py", "_BeliefPolicy.boundary", "log"): 2}
+
+
+def test_no_numpy_transcendental_reaches_an_output_byte():
+    """Every call in src/nodeban of a numpy transcendental ufunc (np.log(x),
+    numpy.exp(x), from numpy import ...) is on the allow-list, so no
+    decision or output byte rests on their host-dependent bits. np.sqrt is
+    correctly rounded, so its bits are the same everywhere, and it is out
+    of scope; so are math's functions, which come from the C library."""
+    calls = collections.Counter()
+    for path in sorted(Path(nodeban.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                    for alias in node.names if alias.name in TRANSCENDENTAL}
+        assert not imported, (path.name, imported)
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = f"{scope}.{child.name}" if scope else child.name
+                func = child.func if isinstance(child, ast.Call) else None
+                if (isinstance(func, ast.Attribute) and func.attr in TRANSCENDENTAL
+                        and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")):
+                    calls[path.name, scope, func.attr] += 1
+                visit(child, inner)
+
+        visit(tree, "")
+    assert dict(calls) == ALLOWED_TRANSCENDENTAL_CALLS

@@ -108,7 +108,7 @@ def reachable(draw, t, k):
 def assert_region_is_the_rule(text, draw):
     spec = PolicySpec.parse(text)
     region = spec.build(draw)
-    rule = spec.policy(draw)
+    rule = spec.policy(draw.env)
     assert region.lo.shape == region.hi.shape == (HORIZON + 1,)
     assert region.lo[0] > region.hi[0]  # no removal before the first observation
     for t in range(1, HORIZON + 1):
@@ -309,7 +309,7 @@ def test_hiper_regions(draw):
     env = draw.env
     if env.gap == 0.0:  # hiper's warm-up never ends
         with pytest.raises(ValueError, match="gap must be positive"):
-            PolicySpec.parse("hiper:0.5").policy(draw)
+            PolicySpec.parse("hiper:0.5").policy(draw.env)
         return
     for delta in (0.05, 0.5, 0.9, 0.999):
         assert_region_is_the_rule(f"hiper:{delta}", draw)
@@ -383,7 +383,7 @@ def test_compiled_regions_are_the_walk_at_long_horizons(suite, bisected, monkeyp
             draw = sample_experiment(run_rng, suite)  # as run_suite draws run `run`
             horizons.append(draw.horizon)
             for spec in specs:
-                region, walk = spec.build(draw), RegionWalk(spec.policy(draw))
+                region, walk = spec.build(draw), RegionWalk(spec.policy(draw.env))
                 builds += 1
                 walk.extend(draw.horizon)
                 assert region.lo.tolist() == walk.lo, (spec.label, base_seed, run)

@@ -284,7 +284,7 @@ class TestRegionsMatchPolicyObjects:
             draw = random_draw(rng, max_horizon)
             result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
             for row, spec in enumerate(specs):
-                policy = spec.policy(draw)
+                policy = spec.policy(draw.env)
                 for node_id, is_malicious in enumerate(result.malicious.tolist()):
                     record = simulate_node(
                         policy, node_type(is_malicious), draw, node_rng(draw, node_id), node_id
@@ -315,7 +315,7 @@ class TestRegionsMatchPolicyObjects:
             for draw in draws:
                 result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
                 for row, spec in enumerate(specs):
-                    policy = spec.policy(draw)
+                    policy = spec.policy(draw.env)
                     losses = [
                         simulate_node(policy, node_type(m), draw, node_rng(draw, i), i).realized_loss
                         for i, m in enumerate(result.malicious.tolist())
@@ -406,7 +406,7 @@ class TestFirstPassage:
         hi[-1] = horizon
         hand_made = Region(np.zeros(horizon + 1, dtype=np.int64), hi)
         hiper = PolicySpec(kind="hiper", delta=0.9)
-        regions, policies = [hiper.build(draw), hand_made], [hiper.policy(draw), RegionPolicy(hand_made)]
+        regions, policies = [hiper.build(draw), hand_made], [hiper.policy(draw.env), RegionPolicy(hand_made)]
         result = run_episode(regions, draw, episode_rng(draw))
         for row, policy in enumerate(policies):
             for node_id, is_malicious in enumerate(result.malicious.tolist()):

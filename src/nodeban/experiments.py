@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import re
 from dataclasses import dataclass, field, replace
 from statistics import fmean
 
@@ -73,10 +73,11 @@ class PolicySpec:
     """Parsed policy identifier: the one policy grammar, of a suite config's
     policies and of nodeban stream's --policy.
 
-    Accepted forms: "hiper:<delta>" or "hiper:star" (tuned delta per world),
-    "myopic", "optimistic", "lookahead:<depth>" with an optional
-    ":<leaf_rule>" suffix (zero, myopic_infinite, optimistic). A belief
-    rule's spec holds its plan's depth and leaf rule: myopic's and
+    Accepted forms, once stripped: "hiper:<delta>" (an ASCII decimal literal)
+    or "hiper:star" (tuned delta per world), "myopic", "optimistic",
+    "lookahead:<depth>" (ASCII digits) with an optional ":<leaf_rule>" suffix
+    (zero, myopic_infinite, optimistic); each parse error names the text. A
+    belief rule's spec holds its plan's depth and leaf rule: myopic's and
     optimistic's are their classes', at depth 0.
     """
 
@@ -87,38 +88,40 @@ class PolicySpec:
 
     @classmethod
     def parse(cls, text: str) -> "PolicySpec":
-        parts = text.strip().split(":")
-        kind = parts[0]
-        if kind == "myopic" or kind == "optimistic":
-            if len(parts) != 1:
-                raise ValueError(f"policy {text!r} takes no arguments")
-            rule = MyopicPolicy if kind == "myopic" else OptimisticPolicy
-            return cls(kind=kind, depth=rule.depth, leaf_rule=rule.leaf_rule)
-        if kind == "hiper":
-            if len(parts) != 2:
-                raise ValueError(f"policy {text!r} needs a delta, e.g. hiper:0.9 or hiper:star")
-            if parts[1] == "star":
-                return cls(kind=kind, delta=None)
-            try:
-                delta = float(parts[1])
-            except ValueError:
-                raise ValueError(f"policy {text!r}: expected a delta in (0, 1) or star, got {parts[1]!r}") from None
-            if not 0.0 < delta < 1.0:
-                raise ValueError(f"hiper delta must lie in (0, 1), got {delta}")
-            if math.isinf(2.0 / delta):  # the warm-up ln(2/delta) / (2 gap^2) is infinite at every gap
-                raise ValueError(f"hiper delta {delta!r} is too small: ln(2/delta) is not finite")
-            return cls(kind=kind, delta=delta)
-        if kind == "lookahead":
-            if len(parts) not in (2, 3):
-                raise ValueError(f"policy {text!r} needs a depth, e.g. lookahead:4")
-            try:
-                depth, leaf = int(parts[1]), LeafRule(parts[2] if len(parts) == 3 else "zero")
-            except ValueError:  # int() and LeafRule() name neither the policy nor what they expect
-                leaves = ", ".join(rule.value for rule in LeafRule)
-                raise ValueError(f"policy {text!r}: expected an integer depth and leaf rule ({leaves})") from None
-            LookaheadConfig(depth, leaf)  # validates the depth
-            return cls(kind=kind, depth=depth, leaf_rule=leaf)
-        raise ValueError(f"unknown policy kind {kind!r} in {text!r}")
+        kind, *args = text.strip().split(":")
+        try:
+            if kind == "myopic" or kind == "optimistic":
+                if args:
+                    raise ValueError("takes no arguments")
+                rule = MyopicPolicy if kind == "myopic" else OptimisticPolicy
+                return cls(kind=kind, depth=rule.depth, leaf_rule=rule.leaf_rule)
+            if kind == "hiper":
+                if len(args) != 1:
+                    raise ValueError("needs a delta, e.g. hiper:0.9 or hiper:star")
+                if args[0] == "star":
+                    return cls(kind=kind, delta=None)
+                # float() would also take 0.9_9, ０.9, ' 0.9' and nan
+                if not re.fullmatch(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", args[0]):
+                    raise ValueError(f"expected a delta in (0, 1) or star, got {args[0]!r}")
+                delta = float(args[0])
+                if not 0.0 < delta < 1.0:
+                    raise ValueError(f"delta must lie in (0, 1), got {delta}")
+                if math.isinf(2.0 / delta):  # the warm-up ln(2/delta) / (2 gap^2) is infinite at every gap
+                    raise ValueError(f"delta {delta!r} is too small: ln(2/delta) is not finite")
+                return cls(kind=kind, delta=delta)
+            if kind == "lookahead":
+                if len(args) not in (1, 2):
+                    raise ValueError("needs a depth, e.g. lookahead:4")
+                leaves = [rule.value for rule in LeafRule]
+                leaf = args[1] if len(args) == 2 else "zero"
+                if not (args[0].isascii() and args[0].isdigit()) or leaf not in leaves:  # int() also takes 1_0 and ４
+                    raise ValueError(f"expected an integer depth and leaf rule ({', '.join(leaves)})")
+                depth, leaf = int(args[0]), LeafRule(leaf)
+                LookaheadConfig(depth, leaf)  # validates the depth
+                return cls(kind=kind, depth=depth, leaf_rule=leaf)
+            raise ValueError(f"unknown policy kind {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"policy {text!r}: {exc}") from None
 
     @property
     def label(self) -> str:
@@ -239,6 +242,7 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[SweepRecord]:
     if jobs == 1 or cfg.n_runs == 1:
         outcomes = [_execute_run(cfg, r) for r in range(cfg.n_runs)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it slows every start-up
         workers = min(jobs, cfg.n_runs, os.cpu_count() or 1)
         chunk = max(1, cfg.n_runs // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -16,11 +16,11 @@ read every belief rule of a draw that plans ahead off one shared posterior
 lattice (policies.Lattice).
 run_episode draws each node once and scores every region by first passage.
 It seeds the draw's node streams in bulk (node_streams, the same bits as one
-node_rng per node: numpy's pool of their parent SeedSequence, with each
-remaining hash run on stacked rows of all node ids) and draws every node's
-observations into one matrix, turned into running ones counts at once
-(int16 below horizon 2**15); each region is then one subtraction and one
-unsigned comparison against the counts.
+node_rng per node: from numpy's pool of their parent SeedSequence, the id
+mixing and hash-out run on stacked rows of all ids, then PCG64's own seeding)
+and draws every node's observations into one matrix, turned into running ones
+counts at once (int16 below horizon 2**15); each region is then one
+subtraction and one unsigned comparison against the counts.
 simulate_node, the scalar per-node reference, runs node_rng's draws through
 the policy's removes(count, ones) predicate one count at a time.
 """
@@ -33,6 +33,7 @@ from statistics import fmean
 from typing import Iterator, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .model import NEVER, EnvParams, NodeType, realized_loss
 
@@ -42,11 +43,10 @@ _NODE_STREAM = 1
 
 _DEFAULT_NODES = 100
 
-#: numpy's SeedSequence hash constants and PCG64's multiplier (node_streams).
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+#: numpy's SeedSequence hash constants (node_streams).
+_MASK32 = 2**32 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class ExperimentSuite(str, Enum):
@@ -198,8 +198,8 @@ def node_rng(draw: ExperimentDraw, node_id: int) -> np.random.Generator:
 
 
 def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
-    """node_rng(draw, node_id) for node_id = 0..n_nodes - 1, bit for bit, as one
-    Generator whose PCG64 state is reset before each node is yielded.
+    """node_rng(draw, node_id) for node_id = 0..n_nodes - 1, bit for bit: a new
+    Generator per node, whose PCG64 seeds itself from the node's state words.
 
     Every node_rng SeedSequence is a child of the parent SeedSequence(draw.seed,
     spawn_key=(_NODE_STREAM,)), whose entropy it extends by one word, the node
@@ -207,11 +207,10 @@ def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
     it the parent's pool with the id mixed into each of the 4 pool words.
     The parent's entropy is the seed's 32-bit words zero-padded to 4, then
     _NODE_STREAM, each word hashed 4 times, which sets the constant the id's
-    hashes start from. The id's mixing, generate_state(4, uint64)'s hash of
-    the pool out to (seed high, seed low, inc high, inc low), and PCG64's two
-    pcg_setseq_128_srandom_r steps (random/src/pcg64) are run for all nodes
-    at once: as stacked (4, n_nodes) and (8, n_nodes) uint64 arrays of
-    32-bit values, one hash constant per row.
+    hashes start from. The id's mixing and generate_state(4, uint64)'s hash
+    of the pool out to 8 32-bit words run for all nodes at once, as stacked
+    (4, n_nodes) and (8, n_nodes) uint64 arrays of 32-bit values, one hash
+    constant per row.
     """
     pool = np.random.SeedSequence(draw.seed, spawn_key=(_NODE_STREAM,)).pool.astype(np.uint64)[:, None]
     entropy_words = max(-(-draw.seed.bit_length() // 32), 4) + 1
@@ -223,19 +222,21 @@ def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
     pool = (_MIX_MULT_L * pool - _MIX_MULT_R * hashed_id) & _MASK32  # SeedSequence's mix
     pool ^= pool >> 16
     state = _hash_rows(pool, *_STATE_CONSTS).reshape(8, -1)  # generate_state: pool words 0-3, twice
-    words = (state[0::2] | state[1::2] << 32).tolist()
-    gen = np.random.Generator(np.random.PCG64(0))  # any seed: each node's state is set before it is yielded
-    bit_generator = gen.bit_generator
-    for seed_high, seed_low, inc_high, inc_low in zip(*words):
-        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-        pcg_state = ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULT + inc) & _MASK128  # 2 steps from 0
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": pcg_state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+    words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)  # PCG64 reads each row in place
+    for node_words in words:
+        yield np.random.Generator(np.random.PCG64(_NodeSeed(node_words)))
+
+
+@dataclass
+class _NodeSeed(ISeedSequence):
+    """One node's generate_state(4, uint64) words, PCG64's only request."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a node seed holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.words
 
 
 def _hash_consts(hash_const: int, mult: int, rows: int) -> tuple[np.ndarray, np.ndarray]:

@@ -325,7 +325,7 @@ def test_c06_policy_reductions():
             full_rate = replace(draw, env=replace(draw.env, departure_rate=1.0))
             pairs = (
                 build_regions([myopic, lookahead], draw),  # both off one lattice
-                [myopic.build(draw), lookahead.build(draw)],  # compile_region, and lookahead's own lattice
+                [myopic.build(draw), lookahead.build(draw)],  # both by compile_region: lookahead bisected
                 build_regions([myopic, optimistic], full_rate),
             )
             for base, region in pairs:

@@ -66,6 +66,11 @@ INVALID_FLAGS = [
 ]
 
 
+#: Depths and deltas in --policy or a suite's policies that int() and
+#: float() take, as 10, 4, 4, 0.99, 0.9 and 0.9, but a spec does not.
+STRICT_NUMBER_SPECS = ["lookahead:1_0", "lookahead:\uff14", "lookahead: 4",
+                       "hiper:0.9_9", "hiper:\uff10.9", "hiper: 0.9"]
+
 #: A world every policy reads in full, and binary events from three nodes
 #: near q and three near u, which every policy keeps and removes on.
 WORLD = ["--u", "0.8", "--q", "0.3", "--gU", "1", "--lQ", "1", "--lambda", "0.1"]
@@ -709,6 +714,13 @@ class TestStream:
         err = assert_usage_error(["stream", str(inp), *WORLD, "--policy", policy, flag, value], capsys).err
         assert err == f"error: {flag} conflicts with --policy {policy}, which sets it\n"
 
+    @pytest.mark.parametrize("spec", STRICT_NUMBER_SPECS)
+    def test_spec_number_not_an_ascii_literal_exits_2_naming_it(self, spec, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        err = assert_usage_error(["stream", str(inp), *WORLD, "--policy", spec], capsys).err
+        assert err.startswith(f"error: policy {spec!r}: expected ")
+
 
 class TestSuiteCommand:
     def write_config(self, path, **kwargs):
@@ -852,6 +864,14 @@ class TestSuiteCommand:
         assert_usage_error(argv, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", STRICT_NUMBER_SPECS)
+    def test_spec_number_not_an_ascii_literal_exits_2_naming_it(self, spec, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        self.write_config(cfg, suite="lookahead_compare", n_runs=2, ma_window=1, policies=["myopic", spec])
+        err = assert_usage_error(["suite", "--config", str(cfg), "--out", str(out), "--seed", "1"], capsys).err
+        assert err.startswith(f"error: invalid suite config: policy {spec!r}: expected ")
+        assert not out.exists()
+
     def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         self.write_config(cfg, suite="delta_sweep", n_runs=2, ma_window=1, policies=["hiper:0.9"])
@@ -911,8 +931,9 @@ def fuzz_events(tmp_path_factory):
 
 #: --policy spec strings besides the four alias names: hiper:star, which
 #: tunes delta from the stakes, deltas in range and too small, a leaf rule,
-#: a depth past MAX_DEPTH, and no policy.
-FUZZ_SPECS = ["hiper:star", "hiper:0.9", "hiper:1e-310", "lookahead:3:optimistic", "lookahead:25", "bogus"]
+#: a depth past MAX_DEPTH, no policy, and numbers that are not ASCII literals.
+FUZZ_SPECS = ["hiper:star", "hiper:0.9", "hiper:1e-310", "lookahead:3:optimistic", "lookahead:25", "bogus",
+              *STRICT_NUMBER_SPECS]
 STREAM_REQUIRED = ("--u", "--q", "--gU", "--lQ", "--lambda", "--delta")
 STREAM_OPTIONAL = ("--Delta", "--prior", "--binarize", "--lookahead-depth", "--leaf-rule")
 
@@ -940,11 +961,13 @@ def test_random_flag_sets_exit_cleanly(command, fuzz_events):
 
 
 #: Policy strings for any suite: hiper deltas whose 2/delta overflows, the
-#: largest delta below 1, a depth past MAX_DEPTH, a padded name, and pairs
-#: with one label (hiper:.90, " myopic"). A valid lookahead plan runs only
-#: on lookahead_compare, whose horizons stay at most 100.
+#: largest delta below 1, a depth past MAX_DEPTH, a padded name, pairs with
+#: one label (hiper:.90, " myopic"), and numbers that are not ASCII literals.
+#: A valid lookahead plan runs only on lookahead_compare, whose horizons stay
+#: at most 100.
 SUITE_POLICIES = ["hiper:0.9", "hiper:.90", "hiper:star", "hiper:1e-310", "hiper:5e-324",
-                  "hiper:0.9999999999999999", "myopic", " myopic", "optimistic", "lookahead:25"]
+                  "hiper:0.9999999999999999", "myopic", " myopic", "optimistic", "lookahead:25",
+                  *STRICT_NUMBER_SPECS]
 #: Bad values besides 1 to 3 runs and windows 1 and 3 (each drawn three
 #: times as often). A null n_runs is the suite's default, 1,000 or 10,000
 #: runs, so null is drawn for ma_window only, where it means a window of 51.

@@ -1,5 +1,7 @@
+import concurrent.futures
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +27,12 @@ def rec(x, loss, policy="p", variable="horizon", suite="policy_compare", runs=1)
     )
 
 
+#: Depths and deltas that int() and float() take but a spec does not:
+#: underscores, non-ASCII digits, inner whitespace, nan and a sign.
+STRICT_NUMBER_SPECS = ["lookahead:1_0", "lookahead:\uff14", "lookahead: 4", "lookahead:4 :zero",
+                       "hiper:0.9_9", "hiper:\uff10.9", "hiper: 0.9", "hiper:nan", "hiper:+0.5"]
+
+
 class TestPolicySpec:
     def test_parse_round_trip(self):
         for text, label in [
@@ -38,6 +46,9 @@ class TestPolicySpec:
             ("hiper:1e-6", "hiper:1e-06"),
             ("hiper:0.9500001", "hiper:0.9500001"),  # 7 significant digits
             ("hiper:0.9999999999999999", "hiper:0.9999999999999999"),  # not hiper:1
+            (" lookahead:4\t", "lookahead:4"),  # the whole spec is stripped
+            ("\thiper:0.9 ", "hiper:0.9"),
+            ("lookahead:04", "lookahead:4"),
         ]:
             assert PolicySpec.parse(text).label == label
             assert PolicySpec.parse(label).label == label
@@ -58,7 +69,7 @@ class TestPolicySpec:
     def test_parse_rejects_a_delta_without_finite_warm_up(self, text):
         # 2/delta overflows, so no gap gives hiper a finite warm-up: a config
         # error, found before any run starts
-        with pytest.raises(ValueError, match=f"hiper delta {text[6:]} is too small"):
+        with pytest.raises(ValueError, match=f"^policy '{text}': delta {text[6:]} is too small"):
             PolicySpec.parse(text)
         assert PolicySpec.parse("hiper:1.2e-308").delta == 1.2e-308  # ln(2/delta) is about 709.7
 
@@ -68,12 +79,23 @@ class TestPolicySpec:
         ("lookahead:4:foo", "policy 'lookahead:4:foo': expected an integer depth and leaf rule "
                             "(zero, myopic_infinite, optimistic)"),
         ("hiper:abc", "policy 'hiper:abc': expected a delta in (0, 1) or star, got 'abc'"),
+        ("lookahead:0", "policy 'lookahead:0': depth must be an integer in [1, 24], got 0"),
+        ("lookahead:25", "policy 'lookahead:25': depth must be an integer in [1, 24], got 25"),
+        ("hiper:2.0", "policy 'hiper:2.0': delta must lie in (0, 1), got 2.0"),
+        ("hiper:1e-310", "policy 'hiper:1e-310': delta 1e-310 is too small: ln(2/delta) is not finite"),
     ])
     def test_parse_error_names_the_policy(self, text, message):
-        # int(), float() and LeafRule() name neither the policy nor what it expects
+        # every error names the spec, which neither int(), float() and LeafRule()
+        # nor the range checks of a depth and a delta do by themselves
         with pytest.raises(ValueError) as raised:
             PolicySpec.parse(text)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("text", STRICT_NUMBER_SPECS)
+    def test_parse_takes_only_ascii_literal_numbers(self, text):
+        expected = "an integer depth" if text.startswith("lookahead") else "a delta in (0, 1) or star"
+        with pytest.raises(ValueError, match=re.escape(f"policy '{text}': expected {expected}")):
+            PolicySpec.parse(text)
 
     def test_leaf_rule_parsed(self):
         spec = PolicySpec.parse("lookahead:6:myopic_infinite")
@@ -210,7 +232,7 @@ class TestRunSuite:
         cfg = SuiteConfig.make("policy_compare", base_seed=90, n_runs=6, ma_window=3, policies=("myopic",))
         expected = run_suite(cfg, jobs=1)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)  # run_suite imports it per call
         assert run_suite(cfg, jobs=jobs) == expected
         assert sizes == [workers]
 

@@ -11,6 +11,8 @@ import collections
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,6 +75,63 @@ def test_stream_verdicts_match_golden_digest(policy, workloads, stream_events, t
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAM_GOLDEN_SHA256[policy]
+
+
+#: A child process's computation of every golden digest above, at --jobs 1,
+#: written as JSON to the file argv[1] together with the numpy dispatch
+#: targets still enabled in that process.
+CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+from nodeban.cli import main
+sys.path.insert(0, sys.argv[2])
+import workloads
+work = Path(sys.argv[3])
+digests = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for suite in ("delta_sweep", "policy_compare", "lookahead_compare"):
+        (work / "cfg.json").write_text(json.dumps({"suite": suite, "n_runs": 50}))
+        assert main(["suite", "--config", str(work / "cfg.json"), "--seed", "7", "--out", str(work / "out")]) == 0
+        digests[suite] = hashlib.sha256((work / "out").read_bytes()).hexdigest()
+    events = str(work / "events.jsonl")
+    workloads.streamgen.write_events(events, int(sys.argv[4]), workloads.N_EVENTS)
+    for policy in workloads.STREAM_POLICIES:
+        assert main(workloads.StreamWorkload.argv(policy, events) + ["--out", str(work / "out")]) == 0
+        digests[policy] = hashlib.sha256((work / "out").read_bytes()).hexdigest()
+enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+Path(sys.argv[1]).write_text(json.dumps({"enabled": enabled, "digests": digests}))
+"""
+
+
+def test_digests_hold_without_numpy_dispatch(tmp_path):
+    """Every golden digest, suite and stream, in a child process whose numpy
+    runs no dispatched SIMD loop: NPY_DISABLE_CPU_FEATURES (set in the
+    child's environment only) names every dispatch target that numpy
+    enables on this host, X86_V3, X86_V4, AVX512_ICL and AVX512_SPR for
+    numpy 2.4 on an AVX-512 x86 host. What could not be disabled: the
+    baseline group the build requires (X86_V2 there; numpy refuses to start
+    without it), and a single feature inside a group, such as AVX2 or FMA3,
+    since numpy dispatches by group and rejects those names."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatched = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    env = {key: value for key, value in os.environ.items() if not key.startswith("NPY_")}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(dispatched)
+    env["PYTHONPATH"] = str(Path(nodeban.__file__).resolve().parents[1])
+    result = tmp_path / "result.json"
+    argv = [sys.executable, "-W", "error::ImportWarning", "-c", CHILD, str(result), str(PERFBENCH), str(tmp_path),
+            str(STREAM_SEED)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    reported = json.loads(result.read_text())
+    assert reported["enabled"] == []
+    assert reported["digests"] == {**GOLDEN_SHA256, **STREAM_GOLDEN_SHA256}
 
 
 #: numpy's transcendental ufuncs: unlike IEEE arithmetic and np.sqrt, which

@@ -293,7 +293,7 @@ def test_myopic_and_optimistic_are_depth_0_plans(draw):
 
 
 def test_depth_0_is_no_lookahead_depth():
-    with pytest.raises(ValueError, match=r"^depth must be an integer in \[1, 24\], got 0$"):
+    with pytest.raises(ValueError, match=r"^policy 'lookahead:0': depth must be an integer in \[1, 24\], got 0$"):
         PolicySpec.parse("lookahead:0")
     flags = ["--policy", "lookahead", "--lookahead-depth", "0", *world_flags(world(0.2, 0.7).env)]
     err = io.StringIO()

@@ -424,8 +424,9 @@ class TestFirstPassage:
 
 class TestNodeStreams:
     """node_streams redoes, in bulk from numpy's parent pool, the SeedSequence
-    mixing of each node id and PCG64's seeding; if a numpy release changed
-    either, these fail before any golden digest moves."""
+    mixing of each node id and generate_state's hash-out of the pool, and
+    lets numpy's PCG64 seed itself from the words; if a numpy release changed
+    the mixing or the hash-out, these fail before any golden digest moves."""
 
     @pytest.mark.parametrize(
         "seed",
@@ -445,6 +446,27 @@ class TestNodeStreams:
             assert got == (reference.geometric(0.01), reference.random(20).tolist()), node_id
             n_streams += 1
         assert n_streams == draw.n_nodes
+
+    def test_streams_held_together_are_node_rng(self):
+        # every stream is its own Generator: drawing from one leaves the others
+        draw = make_draw(seed=2**64 + 3, n_nodes=50)
+        streams = list(node_streams(draw))
+        for node_id, stream in enumerate(streams):
+            reference = node_rng(draw, node_id)
+            assert stream.bit_generator.state == reference.bit_generator.state, node_id
+            assert stream.random(5).tolist() == reference.random(5).tolist(), node_id
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (3, np.uint64), (5, np.uint64), (8, np.uint64), (4, np.uint32), (8, np.uint32), (4, np.int64), (4, float),
+    ])
+    def test_node_seed_gives_only_four_uint64_words(self, n_words, dtype):
+        draw = make_draw(seed=77, n_nodes=2)
+        seed_seq = list(node_streams(draw))[1].bit_generator.seed_seq
+        words = np.random.SeedSequence(77, spawn_key=(1, 1)).generate_state(4, np.uint64)
+        assert seed_seq.generate_state(4, np.uint64).tolist() == words.tolist()
+        assert seed_seq.generate_state(4, "uint64").tolist() == words.tolist()
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed_seq.generate_state(n_words, dtype)
 
 
 class TestDrawValidation:

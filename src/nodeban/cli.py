@@ -20,6 +20,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from types import SimpleNamespace
@@ -28,6 +29,8 @@ from typing import NamedTuple
 from . import policies
 from .belief import ImpossibleEvidenceError
 from .experiments import (
+    DECIMAL,
+    INTEGER,
     PolicySpec,
     SuiteConfig,
     _fmt,
@@ -94,6 +97,9 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key in sorted(raw):
+            if raw[key] is None:  # raw.get below would read it as omitted, which takes the default
+                raise ValueError(f"field {key!r}: expected a value, got null")
     if args.suite is not None:
         if "suite" in raw and raw["suite"] != args.suite:
             raise ValueError("--suite conflicts with the config file's 'suite' key")
@@ -117,16 +123,9 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
     if policies is not None:
         if not isinstance(policies, list) or not all(isinstance(p, str) for p in policies):
             raise ValueError("field 'policies': expected a list of policy strings")
-        policies = tuple(policies)
     ma_window = args.ma_window if args.ma_window is not None else raw.get("ma_window")
     try:
-        return SuiteConfig.make(
-            suite=suite,
-            base_seed=args.seed,
-            n_runs=raw.get("n_runs"),
-            ma_window=ma_window,
-            policies=policies,
-        )
+        return SuiteConfig.make(suite, args.seed, raw.get("n_runs"), ma_window, policies)
     except ValueError as exc:
         raise ValueError(f"invalid suite config: {exc}")
 
@@ -281,23 +280,19 @@ _encode_string = json.encoder.encode_basestring_ascii
 
 def _parse_event(text: str, line_no: int) -> StreamEvent:
     """The event on a stripped input line, parsed exactly as json.loads
-    parses it: the same lines are accepted, with the same values, and a
-    rejected line's error reads the same. The scanner json.loads runs is
-    called directly, and json.loads' own errors are rebuilt only when the
-    scan fails or stops short. A stripped line has no JSON whitespace at
-    either end, so its document starts at 0 and must end at len(text): text
-    left after the scan is always extra data, and JSON whitespace is skipped
-    there only to report the index json.loads reports."""
+    parses it, or json.loads' own error: the scanner json.loads runs is
+    called directly, and a line whose scan fails or stops short of its end
+    goes to json.loads, which scans it from 0 too (a stripped line has no
+    JSON whitespace at either end) and so raises."""
     try:
         obj, end = _scan_once(text, 0)
-        if end != len(text):
-            raise json.JSONDecodeError("Extra data", text, json.decoder.WHITESPACE.match(text, end).end())
-    except StopIteration as stop:  # no JSON value starts at stop.value, which is 0 after a BOM
-        bom = text.startswith("\ufeff")
-        reason = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else "Expecting value"
-        raise ValueError(f"line {line_no}: not valid JSON ({json.JSONDecodeError(reason, text, stop.value)})")
-    except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
-        raise ValueError(f"line {line_no}: not valid JSON ({exc})")
+    except (StopIteration, ValueError, RecursionError):  # StopIteration: no JSON value starts at 0
+        end = -1
+    if end != len(text):
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
+            raise ValueError(f"line {line_no}: not valid JSON ({exc})")
     try:
         node_id, t, x = obj["node_id"], obj["t"], obj["x"]
     except (KeyError, TypeError):  # a KeyError only from a dict
@@ -433,14 +428,18 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of every float flag: NaN and infinities are usage errors."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+    """argparse type of every float flag: a spec's decimal literal, signed or not, of finite value."""
+    if not (re.fullmatch(f"[-+]?{DECIMAL}", text) and math.isfinite(float(text))):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+    return float(text)
+
+
+def _integer(text: str) -> int:
+    """argparse type of every integer flag: a spec's integer literal, signed or not."""
+    with contextlib.suppress(ValueError):  # int() refuses more than 4300 digits
+        if re.fullmatch(f"[-+]?{INTEGER}", text):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -468,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite name (alternative to a config file)",
     )
     p_suite.add_argument("--out", required=True, help="output CSV path")
-    p_suite.add_argument("--seed", type=int, help="experiment seed (required)")
-    p_suite.add_argument("--ma-window", type=int, help="odd moving-average window (default 51)")
-    p_suite.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_suite.add_argument("--seed", type=_integer, help="experiment seed (required)")
+    p_suite.add_argument("--ma-window", type=_integer, help="odd moving-average window (default 51)")
+    p_suite.add_argument("--jobs", type=_integer, default=1, help="worker processes (default 1)")
     p_suite.set_defaults(handler=cmd_suite)
 
     p_bounds = sub.add_parser("bounds", help="print the tuned delta and loss ceilings")
@@ -488,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--delta", type=_finite_float, help="bare hiper's error probability in (0, 1)")
     p_stream.add_argument("--prior", type=_finite_float, default=0.5,
                           help="prior malicious probability (default 0.5)")
-    p_stream.add_argument("--lookahead-depth", type=int, help="bare lookahead's planning depth (default 4)")
+    p_stream.add_argument("--lookahead-depth", type=_integer, help="bare lookahead's planning depth (default 4)")
     p_stream.add_argument("--leaf-rule", choices=[r.value for r in LeafRule],
                           help="bare lookahead's value rule at the planning frontier (default zero)")
     p_stream.add_argument("--binarize", type=_finite_float,

@@ -41,6 +41,10 @@ _DEFAULT_RUNS = {
     ExperimentSuite.LOOKAHEAD_COMPARE: 1_000,
 }
 
+#: The ASCII literals of a spec's delta and depth, and, signed, of a CLI flag's
+#: number: float() and int() would also take 0.9_9, ０.9, ' 0.9' and nan.
+DECIMAL, INTEGER = r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", "[0-9]+"
+
 _DEFAULT_POLICIES = {
     ExperimentSuite.DELTA_SWEEP: ("hiper:0.9", "hiper:0.95", "hiper:0.99", "hiper:star"),
     ExperimentSuite.POLICY_COMPARE: ("hiper:star", "myopic", "optimistic"),
@@ -100,8 +104,7 @@ class PolicySpec:
                     raise ValueError("needs a delta, e.g. hiper:0.9 or hiper:star")
                 if args[0] == "star":
                     return cls(kind=kind, delta=None)
-                # float() would also take 0.9_9, ０.9, ' 0.9' and nan
-                if not re.fullmatch(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", args[0]):
+                if not re.fullmatch(DECIMAL, args[0]):
                     raise ValueError(f"expected a delta in (0, 1) or star, got {args[0]!r}")
                 delta = float(args[0])
                 if not 0.0 < delta < 1.0:
@@ -114,7 +117,7 @@ class PolicySpec:
                     raise ValueError("needs a depth, e.g. lookahead:4")
                 leaves = [rule.value for rule in LeafRule]
                 leaf = args[1] if len(args) == 2 else "zero"
-                if not (args[0].isascii() and args[0].isdigit()) or leaf not in leaves:  # int() also takes 1_0 and ４
+                if not re.fullmatch(INTEGER, args[0]) or leaf not in leaves:
                     raise ValueError(f"expected an integer depth and leaf rule ({', '.join(leaves)})")
                 depth, leaf = int(args[0]), LeafRule(leaf)
                 LookaheadConfig(depth, leaf)  # validates the depth

@@ -21,6 +21,7 @@ Ties always remove: each rule keeps only on a strictly positive margin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -213,8 +214,8 @@ class _BeliefPolicy:
             return unknown, unknown
         logs, m0, m1 = self.posterior, self._margin(None, None, 0.0), self._margin(None, None, 1.0)
         per_zero = logs.log_not_q - logs.log_not_u
+        logit = (math.log(m0) if m0 else -math.inf) - (math.log(-m1) if m1 else -math.inf)  # of m(0) / (m(0) - m(1))
         with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN if stakes or rates are degenerate
-            logit = np.log(np.float64(m0)) - np.log(-np.float64(m1))  # of m(0) / (m(0) - m(1))
             ones = (logit - logs.prior_log_odds - count * per_zero) / (logs.log_q - logs.log_u - per_zero)
         return (ones, np.inf) if self.anchor == 1.0 else (-np.inf, ones)
 

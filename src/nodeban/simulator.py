@@ -9,8 +9,8 @@ hierarchically:
 so every policy evaluated on a draw sees identical nodes. A policy is
 compiled once per draw into a Region (nodeban stream recompiles its region
 at twice the count a node outgrows): by compile_region, from its
-closed-form ends where one call of the rule confirms them, and by bisection
-where it has none (lookahead) or a guess is not confirmed; or read off a
+closed-form ends (lookahead has none: its guess is empty) where one call of
+the rule confirms them, and by bisection where it does not; or read off a
 table of the draw's whole (count, ones) lattice by table_region: the suites
 read every belief rule of a draw that plans ahead off one shared posterior
 lattice (policies.Lattice).
@@ -129,28 +129,23 @@ def compile_region(policy, horizon: int) -> Region:
     removes_elementwise call confirms every guess: a nonempty one if both
     ends remove and their outer neighbours keep or lie outside [0, t], an
     empty one if its seed and the seed's neighbours keep. Only the counts not
-    confirmed have their seed probed and each end bisected from it; where
-    every count is guessed empty (lookahead's NaN ends), the seeds are probed
-    without the confirming call."""
+    confirmed have their seed probed and each end bisected from it."""
     count = np.arange(1.0, horizon + 1)  # floats: the rules' arithmetic is float, the values exact
     removes = policy.removes_elementwise
     seed = np.rint(policy.anchor * count)
     low, high = policy.boundary(count)
     first, last = np.maximum(np.floor(low) + 1.0, 0.0), np.minimum(np.ceil(high) - 1.0, count)
     some = first <= last
+    first, last = np.where(some, first, seed), np.where(some, last, seed)
+    hit = removes(count, np.array((first, first - 1.0, last, last + 1.0)))
+    # an empty guess probes its seed twice, so hit[0] == hit[2] there
+    wrong = ((hit[0] & hit[2]) != some) | hit[1] & (first > 0.0) | hit[3] & (last < count)
+    sure = some & ~wrong
     lo, hi = np.zeros(horizon + 1, dtype=np.int64), np.full(horizon + 1, -1, dtype=np.int64)
-    if some.any():
-        first, last = np.where(some, first, seed), np.where(some, last, seed)
-        hit = removes(count, np.array((first, first - 1.0, last, last + 1.0)))
-        # an empty guess probes its seed twice, so hit[0] == hit[2] there
-        wrong = ((hit[0] & hit[2]) != some) | hit[1] & (first > 0.0) | hit[3] & (last < count)
-        lo[1:], hi[1:] = np.where(some, first, 0.0), np.where(some, last, -1.0)
-        unsure = np.flatnonzero(wrong)
-        if not unsure.size:
-            return Region(lo, hi)
-        lo[1:][unsure], hi[1:][unsure] = 0, -1
-    else:
-        unsure = np.arange(horizon)
+    lo[1:], hi[1:] = np.where(sure, first, 0.0), np.where(sure, last, -1.0)
+    unsure = np.flatnonzero(wrong)
+    if not unsure.size:
+        return Region(lo, hi)
     inside = unsure[removes(count[unsure], seed[unsure])]  # the unsure counts whose seed removes
     lo[1:][inside] = _end(removes, count[inside], seed[inside], -1)
     hi[1:][inside] = _end(removes, count[inside], seed[inside], 1)
@@ -164,13 +159,13 @@ def _end(removes, count, inside, step: int) -> np.ndarray:
     span = count - inside if step > 0 else inside
     near, far = np.zeros_like(span), span + 1
     rows = np.flatnonzero(span)
-    probe = np.ones((1, rows.size), dtype=np.int64)  # [probe, row]
+    probe = np.ones(rows.size)
     while rows.size:
         hit = removes(count[rows], inside[rows] + step * probe)
-        far[rows] = np.where(hit, far[rows], probe).min(axis=0)
-        near[rows] = np.where(hit & (probe < far[rows]), probe, near[rows]).max(axis=0)
+        near[rows] = np.where(hit, probe, near[rows])
+        far[rows] = np.where(hit, far[rows], probe)
         rows = rows[far[rows] - near[rows] > 1]
-        probe = (near[rows] + far[rows])[None] // 2
+        probe = (near[rows] + far[rows]) // 2
     return inside + step * near
 
 

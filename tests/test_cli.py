@@ -70,6 +70,11 @@ INVALID_FLAGS = [
 #: float() take, as 10, 4, 4, 0.99, 0.9 and 0.9, but a spec does not.
 STRICT_NUMBER_SPECS = ["lookahead:1_0", "lookahead:\uff14", "lookahead: 4",
                        "hiper:0.9_9", "hiper:\uff10.9", "hiper: 0.9"]
+#: Values that no numeric flag takes (--seed, --ma-window, --jobs, --delta,
+#: --lookahead-depth, --gU): int() and float() read the first five as 10, 1,
+#: 1, 1 and 1, but the spec grammar does not, and allows one sign, not two;
+#: 5000 digits are past int()'s limit and float()'s range.
+STRICT_NUMBER_FLAGS = ["1_0", "\uff11", "\u0661", " 1", "1 ", "+-1", pytest.param("1" * 5000, id="5000_digits")]
 
 #: A world every policy reads in full, and binary events from three nodes
 #: near q and three near u, which every policy keeps and removes on.
@@ -721,6 +726,15 @@ class TestStream:
         err = assert_usage_error(["stream", str(inp), *WORLD, "--policy", spec], capsys).err
         assert err.startswith(f"error: policy {spec!r}: expected ")
 
+    @pytest.mark.parametrize("value", STRICT_NUMBER_FLAGS)
+    @pytest.mark.parametrize("policy, flag", [("hiper", "--delta"), ("lookahead", "--lookahead-depth"),
+                                              ("myopic", "--gU")])
+    def test_flag_number_not_an_ascii_literal_exits_2_naming_it(self, policy, flag, value, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        err = assert_usage_error(["stream", str(inp), *WORLD, "--policy", policy, flag, value], capsys).err
+        assert f"error: argument {flag}: expected " in err
+
 
 class TestSuiteCommand:
     def write_config(self, path, **kwargs):
@@ -872,6 +886,25 @@ class TestSuiteCommand:
         assert err.startswith(f"error: invalid suite config: policy {spec!r}: expected ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", STRICT_NUMBER_FLAGS)
+    @pytest.mark.parametrize("flag", ["--seed", "--ma-window", "--jobs"])
+    def test_flag_number_not_an_ascii_literal_exits_2_naming_it(self, flag, value, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        self.write_config(cfg, suite="delta_sweep", n_runs=2, ma_window=1)
+        argv = ["suite", "--config", str(cfg), "--out", str(out), "--seed", "1", flag, value]
+        err = assert_usage_error(argv, capsys).err
+        assert f"error: argument {flag}: expected an integer, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_runs", "ma_window", "policies"])
+    def test_null_config_key_exits_2_naming_it(self, key, tmp_path, capsys):
+        """A key set to null is an error, not the default that omitting it gives."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        self.write_config(cfg, **{"suite": "delta_sweep", "n_runs": 2, "ma_window": 1, key: None})
+        err = assert_usage_error(["suite", "--config", str(cfg), "--out", str(out), "--seed", "1"], capsys).err
+        assert err == f"error: field {key!r}: expected a value, got null\n"
+        assert not out.exists()
+
     def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         self.write_config(cfg, suite="delta_sweep", n_runs=2, ma_window=1, policies=["hiper:0.9"])
@@ -969,9 +1002,8 @@ SUITE_POLICIES = ["hiper:0.9", "hiper:.90", "hiper:star", "hiper:1e-310", "hiper
                   "hiper:0.9999999999999999", "myopic", " myopic", "optimistic", "lookahead:25",
                   *STRICT_NUMBER_SPECS]
 #: Bad values besides 1 to 3 runs and windows 1 and 3 (each drawn three
-#: times as often). A null n_runs is the suite's default, 1,000 or 10,000
-#: runs, so null is drawn for ma_window only, where it means a window of 51.
-BAD_COUNTS = [0, -1, True, 7.0, "x"]
+#: times as often), null included.
+BAD_COUNTS = [0, -1, True, 7.0, "x", None]
 
 
 @st.composite
@@ -981,7 +1013,7 @@ def suite_configs(draw):
     config = {
         "suite": suite,
         "n_runs": draw(st.sampled_from([1, 2, 3] * 3 + BAD_COUNTS)),
-        "ma_window": draw(st.sampled_from([1, 3, None] * 3 + BAD_COUNTS)),
+        "ma_window": draw(st.sampled_from([1, 3] * 3 + BAD_COUNTS)),
     }
     if draw(st.integers(0, 3)):
         config["policies"] = draw(st.lists(st.sampled_from(policies), max_size=3))

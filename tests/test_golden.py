@@ -139,10 +139,8 @@ def test_digests_hold_without_numpy_dispatch(tmp_path):
 #: the SIMD loops numpy dispatches to (np.exp does, on AVX-512).
 TRANSCENDENTAL = {"exp", "log", "log1p", "expm1", "log2", "log10", "power", "float_power"}
 #: Each allowed call, by (file, enclosing function, ufunc), with its count:
-#: _BeliefPolicy.boundary's logit of the depth-0 margin's zero is a guess of
-#: each removal interval's end, which compile_region confirms with
-#: removes_elementwise, whose posteriors come from math.exp.
-ALLOWED_TRANSCENDENTAL_CALLS = {("policies.py", "_BeliefPolicy.boundary", "log"): 2}
+#: none, so every log and exp in src/nodeban is math's.
+ALLOWED_TRANSCENDENTAL_CALLS = {}
 
 
 def test_no_numpy_transcendental_reaches_an_output_byte():

@@ -9,9 +9,10 @@ rule's region read off a draw's lattice (one read, Lattice.values) is its
 rule's. compile_region evaluates each rule elementwise only near the ends
 of each count's removal interval: guessed from hiper's, myopic's and
 optimistic's closed forms and confirmed by one probe either side of each
-end, and bisected from the seed where a guess is not confirmed, and for
-lookahead, which has no closed form (a lookahead spec built alone, and
-nodeban stream). The bisected fixture counts the bisections, so that a
+end, and bisected from the seed where a guess is not confirmed. lookahead
+has no closed form, so each count is guessed empty and bisected where the
+guess fails (a lookahead spec built alone, and nodeban stream). The
+bisected fixture counts the bisections, so that a
 guess the closed form gets wrong shows even where the region comes out
 right. These tests evaluate the scalar rule (and, for the tables, the
 scalar posterior and plan value) at every lattice point (count t, ones k)
@@ -341,8 +342,7 @@ def test_myopic_and_optimistic_regions(draw):
 def bisected(monkeypatch):
     """The counts at which compile_region bisected an end, one list per
     bisection (a count's lower end, then its upper end): the counts whose
-    seed removes among those whose guess was not confirmed, or among all
-    counts where every guess was empty."""
+    seed removes among those whose guess was not confirmed."""
     calls = []
     end = simulator._end
 
@@ -480,6 +480,33 @@ def test_hiper_region_keeps_a_tie_at_an_exact_integer_end(bisected):
     assert_region_is_removes(policy, region, 40)
 
 
+@pytest.fixture
+def elementwise_calls(monkeypatch):
+    """The shape of each removes_elementwise call's broadcast (count, ones),
+    by any rule, in call order."""
+    calls = []
+    for rule in (HiperPolicy, _BeliefPolicy):
+        def counting(self, count, ones, method=rule.removes_elementwise):
+            calls.append(np.broadcast(count, ones).shape)
+            return method(self, count, ones)
+
+        monkeypatch.setattr(rule, "removes_elementwise", counting)
+    return calls
+
+
+def test_hiper_past_its_warmup_is_one_call(elementwise_calls, bisected):
+    """gap 0.05 and delta 1e-6 put hiper's warm-up at count 2902: every
+    count's guess is empty, and the one confirming call of the rule, which
+    probes 4 points at each of the 200 counts, confirms them all."""
+    policy = HiperPolicy(HiperParams(1e-6, 0.05, 0.3))
+    assert min_samples(1e-6, 0.05) > 200
+    region = compile_region(policy, 200)
+    assert elementwise_calls == [(4, 200)]
+    assert bisected == []
+    assert (region.lo > region.hi).all()
+    assert_region_is_removes(policy, region, 200)
+
+
 def displaced(rule, shift_lo, shift_hi):
     """rule's class with boundary's ends moved by a fixed number of ones."""
 
@@ -606,6 +633,24 @@ def test_lookahead_walk_is_the_table(draw, depth, leaf):
     region = compile_region(LookaheadPolicy(env, cfg), WALK_COUNTS)
     assert region.lo.tolist() == table.lo.tolist()
     assert region.hi.tolist() == table.hi.tolist()
+
+
+def test_lookahead_nan_guesses_are_confirmed_or_bisected(elementwise_calls, bisected):
+    """lookahead's ends have no closed form, so every count is guessed empty
+    and goes through the one confirming call: counts 1 and 2, where the seed
+    and its neighbours keep, are confirmed, and every other count, whose
+    seed removes, has its seed probed and is bisected from it. The region is
+    the lattice table's."""
+    env, cfg = world(0.8, 0.3, prior=0.1).env, LookaheadConfig(2)
+    policy = LookaheadPolicy(env, cfg)
+    low, high = policy.boundary(np.arange(1.0, HORIZON + 1))
+    assert np.isnan(low).all() and np.isnan(high).all()
+    region = compile_region(policy, HORIZON)
+    table = table_region(Lattice(env, HORIZON, [cfg]).values(cfg) <= 0.0)
+    assert region.lo.tolist() == table.lo.tolist()
+    assert region.hi.tolist() == table.hi.tolist()
+    assert elementwise_calls[:2] == [(4, HORIZON), (HORIZON - 2,)]
+    assert bisected == [list(range(3, HORIZON + 1))] * 2
 
 
 LONG_LIFE = 230  # events of node n0, so the stream's region outgrows count 200

@@ -8,7 +8,6 @@ sweeps network parameters and emits plot-ready CSV curves.
 
 from .belief import (
     BeliefState,
-    BernoulliModel,
     ImpossibleEvidenceError,
     Posterior,
     initial_belief,

@@ -131,9 +131,8 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        return _fail(f"--jobs must be at least 1, got {args.jobs}")
     try:
+        _check_flags(args, ("jobs", "seed", "ma_window"))
         cfg = _load_suite_config(args)
     except ValueError as exc:
         return _fail(str(exc))
@@ -164,6 +163,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
 #: ValueError wherever _check_flags reads it. Scores lie in [0, 1], so the
 #: means and --binarize do too.
 _FLAG_DOMAINS = {
+    "jobs": ("--jobs", "be at least 1", lambda v: v >= 1),
+    "seed": ("--seed", "be nonnegative", lambda v: v >= 0),
+    "ma_window": ("--ma-window", "be a positive odd integer", lambda v: v >= 1 and v % 2 == 1),
     "u": ("--u", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     "q": ("--q", "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     "gap": ("--Delta", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
@@ -178,10 +180,11 @@ _FLAG_DOMAINS = {
 
 
 def _check_flags(args: argparse.Namespace, dests) -> None:
-    """Raise ValueError for the first of dests given outside its domain."""
+    """Raise ValueError for the first of dests given outside its domain; a
+    dest that args' command has no flag for is not given."""
     for dest in dests:
         flag, domain, holds = _FLAG_DOMAINS[dest]
-        value = getattr(args, dest)
+        value = getattr(args, dest, None)
         if value is not None and not holds(value):
             raise ValueError(f"{flag} must {domain}, got {value}")
 
@@ -340,7 +343,7 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     belief = not isinstance(policy, HiperPolicy)
     if belief:
         lo, hi = [0], [-1]
-        model, prior = policy.model, policy.env.prior_malicious
+        env = policy.env
         posterior = policies.posterior  # the module global, so a tracer sees it
         verdicts: dict[tuple[int, int], tuple[bool, str]] = {}  # one run's, per (count, ones)
     nodes: dict[str, tuple[int, int | None, float]] = {}
@@ -376,7 +379,7 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                 verdict = verdicts.get((count, s))
                 if verdict is None:
                     try:
-                        statistic = posterior(s, count, model, prior)
+                        statistic = posterior(s, count, env)
                     except ImpossibleEvidenceError as exc:
                         return _fail(f"line {line_no}: {exc}")
                     if count == len(lo):

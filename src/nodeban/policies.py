@@ -30,7 +30,6 @@ import numpy as np
 
 from .belief import (
     BeliefState,
-    BernoulliModel,
     ImpossibleEvidenceError,
     Posterior,
     initial_belief,
@@ -122,8 +121,7 @@ def _rooted_plan(evaluate: Posterior, ones, count, pm, env: EnvParams, rule) -> 
 def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
     """Expected value of the best depth-limited keep/remove plan from the
     belief: _plan rooted at it."""
-    evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), belief.prior_malicious)
-    return float(_rooted_plan(evaluate, belief.ones, belief.count, belief.posterior_malicious, env, cfg))
+    return float(_rooted_plan(Posterior(env), belief.ones, belief.count, belief.posterior_malicious, env, cfg))
 
 
 class Lattice:
@@ -144,11 +142,9 @@ class Lattice:
 
     @cached_property
     def _posterior(self) -> np.ndarray:
-        env = self.env
         size = self.horizon + 1 + max(map(max, self._depths.values()))
         count, ones = np.ogrid[:size, :size]
-        evaluate = Posterior(BernoulliModel(env.honest_mean, env.malicious_mean), env.prior_malicious)
-        return evaluate.elementwise(ones, count)
+        return Posterior(self.env).elementwise(ones, count)
 
     def values(self, rule) -> np.ndarray:
         """The value of rule's plan at every (count t, ones k) with t, k <=
@@ -171,9 +167,8 @@ class _BeliefPolicy:
 
     def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule) -> None:
         self.env, self.depth, self.leaf_rule = env, depth, leaf_rule
-        self.model = BernoulliModel(env.honest_mean, env.malicious_mean)
-        self.posterior = Posterior(self.model, env.prior_malicious)
-        self._belief = initial_belief(env.prior_malicious)
+        self.posterior = Posterior(env)
+        self._belief = initial_belief(env)
         # Every rule removes on a high posterior, highest at ones = count when
         # the malicious rate is the higher one and at ones = 0 otherwise.
         self.anchor = 1.0 if env.malicious_mean > env.honest_mean else 0.0
@@ -184,7 +179,7 @@ class _BeliefPolicy:
         return _leaf_margin(pm, self.env, self.leaf_rule)
 
     def observe(self, x: float) -> Decision:
-        belief = self._belief = update(self._belief, x, self.model)
+        belief = self._belief = update(self._belief, x, self.env)
         keep = self._margin(belief.ones, belief.count, belief.posterior_malicious) > 0.0
         return Decision.KEEP if keep else Decision.REMOVE
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, update
+from nodeban.belief import BeliefState, ImpossibleEvidenceError, update
 from nodeban.cli import StreamEvent
 from nodeban.hiper import HiperParams, HiperPolicy, confidence_radius, min_samples
 from nodeban.model import NEVER, Decision, EnvParams
@@ -19,15 +19,16 @@ from nodeban.policies import LeafRule, LookaheadConfig
 _BRUTEFORCE_MAX_DEPTH = 12
 
 
-def posterior_per_call(ones: int, count: int, model: BernoulliModel, prior_malicious: float) -> float:
+def posterior_per_call(ones: int, count: int, env: EnvParams) -> float:
     """posterior as one function that checks the prior and takes every
-    logarithm of the rates and the prior on each call."""
+    logarithm of env's rates and prior on each call."""
     if ones < 0 or count < 0 or ones > count:
         raise ValueError(f"need 0 <= ones <= count, got ones={ones} count={count}")
+    prior_malicious = env.prior_malicious
     if not 0.0 <= prior_malicious <= 1.0:
         raise ValueError(f"prior_malicious must lie in [0, 1], got {prior_malicious}")
-    u = model.honest_mean
-    q = model.malicious_mean
+    u = env.honest_mean
+    q = env.malicious_mean
     zeros = count - ones
     malicious_zero = (q == 0.0 and ones > 0) or (q == 1.0 and zeros > 0)
     honest_zero = (u == 0.0 and ones > 0) or (u == 1.0 and zeros > 0)
@@ -67,10 +68,8 @@ def belief_rule_removes(rule: str, env: EnvParams, count: int, ones: int) -> boo
     or "optimistic") in the form of a decision on a whole belief: the
     BeliefState at (count, ones) from posterior_per_call, the rule's keep
     margin read off it, and the Decision that margin gives."""
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
-    prior = env.prior_malicious
     try:
-        belief = BeliefState(ones, count, prior, posterior_per_call(ones, count, model, prior))
+        belief = BeliefState(ones, count, posterior_per_call(ones, count, env))
     except ImpossibleEvidenceError:
         return True
     pm = belief.posterior_malicious
@@ -114,7 +113,6 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
             f"brute-force enumeration is limited to depth {_BRUTEFORCE_MAX_DEPTH}, "
             f"got {cfg.depth}"
         )
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
 
     def expand(b: BeliefState, d: int) -> float:
         if d == 0:
@@ -123,11 +121,11 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
         gain = (1.0 - pm) * env.gain_honest - pm * env.loss_malicious
         p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
         try:
-            v_one = expand(update(b, 1, model), d - 1)
+            v_one = expand(update(b, 1, env), d - 1)
         except ImpossibleEvidenceError:
             v_one = 0.0
         try:
-            v_zero = expand(update(b, 0, model), d - 1)
+            v_zero = expand(update(b, 0, env), d - 1)
         except ImpossibleEvidenceError:
             v_zero = 0.0
         return max(0.0, gain + p_one * v_one + (1.0 - p_one) * v_zero)
@@ -191,9 +189,7 @@ def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:
         if isinstance(policy, HiperPolicy):
             statistic = total / count
         else:
-            env = policy.env
-            model = BernoulliModel(env.honest_mean, env.malicious_mean)
-            statistic = posterior_per_call(int(total), count, model, env.prior_malicious)
+            statistic = posterior_per_call(int(total), count, policy.env)
         verdict = {"node_id": node, "t": event["t"], "decision": decision.value, "statistic": statistic}
         lines.append(json.dumps(verdict) + "\n")
         if decision is Decision.REMOVE:

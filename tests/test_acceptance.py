@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodeban.belief import BernoulliModel, initial_belief, posterior, update
+from nodeban.belief import initial_belief, posterior, update
 from nodeban.cli import main as cli_main
 from nodeban.experiments import PolicySpec, SuiteConfig, aggregate_mean_loss, build_regions, run_suite
 from nodeban.hiper import (
@@ -269,10 +269,9 @@ def test_c05_lookahead_matches_enumeration():
             departure_rate=float(rng.uniform(0.01, 1.0)),
             prior_malicious=float(rng.uniform(0.05, 0.95)),
         )
-        model = BernoulliModel(env.honest_mean, env.malicious_mean)
-        belief = initial_belief(env.prior_malicious)
+        belief = initial_belief(env)
         for x in (rng.random(int(rng.integers(0, 20))) < 0.5).astype(int).tolist():
-            belief = update(belief, x, model)
+            belief = update(belief, x, env)
         cfg = LookaheadConfig(int(rng.integers(1, 9)), rules[i % 3])
         bf = lookahead_value_bruteforce(belief, env, cfg)
         # lookahead_value plans from the belief; the suites read the value off
@@ -344,26 +343,26 @@ def test_c07_belief_consistency():
     rng = np.random.default_rng(107)
     worst_rel = 0.0
     for _ in range(25):
-        model = BernoulliModel(
-            float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.02, 0.98))
-        )
-        prior = float(rng.uniform(0.02, 0.98))
+        u, q = float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.02, 0.98))
+        # the posterior reads the means and the prior, not the stakes or the departure rate
+        env = EnvParams(u, q, gain_honest=1.0, loss_malicious=1.0, departure_rate=1.0,
+                        prior_malicious=float(rng.uniform(0.02, 0.98)))
         length = int(rng.integers(1, 1001))
         bits = (rng.random(length) < rng.uniform()).astype(int).tolist()
-        belief = initial_belief(prior)
+        belief = initial_belief(env)
         for x in bits:
-            belief = update(belief, x, model)
+            belief = update(belief, x, env)
             total = belief.posterior_malicious + belief.posterior_honest
             assert total == pytest.approx(1.0, abs=1e-12)
-        batch = posterior(sum(bits), length, model, prior)
+        batch = posterior(sum(bits), length, env)
         assert belief.posterior_malicious == pytest.approx(batch, rel=1e-12)
         if batch:
             worst_rel = max(worst_rel, abs(belief.posterior_malicious - batch) / batch)
         shuffled = list(bits)
         rng.shuffle(shuffled)
-        permuted = initial_belief(prior)
+        permuted = initial_belief(env)
         for x in shuffled:
-            permuted = update(permuted, x, model)
+            permuted = update(permuted, x, env)
         assert permuted.posterior_malicious == belief.posterior_malicious
     report(
         "criterion 07 belief consistency",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nodeban.belief import (
-    BernoulliModel,
     ImpossibleEvidenceError,
     initial_belief,
     keep_gain,
@@ -14,10 +13,10 @@ from nodeban.belief import (
 from nodeban.model import EnvParams
 
 
-def direct_posterior(ones, count, model, prior):
+def direct_posterior(ones, count, env):
     """Raw-product Bayes computation, usable only where the products do not
     underflow; serves as the independent check against the log-space path."""
-    u, q = model.honest_mean, model.malicious_mean
+    u, q, prior = env.honest_mean, env.malicious_mean, env.prior_malicious
     zeros = count - ones
     like_m = (q**ones) * ((1 - q) ** zeros)
     like_u = (u**ones) * ((1 - u) ** zeros)
@@ -38,113 +37,111 @@ def make_env(u=0.8, q=0.2, gain=1.0, loss=1.0, prior=0.5):
 
 class TestPosterior:
     def test_zero_likelihood_branch(self):
-        model = BernoulliModel(honest_mean=1.0, malicious_mean=0.0)
-        assert posterior(1, 1, model, 0.5) == 0.0
+        env = make_env(u=1.0, q=0.0)
+        assert posterior(1, 1, env) == 0.0
 
     def test_symmetric_single_one(self):
-        model = BernoulliModel(0.8, 0.2)
-        assert posterior(1, 1, model, 0.5) == pytest.approx(0.2, rel=1e-12)
+        env = make_env(u=0.8, q=0.2)
+        assert posterior(1, 1, env) == pytest.approx(0.2, rel=1e-12)
 
     def test_uninformative_model_returns_prior(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             mean = float(rng.uniform(0.05, 0.95))
             prior = float(rng.uniform(0, 1))
-            model = BernoulliModel(mean, mean)
+            env = make_env(u=mean, q=mean, prior=prior)
             count = int(rng.integers(0, 50))
             ones = int(rng.integers(0, count + 1))
-            assert posterior(ones, count, model, prior) == prior
+            assert posterior(ones, count, env) == prior
 
     def test_impossible_evidence_raises(self):
-        model = BernoulliModel(honest_mean=0.0, malicious_mean=0.0)
+        env = make_env(u=0.0, q=0.0)
         with pytest.raises(ImpossibleEvidenceError):
-            posterior(1, 1, model, 0.5)
+            posterior(1, 1, env)
         # degenerate prior contradicted by the data on the live branch
-        model2 = BernoulliModel(honest_mean=0.5, malicious_mean=0.0)
+        env2 = make_env(u=0.5, q=0.0, prior=1.0)
         with pytest.raises(ImpossibleEvidenceError):
-            posterior(1, 1, model2, 1.0)
+            posterior(1, 1, env2)
 
     def test_degenerate_priors_absorb(self):
-        model = BernoulliModel(0.8, 0.2)
-        assert posterior(3, 5, model, 0.0) == 0.0
-        assert posterior(3, 5, model, 1.0) == 1.0
+        assert posterior(3, 5, make_env(u=0.8, q=0.2, prior=0.0)) == 0.0
+        assert posterior(3, 5, make_env(u=0.8, q=0.2, prior=1.0)) == 1.0
 
     def test_rejects_bad_counts(self):
-        model = BernoulliModel(0.8, 0.2)
+        env = make_env(u=0.8, q=0.2)
         with pytest.raises(ValueError):
-            posterior(3, 2, model, 0.5)
+            posterior(3, 2, env)
         with pytest.raises(ValueError):
-            posterior(-1, 2, model, 0.5)
+            posterior(-1, 2, env)
 
     def test_log_space_matches_direct_space(self):
         rng = np.random.default_rng(22)
         for _ in range(300):
-            model = BernoulliModel(float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)))
-            prior = float(rng.uniform(0.01, 0.99))
+            u, q = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95))
+            env = make_env(u=u, q=q, prior=float(rng.uniform(0.01, 0.99)))
             count = int(rng.integers(1, 200))  # small enough for raw products
             ones = int(rng.integers(0, count + 1))
-            expected = direct_posterior(ones, count, model, prior)
+            expected = direct_posterior(ones, count, env)
             if expected == 0.0 or not math.isfinite(expected):
                 continue
-            assert posterior(ones, count, model, prior) == pytest.approx(expected, rel=1e-9)
+            assert posterior(ones, count, env) == pytest.approx(expected, rel=1e-9)
 
     def test_no_underflow_at_long_histories(self):
-        model = BernoulliModel(0.8, 0.2)
-        value = posterior(100, 1000, model, 0.5)
+        value = posterior(100, 1000, make_env(u=0.8, q=0.2))
         assert 0.0 <= value <= 1.0
         assert value == pytest.approx(1.0, abs=1e-9)  # 10% ones looks malicious
 
     def test_monotone_in_ones_when_honest_rate_higher(self):
-        model = BernoulliModel(0.7, 0.2)
+        env = make_env(u=0.7, q=0.2, prior=0.4)
         count = 40
-        values = [posterior(k, count, model, 0.4) for k in range(count + 1)]
+        values = [posterior(k, count, env) for k in range(count + 1)]
         assert all(a >= b for a, b in zip(values, values[1:]))
-        flipped = BernoulliModel(0.2, 0.7)
-        values = [posterior(k, count, flipped, 0.4) for k in range(count + 1)]
+        flipped = make_env(u=0.2, q=0.7, prior=0.4)
+        values = [posterior(k, count, flipped) for k in range(count + 1)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestUpdate:
     def test_sequential_equals_batch(self):
-        model = BernoulliModel(0.8, 0.2)
-        belief = initial_belief(0.5)
+        env = make_env(u=0.8, q=0.2)
+        belief = initial_belief(env)
         for x in (1, 0, 1):
-            belief = update(belief, x, model)
+            belief = update(belief, x, env)
         assert belief.ones == 2 and belief.count == 3
         assert belief.posterior_malicious == pytest.approx(
-            posterior(2, 3, model, 0.5), rel=1e-12
+            posterior(2, 3, env), rel=1e-12
         )
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(23)
-        model = BernoulliModel(0.9, 0.3)
+        env = make_env(u=0.9, q=0.3, prior=0.4)
         xs = (rng.random(40) < 0.5).astype(int).tolist()
         reference = None
         for _ in range(5):
             rng.shuffle(xs)
-            belief = initial_belief(0.4)
+            belief = initial_belief(env)
             for x in xs:
-                belief = update(belief, x, model)
+                belief = update(belief, x, env)
             if reference is None:
                 reference = belief
             assert belief == reference
 
     def test_absorbing_prior(self):
-        model = BernoulliModel(0.8, 0.2)
-        belief = initial_belief(0.0)
+        env = make_env(u=0.8, q=0.2, prior=0.0)
+        belief = initial_belief(env)
         for x in (1, 0, 0, 1):
-            belief = update(belief, x, model)
+            belief = update(belief, x, env)
             assert belief.posterior_malicious == 0.0
 
     def test_rejects_non_binary(self):
-        model = BernoulliModel(0.8, 0.2)
+        env = make_env(u=0.8, q=0.2)
         with pytest.raises(ValueError):
-            update(initial_belief(0.5), 0.5, model)
+            update(initial_belief(env), 0.5, env)
 
     def test_accepts_float_and_int_bits(self):
-        model = BernoulliModel(0.8, 0.2)
-        a = update(update(initial_belief(0.5), 1, model), 0.0, model)
-        b = update(update(initial_belief(0.5), 1.0, model), 0, model)
+        env = make_env(u=0.8, q=0.2)
+        a = update(update(initial_belief(env), 1, env), 0.0, env)
+        b = update(update(initial_belief(env), 1.0, env), 0, env)
         assert a == b
 
 
@@ -163,11 +160,12 @@ class TestExpectedKeepGain:
 def test_normalization_everywhere():
     rng = np.random.default_rng(24)
     for _ in range(200):
-        model = BernoulliModel(float(rng.uniform()), float(rng.uniform()))
-        belief = initial_belief(float(rng.uniform()))
+        u, q = float(rng.uniform()), float(rng.uniform())
+        env = make_env(u=u, q=q, prior=float(rng.uniform()))
+        belief = initial_belief(env)
         for x in (rng.random(30) < 0.5).astype(int).tolist():
             try:
-                belief = update(belief, x, model)
+                belief = update(belief, x, env)
             except ImpossibleEvidenceError:
                 break
             assert belief.posterior_malicious + belief.posterior_honest == pytest.approx(
@@ -178,11 +176,11 @@ def test_normalization_everywhere():
 
 def test_long_history_sequential_equals_batch():
     rng = np.random.default_rng(25)
-    model = BernoulliModel(0.65, 0.35)
-    belief = initial_belief(0.5)
+    env = make_env(u=0.65, q=0.35)
+    belief = initial_belief(env)
     xs = (rng.random(1000) < 0.6).astype(int).tolist()
     for x in xs:
-        belief = update(belief, x, model)
+        belief = update(belief, x, env)
     assert belief.count == 1000
-    batch = posterior(sum(xs), 1000, model, 0.5)
+    batch = posterior(sum(xs), 1000, env)
     assert belief.posterior_malicious == pytest.approx(batch, rel=1e-12)

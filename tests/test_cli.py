@@ -6,8 +6,10 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -137,6 +139,35 @@ def write_events(path, events):
 def read_verdicts(path):
     with open(path, "r", encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """Each ```sh block of the README that shows a nodeban command's output,
+    as (argv, the stdin a printf piped into it gives, the output: the
+    block's `# ` lines without their `# `)."""
+    for block in re.findall(r"^```sh\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S):
+        lines = block.splitlines(True)
+        shown = "".join(line[2:] for line in lines if line.startswith("# "))
+        if not shown:
+            continue
+        script = "".join(line for line in lines if not line.startswith("# ")).replace("\\\n", " ")
+        pipe, _, command = script.rpartition("|")
+        printf, argv = shlex.split(pipe), shlex.split(command)
+        assert printf[:2] == ["printf", "%s\\n"] or not printf, pipe
+        assert argv[0] == "nodeban", command
+        yield argv[1:], "".join(f"{event}\n" for event in printf[2:]), shown
+
+
+def test_readme_examples_print_what_the_readme_shows(monkeypatch, capsys):
+    examples = list(readme_examples())
+    assert [argv[0] for argv, _, _ in examples] == ["bounds", "stream"]
+    for argv, stdin, shown in examples:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == shown, argv
 
 
 class TestBounds:
@@ -894,6 +925,23 @@ class TestSuiteCommand:
         argv = ["suite", "--config", str(cfg), "--out", str(out), "--seed", "1", flag, value]
         err = assert_usage_error(argv, capsys).err
         assert f"error: argument {flag}: expected an integer, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,flags,message",
+        [
+            ({}, ["--seed", "-1"], "--seed must be nonnegative, got -1"),
+            ({}, ["--ma-window", "-3"], "--ma-window must be a positive odd integer, got -3"),
+            ({}, ["--ma-window", "4"], "--ma-window must be a positive odd integer, got 4"),
+            ({"ma_window": 4}, [], "invalid suite config: ma_window must be a positive odd integer, got 4"),
+        ],
+    )
+    def test_out_of_domain_value_is_named_where_it_was_given(self, config, flags, message, tmp_path, capsys):
+        """A value given by flag names the flag, and one given in the config its field."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        self.write_config(cfg, **{"suite": "delta_sweep", "n_runs": 2, **config})
+        argv = ["suite", "--config", str(cfg), "--out", str(out), "--seed", "1", *flags]
+        assert assert_usage_error(argv, capsys).err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["n_runs", "ma_window", "policies"])

@@ -143,13 +143,16 @@ class TestTypes:
         assert e.gap == pytest.approx(0.5)
 
     def test_env_validation(self):
-        with pytest.raises(ValueError):
+        # the belief layer reads the rates and the prior only from an EnvParams, so these are their one check
+        with pytest.raises(ValueError, match=r"^honest_mean must lie in \[0, 1\], got 1.2$"):
             EnvParams(1.2, 0.3, 1.0, 1.0, 0.1, 0.5)
+        with pytest.raises(ValueError, match=r"^malicious_mean must lie in \[0, 1\], got -0.3$"):
+            EnvParams(0.8, -0.3, 1.0, 1.0, 0.1, 0.5)
         with pytest.raises(ValueError):
             EnvParams(0.8, 0.3, -1.0, 1.0, 0.1, 0.5)
         with pytest.raises(ValueError):
             EnvParams(0.8, 0.3, 1.0, 1.0, 0.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^prior_malicious must lie in \[0, 1\], got 1.5$"):
             EnvParams(0.8, 0.3, 1.0, 1.0, 0.1, 1.5)
         for nan_at in range(6):
             args = [0.8, 0.3, 1.0, 1.0, 0.1, 0.5]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nodeban.belief import BernoulliModel, initial_belief, update
+from nodeban.belief import initial_belief, update
 from nodeban.model import Decision, EnvParams
 from nodeban.policies import (
     LeafRule,
@@ -38,11 +38,10 @@ def random_instance(rng, max_history=30):
         rate=float(rng.uniform(0.01, 1.0)),
         prior=float(rng.uniform(0.05, 0.95)),
     )
-    model = BernoulliModel(u, q)
-    belief = initial_belief(env.prior_malicious)
+    belief = initial_belief(env)
     history = int(rng.integers(0, max_history)) if max_history > 0 else 0
     for x in (rng.random(history) < 0.5).astype(int).tolist():
-        belief = update(belief, x, model)
+        belief = update(belief, x, env)
     return belief, env
 
 
@@ -88,14 +87,14 @@ class TestLookaheadValue:
     def test_uninformative_model_accumulates_gain(self):
         # keep gain is 0.75 - 0.25 = 0.5 at every state, so depth 4 yields 2.0
         env = make_env(u=0.5, q=0.5, gain=1.0, loss=1.0, prior=0.25)
-        belief = initial_belief(0.25)
+        belief = initial_belief(env)
         cfg = LookaheadConfig(4)
         assert lookahead_value(belief, env, cfg) == pytest.approx(2.0, rel=1e-12)
         assert lookahead_value_bruteforce(belief, env, cfg) == pytest.approx(2.0, rel=1e-12)
 
     def test_unprofitable_uninformative_stops_at_zero(self):
         env = make_env(u=0.5, q=0.5, gain=1.0, loss=1.0, prior=0.75)
-        belief = initial_belief(0.75)
+        belief = initial_belief(env)
         assert lookahead_value(belief, env, LookaheadConfig(5)) == 0.0
 
     def test_depth_one_is_clipped_keep_gain(self):
@@ -118,7 +117,7 @@ class TestLookaheadValue:
     def test_uninformative_brute_force_value(self):
         env = make_env(u=0.4, q=0.4, gain=0.6, loss=1.0, prior=0.25)
         # keep gain 0.75 * 0.6 - 0.25 = 0.2 per step, depth 4 -> 0.8
-        value = lookahead_value_bruteforce(initial_belief(0.25), env, LookaheadConfig(4))
+        value = lookahead_value_bruteforce(initial_belief(env), env, LookaheadConfig(4))
         assert value == pytest.approx(0.8, rel=1e-12)
 
     def test_brute_force_depth_guard(self):
@@ -149,7 +148,7 @@ def test_lookahead_matches_brute_force_everywhere():
 def test_lookahead_handles_boundary_rates():
     # endpoint emission rates create zero-probability branches in the tree
     env = make_env(u=1.0, q=0.0, gain=1.0, loss=1.0, prior=0.5)
-    belief = initial_belief(0.5)
+    belief = initial_belief(env)
     for depth in (1, 2, 4, 6):
         cfg = LookaheadConfig(depth)
         dp = lookahead_value(belief, env, cfg)
@@ -189,14 +188,13 @@ class TestOnlineWrappers:
         rng = np.random.default_rng(38)
         for _ in range(30):
             _, env = random_instance(rng, max_history=0)
-            model = BernoulliModel(env.honest_mean, env.malicious_mean)
             cfg = LookaheadConfig(3)
             wrappers = {"myopic": MyopicPolicy(env), "optimistic": OptimisticPolicy(env)}
-            belief = initial_belief(env.prior_malicious)
+            belief = initial_belief(env)
             lookahead = LookaheadPolicy(env, cfg)
             count = ones = 0
             for x in (rng.random(25) < 0.5).astype(int).tolist():
-                belief = update(belief, float(x), model)
+                belief = update(belief, float(x), env)
                 count, ones = count + 1, ones + x  # ones stays a Python int
                 for name, wrapper in wrappers.items():
                     verdict = wrapper.observe(float(x))

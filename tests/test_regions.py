@@ -49,7 +49,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nodeban import policies, simulator
-from nodeban.belief import BeliefState, BernoulliModel, ImpossibleEvidenceError, Posterior
+from nodeban.belief import BeliefState, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior
 from nodeban.cli import main
 from nodeban.experiments import PolicySpec, SuiteConfig, build_regions
@@ -98,9 +98,8 @@ def worlds(draw):
 def reachable(draw, t, k):
     """Whether some node can have k ones after t observations: the history
     has nonzero prior-weighted likelihood under one of the two types."""
-    env = draw.env
     try:
-        posterior(k, t, BernoulliModel(env.honest_mean, env.malicious_mean), env.prior_malicious)
+        posterior(k, t, draw.env)
     except ImpossibleEvidenceError:
         return False
     return True
@@ -170,14 +169,13 @@ def with_examples(*extra, degenerate=False):
 @given(worlds())
 def test_posterior_table_is_posterior(draw):
     env = draw.env
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
     count, ones = np.ogrid[: HORIZON + 1, : HORIZON + 1]
-    table = Posterior(model, env.prior_malicious).elementwise(ones, count)
+    table = Posterior(env).elementwise(ones, count)
     assert table.shape == (HORIZON + 1, HORIZON + 1)
     for t in range(HORIZON + 1):
         for k in range(HORIZON + 1):
             try:
-                expected = posterior(k, t, model, env.prior_malicious) if k <= t else math.nan
+                expected = posterior(k, t, env) if k <= t else math.nan
             except ImpossibleEvidenceError:
                 expected = math.nan
             if math.isnan(expected):
@@ -194,13 +192,12 @@ POSTERIOR_COUNTS = 200  # how far the evaluator is checked against posterior
 @given(worlds())
 def test_posterior_evaluator_is_posterior(draw):
     env = draw.env
-    model, prior = BernoulliModel(env.honest_mean, env.malicious_mean), env.prior_malicious
     counts, ones = np.tril_indices(POSTERIOR_COUNTS + 1)
     points = list(zip(ones.tolist(), counts.tolist()))
     expected, impossible = [], {}
     for k, t in points:
         try:
-            expected.append(posterior_per_call(k, t, model, prior))
+            expected.append(posterior_per_call(k, t, env))
         except ImpossibleEvidenceError as exc:
             expected.append(math.nan)
             impossible[k, t] = str(exc)
@@ -218,32 +215,34 @@ def test_posterior_evaluator_is_posterior(draw):
         return np.array(values).view(np.int64)
 
     want = np.array(expected).view(np.int64)
-    assert np.array_equal(bits(Posterior(model, prior)), want)
-    assert np.array_equal(bits(lambda k, t: posterior(k, t, model, prior)), want)
+    assert np.array_equal(bits(Posterior(env)), want)
+    assert np.array_equal(bits(lambda k, t: posterior(k, t, env)), want)
     lattice_count, lattice_ones = np.ogrid[: POSTERIOR_COUNTS + 1, : POSTERIOR_COUNTS + 1]
-    table = Posterior(model, prior).elementwise(lattice_ones, lattice_count)
+    table = Posterior(env).elementwise(lattice_ones, lattice_count)
     assert np.array_equal(table[counts, ones].view(np.int64), want)
     assert np.isnan(table[np.triu_indices(POSTERIOR_COUNTS + 1, 1)]).all()  # ones > count
 
 
 def test_posterior_evaluator_rejects_what_posterior_rejects():
-    model = BernoulliModel(0.3, 0.6)
+    """Bad counts, as the reference does; a prior outside [0, 1] makes no
+    world, so no evaluator or posterior call ever sees one, and EnvParams
+    rejects it with the reference's text."""
+    env = world(0.3, 0.6).env
     for ones, count in [(-1, 3), (4, 3), (0, -1), (2, 1)]:
         with pytest.raises(ValueError) as expected:
-            posterior_per_call(ones, count, model, 0.5)
-        for call in (Posterior(model, 0.5), lambda k, t: posterior(k, t, model, 0.5)):
+            posterior_per_call(ones, count, env)
+        for call in (Posterior(env), lambda k, t: posterior(k, t, env)):
             with pytest.raises(ValueError) as raised:
                 call(ones, count)
             assert type(raised.value) is ValueError
             assert str(raised.value) == str(expected.value)
     for prior in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError) as expected:
-            posterior_per_call(1, 2, model, prior)
-        for call in (lambda: Posterior(model, prior), lambda: posterior(1, 2, model, prior)):
-            with pytest.raises(ValueError) as raised:
-                call()
-            assert type(raised.value) is ValueError
-            assert str(raised.value) == str(expected.value)
+            posterior_per_call(1, 2, SimpleNamespace(honest_mean=0.3, malicious_mean=0.6, prior_malicious=prior))
+        with pytest.raises(ValueError) as raised:
+            replace(env, prior_malicious=prior)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == str(expected.value)
 
 
 @settings(max_examples=60)
@@ -256,13 +255,12 @@ def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
     env, cfg, horizon = draw.env, LookaheadConfig(depth, leaf), 40
     values = Lattice(env, horizon, [cfg]).values(cfg)
     assert values.shape == (horizon + 1, horizon + 1)
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
     for t in range(horizon + 1):
         for k in range(horizon + 1):
             if k > t or not reachable(draw, t, k):
                 assert values[t, k] == 0.0, (t, k)
                 continue
-            belief = BeliefState(k, t, env.prior_malicious, posterior(k, t, model, env.prior_malicious))
+            belief = BeliefState(k, t, posterior(k, t, env))
             assert values[t, k] == lookahead_value(belief, env, cfg), (t, k)
 
 
@@ -280,12 +278,11 @@ def test_myopic_and_optimistic_are_depth_0_plans(draw):
     specs = [PolicySpec.parse(text) for text in ("myopic", "optimistic", "lookahead:1")]
     regions = build_regions(specs, draw)[:2]
     rules = MyopicPolicy(env), OptimisticPolicy(env)
-    model = BernoulliModel(env.honest_mean, env.malicious_mean)
     for t in range(HORIZON + 1):
         for k in range(t + 1):
             if not reachable(draw, t, k):
                 continue
-            belief = BeliefState(k, t, env.prior_malicious, posterior(k, t, model, env.prior_malicious))
+            belief = BeliefState(k, t, posterior(k, t, env))
             for rule, value in zip(depth_0, values):
                 assert value[t, k] == lookahead_leaf_value(belief, env, rule.leaf_rule), (rule.leaf_rule, t, k)
             for rule, region in zip(rules, regions):

@@ -14,10 +14,8 @@ from .belief import (
     posterior,
 )
 from .hiper import (
-    HiperParams,
     HiperPolicy,
     OptimalDelta,
-    bound_loss_combined,
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
@@ -34,7 +32,6 @@ from .model import (
 )
 from .policies import (
     LeafRule,
-    LookaheadConfig,
     LookaheadPolicy,
     MyopicPolicy,
     OptimisticPolicy,

@@ -42,7 +42,6 @@ from .experiments import (
 )
 from .hiper import (
     HiperPolicy,
-    bound_loss_combined,
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
@@ -138,15 +137,20 @@ def cmd_suite(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if args.config is not None and _same_file(args.out, args.config):
         return _fail(f"--out {args.out} is the config file; writing it would erase the config")
-    try:
-        start = time.perf_counter()
-        records = run_suite(cfg, jobs=args.jobs)
-        smoothed = smooth_records(records, cfg.ma_window)
-        emit_csv(smoothed, args.out)
-        wall = time.perf_counter() - start
-    except Exception as exc:  # runtime failure, not usage
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 1
+    try:  # before the run, not after it; "a" truncates nothing, and only emit_csv writes
+        held = open(args.out, "a", encoding="utf-8")
+    except OSError as exc:
+        return _fail(f"cannot open output {args.out}: {exc}")
+    with held:  # open until emit_csv is done, so that a FIFO's reader sees one writer throughout
+        try:
+            start = time.perf_counter()
+            records = run_suite(cfg, jobs=args.jobs)
+            smoothed = smooth_records(records, cfg.ma_window)
+            emit_csv(smoothed, args.out)
+            wall = time.perf_counter() - start
+        except Exception as exc:  # runtime failure, not usage
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            return 1
     print(
         f"suite={cfg.suite.value} runs={cfg.n_runs} policies={len(cfg.policies)} "
         f"seed={cfg.base_seed} wall_s={wall:.2f} out={args.out}"
@@ -217,7 +221,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         tuned = tuned_delta(_hiper_world(args, gap))
         malicious = bound_loss_malicious(args.lQ, tuned.value)
         honest = bound_loss_honest(args.gU, args.departure_rate, gap)
-        combined = bound_loss_combined(args.lQ, args.gU, args.departure_rate, gap)
         malicious_warmup = bound_loss_malicious_warmup(args.lQ, tuned.value, gap)
     except ValueError as exc:
         return _fail(str(exc))
@@ -225,7 +228,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     print(f"delta_star_clamped {str(tuned.clamped).lower()}")
     print(f"loss_bound_malicious {_fmt(malicious)}")
     print(f"loss_bound_honest {_fmt(honest)}")
-    print(f"loss_bound_combined {_fmt(combined)}")
+    print(f"loss_bound_combined {_fmt(honest)}")  # at delta*, the paper's two closed forms coincide
     print(f"loss_bound_malicious_warmup {_fmt(malicious_warmup)}")
     print(f"loss_bound_combined_warmup {_fmt(max(malicious_warmup, honest))}")
     return 0

@@ -28,8 +28,8 @@ from statistics import fmean
 
 import numpy as np
 
-from .hiper import HiperParams, HiperPolicy, OptimalDelta, optimal_delta
-from .policies import Lattice, LeafRule, LookaheadConfig, MyopicPolicy, OptimisticPolicy, _BeliefPolicy
+from .hiper import HiperPolicy, OptimalDelta, optimal_delta
+from .policies import MAX_DEPTH, Lattice, LeafRule, MyopicPolicy, OptimisticPolicy, _BeliefPolicy
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
 from .simulator import run_episode, sample_experiment, table_region
 
@@ -79,10 +79,10 @@ class PolicySpec:
 
     Accepted forms, once stripped: "hiper:<delta>" (an ASCII decimal literal)
     or "hiper:star" (tuned delta per world), "myopic", "optimistic",
-    "lookahead:<depth>" (ASCII digits) with an optional ":<leaf_rule>" suffix
-    (zero, myopic_infinite, optimistic); each parse error names the text. A
-    belief rule's spec holds its plan's depth and leaf rule: myopic's and
-    optimistic's are their classes', at depth 0.
+    "lookahead:<depth>" (ASCII digits, 1 to MAX_DEPTH) with an optional
+    ":<leaf_rule>" suffix (zero, myopic_infinite, optimistic); each parse
+    error names the text. A belief rule's spec holds its plan's depth and
+    leaf rule: myopic's and optimistic's are their classes', at depth 0.
     """
 
     kind: str
@@ -119,9 +119,10 @@ class PolicySpec:
                 leaf = args[1] if len(args) == 2 else "zero"
                 if not re.fullmatch(INTEGER, args[0]) or leaf not in leaves:
                     raise ValueError(f"expected an integer depth and leaf rule ({', '.join(leaves)})")
-                depth, leaf = int(args[0]), LeafRule(leaf)
-                LookaheadConfig(depth, leaf)  # validates the depth
-                return cls(kind=kind, depth=depth, leaf_rule=leaf)
+                depth = int(args[0])
+                if not 1 <= depth <= MAX_DEPTH:
+                    raise ValueError(f"depth must be an integer in [1, {MAX_DEPTH}], got {depth}")
+                return cls(kind=kind, depth=depth, leaf_rule=LeafRule(leaf))
             raise ValueError(f"unknown policy kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"policy {text!r}: {exc}") from None
@@ -144,7 +145,7 @@ class PolicySpec:
         its env may be any object with those attributes."""
         if self.kind == "hiper":
             delta = tuned_delta(env).value if self.delta is None else self.delta
-            return HiperPolicy(HiperParams(delta=delta, gap=env.gap, malicious_mean=env.malicious_mean))
+            return HiperPolicy(delta, env.gap, env.malicious_mean)
         return _BeliefPolicy(env, self.depth, self.leaf_rule)
 
     def build(self, draw: ExperimentDraw, lattice: Lattice | None = None) -> Region:

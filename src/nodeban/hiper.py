@@ -12,7 +12,6 @@ known, not the observation distributions themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,25 +20,6 @@ from .model import Decision
 
 _DELTA_MIN = 1e-6
 _DELTA_MAX = 1.0 - 1e-6
-
-
-@dataclass(frozen=True)
-class HiperParams:
-    """Inputs of the stopping rule.
-
-    delta is the acceptable per-check error probability, gap the assumed
-    separation between honest and malicious observation means, and
-    malicious_mean the expected observation value of a malicious node.
-    """
-
-    delta: float
-    gap: float
-    malicious_mean: float
-
-    def __post_init__(self) -> None:
-        min_samples(self.delta, self.gap)  # validates both, and a finite warm-up
-        if not 0.0 <= self.malicious_mean <= 1.0:
-            raise ValueError(f"malicious_mean must lie in [0, 1], got {self.malicious_mean}")
 
 
 def confidence_radius(delta: float, t: float) -> float:
@@ -151,7 +131,12 @@ def bound_loss_honest(gain_honest: float, departure_rate: float, gap: float) -> 
     """Closed-form expected-loss ceiling against an honest node:
     gain_honest (gap^2 + 2) / (rate (gap^2 + 2 rate)). Raises ValueError
     where it is not finite (the denominator underflows, or the quotient
-    overflows)."""
+    overflows).
+
+    At optimal_delta's unclamped delta* the paper's malicious-side closed
+    form equals this one, so this is also the paper's combined ceiling
+    (nodeban bounds' loss_bound_combined). That ignores the warm-up, as
+    bound_loss_malicious does; max(bound_loss_malicious_warmup, this) counts it."""
     if gain_honest < 0.0:
         raise ValueError(f"gain_honest must be nonnegative, got {gain_honest}")
     if not 0.0 < departure_rate <= 1.0:
@@ -166,36 +151,22 @@ def bound_loss_honest(gain_honest: float, departure_rate: float, gap: float) -> 
     return bound
 
 
-def bound_loss_combined(
-    loss_malicious: float, gain_honest: float, departure_rate: float, gap: float
-) -> float:
-    """The paper's worst-case expected-loss ceiling when delta is tuned by
-    optimal_delta.
-
-    At the tuned delta the paper's malicious-side closed form coincides with
-    the honest-side one, so the combined bound equals bound_loss_honest. Like
-    bound_loss_malicious it ignores the warm-up, so it bounds this rule's
-    malicious loss only where floor(W) + 1 <= 1 / (1 - delta*)^2; the
-    warm-up-aware combined ceiling is the larger of
-    bound_loss_malicious_warmup at delta* and bound_loss_honest.
-    """
-    if loss_malicious < 0.0:
-        raise ValueError(f"loss_malicious must be nonnegative, got {loss_malicious}")
-    return bound_loss_honest(gain_honest, departure_rate, gap)
-
-
 class HiperPolicy:
     """The stopping rule, online: feed observations, get keep/remove verdicts.
 
-    After each observation the node is removed iff its count strictly
-    exceeds the warm-up threshold min_samples(delta, gap) and its running
-    mean lies strictly inside confidence_radius(delta, count) of the
-    malicious mean. Equality in either comparison keeps the node. The
-    warm-up threshold and the log term of the radius are precomputed once.
-    removes(count, total) is the rule, scalar for nodeban stream's every
-    event, observe and simulate_node; removes_elementwise is its array twin,
-    and boundary its one closed form, whose ends compile_region confirms
-    with removes_elementwise to compile the rule for a horizon.
+    delta is the acceptable per-check error probability, gap the assumed
+    separation of the honest and malicious means (min_samples checks both),
+    and malicious_mean, q, kept as anchor, a malicious node's expected
+    observation, in [0, 1]. After each observation the node is removed iff
+    its count strictly exceeds the warm-up threshold min_samples(delta, gap)
+    and its running mean lies strictly inside confidence_radius(delta,
+    count) of the malicious mean. Equality in either comparison keeps the
+    node. The warm-up threshold and the log term of the radius are
+    precomputed once. removes(count, total) is the rule, scalar for nodeban
+    stream's every event, observe and simulate_node; removes_elementwise is
+    its array twin, and boundary its one closed form, whose ends
+    compile_region confirms with removes_elementwise to compile the rule
+    for a horizon.
 
     No count up to floor(W), W = min_samples(delta, gap), removes, and
     boundary's interval is empty there. Every count t past it removes: the
@@ -208,11 +179,12 @@ class HiperPolicy:
     up to the rounding of boundary's own arithmetic.
     """
 
-    def __init__(self, params: HiperParams) -> None:
-        self._params = params
-        self._warmup = min_samples(params.delta, params.gap)
-        self._log_term = math.log(2.0 / params.delta)
-        self.anchor = params.malicious_mean  # removal sets sit around anchor * count
+    def __init__(self, delta: float, gap: float, malicious_mean: float) -> None:
+        self._warmup = min_samples(delta, gap)  # validates both, and a finite warm-up
+        if not 0.0 <= malicious_mean <= 1.0:
+            raise ValueError(f"malicious_mean must lie in [0, 1], got {malicious_mean}")
+        self._log_term = math.log(2.0 / delta)
+        self.anchor = malicious_mean  # removal sets sit around anchor * count
         self._count = 0
         self._total = 0.0
 
@@ -225,19 +197,19 @@ class HiperPolicy:
 
     def removes(self, count: int, total: float) -> bool:
         """The rule after count observations summing to total (ones, if binary)."""
-        return count > self._warmup and abs(
-            total / count - self._params.malicious_mean
-        ) < math.sqrt(self._log_term / (2.0 * count))
+        return count > self._warmup and abs(total / count - self.anchor) < math.sqrt(
+            self._log_term / (2.0 * count)
+        )
 
     def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """removes at every pair of two broadcast arrays, by the same IEEE
         operations (numpy's sqrt is correctly rounded, as math.sqrt is)."""
         radius = np.sqrt(self._log_term / (2.0 * count))
-        return (count > self._warmup) & (np.abs(ones / count - self._params.malicious_mean) < radius)
+        return (count > self._warmup) & (np.abs(ones / count - self.anchor) < radius)
 
     def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The interval's ends up to rounding, count * (malicious_mean -+
-        radius), and the empty (inf, -inf) at each count up to the warm-up."""
+        """The interval's ends up to rounding, count * (anchor -+ radius), and
+        the empty (inf, -inf) at each count up to the warm-up."""
         spread = np.where(count > self._warmup, np.sqrt(count * (self._log_term / 2.0)), -np.inf)
-        centre = count * self._params.malicious_mean
+        centre = count * self.anchor
         return centre - spread, centre + spread

@@ -22,7 +22,6 @@ Ties always remove: each rule keeps only on a strictly positive margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -48,16 +47,6 @@ class LeafRule(Enum):
     ZERO = "zero"
     MYOPIC_INFINITE = "myopic_infinite"
     OPTIMISTIC = "optimistic"
-
-
-@dataclass(frozen=True)
-class LookaheadConfig:
-    depth: int
-    leaf_rule: LeafRule = LeafRule.ZERO
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.depth, int) or not 1 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be an integer in [1, {MAX_DEPTH}], got {self.depth}")
 
 
 def _leaf_margin(pm, env: EnvParams, leaf_rule: LeafRule):
@@ -106,30 +95,36 @@ def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[i
     return kept
 
 
-def _rooted_plan(evaluate: Posterior, ones, count, pm, env: EnvParams, rule) -> np.ndarray:
-    """_plan's value to rule's depth and leaf_rule at each root (count, ones)
-    of posterior pm, all three broadcast, from the (depth + 1)^2 posteriors
+def _rooted_plan(
+    evaluate: Posterior, ones, count, pm, env: EnvParams, depth: int, leaf_rule: LeafRule
+) -> np.ndarray:
+    """_plan's value to depth over leaf_rule at each root (count, ones) of
+    posterior pm, all three broadcast, from the (depth + 1)^2 posteriors
     past each root: quadratic in depth rather than exponential, as the
     belief depends on the future only through (ones seen, steps taken)."""
     ones, count, pm = np.broadcast_arrays(ones, count, pm)
-    step = np.arange(rule.depth + 1).reshape((-1,) + (1,) * pm.ndim)
+    step = np.arange(depth + 1).reshape((-1,) + (1,) * pm.ndim)
     table = evaluate.elementwise((ones + step)[None], (count + step)[:, None])
     table[0, 0] = pm
-    return _plan(table, env, rule.leaf_rule, {rule.depth})[rule.depth][0, 0]
+    return _plan(table, env, leaf_rule, {depth})[depth][0, 0]
 
 
-def lookahead_value(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
-    """Expected value of the best depth-limited keep/remove plan from the
-    belief: _plan rooted at it."""
-    return float(_rooted_plan(Posterior(env), belief.ones, belief.count, belief.posterior_malicious, env, cfg))
+def lookahead_value(
+    belief: BeliefState, env: EnvParams, depth: int, leaf_rule: LeafRule = LeafRule.ZERO
+) -> float:
+    """Expected value of the best keep/remove plan from the belief to depth
+    (1 to MAX_DEPTH) over leaf_rule: _plan rooted at it."""
+    pm = belief.posterior_malicious
+    return float(_rooted_plan(Posterior(env), belief.ones, belief.count, pm, env, depth, leaf_rule))
 
 
 class Lattice:
     """One world's posteriors at every (count t, ones k) up to count horizon +
-    the deepest depth of rules (belief PolicySpecs or LookaheadConfigs), and
-    each leaf rule's _plan run once to its deepest depth d, on the first
-    horizon + 1 + d rows, keeping the values at each depth the rules ask
-    for: each computed on first use, then shared by every rule on the world.
+    the deepest depth of rules (anything with a depth and a leaf_rule: belief
+    PolicySpecs, or the policies), and each leaf rule's _plan run once to its
+    deepest depth d, on the first horizon + 1 + d rows, keeping the values at
+    each depth the rules ask for: each computed on first use, then shared by
+    every rule on the world.
     Read on t, k <= horizon, every entry is the one a lattice of any other
     size or set of rules holds, bit for bit."""
 
@@ -175,7 +170,7 @@ class _BeliefPolicy:
 
     def _margin(self, ones, count, pm):
         if self.depth:
-            return _rooted_plan(self.posterior, ones, count, pm, self.env, self)
+            return _rooted_plan(self.posterior, ones, count, pm, self.env, self.depth, self.leaf_rule)
         return _leaf_margin(pm, self.env, self.leaf_rule)
 
     def observe(self, x: float) -> Decision:
@@ -234,10 +229,11 @@ class OptimisticPolicy(_BeliefPolicy):
 
 
 class LookaheadPolicy(_BeliefPolicy):
-    """The plan to cfg's depth over cfg's leaf rule. Its margin has no closed
+    """The plan to depth over leaf_rule, the depth unchecked here:
+    PolicySpec.parse holds it to 1 to MAX_DEPTH. Its margin has no closed
     form, so compile_region bisects each end from the anchor (nodeban
     stream's route); the suites read it off their draw's Lattice instead.
     Neither names this class: both build the rule through PolicySpec."""
 
-    def __init__(self, env: EnvParams, cfg: LookaheadConfig) -> None:
-        super().__init__(env, cfg.depth, cfg.leaf_rule)
+    def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule = LeafRule.ZERO) -> None:
+        super().__init__(env, depth, leaf_rule)

@@ -10,11 +10,14 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from nodeban.belief import BeliefState, ImpossibleEvidenceError, update
 from nodeban.cli import StreamEvent
-from nodeban.hiper import HiperParams, HiperPolicy, confidence_radius, min_samples
+from nodeban.hiper import HiperPolicy, confidence_radius, min_samples
 from nodeban.model import NEVER, Decision, EnvParams
-from nodeban.policies import LeafRule, LookaheadConfig
+from nodeban.policies import LeafRule
+from nodeban.simulator import _region_bounds
 
 _BRUTEFORCE_MAX_DEPTH = 12
 
@@ -81,13 +84,11 @@ def belief_rule_removes(rule: str, env: EnvParams, count: int, ones: int) -> boo
     return decision is Decision.REMOVE
 
 
-def hiper_decision(count: int, total: float, params: HiperParams) -> Decision:
+def hiper_decision(count: int, total: float, delta: float, gap: float, malicious_mean: float) -> Decision:
     """The confidence-interval rule from its closed forms: remove iff count
     strictly exceeds min_samples and the mean total / count lies strictly
     inside confidence_radius of the malicious mean."""
-    if count > min_samples(params.delta, params.gap) and abs(
-        total / count - params.malicious_mean
-    ) < confidence_radius(params.delta, count):
+    if count > min_samples(delta, gap) and abs(total / count - malicious_mean) < confidence_radius(delta, count):
         return Decision.REMOVE
     return Decision.KEEP
 
@@ -104,19 +105,21 @@ def lookahead_leaf_value(belief: BeliefState, env: EnvParams, rule: LeafRule) ->
     return max(0.0, (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious)
 
 
-def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: LookaheadConfig) -> float:
+def lookahead_value_bruteforce(
+    belief: BeliefState, env: EnvParams, depth: int, leaf_rule: LeafRule = LeafRule.ZERO
+) -> float:
     """Reference evaluation of lookahead_value by expanding all 2^depth
     observation paths; validates the state-merged induction.
     """
-    if cfg.depth > _BRUTEFORCE_MAX_DEPTH:
+    if depth > _BRUTEFORCE_MAX_DEPTH:
         raise ValueError(
             f"brute-force enumeration is limited to depth {_BRUTEFORCE_MAX_DEPTH}, "
-            f"got {cfg.depth}"
+            f"got {depth}"
         )
 
     def expand(b: BeliefState, d: int) -> float:
         if d == 0:
-            return lookahead_leaf_value(b, env, cfg.leaf_rule)
+            return lookahead_leaf_value(b, env, leaf_rule)
         pm = b.posterior_malicious
         gain = (1.0 - pm) * env.gain_honest - pm * env.loss_malicious
         p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
@@ -130,7 +133,7 @@ def lookahead_value_bruteforce(belief: BeliefState, env: EnvParams, cfg: Lookahe
             v_zero = 0.0
         return max(0.0, gain + p_one * v_one + (1.0 - p_one) * v_zero)
 
-    return expand(belief, cfg.depth)
+    return expand(belief, depth)
 
 
 def parse_event_loads(line: str, line_no: int) -> StreamEvent:
@@ -260,3 +263,44 @@ def first_passage(lo, hi, draw, is_malicious: bool, rng) -> tuple[float, float]:
         if lo[t] <= ones <= hi[t]:
             return float(t), departure
     return NEVER, departure
+
+
+def exact_loss(regions, draw) -> tuple[np.ndarray, np.ndarray]:
+    """Each region's expected loss per node on the draw, split (honest part,
+    malicious part), each weighted by its type's prior: run_episode's loss
+    in expectation, with NEVER capped at the horizon H.
+
+    A forward pass carries each type's probability mass over the ones count,
+    one count t = 0..H at a time, for every region at once, in one
+    (2 regions, H + 1) array: a row per region for the honest rate u, then
+    one per region for the malicious rate q. At each count the mass inside
+    the region, read through _region_bounds so that its ends are clipped as
+    run_episode clips them, is removed there. An honest node removed at t
+    is still present with probability (1 - rate)^t, and then loses its
+    remaining stay, capped at H: gU (1 - (1 - rate)^(H - t)) / rate, which
+    is gU at t < H and 0 at t = H where rate = 1. A malicious node loses lQ
+    per count t < H at which it has not yet been removed."""
+    env, horizon, n = draw.env, draw.horizon, len(regions)
+    bounds = [_region_bounds(i, region, horizon, np.int64, np.int64) for i, region in enumerate(regions)]
+    lo = np.array([b[0] for b in bounds] * 2)
+    hi = lo + np.array([b[1] for b in bounds] * 2) - 1
+    rate = np.repeat([env.honest_mean, env.malicious_mean], n)[:, None]
+    mass = np.zeros((2 * n, horizon + 1))
+    mass[:, 0] = 1.0
+    ones = np.arange(horizon + 1)
+    lam, present = env.departure_rate, 1.0
+    honest, malicious = np.zeros(n), np.zeros(n)
+    for t in range(horizon + 1):
+        inside = (lo[:, t, None] <= ones) & (ones <= hi[:, t, None])
+        removed = np.where(inside, mass, 0.0).sum(axis=1)
+        mass[inside] = 0.0
+        honest += removed[:n] * present * env.gain_honest * (1.0 - (1.0 - lam) ** (horizon - t)) / lam
+        if t == horizon:
+            break
+        malicious += mass[n:].sum(axis=1) * env.loss_malicious
+        step = mass * rate
+        mass -= step
+        mass[:, 1:] += step[:, :-1]
+        present *= 1.0 - lam
+    prior = env.prior_malicious
+    return (1.0 - prior) * honest, prior * malicious

@@ -20,9 +20,7 @@ from nodeban.belief import initial_belief, posterior, update
 from nodeban.cli import main as cli_main
 from nodeban.experiments import PolicySpec, SuiteConfig, aggregate_mean_loss, build_regions, run_suite
 from nodeban.hiper import (
-    HiperParams,
     HiperPolicy,
-    bound_loss_combined,
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
@@ -33,7 +31,6 @@ from nodeban.model import EnvParams, NodeType
 from nodeban.policies import (
     Lattice,
     LeafRule,
-    LookaheadConfig,
     LookaheadPolicy,
     MyopicPolicy,
     OptimisticPolicy,
@@ -54,13 +51,13 @@ def mean_and_se(losses: np.ndarray) -> tuple[float, float]:
     return float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(losses.size))
 
 
-def hiper_losses(node_type, draw, params):
-    """Per-node losses of the rule over the draw's nodes, every one of them
-    of node_type. Node streams depend only on the draw's seed and the node
-    id, so the prior that fixes the type leaves them unchanged."""
+def hiper_losses(node_type, draw, policy):
+    """Per-node losses of the HiperPolicy over the draw's nodes, every one
+    of them of node_type. Node streams depend only on the draw's seed and
+    the node id, so the prior that fixes the type leaves them unchanged."""
     malicious = node_type is NodeType.MALICIOUS
     draw = replace(draw, env=replace(draw.env, prior_malicious=1.0 if malicious else 0.0))
-    episode = run_episode([compile_region(HiperPolicy(params), draw.horizon)], draw, episode_rng(draw))
+    episode = run_episode([compile_region(policy, draw.horizon)], draw, episode_rng(draw))
     assert (episode.malicious == malicious).all()
     return episode.loss[0]
 
@@ -76,8 +73,7 @@ def test_c01_malicious_loss_bound():
         prior_malicious=1.0,
     )
     draw = ExperimentDraw(horizon=1000, env=env, seed=101, n_nodes=10_000)
-    params = HiperParams(delta=0.9, gap=0.4, malicious_mean=0.3)
-    losses = hiper_losses(NodeType.MALICIOUS, draw, params)
+    losses = hiper_losses(NodeType.MALICIOUS, draw, HiperPolicy(0.9, 0.4, 0.3))
     mean, se = mean_and_se(losses)
     bound = bound_loss_malicious(1.0, 0.9)
     elapsed = time.perf_counter() - start
@@ -100,8 +96,7 @@ def test_c02_honest_loss_bound():
         prior_malicious=0.0,
     )
     draw = ExperimentDraw(horizon=2000, env=env, seed=102, n_nodes=10_000)
-    params = HiperParams(delta=0.9, gap=0.5, malicious_mean=0.3)
-    losses = hiper_losses(NodeType.HONEST, draw, params)
+    losses = hiper_losses(NodeType.HONEST, draw, HiperPolicy(0.9, 0.5, 0.3))
     mean, se = mean_and_se(losses)
     bound = bound_loss_honest(1.0, 0.01, 0.5)
     elapsed = time.perf_counter() - start
@@ -191,17 +186,14 @@ def test_c03_tuned_delta_combined_bound():
         draw = ExperimentDraw(
             horizon=horizon, env=env, seed=int(rng.integers(0, 2**63)), n_nodes=n_per_type
         )
-        params = HiperParams(delta=tuned.value, gap=gap, malicious_mean=malicious_mean)
-        paper = bound_loss_combined(loss, gain, rate, gap)
-        ceiling = max(
-            bound_loss_malicious_warmup(loss, tuned.value, gap),
-            bound_loss_honest(gain, rate, gap),
-        )
+        policy = HiperPolicy(tuned.value, gap, malicious_mean)
+        paper = bound_loss_honest(gain, rate, gap)  # the paper's combined ceiling at delta*
+        ceiling = max(bound_loss_malicious_warmup(loss, tuned.value, gap), paper)
         warmup = min_samples(tuned.value, gap)
         floor = loss * min(math.floor(warmup) + 1, horizon)
         worst = 0.0
         for node_type in (NodeType.MALICIOUS, NodeType.HONEST):
-            losses = hiper_losses(node_type, draw, params)
+            losses = hiper_losses(node_type, draw, policy)
             mean, se = mean_and_se(losses)
             worst = max(worst, mean + 3 * se)
         worst_margin = min(worst_margin, ceiling - worst)
@@ -272,12 +264,13 @@ def test_c05_lookahead_matches_enumeration():
         belief = initial_belief(env)
         for x in (rng.random(int(rng.integers(0, 20))) < 0.5).astype(int).tolist():
             belief = update(belief, x, env)
-        cfg = LookaheadConfig(int(rng.integers(1, 9)), rules[i % 3])
-        bf = lookahead_value_bruteforce(belief, env, cfg)
+        depth, leaf = int(rng.integers(1, 9)), rules[i % 3]
+        bf = lookahead_value_bruteforce(belief, env, depth, leaf)
         # lookahead_value plans from the belief; the suites read the value off
         # a lattice of the world's posteriors
-        lattice = Lattice(env, belief.count, [cfg]).values(cfg)[belief.count, belief.ones]
-        for dp in (lookahead_value(belief, env, cfg), float(lattice)):
+        spec = PolicySpec("lookahead", depth=depth, leaf_rule=leaf)
+        lattice = Lattice(env, belief.count, [spec]).values(spec)[belief.count, belief.ones]
+        for dp in (lookahead_value(belief, env, depth, leaf), float(lattice)):
             assert dp == pytest.approx(bf, rel=1e-12, abs=1e-15), f"instance {i}: {dp} vs {bf}"
             if bf != 0.0:
                 worst_rel = max(worst_rel, abs(dp - bf) / abs(bf))
@@ -293,7 +286,6 @@ def test_c05_lookahead_matches_enumeration():
 def test_c06_policy_reductions():
     posteriors = np.linspace(0.0, 1.0, 100)
     stakes = np.linspace(0.1, 2.0, 10)
-    lookahead_cfg = LookaheadConfig(1, LeafRule.ZERO)
     points = 0
     disagreements = 0
     for pm in posteriors:
@@ -312,7 +304,7 @@ def test_c06_policy_reductions():
                 base = MyopicPolicy(env).removes(0, 0)
                 if OptimisticPolicy(env).removes(0, 0) is not base:
                     disagreements += 1
-                if LookaheadPolicy(env, lookahead_cfg).removes(0, 0) is not base:
+                if LookaheadPolicy(env, 1, LeafRule.ZERO).removes(0, 0) is not base:
                     disagreements += 1
     # the regions the suites build, at every count of random draws
     rng = np.random.default_rng(106)

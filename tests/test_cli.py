@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import nodeban
 from nodeban.cli import _parse_event, main
-from nodeban.hiper import HiperParams, HiperPolicy, optimal_delta
+from nodeban.hiper import HiperPolicy, optimal_delta
 from nodeban.model import EnvParams
 from nodeban.policies import MyopicPolicy
 from nodeban.simulator import ExperimentSuite
@@ -371,7 +371,7 @@ class TestStream:
         # at delta 0.99 and gap 1 the warm-up is below 1, so a node's first
         # event is removed iff |x - q| lies inside the radius: both decisions show
         pytest.param(["--policy", "hiper", "--q", "0.3", "--delta", "0.99", "--Delta", "1"],
-                     lambda: HiperPolicy(HiperParams(delta=0.99, gap=1.0, malicious_mean=0.3)), None, id="hiper"),
+                     lambda: HiperPolicy(0.99, 1.0, 0.3), None, id="hiper"),
         # a node's first 0 is removed and its first 1 kept
         pytest.param([*MYOPIC, "--binarize", "0.5"], lambda: MyopicPolicy(MYOPIC_ENV), 0.5, id="myopic"),
     ])
@@ -811,6 +811,37 @@ class TestSuiteCommand:
         assert err.startswith(f"error: --out {out} is the config file")
         assert cfg.read_bytes() == before
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted({cfg.name, out.name})
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_out_exits_2_before_the_first_run(self, where, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        self.write_config(cfg, suite="policy_compare", n_runs=300)
+        out = tmp_path / "missing" / "o.csv" if where == "missing_directory" else tmp_path
+        monkeypatch.setattr("nodeban.cli.run_suite", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+        err = assert_usage_error(["suite", "--config", str(cfg), "--seed", "1", "--out", str(out)], capsys).err
+        assert err.startswith(f"error: cannot open output {out}: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_existing_out_is_kept_on_a_config_error_and_replaced_on_success(self, tmp_path, capsys):
+        cfg, out, fresh = tmp_path / "cfg.json", tmp_path / "o.csv", tmp_path / "fresh.csv"
+        out.write_text("an older, longer file\n" * 1000)
+        before = out.read_bytes()
+        self.write_config(cfg, suite="delta_sweep", n_runs=2, ma_window=1, policies=["hiper:0.9"], runs=2)
+        assert_usage_error(["suite", "--config", str(cfg), "--seed", "1", "--out", str(out)], capsys)
+        assert out.read_bytes() == before
+        self.write_config(cfg, suite="delta_sweep", n_runs=2, ma_window=1, policies=["hiper:0.9"])
+        for path in (out, fresh):
+            assert run_cli(["suite", "--config", str(cfg), "--seed", "1", "--out", str(path)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_exits_1_at_write_time(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        self.write_config(cfg, suite="delta_sweep", n_runs=2, ma_window=1, policies=["hiper:0.9"])
+        assert run_cli(["suite", "--config", str(cfg), "--seed", "1", "--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: failed writing sweep CSV to /dev/full: ")
+        assert "Traceback" not in err
 
     def test_seed_required(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

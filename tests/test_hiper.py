@@ -8,9 +8,7 @@ import pytest
 
 from nodeban.cli import main
 from nodeban.hiper import (
-    HiperParams,
     HiperPolicy,
-    bound_loss_combined,
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
@@ -23,19 +21,20 @@ from nodeban.simulator import compile_region
 from oracles import hiper_decision
 
 DELTA_E2 = 2.0 * math.exp(-2.0)  # makes ln(2/delta) = 2
-PARAMS = HiperParams(delta=0.5, gap=0.4, malicious_mean=0.3)
+PARAMS = (0.5, 0.4, 0.3)  # HiperPolicy's delta, gap and malicious mean
 
 
-def fed(params: HiperParams, xs) -> list[Decision]:
-    """A fresh policy's verdict on each of xs, observed in order."""
-    policy = HiperPolicy(params)
+def fed(params: tuple[float, float, float], xs) -> list[Decision]:
+    """A fresh HiperPolicy(*params)'s verdict on each of xs, observed in order."""
+    policy = HiperPolicy(*params)
     return [policy.observe(float(x)) for x in xs]
 
 
-def streamed_statistics(params: HiperParams, xs) -> list[float]:
+def streamed_statistics(params: tuple[float, float, float], xs) -> list[float]:
     """The `statistic` of each verdict `nodeban stream --policy hiper` gives
-    one node fed xs."""
-    flags = ["--q", repr(params.malicious_mean), "--delta", repr(params.delta), "--Delta", repr(params.gap)]
+    one node fed xs, at params' delta, gap and malicious mean."""
+    delta, gap, q = params
+    flags = ["--q", repr(q), "--delta", repr(delta), "--Delta", repr(gap)]
     with tempfile.TemporaryDirectory() as tmp:
         events, verdicts = os.path.join(tmp, "events.jsonl"), os.path.join(tmp, "verdicts.jsonl")
         with open(events, "w", encoding="utf-8") as handle:
@@ -62,12 +61,12 @@ class TestRunningStat:
     def test_rejects_out_of_range(self):
         for x in (1.2, -0.1, math.nan):
             with pytest.raises(ValueError):
-                HiperPolicy(PARAMS).observe(x)
+                HiperPolicy(*PARAMS).observe(x)
 
     def test_mean_is_exact_ratio(self):
         xs = np.random.default_rng(3).uniform(0, 1, size=100).tolist()
         # a warm-up of ln(4) / (2 * 0.05^2) ~ 277 samples: no removal ends the stream
-        statistics = streamed_statistics(HiperParams(delta=0.5, gap=0.05, malicious_mean=0.3), xs)
+        statistics = streamed_statistics((0.5, 0.05, 0.3), xs)
         total = 0.0
         for x in xs:
             total += x
@@ -155,14 +154,14 @@ class TestHiperDecide:
         assert verdicts[-1] is Decision.REMOVE
 
     def test_warmup_guard_keeps(self):
-        params = HiperParams(delta=0.5, gap=0.1, malicious_mean=0.3)
+        params = (0.5, 0.1, 0.3)
         warmup = min_samples(0.5, 0.1)
         verdicts = fed(params, [0.3] * int(warmup))
         assert verdicts == [Decision.KEEP] * int(warmup)
 
     def test_large_deviation_keeps(self):
         # radius at t=8 is sqrt(2/16) ~ 0.354 < |0.8 - 0.3|
-        params = HiperParams(delta=DELTA_E2, gap=0.5, malicious_mean=0.3)
+        params = (DELTA_E2, 0.5, 0.3)
         verdicts = fed(params, [0.8] * 8)
         assert verdicts[-1] is Decision.KEEP
 
@@ -171,7 +170,7 @@ class TestHiperDecide:
         # comparison fails and the node stays. One ulp closer removes it.
         # q = 0, a power-of-two count and an exact running sum keep the
         # arithmetic exact.
-        params = HiperParams(delta=0.5, gap=0.3, malicious_mean=0.0)
+        params = (0.5, 0.3, 0.0)
         t = 32
         assert t > min_samples(0.5, 0.3)
         radius = confidence_radius(0.5, t)
@@ -183,17 +182,17 @@ class TestHiperDecide:
         assert fed(params, inside)[-1] is Decision.REMOVE
         # the elementwise twin that confirms region's ends compares as strictly
         totals = np.array([radius * t, math.nextafter(radius, 0.0) * t])
-        assert HiperPolicy(params).removes_elementwise(np.array(t), totals).tolist() == [False, True]
+        assert HiperPolicy(*params).removes_elementwise(np.array(t), totals).tolist() == [False, True]
 
     def test_requires_a_sample(self):
         # the compiled region removes nothing at count 0, even where a single
         # observation at the malicious mean removes the node
-        params = HiperParams(delta=0.9, gap=1.0, malicious_mean=0.3)
+        params = (0.9, 1.0, 0.3)
         assert min_samples(0.9, 1.0) < 1.0
-        region = compile_region(HiperPolicy(params), 1)
+        region = compile_region(HiperPolicy(*params), 1)
         assert region.lo[0] > region.hi[0]
         assert region.lo[1] <= 0 <= region.hi[1]  # one zero bit: mean 0 is within the radius
-        assert HiperPolicy(params).observe(0.3) is Decision.REMOVE
+        assert HiperPolicy(*params).observe(0.3) is Decision.REMOVE
 
     def test_monotone_in_deviation(self):
         rng = np.random.default_rng(7)
@@ -204,7 +203,7 @@ class TestHiperDecide:
             t = int(math.ceil(min_samples(delta, gap))) + int(rng.integers(1, 20))
             d_large = float(rng.uniform(0, min(q, 1 - q)))
             d_small = float(rng.uniform(0, d_large)) if d_large > 0 else 0.0
-            params = HiperParams(delta=delta, gap=gap, malicious_mean=q)
+            params = (delta, gap, q)
             large = fed(params, [q + d_large] * t)
             small = fed(params, [q + d_small] * t)
             if large[-1] is Decision.REMOVE:
@@ -285,7 +284,8 @@ class TestLossBounds:
                 bound_loss_honest(1.0, 0.5, gap)
 
     def test_combined_value(self):
-        assert bound_loss_combined(1.0, 1.0, 0.1, 0.5) == pytest.approx(50.0, rel=1e-9)
+        # nodeban bounds' loss_bound_combined, the paper's ceiling at delta*
+        assert bound_loss_honest(1.0, 0.1, 0.5) == pytest.approx(50.0, rel=1e-9)
 
     def test_combined_matches_malicious_bound_at_tuned_delta(self):
         rng = np.random.default_rng(9)
@@ -300,12 +300,12 @@ class TestLossBounds:
                 continue
             checked += 1
             assert bound_loss_malicious(loss, tuned.value) == pytest.approx(
-                bound_loss_combined(loss, gain, rate, gap), rel=1e-9
+                bound_loss_honest(gain, rate, gap), rel=1e-9
             )
 
     def test_combined_decreasing_in_rate(self):
         rates = np.linspace(0.01, 1.0, 25)
-        bounds = [bound_loss_combined(1.0, 1.0, float(r), 0.5) for r in rates]
+        bounds = [bound_loss_honest(1.0, float(r), 0.5) for r in rates]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
 
@@ -337,7 +337,7 @@ class TestWarmupBound:
         # a malicious node whose every observation equals q is removed at the
         # first step past the warm-up, so it loses exactly the floor
         for delta, gap in ((0.5, 0.5), (0.9, 0.4), (0.2, 0.1), (0.99, 0.05)):
-            policy = HiperPolicy(HiperParams(delta=delta, gap=gap, malicious_mean=0.3))
+            policy = HiperPolicy(delta, gap, 0.3)
             steps = 1
             while policy.observe(0.3) is Decision.KEEP:
                 steps += 1
@@ -382,14 +382,13 @@ def test_malicious_survival_probability_bounded_by_delta():
     at a fixed t is at most delta (plus Monte-Carlo slack): survival implies
     the mean sat outside the radius at that t."""
     delta, gap, q = 0.3, 0.4, 0.3
-    params = HiperParams(delta=delta, gap=gap, malicious_mean=q)
     warmup = min_samples(delta, gap)  # ~5.93
     checkpoints = (7, 10, 20)
     n_nodes = 4000
     rng = np.random.default_rng(14)
     survived = {t: 0 for t in checkpoints}
     for _ in range(n_nodes):
-        policy = HiperPolicy(params)
+        policy = HiperPolicy(delta, gap, q)
         alive = True
         step = 0
         for x in (rng.random(max(checkpoints)) < q).astype(float).tolist():
@@ -412,48 +411,40 @@ def test_policy_wrapper_matches_operations():
     simulator walks, on every prefix, for real-valued and binary inputs."""
     rng = np.random.default_rng(15)
     for _ in range(50):
-        params = HiperParams(
-            delta=float(rng.uniform(0.05, 0.95)),
-            gap=float(rng.uniform(0.05, 0.8)),
-            malicious_mean=float(rng.uniform(0.0, 1.0)),
-        )
-        policy = HiperPolicy(params)
+        params = (float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.0, 1.0)))
+        policy = HiperPolicy(*params)
         count, total = 0, 0.0
         for x in rng.uniform(0, 1, size=60):
             x = float(x)
             count, total = count + 1, total + x
             verdict = policy.observe(x)
-            assert verdict is hiper_decision(count, total, params)
+            assert verdict is hiper_decision(count, total, *params)
             assert policy.removes(count, total) == (verdict is Decision.REMOVE)
     # binary inputs, at the malicious rate so that removals occur: the
     # simulator's predicate sees the ones count as a Python int
     for _ in range(50):
-        params = HiperParams(
-            delta=float(rng.uniform(0.05, 0.95)),
-            gap=float(rng.uniform(0.05, 0.8)),
-            malicious_mean=float(rng.uniform(0.0, 1.0)),
-        )
-        policy = HiperPolicy(params)
+        params = (float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.0, 1.0)))
+        policy = HiperPolicy(*params)
         count = ones = 0
-        for x in (rng.random(60) < params.malicious_mean).astype(int).tolist():
+        for x in (rng.random(60) < policy.anchor).astype(int).tolist():
             count, ones = count + 1, ones + x
             verdict = policy.observe(float(x))
-            assert verdict is hiper_decision(count, ones, params)
+            assert verdict is hiper_decision(count, ones, *params)
             assert policy.removes(count, ones) == (verdict is Decision.REMOVE)
 
 
 def test_hiper_params_validation():
     with pytest.raises(ValueError):
-        HiperParams(delta=0.0, gap=0.4, malicious_mean=0.3)
+        HiperPolicy(0.0, 0.4, 0.3)
     with pytest.raises(ValueError):
-        HiperParams(delta=1.0, gap=0.4, malicious_mean=0.3)
+        HiperPolicy(1.0, 0.4, 0.3)
     with pytest.raises(ValueError):
-        HiperParams(delta=0.5, gap=0.0, malicious_mean=0.3)
+        HiperPolicy(0.5, 0.0, 0.3)
     with pytest.raises(ValueError):
-        HiperParams(delta=0.5, gap=math.nan, malicious_mean=0.3)
+        HiperPolicy(0.5, math.nan, 0.3)
     with pytest.raises(ValueError):
-        HiperParams(delta=0.9, gap=1e-200, malicious_mean=0.3)
+        HiperPolicy(0.9, 1e-200, 0.3)
     with pytest.raises(ValueError):
-        HiperParams(delta=0.9, gap=1e-160, malicious_mean=0.3)
-    with pytest.raises(ValueError):
-        HiperParams(delta=0.5, gap=0.4, malicious_mean=1.3)
+        HiperPolicy(0.9, 1e-160, 0.3)
+    with pytest.raises(ValueError, match=r"malicious_mean must lie in \[0, 1\], got 1.3"):
+        HiperPolicy(0.5, 0.4, 1.3)

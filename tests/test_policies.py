@@ -7,7 +7,6 @@ from nodeban.belief import initial_belief, update
 from nodeban.model import Decision, EnvParams
 from nodeban.policies import (
     LeafRule,
-    LookaheadConfig,
     LookaheadPolicy,
     MyopicPolicy,
     OptimisticPolicy,
@@ -88,20 +87,19 @@ class TestLookaheadValue:
         # keep gain is 0.75 - 0.25 = 0.5 at every state, so depth 4 yields 2.0
         env = make_env(u=0.5, q=0.5, gain=1.0, loss=1.0, prior=0.25)
         belief = initial_belief(env)
-        cfg = LookaheadConfig(4)
-        assert lookahead_value(belief, env, cfg) == pytest.approx(2.0, rel=1e-12)
-        assert lookahead_value_bruteforce(belief, env, cfg) == pytest.approx(2.0, rel=1e-12)
+        assert lookahead_value(belief, env, 4) == pytest.approx(2.0, rel=1e-12)
+        assert lookahead_value_bruteforce(belief, env, 4) == pytest.approx(2.0, rel=1e-12)
 
     def test_unprofitable_uninformative_stops_at_zero(self):
         env = make_env(u=0.5, q=0.5, gain=1.0, loss=1.0, prior=0.75)
         belief = initial_belief(env)
-        assert lookahead_value(belief, env, LookaheadConfig(5)) == 0.0
+        assert lookahead_value(belief, env, 5) == 0.0
 
     def test_depth_one_is_clipped_keep_gain(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
             belief, env = random_instance(rng)
-            value = lookahead_value(belief, env, LookaheadConfig(1))
+            value = lookahead_value(belief, env, 1)
             pm = belief.posterior_malicious
             expected = max(0.0, (1.0 - pm) * env.gain_honest - pm * env.loss_malicious)
             assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -110,26 +108,20 @@ class TestLookaheadValue:
         rng = np.random.default_rng(33)
         for _ in range(50):
             belief, env = random_instance(rng)
-            values = [lookahead_value(belief, env, LookaheadConfig(t)) for t in range(1, 9)]
+            values = [lookahead_value(belief, env, t) for t in range(1, 9)]
             assert all(v >= 0.0 for v in values)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_uninformative_brute_force_value(self):
         env = make_env(u=0.4, q=0.4, gain=0.6, loss=1.0, prior=0.25)
         # keep gain 0.75 * 0.6 - 0.25 = 0.2 per step, depth 4 -> 0.8
-        value = lookahead_value_bruteforce(initial_belief(env), env, LookaheadConfig(4))
+        value = lookahead_value_bruteforce(initial_belief(env), env, 4)
         assert value == pytest.approx(0.8, rel=1e-12)
 
     def test_brute_force_depth_guard(self):
         belief, env = random_instance(np.random.default_rng(34))
         with pytest.raises(ValueError):
-            lookahead_value_bruteforce(belief, env, LookaheadConfig(13))
-
-    def test_config_depth_guard(self):
-        with pytest.raises(ValueError):
-            LookaheadConfig(0)
-        with pytest.raises(ValueError):
-            LookaheadConfig(25)
+            lookahead_value_bruteforce(belief, env, 13)
 
 
 def test_lookahead_matches_brute_force_everywhere():
@@ -139,9 +131,9 @@ def test_lookahead_matches_brute_force_everywhere():
     rules = list(LeafRule)
     for trial in range(400):
         belief, env = random_instance(rng)
-        cfg = LookaheadConfig(int(rng.integers(1, 9)), rules[trial % 3])
-        dp = lookahead_value(belief, env, cfg)
-        bf = lookahead_value_bruteforce(belief, env, cfg)
+        depth, leaf = int(rng.integers(1, 9)), rules[trial % 3]
+        dp = lookahead_value(belief, env, depth, leaf)
+        bf = lookahead_value_bruteforce(belief, env, depth, leaf)
         assert dp == pytest.approx(bf, rel=1e-12, abs=1e-15)
 
 
@@ -150,36 +142,33 @@ def test_lookahead_handles_boundary_rates():
     env = make_env(u=1.0, q=0.0, gain=1.0, loss=1.0, prior=0.5)
     belief = initial_belief(env)
     for depth in (1, 2, 4, 6):
-        cfg = LookaheadConfig(depth)
-        dp = lookahead_value(belief, env, cfg)
-        bf = lookahead_value_bruteforce(belief, env, cfg)
+        dp = lookahead_value(belief, env, depth)
+        bf = lookahead_value_bruteforce(belief, env, depth)
         assert dp == pytest.approx(bf, rel=1e-12)
         assert dp >= 0.0
 
 
 class TestLookaheadDecide:
     def test_certain_malicious_removes(self):
-        assert LookaheadPolicy(make_env(prior=1.0), LookaheadConfig(4)).removes(0, 0)
+        assert LookaheadPolicy(make_env(prior=1.0), 4).removes(0, 0)
 
     def test_uninformative_profitable_keeps(self):
         env = make_env(u=0.5, q=0.5, gain=1.0, loss=1.0, prior=0.25)
         for depth in (1, 2, 8):
-            assert not LookaheadPolicy(env, LookaheadConfig(depth)).removes(0, 0)
+            assert not LookaheadPolicy(env, depth).removes(0, 0)
 
     def test_depth_one_zero_leaf_equals_myopic(self):
         rng = np.random.default_rng(36)
-        cfg = LookaheadConfig(1)
         for _ in range(500):
             belief, env = random_instance(rng, max_history=10)
-            lookahead, myopic = LookaheadPolicy(env, cfg), MyopicPolicy(env)
+            lookahead, myopic = LookaheadPolicy(env, 1), MyopicPolicy(env)
             assert lookahead.removes(belief.count, belief.ones) == myopic.removes(belief.count, belief.ones)
 
 
 def test_posterior_extremes_align_all_policies():
-    cfg = LookaheadConfig(4)
     for pm, removed in ((1.0, True), (0.0, False)):
         env = make_env(gain=1.0, loss=1.0, rate=0.2, prior=pm)
-        for policy in (MyopicPolicy(env), OptimisticPolicy(env), LookaheadPolicy(env, cfg)):
+        for policy in (MyopicPolicy(env), OptimisticPolicy(env), LookaheadPolicy(env, 4)):
             assert policy.removes(0, 0) is removed, (pm, type(policy).__name__)
 
 
@@ -188,10 +177,9 @@ class TestOnlineWrappers:
         rng = np.random.default_rng(38)
         for _ in range(30):
             _, env = random_instance(rng, max_history=0)
-            cfg = LookaheadConfig(3)
             wrappers = {"myopic": MyopicPolicy(env), "optimistic": OptimisticPolicy(env)}
             belief = initial_belief(env)
-            lookahead = LookaheadPolicy(env, cfg)
+            lookahead = LookaheadPolicy(env, 3)
             count = ones = 0
             for x in (rng.random(25) < 0.5).astype(int).tolist():
                 belief = update(belief, float(x), env)
@@ -202,5 +190,5 @@ class TestOnlineWrappers:
                     # the stream's observe and the simulator's predicate agree
                     assert wrapper.removes(count, ones) == (verdict is Decision.REMOVE), name
                 verdict = lookahead.observe(float(x))
-                assert (verdict is Decision.KEEP) == (lookahead_value(belief, env, cfg) > 0.0)
+                assert (verdict is Decision.KEEP) == (lookahead_value(belief, env, 3) > 0.0)
                 assert lookahead.removes(count, ones) == (verdict is Decision.REMOVE)

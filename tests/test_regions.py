@@ -53,9 +53,9 @@ from nodeban.belief import BeliefState, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior
 from nodeban.cli import main
 from nodeban.experiments import PolicySpec, SuiteConfig, build_regions
-from nodeban.hiper import HiperParams, HiperPolicy, min_samples
+from nodeban.hiper import HiperPolicy, min_samples
 from nodeban.model import EnvParams
-from nodeban.policies import LeafRule, LookaheadConfig, LookaheadPolicy, MyopicPolicy
+from nodeban.policies import LeafRule, LookaheadPolicy, MyopicPolicy
 from nodeban.policies import Lattice, OptimisticPolicy, _BeliefPolicy, lookahead_value
 from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region
 from nodeban.simulator import sample_experiment, table_region
@@ -252,8 +252,8 @@ def test_posterior_evaluator_rejects_what_posterior_rejects():
 @example(world(1.0, 0.4, prior=0.0), 1, LeafRule.OPTIMISTIC)
 @given(worlds(), st.integers(1, 8), st.sampled_from(list(LeafRule)))
 def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
-    env, cfg, horizon = draw.env, LookaheadConfig(depth, leaf), 40
-    values = Lattice(env, horizon, [cfg]).values(cfg)
+    env, spec, horizon = draw.env, PolicySpec("lookahead", depth=depth, leaf_rule=leaf), 40
+    values = Lattice(env, horizon, [spec]).values(spec)
     assert values.shape == (horizon + 1, horizon + 1)
     for t in range(horizon + 1):
         for k in range(horizon + 1):
@@ -261,7 +261,7 @@ def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
                 assert values[t, k] == 0.0, (t, k)
                 continue
             belief = BeliefState(k, t, posterior(k, t, env))
-            assert values[t, k] == lookahead_value(belief, env, cfg), (t, k)
+            assert values[t, k] == lookahead_value(belief, env, depth, leaf), (t, k)
 
 
 @settings(max_examples=50)
@@ -273,7 +273,7 @@ def test_myopic_and_optimistic_are_depth_0_plans(draw):
     optimistic's regions read off a draw's lattice are their rules'."""
     env = draw.env
     depth_0 = [SimpleNamespace(depth=0, leaf_rule=leaf) for leaf in LeafRule]
-    lattice = Lattice(env, HORIZON, [*depth_0, LookaheadConfig(2, LeafRule.OPTIMISTIC)])
+    lattice = Lattice(env, HORIZON, [*depth_0, PolicySpec("lookahead", depth=2, leaf_rule=LeafRule.OPTIMISTIC)])
     values = [lattice.values(rule) for rule in depth_0]
     specs = [PolicySpec.parse(text) for text in ("myopic", "optimistic", "lookahead:1")]
     regions = build_regions(specs, draw)[:2]
@@ -405,7 +405,7 @@ def test_hiper_region_from_the_nearest_seed(delta, gap, q):
     ones nearest q * count, its seed, where RegionWalk tries floor and ceil
     of it. The regions agree, and are nonempty exactly at the counts past the
     warm-up."""
-    policy = HiperPolicy(HiperParams(delta, gap, q))
+    policy = HiperPolicy(delta, gap, q)
     region, walk = compile_region(policy, SEED_COUNTS), RegionWalk(policy)
     walk.extend(SEED_COUNTS)
     assert region.lo.tolist() == walk.lo
@@ -431,7 +431,7 @@ def test_hiper_region_is_removes_at_every_point(q, delta, gap, bisected):
     the rule would remove again; delta at both ends of optimal_delta's clamp;
     and gap 0.05 puts the warm-up at delta = 1e-6 beyond the horizon."""
     horizon = 200
-    policy = HiperPolicy(HiperParams(delta, gap, q))
+    policy = HiperPolicy(delta, gap, q)
     region = compile_region(policy, horizon)
     assert_region_is_removes(policy, region, horizon)
     assert (region.lo <= region.hi).tolist() == (np.arange(horizon + 1) > min_samples(delta, gap)).tolist()
@@ -443,7 +443,7 @@ def test_hiper_region_past_horizon_2_to_the_15(delta, q, bisected):
     """At horizons where run_episode counts ones in int32, the region is the
     walk of the scalar rule at every count."""
     horizon = 2**15 + 300
-    policy = HiperPolicy(HiperParams(delta, 0.2, q))
+    policy = HiperPolicy(delta, 0.2, q)
     region, walk = compile_region(policy, horizon), RegionWalk(policy)
     walk.extend(horizon)
     assert region.lo.tolist() == walk.lo
@@ -461,7 +461,7 @@ def test_hiper_region_keeps_a_tie_at_an_exact_integer_end(bisected):
     count 36 alone is bisected, still exact."""
     delta = 0.2706705664732254
     assert math.log(2.0 / delta) == 2.0
-    policy = HiperPolicy(HiperParams(delta, 1.0, 0.5))
+    policy = HiperPolicy(delta, 1.0, 0.5)
     t = 16
     assert tuple(policy.boundary(np.array(t))) == (4.0, 12.0)
     assert not policy.removes(t, 4) and not policy.removes(t, 12)
@@ -495,7 +495,7 @@ def test_hiper_past_its_warmup_is_one_call(elementwise_calls, bisected):
     """gap 0.05 and delta 1e-6 put hiper's warm-up at count 2902: every
     count's guess is empty, and the one confirming call of the rule, which
     probes 4 points at each of the 200 counts, confirms them all."""
-    policy = HiperPolicy(HiperParams(1e-6, 0.05, 0.3))
+    policy = HiperPolicy(1e-6, 0.05, 0.3)
     assert min_samples(1e-6, 0.05) > 200
     region = compile_region(policy, 200)
     assert elementwise_calls == [(4, 200)]
@@ -520,13 +520,13 @@ def displaced(rule, shift_lo, shift_hi):
 def test_hiper_region_falls_back_when_an_end_is_not_confirmed(shift_lo, shift_hi, q, bisected):
     """Guesses moved off the ends fail their confirming probes, so
     compile_region bisects those counts, and the region is still the rule's."""
-    params = HiperParams(0.9, 0.5, q)
-    policy = displaced(HiperPolicy, shift_lo, shift_hi)(params)
+    params = (0.9, 0.5, q)  # delta, gap and malicious mean
+    policy = displaced(HiperPolicy, shift_lo, shift_hi)(*params)
     region = compile_region(policy, 120)
     # an end moved past the lattice's edge is clipped back onto it, where it is
     clipped = (shift_lo == 0 or q == 0.0 and shift_lo < 0) and (shift_hi == 0 or q == 1.0 and shift_hi > 0)
     assert (bisected == []) == clipped
-    exact = compile_region(HiperPolicy(params), 120)
+    exact = compile_region(HiperPolicy(*params), 120)
     assert region.lo.tolist() == exact.lo.tolist()
     assert region.hi.tolist() == exact.hi.tolist()
     assert_region_is_removes(policy, region, 120)
@@ -621,13 +621,13 @@ def test_lookahead_walk_is_the_table(draw, depth, leaf):
     the suites from the exact table. Both the compiler and the walk are
     right only where each count's removal set is an interval around the
     anchor, which this checks up to count 200."""
-    env, cfg = draw.env, LookaheadConfig(depth, leaf)
-    walk = RegionWalk(LookaheadPolicy(env, cfg))
+    env, spec = draw.env, PolicySpec("lookahead", depth=depth, leaf_rule=leaf)
+    walk = RegionWalk(LookaheadPolicy(env, depth, leaf))
     walk.extend(WALK_COUNTS)
-    table = table_region(Lattice(env, WALK_COUNTS, [cfg]).values(cfg) <= 0.0)
+    table = table_region(Lattice(env, WALK_COUNTS, [spec]).values(spec) <= 0.0)
     assert walk.lo == table.lo.tolist()
     assert walk.hi == table.hi.tolist()
-    region = compile_region(LookaheadPolicy(env, cfg), WALK_COUNTS)
+    region = compile_region(LookaheadPolicy(env, depth, leaf), WALK_COUNTS)
     assert region.lo.tolist() == table.lo.tolist()
     assert region.hi.tolist() == table.hi.tolist()
 
@@ -638,12 +638,12 @@ def test_lookahead_nan_guesses_are_confirmed_or_bisected(elementwise_calls, bise
     and its neighbours keep, are confirmed, and every other count, whose
     seed removes, has its seed probed and is bisected from it. The region is
     the lattice table's."""
-    env, cfg = world(0.8, 0.3, prior=0.1).env, LookaheadConfig(2)
-    policy = LookaheadPolicy(env, cfg)
+    env = world(0.8, 0.3, prior=0.1).env
+    policy = LookaheadPolicy(env, 2)
     low, high = policy.boundary(np.arange(1.0, HORIZON + 1))
     assert np.isnan(low).all() and np.isnan(high).all()
     region = compile_region(policy, HORIZON)
-    table = table_region(Lattice(env, HORIZON, [cfg]).values(cfg) <= 0.0)
+    table = table_region(Lattice(env, HORIZON, [policy]).values(policy) <= 0.0)
     assert region.lo.tolist() == table.lo.tolist()
     assert region.hi.tolist() == table.hi.tolist()
     assert elementwise_calls[:2] == [(4, HORIZON), (HORIZON - 2,)]
@@ -713,9 +713,8 @@ def test_stream_hiper_is_the_per_node_replay(draw, seed):
     env = draw.env
     events = stream_events(draw, seed, binary=False)
     for delta in (0.05, 0.5, 0.9):
-        params = HiperParams(delta=delta, gap=env.gap, malicious_mean=env.malicious_mean)
         flags = ["--policy", "hiper", "--delta", repr(delta), *world_flags(env)]
-        assert_stream_is_replay(events, flags, lambda: HiperPolicy(params))
+        assert_stream_is_replay(events, flags, lambda: HiperPolicy(delta, env.gap, env.malicious_mean))
 
 
 @settings(max_examples=30)
@@ -742,10 +741,10 @@ def with_lookahead_examples(test):
 @with_lookahead_examples
 @given(worlds(), st.integers(0, 2**16), st.integers(1, 6), st.sampled_from(list(LeafRule)))
 def test_stream_lookahead_is_the_per_node_replay(draw, seed, depth, leaf):
-    env, cfg = draw.env, LookaheadConfig(depth, leaf)
+    env = draw.env
     flags = ["--policy", "lookahead", "--lookahead-depth", str(depth), "--leaf-rule", leaf.value]
     events = stream_events(draw, seed, binary=True)
-    assert_stream_is_replay(events, [*flags, *world_flags(env)], lambda: LookaheadPolicy(env, cfg))
+    assert_stream_is_replay(events, [*flags, *world_flags(env)], lambda: LookaheadPolicy(env, depth, leaf))
 
 
 def churn_events(env, seed, nodes=300):
@@ -784,7 +783,7 @@ def verdict_points(events, out):
 STREAM_RULES = [
     ("myopic", [], MyopicPolicy),
     ("optimistic", [], OptimisticPolicy),
-    ("lookahead", ["--lookahead-depth", "3"], lambda env: LookaheadPolicy(env, LookaheadConfig(3))),
+    ("lookahead", ["--lookahead-depth", "3"], lambda env: LookaheadPolicy(env, 3)),
 ]
 
 
@@ -837,7 +836,7 @@ LAYOUTS = {
 }
 LAYOUT_RULES = [
     ("hiper", ["--delta", "0.5"],
-     lambda env: HiperPolicy(HiperParams(delta=0.5, gap=env.gap, malicious_mean=env.malicious_mean))),
+     lambda env: HiperPolicy(0.5, env.gap, env.malicious_mean)),
     *STREAM_RULES,
 ]
 

@@ -24,7 +24,6 @@ import re
 import sys
 import time
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from . import policies
 from .belief import ImpossibleEvidenceError
@@ -47,16 +46,10 @@ from .hiper import (
     bound_loss_malicious_warmup,
 )
 from .model import EnvParams
-from .policies import MAX_DEPTH, LeafRule
+from .policies import DEPTHS, MAX_DEPTH, LeafRule
 from .simulator import ExperimentSuite, compile_region
 
 _CONFIG_KEYS = {"suite", "n_runs", "ma_window", "policies", "base_seed"}
-
-
-class StreamEvent(NamedTuple):
-    node_id: str
-    t: int
-    x: float
 
 
 def _fail(message: str) -> int:
@@ -179,7 +172,7 @@ _FLAG_DOMAINS = {
     "departure_rate": ("--lambda", "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "gU": ("--gU", "be nonnegative", lambda v: v >= 0.0),
     "lQ": ("--lQ", "be nonnegative", lambda v: v >= 0.0),
-    "lookahead_depth": ("--lookahead-depth", f"lie in [1, {MAX_DEPTH}]", lambda v: 1 <= v <= MAX_DEPTH),
+    "lookahead_depth": ("--lookahead-depth", f"lie in [1, {MAX_DEPTH}]", lambda v: v in DEPTHS),
 }
 
 
@@ -228,7 +221,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     print(f"delta_star_clamped {str(tuned.clamped).lower()}")
     print(f"loss_bound_malicious {_fmt(malicious)}")
     print(f"loss_bound_honest {_fmt(honest)}")
-    print(f"loss_bound_combined {_fmt(honest)}")  # at delta*, the paper's two closed forms coincide
+    # at an unclamped delta*, the paper's two closed forms coincide
+    print(f"loss_bound_combined {_fmt(max(malicious, honest) if tuned.clamped else honest)}")
     print(f"loss_bound_malicious_warmup {_fmt(malicious_warmup)}")
     print(f"loss_bound_combined_warmup {_fmt(max(malicious_warmup, honest))}")
     return 0
@@ -284,12 +278,12 @@ _scan_once = json.scanner.make_scanner(json.JSONDecoder())
 _encode_string = json.encoder.encode_basestring_ascii
 
 
-def _parse_event(text: str, line_no: int) -> StreamEvent:
-    """The event on a stripped input line, parsed exactly as json.loads
-    parses it, or json.loads' own error: the scanner json.loads runs is
-    called directly, and a line whose scan fails or stops short of its end
-    goes to json.loads, which scans it from 0 too (a stripped line has no
-    JSON whitespace at either end) and so raises."""
+def _parse_event(text: str, line_no: int) -> tuple[str, int, float]:
+    """The event (node_id, t, x) on a stripped input line, parsed exactly
+    as json.loads parses it, or json.loads' own error: the scanner
+    json.loads runs is called directly, and a line whose scan fails or
+    stops short of its end goes to json.loads, which scans it from 0 too (a
+    stripped line has no JSON whitespace at either end) and so raises."""
     try:
         obj, end = _scan_once(text, 0)
     except (StopIteration, ValueError, RecursionError):  # StopIteration: no JSON value starts at 0
@@ -319,7 +313,7 @@ def _parse_event(text: str, line_no: int) -> StreamEvent:
         raise ValueError(f"line {line_no}: x must be a number, got {x!r}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"line {line_no}: observation value must lie in [0, 1], got {x}")
-    return StreamEvent(node_id, t, x)
+    return node_id, t, x
 
 
 def _verdict_tail(remove: bool, statistic: float) -> str:

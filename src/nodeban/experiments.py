@@ -29,7 +29,7 @@ from statistics import fmean
 import numpy as np
 
 from .hiper import HiperPolicy, OptimalDelta, optimal_delta
-from .policies import MAX_DEPTH, Lattice, LeafRule, MyopicPolicy, OptimisticPolicy, _BeliefPolicy
+from .policies import Lattice, LeafRule, MyopicPolicy, OptimisticPolicy, _BeliefPolicy, check_depth
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
 from .simulator import run_episode, sample_experiment, table_region
 
@@ -119,10 +119,7 @@ class PolicySpec:
                 leaf = args[1] if len(args) == 2 else "zero"
                 if not re.fullmatch(INTEGER, args[0]) or leaf not in leaves:
                     raise ValueError(f"expected an integer depth and leaf rule ({', '.join(leaves)})")
-                depth = int(args[0])
-                if not 1 <= depth <= MAX_DEPTH:
-                    raise ValueError(f"depth must be an integer in [1, {MAX_DEPTH}], got {depth}")
-                return cls(kind=kind, depth=depth, leaf_rule=LeafRule(leaf))
+                return cls(kind=kind, depth=check_depth(int(args[0])), leaf_rule=LeafRule(leaf))
             raise ValueError(f"unknown policy kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"policy {text!r}: {exc}") from None

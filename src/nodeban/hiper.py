@@ -16,24 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Decision
-
 _DELTA_MIN = 1e-6
 _DELTA_MAX = 1.0 - 1e-6
-
-
-def confidence_radius(delta: float, t: float) -> float:
-    """Two-sided deviation threshold sqrt(ln(2/delta) / (2 t)) after t samples.
-
-    t is the sample count; real values are accepted so the radius can be
-    evaluated at the (generally fractional) warm-up threshold, where it
-    equals the gap exactly.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if t <= 0:
-        raise ValueError(f"sample count must be positive, got {t}")
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * t))
 
 
 def min_samples(delta: float, gap: float) -> float:
@@ -135,7 +119,8 @@ def bound_loss_honest(gain_honest: float, departure_rate: float, gap: float) -> 
 
     At optimal_delta's unclamped delta* the paper's malicious-side closed
     form equals this one, so this is also the paper's combined ceiling
-    (nodeban bounds' loss_bound_combined). That ignores the warm-up, as
+    there (nodeban bounds' loss_bound_combined, which at a clamped delta*
+    is the larger of the two). That ignores the warm-up, as
     bound_loss_malicious does; max(bound_loss_malicious_warmup, this) counts it."""
     if gain_honest < 0.0:
         raise ValueError(f"gain_honest must be nonnegative, got {gain_honest}")
@@ -152,21 +137,22 @@ def bound_loss_honest(gain_honest: float, departure_rate: float, gap: float) -> 
 
 
 class HiperPolicy:
-    """The stopping rule, online: feed observations, get keep/remove verdicts.
+    """The stopping rule, online: observe(x) feeds one observation and returns
+    removes' verdict on the node's history so far (True: remove).
 
     delta is the acceptable per-check error probability, gap the assumed
     separation of the honest and malicious means (min_samples checks both),
     and malicious_mean, q, kept as anchor, a malicious node's expected
     observation, in [0, 1]. After each observation the node is removed iff
-    its count strictly exceeds the warm-up threshold min_samples(delta, gap)
-    and its running mean lies strictly inside confidence_radius(delta,
-    count) of the malicious mean. Equality in either comparison keeps the
-    node. The warm-up threshold and the log term of the radius are
-    precomputed once. removes(count, total) is the rule, scalar for nodeban
-    stream's every event, observe and simulate_node; removes_elementwise is
-    its array twin, and boundary its one closed form, whose ends
-    compile_region confirms with removes_elementwise to compile the rule
-    for a horizon.
+    its count t strictly exceeds the warm-up threshold min_samples(delta,
+    gap) and its running mean lies strictly inside the confidence radius
+    r_t = sqrt(ln(2/delta) / (2 t)) of the malicious mean. Equality in
+    either comparison keeps the node. The warm-up threshold and the log
+    term of the radius are precomputed once. removes(count, total) is the
+    rule, scalar for nodeban stream's every event, observe and
+    simulate_node; removes_elementwise is its array twin, and boundary its
+    one closed form, whose ends compile_region confirms with
+    removes_elementwise to compile the rule for a horizon.
 
     No count up to floor(W), W = min_samples(delta, gap), removes, and
     boundary's interval is empty there. Every count t past it removes: the
@@ -188,12 +174,12 @@ class HiperPolicy:
         self._count = 0
         self._total = 0.0
 
-    def observe(self, x: float) -> Decision:
+    def observe(self, x: float) -> bool:
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"observation must lie in [0, 1], got {x}")
         self._count += 1
         self._total += x
-        return Decision.REMOVE if self.removes(self._count, self._total) else Decision.KEEP
+        return self.removes(self._count, self._total)
 
     def removes(self, count: int, total: float) -> bool:
         """The rule after count observations summing to total (ones, if binary)."""

@@ -27,11 +27,6 @@ class NodeType(Enum):
     MALICIOUS = "malicious"
 
 
-class Decision(Enum):
-    KEEP = "keep"
-    REMOVE = "remove"
-
-
 @dataclass(frozen=True)
 class EnvParams:
     """Generative world parameters.

@@ -36,9 +36,17 @@ from .belief import (
     posterior,
     update,
 )
-from .model import Decision, EnvParams
+from .model import EnvParams
 
 MAX_DEPTH = 24
+DEPTHS = range(1, MAX_DEPTH + 1)  # a lookahead rule's depths
+
+
+def check_depth(depth: int) -> int:
+    """depth, if it is one of DEPTHS; else a ValueError that names it."""
+    if depth not in DEPTHS:
+        raise ValueError(f"depth must be an integer in [1, {MAX_DEPTH}], got {depth}")
+    return depth
 
 
 class LeafRule(Enum):
@@ -112,10 +120,10 @@ def _rooted_plan(
 def lookahead_value(
     belief: BeliefState, env: EnvParams, depth: int, leaf_rule: LeafRule = LeafRule.ZERO
 ) -> float:
-    """Expected value of the best keep/remove plan from the belief to depth
-    (1 to MAX_DEPTH) over leaf_rule: _plan rooted at it."""
+    """Expected value of the best keep/remove plan from the belief to depth,
+    one of DEPTHS, over leaf_rule: _plan rooted at it."""
     pm = belief.posterior_malicious
-    return float(_rooted_plan(Posterior(env), belief.ones, belief.count, pm, env, depth, leaf_rule))
+    return float(_rooted_plan(Posterior(env), belief.ones, belief.count, pm, env, check_depth(depth), leaf_rule))
 
 
 class Lattice:
@@ -158,7 +166,8 @@ class _BeliefPolicy:
     """The plan to depth over leaf_rule. Its margin _margin(ones, count, pm),
     pm the malicious posterior, on numbers or broadcast arrays, is the leaf's
     own at depth 0 and the plan value above; removes(count, ones), its
-    elementwise twin and observe keep only where it is strictly positive."""
+    elementwise twin and observe (which returns removes' bool for the
+    history fed so far) keep only where it is strictly positive."""
 
     def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule) -> None:
         self.env, self.depth, self.leaf_rule = env, depth, leaf_rule
@@ -173,10 +182,9 @@ class _BeliefPolicy:
             return _rooted_plan(self.posterior, ones, count, pm, self.env, self.depth, self.leaf_rule)
         return _leaf_margin(pm, self.env, self.leaf_rule)
 
-    def observe(self, x: float) -> Decision:
+    def observe(self, x: float) -> bool:
         belief = self._belief = update(self._belief, x, self.env)
-        keep = self._margin(belief.ones, belief.count, belief.posterior_malicious) > 0.0
-        return Decision.KEEP if keep else Decision.REMOVE
+        return not self._margin(belief.ones, belief.count, belief.posterior_malicious) > 0.0
 
     def removes(self, count: int, ones: int) -> bool:
         """The rule after `ones` one-bits in `count` observations. A history
@@ -229,11 +237,10 @@ class OptimisticPolicy(_BeliefPolicy):
 
 
 class LookaheadPolicy(_BeliefPolicy):
-    """The plan to depth over leaf_rule, the depth unchecked here:
-    PolicySpec.parse holds it to 1 to MAX_DEPTH. Its margin has no closed
-    form, so compile_region bisects each end from the anchor (nodeban
+    """The plan to depth, one of DEPTHS, over leaf_rule. Its margin has no
+    closed form, so compile_region bisects each end from the anchor (nodeban
     stream's route); the suites read it off their draw's Lattice instead.
     Neither names this class: both build the rule through PolicySpec."""
 
     def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule = LeafRule.ZERO) -> None:
-        super().__init__(env, depth, leaf_rule)
+        super().__init__(env, check_depth(depth), leaf_rule)

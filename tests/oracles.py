@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from nodeban.belief import BeliefState, ImpossibleEvidenceError, update
-from nodeban.cli import StreamEvent
-from nodeban.hiper import HiperPolicy, confidence_radius, min_samples
-from nodeban.model import NEVER, Decision, EnvParams
+from nodeban.hiper import HiperPolicy, min_samples
+from nodeban.model import NEVER, EnvParams
 from nodeban.policies import LeafRule
 from nodeban.simulator import _region_bounds
 
@@ -70,7 +69,7 @@ def belief_rule_removes(rule: str, env: EnvParams, count: int, ones: int) -> boo
     """MyopicPolicy's or OptimisticPolicy's removes(count, ones) (rule "myopic"
     or "optimistic") in the form of a decision on a whole belief: the
     BeliefState at (count, ones) from posterior_per_call, the rule's keep
-    margin read off it, and the Decision that margin gives."""
+    margin read off it, and the verdict that margin gives (True: remove)."""
     try:
         belief = BeliefState(ones, count, posterior_per_call(ones, count, env))
     except ImpossibleEvidenceError:
@@ -80,17 +79,28 @@ def belief_rule_removes(rule: str, env: EnvParams, count: int, ones: int) -> boo
         margin = (1.0 - pm) * env.gain_honest - pm * env.loss_malicious
     else:
         margin = (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
-    decision = Decision.KEEP if margin > 0.0 else Decision.REMOVE
-    return decision is Decision.REMOVE
+    return not margin > 0.0
 
 
-def hiper_decision(count: int, total: float, delta: float, gap: float, malicious_mean: float) -> Decision:
-    """The confidence-interval rule from its closed forms: remove iff count
-    strictly exceeds min_samples and the mean total / count lies strictly
-    inside confidence_radius of the malicious mean."""
-    if count > min_samples(delta, gap) and abs(total / count - malicious_mean) < confidence_radius(delta, count):
-        return Decision.REMOVE
-    return Decision.KEEP
+def confidence_radius(delta: float, t: float) -> float:
+    """Two-sided deviation threshold sqrt(ln(2/delta) / (2 t)) after t samples.
+
+    t is the sample count; real values are accepted so the radius can be
+    evaluated at the (generally fractional) warm-up threshold, where it
+    equals the gap exactly.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if t <= 0:
+        raise ValueError(f"sample count must be positive, got {t}")
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * t))
+
+
+def hiper_decision(count: int, total: float, delta: float, gap: float, malicious_mean: float) -> bool:
+    """The confidence-interval rule from its closed forms: remove (True) iff
+    count strictly exceeds min_samples and the mean total / count lies
+    strictly inside confidence_radius of the malicious mean."""
+    return count > min_samples(delta, gap) and abs(total / count - malicious_mean) < confidence_radius(delta, count)
 
 
 def lookahead_leaf_value(belief: BeliefState, env: EnvParams, rule: LeafRule) -> float:
@@ -136,10 +146,10 @@ def lookahead_value_bruteforce(
     return expand(belief, depth)
 
 
-def parse_event_loads(line: str, line_no: int) -> StreamEvent:
-    """One stripped input line of nodeban stream parsed by json.loads
-    itself: the reference that cli._parse_event must match, event for event
-    and error text for error text."""
+def parse_event_loads(line: str, line_no: int) -> tuple[str, int, float]:
+    """One stripped input line of nodeban stream, as (node_id, t, x), parsed
+    by json.loads itself: the reference that cli._parse_event must match,
+    event for event and error text for error text."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
@@ -164,7 +174,7 @@ def parse_event_loads(line: str, line_no: int) -> StreamEvent:
         raise ValueError(f"line {line_no}: x must be a number, got {x!r}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"line {line_no}: observation value must lie in [0, 1], got {x}")
-    return StreamEvent(node_id, t, x)
+    return node_id, t, x
 
 
 def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:
@@ -184,7 +194,7 @@ def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:
             x = 1.0 if x >= binarize else 0.0
         policy, count, total = nodes.get(node) or (make_policy(), 0, 0.0)
         try:
-            decision = policy.observe(x)
+            remove = policy.observe(x)
         except ImpossibleEvidenceError as exc:
             return "".join(lines), f"error: line {line_no}: {exc}\n"
         count, total = count + 1, total + x
@@ -193,9 +203,10 @@ def stream_replay(events, make_policy, binarize=None) -> tuple[str, str]:
             statistic = total / count
         else:
             statistic = posterior_per_call(int(total), count, policy.env)
-        verdict = {"node_id": node, "t": event["t"], "decision": decision.value, "statistic": statistic}
+        decision = "remove" if remove else "keep"
+        verdict = {"node_id": node, "t": event["t"], "decision": decision, "statistic": statistic}
         lines.append(json.dumps(verdict) + "\n")
-        if decision is Decision.REMOVE:
+        if remove:
             removed.add(node)
     return "".join(lines), ""
 

@@ -201,6 +201,15 @@ class TestBounds:
         out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
         assert out["delta_star_clamped"] == "true"
 
+    def test_clamped_combined_bound_is_the_larger_part(self, capsys):
+        # delta* clamps to 1e-6, where the paper's two closed forms no longer
+        # meet: the combined ceiling is the malicious one, not the honest 3.6
+        assert run_cli(["bounds", "--lQ", "100", "--gU", "1", "--lambda", "0.5", "--Delta", "0.5"]) == 0
+        out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["delta_star_clamped"] == "true"
+        assert out["loss_bound_honest"] == "3.6"
+        assert out["loss_bound_malicious"] == out["loss_bound_combined"] == "100.0002"
+
     def test_gap_derived_from_means(self, capsys):
         assert run_cli(["bounds", "--lQ", "1", "--gU", "1", "--lambda", "0.1", "--u", "0.8", "--q", "0.3"]) == 0
         out = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())

@@ -12,20 +12,19 @@ from nodeban.hiper import (
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
-    confidence_radius,
     min_samples,
     optimal_delta,
 )
-from nodeban.model import Decision
 from nodeban.simulator import compile_region
-from oracles import hiper_decision
+from oracles import confidence_radius, hiper_decision
 
 DELTA_E2 = 2.0 * math.exp(-2.0)  # makes ln(2/delta) = 2
 PARAMS = (0.5, 0.4, 0.3)  # HiperPolicy's delta, gap and malicious mean
 
 
-def fed(params: tuple[float, float, float], xs) -> list[Decision]:
-    """A fresh HiperPolicy(*params)'s verdict on each of xs, observed in order."""
+def fed(params: tuple[float, float, float], xs) -> list[bool]:
+    """A fresh HiperPolicy(*params)'s verdict on each of xs, observed in
+    order (True: remove)."""
     policy = HiperPolicy(*params)
     return [policy.observe(float(x)) for x in xs]
 
@@ -151,19 +150,19 @@ class TestHiperDecide:
     def test_zero_deviation_after_warmup_removes(self):
         t = math.ceil(min_samples(0.5, 0.4)) + 1
         verdicts = fed(PARAMS, [0.3] * t)
-        assert verdicts[-1] is Decision.REMOVE
+        assert verdicts[-1] is True
 
     def test_warmup_guard_keeps(self):
         params = (0.5, 0.1, 0.3)
         warmup = min_samples(0.5, 0.1)
         verdicts = fed(params, [0.3] * int(warmup))
-        assert verdicts == [Decision.KEEP] * int(warmup)
+        assert verdicts == [False] * int(warmup)
 
     def test_large_deviation_keeps(self):
         # radius at t=8 is sqrt(2/16) ~ 0.354 < |0.8 - 0.3|
         params = (DELTA_E2, 0.5, 0.3)
         verdicts = fed(params, [0.8] * 8)
-        assert verdicts[-1] is Decision.KEEP
+        assert verdicts[-1] is False
 
     def test_boundary_equality_keeps(self):
         # mean exactly one radius away from the malicious mean: the strict
@@ -176,10 +175,10 @@ class TestHiperDecide:
         radius = confidence_radius(0.5, t)
         at_boundary = exact_sum_sequence(radius * t, t)
         assert sum(at_boundary) / t == radius
-        assert fed(params, at_boundary)[-1] is Decision.KEEP
+        assert fed(params, at_boundary)[-1] is False
         inside = exact_sum_sequence(math.nextafter(radius, 0.0) * t, t)
         assert sum(inside) / t == math.nextafter(radius, 0.0)
-        assert fed(params, inside)[-1] is Decision.REMOVE
+        assert fed(params, inside)[-1] is True
         # the elementwise twin that confirms region's ends compares as strictly
         totals = np.array([radius * t, math.nextafter(radius, 0.0) * t])
         assert HiperPolicy(*params).removes_elementwise(np.array(t), totals).tolist() == [False, True]
@@ -192,7 +191,7 @@ class TestHiperDecide:
         region = compile_region(HiperPolicy(*params), 1)
         assert region.lo[0] > region.hi[0]
         assert region.lo[1] <= 0 <= region.hi[1]  # one zero bit: mean 0 is within the radius
-        assert HiperPolicy(*params).observe(0.3) is Decision.REMOVE
+        assert HiperPolicy(*params).observe(0.3) is True
 
     def test_monotone_in_deviation(self):
         rng = np.random.default_rng(7)
@@ -206,8 +205,8 @@ class TestHiperDecide:
             params = (delta, gap, q)
             large = fed(params, [q + d_large] * t)
             small = fed(params, [q + d_small] * t)
-            if large[-1] is Decision.REMOVE:
-                assert small[-1] is Decision.REMOVE
+            if large[-1]:
+                assert small[-1]
 
 
 class TestOptimalDelta:
@@ -339,7 +338,7 @@ class TestWarmupBound:
         for delta, gap in ((0.5, 0.5), (0.9, 0.4), (0.2, 0.1), (0.99, 0.05)):
             policy = HiperPolicy(delta, gap, 0.3)
             steps = 1
-            while policy.observe(0.3) is Decision.KEEP:
+            while not policy.observe(0.3):
                 steps += 1
             assert steps == math.floor(min_samples(delta, gap)) + 1
 
@@ -393,7 +392,7 @@ def test_malicious_survival_probability_bounded_by_delta():
         step = 0
         for x in (rng.random(max(checkpoints)) < q).astype(float).tolist():
             step += 1
-            if alive and policy.observe(x) is Decision.REMOVE:
+            if alive and policy.observe(x):
                 alive = False
             if alive and step in survived:
                 survived[step] += 1
@@ -419,7 +418,7 @@ def test_policy_wrapper_matches_operations():
             count, total = count + 1, total + x
             verdict = policy.observe(x)
             assert verdict is hiper_decision(count, total, *params)
-            assert policy.removes(count, total) == (verdict is Decision.REMOVE)
+            assert policy.removes(count, total) is verdict
     # binary inputs, at the malicious rate so that removals occur: the
     # simulator's predicate sees the ones count as a Python int
     for _ in range(50):
@@ -430,7 +429,7 @@ def test_policy_wrapper_matches_operations():
             count, ones = count + 1, ones + x
             verdict = policy.observe(float(x))
             assert verdict is hiper_decision(count, ones, *params)
-            assert policy.removes(count, ones) == (verdict is Decision.REMOVE)
+            assert policy.removes(count, ones) is verdict
 
 
 def test_hiper_params_validation():

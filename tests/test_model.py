@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nodeban.cli import _parse_event, main
-from nodeban.model import NEVER, Decision, EnvParams, NodeType, realized_loss
+from nodeban.model import NEVER, EnvParams, NodeType, realized_loss
 
 
 def env(gain=1.0, loss=1.0, rate=0.1):
@@ -126,7 +126,7 @@ class TestTypes:
         """Observations are scores in [0, 1]; the belief policies take only 0 or 1.
         Both checks live where observations enter: the stream command."""
         for x in (0.0, 0.5, 1.0):
-            assert _parse_event(json.dumps({"node_id": "a", "t": 1, "x": x}), 1).x == x
+            assert _parse_event(json.dumps({"node_id": "a", "t": 1, "x": x}), 1) == ("a", 1, x)
         for x in (1.5, -0.1):
             with pytest.raises(ValueError, match="must lie in"):
                 _parse_event(json.dumps({"node_id": "a", "t": 1, "x": x}), 1)
@@ -160,6 +160,5 @@ class TestTypes:
             with pytest.raises(ValueError):
                 EnvParams(*args)
 
-    def test_decision_and_node_type_are_closed(self):
-        assert {d.value for d in Decision} == {"keep", "remove"}
+    def test_node_type_is_closed(self):
         assert {t.value for t in NodeType} == {"honest", "malicious"}

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from nodeban.belief import initial_belief, update
-from nodeban.model import Decision, EnvParams
+from nodeban.belief import BeliefState, initial_belief, posterior, update
+from nodeban.experiments import PolicySpec
+from nodeban.model import EnvParams
 from nodeban.policies import (
+    MAX_DEPTH,
     LeafRule,
     LookaheadPolicy,
     MyopicPolicy,
@@ -165,6 +167,32 @@ class TestLookaheadDecide:
             assert lookahead.removes(belief.count, belief.ones) == myopic.removes(belief.count, belief.ones)
 
 
+@pytest.mark.parametrize("depth", [-1, 0, MAX_DEPTH + 1])
+def test_a_depth_out_of_range_is_a_value_error(depth):
+    """Every entry to a lookahead plan holds its depth to 1 to MAX_DEPTH,
+    and its error names the depth."""
+    env = make_env()
+    message = rf"depth must be an integer in \[1, {MAX_DEPTH}\], got {depth}$"
+    with pytest.raises(ValueError, match=message):
+        LookaheadPolicy(env, depth)
+    with pytest.raises(ValueError, match=message):
+        lookahead_value(initial_belief(env), env, depth)
+    # "-1" is not a spec's integer literal, so the spec's error names its text
+    spec_message = message if depth >= 0 else "expected an integer depth"
+    with pytest.raises(ValueError, match=rf"^policy 'lookahead:{depth}': {spec_message}"):
+        PolicySpec.parse(f"lookahead:{depth}")
+
+
+@pytest.mark.parametrize("depth", [1, MAX_DEPTH])
+def test_the_edge_depths_plan(depth):
+    env = make_env()
+    belief = BeliefState(1, 3, posterior(1, 3, env))
+    value = lookahead_value(belief, env, depth)
+    assert value >= 0.0
+    assert LookaheadPolicy(env, depth).removes(3, 1) is (not value > 0.0)
+    assert PolicySpec.parse(f"lookahead:{depth}").depth == depth
+
+
 def test_posterior_extremes_align_all_policies():
     for pm, removed in ((1.0, True), (0.0, False)):
         env = make_env(gain=1.0, loss=1.0, rate=0.2, prior=pm)
@@ -186,9 +214,9 @@ class TestOnlineWrappers:
                 count, ones = count + 1, ones + x  # ones stays a Python int
                 for name, wrapper in wrappers.items():
                     verdict = wrapper.observe(float(x))
-                    assert (verdict is Decision.REMOVE) == belief_rule_removes(name, env, count, ones), name
+                    assert verdict is belief_rule_removes(name, env, count, ones), name
                     # the stream's observe and the simulator's predicate agree
-                    assert wrapper.removes(count, ones) == (verdict is Decision.REMOVE), name
+                    assert wrapper.removes(count, ones) is verdict, name
                 verdict = lookahead.observe(float(x))
-                assert (verdict is Decision.KEEP) == (lookahead_value(belief, env, 3) > 0.0)
-                assert lookahead.removes(count, ones) == (verdict is Decision.REMOVE)
+                assert verdict is (not lookahead_value(belief, env, 3) > 0.0)
+                assert lookahead.removes(count, ones) is verdict

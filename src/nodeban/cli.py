@@ -283,7 +283,10 @@ def _parse_event(text: str, line_no: int) -> tuple[str, int, float]:
     as json.loads parses it, or json.loads' own error: the scanner
     json.loads runs is called directly, and a line whose scan fails or
     stops short of its end goes to json.loads, which scans it from 0 too (a
-    stripped line has no JSON whitespace at either end) and so raises."""
+    stripped line has no JSON whitespace at either end) and so raises. The
+    stream calls it only for a line not in _canonical_event's layout: this
+    parse accepts every line of that layout, with the values the pattern
+    reads off it."""
     try:
         obj, end = _scan_once(text, 0)
     except (StopIteration, ValueError, RecursionError):  # StopIteration: no JSON value starts at 0
@@ -316,6 +319,19 @@ def _parse_event(text: str, line_no: int) -> tuple[str, int, float]:
     return node_id, t, x
 
 
+#: An event line as json.dumps writes it under its default arguments, with
+#: the newline that iterating a file leaves on it:
+#:     {"node_id": "<id>", "t": <t>, "x": <x>}
+#: <id> holds no quote, backslash or control character (json's strict scanner
+#: refuses a raw one), so it is the string as it stands; <t> is 1 to 18
+#: digits with no leading zero; <x> is 0, 1, 0.<digits> or 1.<zeros>, so it
+#: lies in [0, 1]. A line of this layout is an event that passes every check
+#: of _parse_event, and int(<t>) and float(<x>) are the values json.loads gives.
+_canonical_event = re.compile(
+    r'\{"node_id": "([^"\\\x00-\x1f]*)", "t": ([1-9][0-9]{0,17}), "x": (0|1|0\.[0-9]+|1\.0+)\}\n?'
+).fullmatch
+
+
 def _verdict_tail(remove: bool, statistic: float) -> str:
     return f'"decision": "{"remove" if remove else "keep"}", "statistic": {statistic!r}}}\n'
 
@@ -333,6 +349,11 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     later events still advance its last t, so they must stay ordered, and
     are dropped.
 
+    The input is read one line at a time, and each line's verdict is written
+    before the next is read, so a live pipe's verdicts are not held back. A
+    line in _canonical_event's layout is read off its match; any other is
+    stripped, refused if blank, and parsed by _parse_event.
+
     Each verdict line is written directly, with the json module's ASCII
     string encoder, the one json.dumps runs on a str, writing only the node
     id: the bytes are json.dumps of the verdict object, since t is an int
@@ -347,13 +368,18 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     line_no = 0
     try:
         for line_no, line in enumerate(infile, 1):
-            text = line.strip()
-            if not text:
-                return _fail(f"line {line_no}: blank line")
-            try:
-                node_id, t, x = _parse_event(text, line_no)
-            except ValueError as exc:
-                return _fail(str(exc))
+            event = _canonical_event(line)
+            if event:
+                node_id, t, x = event.groups()
+                t, x = int(t), float(x)
+            else:
+                text = line.strip()
+                if not text:
+                    return _fail(f"line {line_no}: blank line")
+                try:
+                    node_id, t, x = _parse_event(text, line_no)
+                except ValueError as exc:
+                    return _fail(str(exc))
             previous, count, s = nodes.get(node_id, (0, 0, 0))
             if t <= previous:  # t >= 1, so a new node passes
                 return _fail(

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from statistics import fmean
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .model import NEVER, EnvParams, NodeType, realized_loss
 
@@ -218,20 +218,31 @@ def node_streams(draw: ExperimentDraw) -> Iterator[np.random.Generator]:
     pool ^= pool >> 16
     state = _hash_rows(pool, *_STATE_CONSTS).reshape(8, -1)  # generate_state: pool words 0-3, twice
     words = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)  # PCG64 reads each row in place
+    node_seed = _node_seed_type()
     for node_words in words:
-        yield np.random.Generator(np.random.PCG64(_NodeSeed(node_words)))
+        yield np.random.Generator(np.random.PCG64(node_seed(node_words)))
 
 
-@dataclass
-class _NodeSeed(ISeedSequence):
-    """One node's generate_state(4, uint64) words, PCG64's only request."""
+@cache
+def _node_seed_type() -> type:
+    """The seed type node_streams hands PCG64, built on its first call so
+    that importing this module loads no numpy.random. It must subclass
+    ISeedSequence: PCG64 reads any other object as SeedSequence entropy,
+    and raises TypeError for this one."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    words: np.ndarray
+    @dataclass
+    class _NodeSeed(ISeedSequence):
+        """One node's generate_state(4, uint64) words, PCG64's only request."""
 
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a node seed holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
-        return self.words
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a node seed holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+            return self.words
+
+    return _NodeSeed
 
 
 def _hash_consts(hash_const: int, mult: int, rows: int) -> tuple[np.ndarray, np.ndarray]:

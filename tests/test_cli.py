@@ -1,6 +1,8 @@
+import argparse
 import collections
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nodeban
-from nodeban.cli import _parse_event, main
+from nodeban.cli import _canonical_event, _parse_event, _run_stream, main
 from nodeban.hiper import HiperPolicy, optimal_delta
 from nodeban.model import EnvParams
 from nodeban.policies import MyopicPolicy
@@ -1219,3 +1221,133 @@ def test_parse_event_is_json_loads_on_edge_lines(text, outcome):
         assert expected == outcome
     else:
         assert expected[1].startswith(f"line 1: {outcome}")
+
+
+#: The fields of a canonical event line, each listed as the pattern's own
+#: values first and then mutations of them, and what a line may end with:
+#: ids the pattern takes as they stand (non-ASCII, a raw lone surrogate, DEL,
+#: the empty id) or leaves to the scanner (an escaped quote or backslash, a
+#: raw control character); t and x at and past the pattern's edges.
+CANONICAL_FIELDS = {
+    "id": (["n0000001", "\u00e9", "\ud800", "\x7f", ""], ['\\"', "\\\\", "a\x1fb", "\x00"]),
+    "t": (["7", "9" * 18, "1" + "0" * 17], ["0", "01", "-1", "1" * 19, "1" * 21, "1.0", "true"]),
+    "x": (["0", "1", "0.25", "1.0", "0.0", "1.00"], ["1.5", "-0", "-0.0", "01", "1e0", "5e-324", "NaN", "true"]),
+    "suffix": (["", "\n"], [" \n", "\t", "\r"]),
+}
+
+
+def canonical_mutations():
+    """Every combination of CANONICAL_FIELDS' values, as an input line."""
+    fields = [own + mutated for own, mutated in CANONICAL_FIELDS.values()]
+    for node_id, t, x, suffix in itertools.product(*fields):
+        yield f'{{"node_id": "{node_id}", "t": {t}, "x": {x}}}{suffix}'
+
+
+#: The stream's policy on raw lines: hiper's statistic after one event is x.
+RAW_LINE_POLICY = HiperPolicy(0.9, 0.4, 0.3)
+
+
+def stream_outcome(line):
+    """_run_stream on the one raw line: its exit code, output and error text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = _run_stream(argparse.Namespace(binarize=None), RAW_LINE_POLICY, [line], out)
+    return code, out.getvalue(), err.getvalue()
+
+
+def loads_outcome(line):
+    """stream_outcome by definition: the stripped line is refused if blank, and
+    otherwise parsed by json.loads-based parsing, whose event gets hiper's
+    verdict at count 1, with the running mean summed from 0."""
+    text = line.strip()
+    try:
+        if not text:
+            raise ValueError("line 1: blank line")
+        node_id, t, x = parse_event_loads(text, 1)
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    mean = 0 + x
+    decision = "remove" if RAW_LINE_POLICY.removes(1, mean) else "keep"
+    return 0, json.dumps({"node_id": node_id, "t": t, "decision": decision, "statistic": mean}) + "\n", ""
+
+
+def test_stream_reads_raw_lines_as_json_loads():
+    """_run_stream on each raw line, canonical or not, against json.loads on
+    the stripped line: on the fuzz, and on every mutation of a canonical
+    line. The pattern takes exactly the mutations whose every field is the
+    pattern's own, and 60 of the fuzz's lines."""
+    fuzz = list(parse_fuzz_lines(seed=30, n=24_000))
+    mutations = list(canonical_mutations())
+    for line in fuzz + mutations:
+        assert stream_outcome(line) == loads_outcome(line), line
+    own = math.prod(len(values) for values, _ in CANONICAL_FIELDS.values())
+    assert sum(bool(_canonical_event(line)) for line in mutations) == own == 180
+    assert sum(bool(_canonical_event(line)) for line in fuzz) == 60  # unmutated, in json.dumps' default layout
+
+
+class _PulledLines:
+    """Standard input as the benchmark's timed input gives it: iteration
+    only, with a count of the lines pulled so far."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self._lines)
+        self.pulled += 1
+        return line
+
+
+class _PullCountingOutput:
+    """Standard output that notes, per write, how many lines had been pulled."""
+
+    def __init__(self, source):
+        self._source = source
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append((self._source.pulled, text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_stream_writes_each_verdict_before_reading_on(monkeypatch):
+    """The stream reads its input one line at a time, as a live pipe needs
+    and as an input with no read() allows: the verdict of line i is written
+    once exactly i lines have been pulled, canonical or not."""
+    # json.dumps escapes the id's é by default, so only the raw é is canonical
+    layouts = [{}, {"separators": (",", ":")}, {"ensure_ascii": False}]
+    lines = [json.dumps({"node_id": f"n\u00e9{i}", "t": i, "x": i % 2}, **layouts[i % 3]) + "\n"
+             for i in range(1, 61)]
+    assert sum(bool(_canonical_event(line)) for line in lines) == 20
+    infile = _PulledLines(lines)
+    outfile = _PullCountingOutput(infile)
+    monkeypatch.setattr(sys, "stdin", infile)
+    monkeypatch.setattr(sys, "stdout", outfile)
+    assert main(["stream", "-", *MYOPIC]) == 0
+    assert [pulled for pulled, _ in outfile.writes] == list(range(1, 61))
+    assert all(text.count("\n") == 1 and text.endswith("\n") for _, text in outfile.writes)
+
+
+def test_stream_and_bounds_do_not_load_numpy_random(tmp_path):
+    """Neither command draws a random number, so neither loads numpy.random,
+    whose import is a large part of nodeban's start-up."""
+    script = (
+        "import io, sys\n"
+        "import nodeban.cli\n"
+        "sys.stdin = io.StringIO('')\n"
+        f"assert nodeban.cli.main(['stream', '-', *{MYOPIC!r}]) == 0\n"
+        "assert nodeban.cli.main(['bounds', '--lQ', '1', '--gU', '1', '--lambda', '0.1', '--Delta', '0.5']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(nodeban.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -8,8 +8,10 @@ uses. Endpoint rates (0 or 1) are handled by exact zero-likelihood
 short-circuits before any logarithm is used. A Posterior evaluator takes the
 logarithms of a world's two rates and prior (an EnvParams) once; posterior
 is one evaluation, and the evaluator's elementwise method is many at once
-from the same cases, bit for bit: the lookahead's lattice, region compilers
-near each boundary.
+from the same cases, bit for bit: the lookahead's lattice, and a depth-0
+rule's removes_elementwise at the few points within its guard band of the
+cut (outside it, that rule decides off the log odds of cases with no exp; the
+band rests on the C library's exp being within an ulp).
 """
 
 from __future__ import annotations
@@ -69,12 +71,13 @@ class Posterior:
     def cases(self, ones, count):
         """At (ones, count), numbers or broadcast integer arrays: whether each
         type, malicious then honest, is dead (has zero prior-weighted
-        likelihood), then the two types' log-likelihoods in the same order."""
+        likelihood; a bool where that holds at every point or at none), then
+        the two types' log-likelihoods in the same order."""
         zeros = count - ones
         env = self.env
         u, q, prior = env.honest_mean, env.malicious_mean, env.prior_malicious
-        malicious_dead = (q == 0.0) & (ones > 0) | (q == 1.0) & (zeros > 0) | (prior == 0.0)
-        honest_dead = (u == 0.0) & (ones > 0) | (u == 1.0) & (zeros > 0) | (prior == 1.0)
+        malicious_dead = prior == 0.0 or _endpoint_dead(q, ones, zeros)
+        honest_dead = prior == 1.0 or _endpoint_dead(u, ones, zeros)
         log_like_malicious = ones * self.log_q + zeros * self.log_not_q
         log_like_honest = ones * self.log_u + zeros * self.log_not_u
         return malicious_dead, honest_dead, log_like_malicious, log_like_honest
@@ -114,6 +117,12 @@ class Posterior:
         table = np.where(honest_dead, 1.0, table)  # each case overrides the ones above it
         table = np.where(malicious_dead, 0.0, table)
         return np.where(malicious_dead & honest_dead | ~live, np.nan, table)
+
+
+def _endpoint_dead(rate: float, ones, zeros):
+    """Whether `ones` one-bits and `zeros` zero-bits have probability 0 at
+    rate: at no point unless the rate is 0 or 1."""
+    return ones > 0 if rate == 0.0 else zeros > 0 if rate == 1.0 else False
 
 
 def posterior(ones: int, count: int, env: EnvParams) -> float:

@@ -14,7 +14,12 @@ rooted at each of some beliefs (lookahead_value, a lookahead rule's margin)
 or over the whole (count, ones) lattice at once, with the same value at
 every point, bit for bit. A Lattice holds one world's posterior table and
 runs _plan once per leaf rule, to its deepest depth, so one table serves
-every belief rule of a simulated draw.
+every belief rule of a simulated draw. Myopic's and optimistic's margins are
+affine in the posterior, so they remove where the log odds pass one cut per
+world, the logit boundary() reads; their removes_elementwise decides each
+point outside a guard band about the cut by that comparison, with no exp,
+and only points inside it through the posterior. The band rests on the C
+library's exp being within an ulp (see removes_elementwise).
 
 Ties always remove: each rule keeps only on a strictly positive margin.
 """
@@ -40,6 +45,7 @@ from .model import EnvParams
 
 MAX_DEPTH = 24
 DEPTHS = range(1, MAX_DEPTH + 1)  # a lookahead rule's depths
+_EDGE = 2.0**-20  # the depth-0 log-odds rule's bound on pm0 and 1 - pm0, and its band's scale
 
 
 def check_depth(depth: int) -> int:
@@ -176,6 +182,14 @@ class _BeliefPolicy:
         # Every rule removes on a high posterior, highest at ones = count when
         # the malicious rate is the higher one and at ones = 0 otherwise.
         self.anchor = 1.0 if env.malicious_mean > env.honest_mean else 0.0
+        self._band = None  # removes_elementwise's guard band about _cut, None where it is off
+        if depth:
+            return
+        # the logit of m(0) / (m(0) - m(1)), the pm at which the affine margin m is 0
+        m0, m1 = self._margin(None, None, 0.0), self._margin(None, None, 1.0)
+        self._cut = (math.log(m0) if m0 else -math.inf) - (math.log(-m1) if m1 else -math.inf)
+        if 0.0 < m0 < math.inf and -math.inf < m1 < 0.0 and _EDGE <= m0 / (m0 - m1) <= 1.0 - _EDGE:
+            self._band = _EDGE * (1.0 + abs(self._cut))
 
     def _margin(self, ones, count, pm):
         if self.depth:
@@ -197,8 +211,45 @@ class _BeliefPolicy:
 
     def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """removes at every pair of two broadcast integer-valued arrays, bit
-        for bit."""
-        return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
+        for bit: the margin of the evaluator's elementwise posterior (the
+        exact path), except that at depth 0 most points are decided off their
+        log odds L, the float elementwise computes, with no exp.
+
+        At depth 0 the margin m(pm) = (1 - pm) m(0) + pm m(1) is affine. With
+        m(0) > 0 > m(1) it is positive iff L lies below _cut, the logit of
+        pm0 = m(0) / (m(0) - m(1)), so the rule removes iff L > _cut. In
+        floats that holds wherever |L - _cut| > _band = 2^-20 (1 + |_cut|),
+        given both ends finite and 2^-20 <= pm0 <= 1 - 2^-20 (else _band is
+        None). Proof: rounding to nearest is monotone in each operand, and
+        the C library's exp is within an ulp (glibc's is), so the posterior
+        computed from L is within 5 ulps of the logistic of L, and 1 - pm
+        within about 7e-16 of its true value. Each product, quotient and
+        difference of the margin adds half an ulp, so the float margin is
+        within 2e-15 (m(0) - m(1)) of the true one. Past the band the true
+        margin is at least (m(0) - m(1)) pm0 (1 - pm0) _band: 10^8 times that
+        error at pm0 = 1/2, and 6000 times it at either bound on pm0 (_cut's
+        two logarithms, each at most 745 in size, put it within 2e-13 of the
+        true logit, far inside the band). So there the float margin has the
+        sign of _cut - L.
+
+        The exact path takes the points within the band, those where either
+        type is dead or the two log-likelihoods are equal (whose posterior is
+        not the logistic of L), and every point when _band is None. A point
+        with ones > count removes, as its NaN posterior does."""
+        if self._band is None:
+            return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
+        ones, count = np.broadcast_arrays(ones, count)
+        malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.posterior.cases(ones, count)
+        log_odds = self.posterior.prior_log_odds + log_like_malicious - log_like_honest
+        removes = (log_odds > self._cut) | (ones > count)
+        exact = (
+            malicious_dead | honest_dead | (log_like_malicious == log_like_honest)
+            | (np.abs(log_odds - self._cut) <= self._band)
+        ) & (ones <= count)
+        if exact.any():
+            ones, count = ones[exact], count[exact]
+            removes[exact] = ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
+        return removes
 
     def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The removal interval's ends up to rounding, NaN above depth 0. At
@@ -210,11 +261,10 @@ class _BeliefPolicy:
         if self.depth:
             unknown = np.full(count.shape, np.nan)
             return unknown, unknown
-        logs, m0, m1 = self.posterior, self._margin(None, None, 0.0), self._margin(None, None, 1.0)
+        logs = self.posterior
         per_zero = logs.log_not_q - logs.log_not_u
-        logit = (math.log(m0) if m0 else -math.inf) - (math.log(-m1) if m1 else -math.inf)  # of m(0) / (m(0) - m(1))
         with np.errstate(divide="ignore", invalid="ignore"):  # inf or NaN if stakes or rates are degenerate
-            ones = (logit - logs.prior_log_odds - count * per_zero) / (logs.log_q - logs.log_u - per_zero)
+            ones = (self._cut - logs.prior_log_odds - count * per_zero) / (logs.log_q - logs.log_u - per_zero)
         return (ones, np.inf) if self.anchor == 1.0 else (-np.inf, ones)
 
 

@@ -10,6 +10,7 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from nodeban.policies import (
 )
 from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region, episode_rng
 from nodeban.simulator import run_episode, sample_experiment
-from oracles import lookahead_value_bruteforce
+from oracles import exact_loss, lookahead_value_bruteforce
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -139,6 +140,56 @@ def test_c02_honest_bound_is_at_least_gain_over_rate(gain, rate, gap):
     assert Fraction(bound) >= Fraction(gain) / Fraction(rate) - 5 * Fraction(math.ulp(gain / rate))
 
 
+C03_SETTINGS = 20  # unclamped settings
+C03_HORIZON = 1500
+
+
+class C03Setting(NamedTuple):
+    draw: ExperimentDraw
+    delta: float  # delta*, optimal_delta's value
+    paper: float  # the paper's combined ceiling at delta*
+    ceiling: float  # the warm-up-aware combined ceiling
+    warmup: float  # W = min_samples(delta*, gap)
+    floor: float  # loss * min(floor(W) + 1, horizon), each malicious node's least loss
+
+
+def c03_settings() -> list[C03Setting]:
+    """Criterion 03's settings, drawn from seed 103: random rates and stakes,
+    prior 0.5 and horizon 1500, skipping a zero gap and a clamped delta*,
+    until there are C03_SETTINGS of them."""
+    rng = np.random.default_rng(103)
+    drawn = []
+    while len(drawn) < C03_SETTINGS:
+        honest_mean = float(rng.uniform())
+        malicious_mean = float(rng.uniform())
+        gap = abs(honest_mean - malicious_mean)
+        if gap == 0.0:
+            continue
+        loss = float(rng.uniform(0.2, 2.0))
+        gain = float(rng.uniform(0.2, 2.0))
+        rate = float(rng.uniform(0.005, 0.2))
+        tuned = optimal_delta(loss, gain, rate, gap)
+        if tuned.clamped:
+            continue
+        env = EnvParams(
+            honest_mean=honest_mean,
+            malicious_mean=malicious_mean,
+            gain_honest=gain,
+            loss_malicious=loss,
+            departure_rate=rate,
+            prior_malicious=0.5,
+        )
+        draw = ExperimentDraw(
+            horizon=C03_HORIZON, env=env, seed=int(rng.integers(0, 2**63)), n_nodes=1500
+        )
+        paper = bound_loss_honest(gain, rate, gap)
+        warmup = min_samples(tuned.value, gap)
+        ceiling = max(bound_loss_malicious_warmup(loss, tuned.value, gap), paper)
+        floor = loss * min(math.floor(warmup) + 1, C03_HORIZON)
+        drawn.append(C03Setting(draw, tuned.value, paper, ceiling, warmup, floor))
+    return drawn
+
+
 def test_c03_tuned_delta_combined_bound():
     """Tuned-delta ceilings, with the warm-up counted.
 
@@ -154,43 +205,12 @@ def test_c03_tuned_delta_combined_bound():
     ceiling.
     """
     start = time.perf_counter()
-    rng = np.random.default_rng(103)
-    n_settings = 20
-    n_per_type = 1500
-    horizon = 1500
     worst_margin = math.inf
     above_paper = []
     failures = []
-    checked = 0
-    while checked < n_settings:
-        honest_mean = float(rng.uniform())
-        malicious_mean = float(rng.uniform())
-        gap = abs(honest_mean - malicious_mean)
-        if gap == 0.0:
-            continue
-        loss = float(rng.uniform(0.2, 2.0))
-        gain = float(rng.uniform(0.2, 2.0))
-        rate = float(rng.uniform(0.005, 0.2))
-        tuned = optimal_delta(loss, gain, rate, gap)
-        if tuned.clamped:
-            continue
-        checked += 1
-        env = EnvParams(
-            honest_mean=honest_mean,
-            malicious_mean=malicious_mean,
-            gain_honest=gain,
-            loss_malicious=loss,
-            departure_rate=rate,
-            prior_malicious=0.5,
-        )
-        draw = ExperimentDraw(
-            horizon=horizon, env=env, seed=int(rng.integers(0, 2**63)), n_nodes=n_per_type
-        )
-        policy = HiperPolicy(tuned.value, gap, malicious_mean)
-        paper = bound_loss_honest(gain, rate, gap)  # the paper's combined ceiling at delta*
-        ceiling = max(bound_loss_malicious_warmup(loss, tuned.value, gap), paper)
-        warmup = min_samples(tuned.value, gap)
-        floor = loss * min(math.floor(warmup) + 1, horizon)
+    for draw, delta, paper, ceiling, warmup, floor in c03_settings():
+        env = draw.env
+        policy = HiperPolicy(delta, env.gap, env.malicious_mean)
         worst = 0.0
         for node_type in (NodeType.MALICIOUS, NodeType.HONEST):
             losses = hiper_losses(node_type, draw, policy)
@@ -198,8 +218,8 @@ def test_c03_tuned_delta_combined_bound():
             worst = max(worst, mean + 3 * se)
         worst_margin = min(worst_margin, ceiling - worst)
         setting = (
-            f"(gap={gap:.3f} gain={gain:.2f} loss={loss:.2f} rate={rate:.3f} "
-            f"delta*={tuned.value:.3f} warmup={warmup:.2f} worst={worst:.1f} "
+            f"(gap={env.gap:.3f} gain={env.gain_honest:.2f} loss={env.loss_malicious:.2f} "
+            f"rate={env.departure_rate:.3f} delta*={delta:.3f} warmup={warmup:.2f} worst={worst:.1f} "
             f"paper={paper:.1f} floor={floor:.1f} ceiling={ceiling:.1f})"
         )
         if worst > paper:
@@ -212,11 +232,38 @@ def test_c03_tuned_delta_combined_bound():
     report(
         "criterion 03 tuned-delta combined bound",
         not failures,
-        f"{len(failures)} failed checks over {n_settings} unclamped settings; "
+        f"{len(failures)} failed checks over {C03_SETTINGS} unclamped settings; "
         f"min margin to the warm-up-aware ceiling {worst_margin:.2f} ({elapsed:.1f}s); "
         + "".join(f"{failure}; " for failure in failures)
         + f"{len(above_paper)} settings exceed the paper's combined ceiling: "
         + ("; ".join(above_paper) if above_paper else "none"),
+    )
+
+
+def test_c03_excess_is_the_exact_warmup_floor():
+    """ROADMAP item 1a(e): the exact malicious loss of each criterion 03
+    setting's hiper:star region, tests/oracles.py's forward pass divided by
+    the prior, is at least the warm-up floor loss * min(floor(W) + 1, H),
+    to 1e-12 relative (the pass sums that loss one count at a time). Checked
+    at every setting, so also at each one whose simulated loss exceeds the
+    paper's combined ceiling: by criterion 03's check (b) those are among
+    the settings whose floor exceeds it, where the exact loss is then above
+    the paper's ceiling too, with no sampling error."""
+    start = time.perf_counter()
+    spec = PolicySpec.parse("hiper:star")
+    above_paper = 0
+    for draw, _, paper, _, _, floor in c03_settings():
+        _, malicious = exact_loss([spec.build(draw)], draw)
+        exact = float(malicious[0]) / draw.env.prior_malicious
+        assert exact >= floor * (1.0 - 1e-12), (exact, floor, draw.env)
+        if floor > paper:
+            above_paper += 1
+            assert exact > paper
+    elapsed = time.perf_counter() - start
+    report(
+        "criterion 03 excess is the exact warm-up floor",
+        above_paper > 0,
+        f"{above_paper} of {C03_SETTINGS} settings have a floor above the paper's ceiling ({elapsed:.1f}s)",
     )
 
 

@@ -19,7 +19,13 @@ scalar posterior and plan value) at every lattice point (count t, ones k)
 with t <= 60 (40 for the plan values) and compare exactly, over seeded
 random worlds that include q > u, q < u, observation means of exactly 0
 and 1, u == q, priors of 0 and 1, and a gain or loss of 0, where the
-closed form is infinite or NaN.
+closed form is infinite or NaN. myopic's and optimistic's
+removes_elementwise, which decides a point off its log odds outside a
+guard band about the cut, is removes at every point of worlds whose cut
+lies on, ulps from, or within two bands of a lattice point's log odds; it
+takes the exact path at every point where its guard is off or the log odds
+cannot decide, and compiling the golden policy_compare config's regions
+gives the posterior's elementwise at most 50 points.
 At long horizons, the suites' regions are checked against RegionWalk, the
 scalar walk of the same rule in oracles.py, at every count of every draw of
 the golden suite configs and of the benchmark's first timed unit (horizons
@@ -333,6 +339,172 @@ def test_myopic_and_optimistic_are_their_belief_decisions(draw):
 def test_myopic_and_optimistic_regions(draw):
     assert_region_is_the_rule("myopic", draw)
     assert_region_is_the_rule("optimistic", draw)
+
+
+EDGE = 2.0**-20  # a depth-0 rule decides off the log odds only with pm0 and 1 - pm0 at least this
+RULES = {"myopic": MyopicPolicy, "optimistic": OptimisticPolicy}
+
+
+def routed(policy):
+    """policy.removes_elementwise at every (count t, ones k) with t <= HORIZON
+    and k <= t + 1, indexed [t, k], and the set of the (t, k) its exact path
+    took: those it gave the posterior's elementwise."""
+    count, ones = np.ogrid[: HORIZON + 1, : HORIZON + 2]
+    taken = set()
+    elementwise = policy.posterior.elementwise
+
+    def recording(ones, count):
+        t, k = (points.astype(int).ravel().tolist() for points in np.broadcast_arrays(count, ones))
+        taken.update(zip(t, k))
+        return elementwise(ones, count)
+
+    policy.posterior.elementwise = recording
+    removes = policy.removes_elementwise(count.astype(float), ones.astype(float))
+    del policy.posterior.elementwise
+    return removes, taken
+
+
+def assert_elementwise_is_removes(policy, removes):
+    for t in range(HORIZON + 1):
+        assert removes[t, : t + 1].tolist() == [policy.removes(t, k) for k in range(t + 1)], t
+        assert removes[t, t + 1 :].all()  # ones > count, no history: removed
+
+
+#: Where a world's prior puts one point's log odds, in ulps of the cut and
+#: in bands, from the cut
+OFFSETS = [(0, 0), (1, 0), (-1, 0), (4, 0), (-4, 0), (0, 0.5), (0, -0.5), (0, 1), (0, -1), (0, 2), (0, -2)]
+
+
+@st.composite
+def cut_on_a_point(draw):
+    """A myopic or optimistic rule whose world puts the log odds of a lattice
+    point (t, k) at one of OFFSETS from the rule's cut, the logit of pm0 =
+    m(0) / (m(0) - m(1)), for pm0 anywhere in [EDGE, 1 - EDGE], 1/2 and
+    both ends (a thousandth inside) included. k lies within 2 of the cut's
+    ones at prior 1/2, so that the prior's log odds stay small, and the
+    prior is the float, of the 81 nearest the logistic's, whose log odds put
+    the point nearest its offset. Returns the rule, (t, k), the point's log
+    odds and its offset."""
+    rule = draw(st.sampled_from(sorted(RULES)))
+    u = draw(st.floats(0.02, 0.98))
+    q = draw(st.floats(0.02, 0.98).filter(lambda value: abs(value - u) > 1e-3))
+    ends = [EDGE * 1.001, 1.0 - EDGE * 1.001]
+    pm0 = draw(st.one_of(st.sampled_from([*ends, 0.5]), st.floats(*ends)))
+    rate = draw(st.floats(0.001, 1.0))
+    gain = pm0 / (1.0 - pm0) * (rate if rule == "optimistic" else 1.0)  # loss 1
+    env = world(u, q, gain=gain, rate=rate).env
+    policy = RULES[rule](env)
+    assert policy._band is not None
+    t = draw(st.integers(1, HORIZON))
+    (x,) = [end for end in policy.boundary(np.array([float(t)])) if np.isfinite(end).all()]
+    k = int(np.clip(round(float(x[0])) + draw(st.integers(-2, 2)), 0, t))
+    ulps, bands = draw(st.sampled_from(OFFSETS))
+    target = policy._cut + ulps * math.ulp(policy._cut) + bands * policy._band
+    _, _, log_like_malicious, log_like_honest = policy.posterior.cases(k, t)
+
+    def log_odds(prior):
+        return Posterior(replace(env, prior_malicious=prior)).prior_log_odds + log_like_malicious - log_like_honest
+
+    prior = 1.0 / (1.0 + math.exp(log_like_malicious - log_like_honest - target))
+    candidates = [prior]
+    for toward in (0.0, 1.0):
+        nearby = prior
+        for _ in range(40):
+            candidates.append(nearby := math.nextafter(nearby, toward))
+    prior = min((p for p in candidates if 0.0 < p < 1.0), key=lambda p: abs(log_odds(p) - target))
+    return RULES[rule](replace(env, prior_malicious=prior)), (t, k), log_odds(prior), (ulps, bands)
+
+
+@settings(max_examples=300)
+@given(cut_on_a_point())
+def test_depth_0_elementwise_is_removes_about_its_cut(case):
+    """removes_elementwise equals removes at every lattice point up to count
+    60 in worlds whose cut lies on, a few ulps off, or within 2 bands of a
+    lattice point's log odds; the exact path takes that point when it lies
+    within half a band of the cut, and leaves it to the log odds at 2."""
+    policy, point, log_odds, (_, bands) = case
+    cut, band = policy._cut, policy._band
+    assert abs(log_odds - (cut + bands * band)) < band / 8  # the point is where the offset puts it
+    removes, taken = routed(policy)
+    assert_elementwise_is_removes(policy, removes)
+    if abs(bands) <= 0.5:
+        assert point in taken
+    if abs(bands) == 2:
+        assert point not in taken
+    assert len(taken) < removes.size / 10
+
+
+@pytest.mark.parametrize("rule, draw", [
+    ("myopic", world(0.3, 0.6, gain=0.0)),  # m(0) = 0
+    ("optimistic", world(0.7, 0.2, loss=0.0)),  # m(1) = 0
+    ("myopic", world(0.3, 0.6, gain=EDGE / 2)),  # pm0 < 2^-20
+    ("myopic", world(0.7, 0.2, gain=2.0 / EDGE)),  # 1 - pm0 < 2^-20
+    ("optimistic", world(0.3, 0.6, rate=1e-7)),  # 1 - pm0 < 2^-20
+    ("optimistic", world(0.7, 0.2, gain=1e300, rate=1e-10)),  # m(0) = inf
+    ("myopic", world(0.3, 0.6, loss=math.inf)),  # m(0) = 1 - 0 * inf, NaN
+])
+def test_depth_0_elementwise_is_exact_where_its_guard_is_off(rule, draw):
+    """A stake of 0 or inf, or pm0 or 1 - pm0 below 2^-20: the rule has no
+    band, and every point takes the exact path."""
+    policy = RULES[rule](draw.env)
+    assert policy._band is None
+    removes, taken = routed(policy)
+    assert len(taken) == removes.size
+    assert_elementwise_is_removes(policy, removes)
+
+
+def dead(rate, t, k):
+    """Whether k ones in t draws at rate have probability 0."""
+    return rate**k * (1.0 - rate) ** (t - k) == 0.0
+
+
+@pytest.mark.parametrize("draw", [
+    world(0.4, 0.4),  # u == q: equal log-likelihoods everywhere
+    world(0.3, 0.6, prior=0.0),  # a dead type everywhere
+    world(0.3, 0.6, prior=1.0),
+    world(0.0, 0.4),  # endpoint rates: a dead type at some points
+    world(1.0, 0.4),
+    world(0.5, 0.0),
+    world(0.5, 1.0),
+    world(0.0, 1.0),
+])
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_depth_0_elementwise_is_exact_where_the_log_odds_cannot_decide(rule, draw):
+    """With the band on, every point whose posterior is not the logistic of
+    its log odds takes the exact path: all of them where u == q or the
+    prior is 0 or 1, and each point where an endpoint rate kills a type."""
+    env = draw.env
+    policy = RULES[rule](env)
+    assert policy._band is not None
+    removes, taken = routed(policy)
+    assert_elementwise_is_removes(policy, removes)
+    lattice = {(t, k) for t in range(HORIZON + 1) for k in range(t + 1)}
+    if env.honest_mean == env.malicious_mean or env.prior_malicious in (0.0, 1.0):
+        assert taken == lattice
+    else:
+        undecided = {(t, k) for t, k in lattice if dead(env.honest_mean, t, k) or dead(env.malicious_mean, t, k)}
+        assert undecided and undecided <= taken
+
+
+def test_depth_0_regions_take_almost_no_exp(monkeypatch):
+    """Compiling myopic's and optimistic's regions on the golden
+    policy_compare config's 50 draws (base seed 7) gives the posterior's
+    elementwise at most 50 points, against 185,952 (4 per count per rule)
+    when every probe took the exact path: outside its band a depth-0 rule
+    is decided off the log odds, with no exp."""
+    points = []
+    elementwise = Posterior.elementwise
+
+    def counting(self, ones, count):
+        points.append(np.broadcast(ones, count).size)
+        return elementwise(self, ones, count)
+
+    monkeypatch.setattr(Posterior, "elementwise", counting)
+    cfg = SuiteConfig.make("policy_compare", 7, n_runs=50)
+    for run in range(cfg.n_runs):
+        run_rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(run,)))
+        build_regions(list(cfg.specs), sample_experiment(run_rng, cfg.suite))  # as run_suite builds run `run`
+    assert sum(points) <= 50
 
 
 @pytest.fixture

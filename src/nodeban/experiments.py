@@ -9,12 +9,11 @@ centered moving average, matching a scatter-plus-trend reading.
 
 Each policy is built into a removal region once per draw (build_regions).
 myopic and optimistic are the depth-0 plans of their leaf rules, so every
-belief policy is a (depth, leaf rule) plan. On a draw with a policy that
-plans ahead (depth 1 or more), one posterior lattice to count horizon + the
-deepest depth, and one plan per leaf rule, serve every belief policy of the
-draw. hiper, and the belief rules of a draw without lookahead, are compiled
-per policy from their closed-form ends, confirmed by one call of the rule
-(compile_region).
+belief policy is a (depth, leaf rule) plan. hiper, myopic and optimistic
+are compiled per policy from their closed-form ends, confirmed by one call
+of the rule (compile_region), on every draw. The policies that plan ahead
+(depth 1 or more) share one posterior lattice to count horizon + their
+deepest depth, and one plan per leaf rule.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .hiper import HiperPolicy, OptimalDelta, optimal_delta
 from .policies import Lattice, LeafRule, MyopicPolicy, OptimisticPolicy, _BeliefPolicy, check_depth
-from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region, episode_rng
+from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region
 from .simulator import run_episode, sample_experiment, table_region
 
 SWEEP_VARIABLES = ("horizon", "gap", "malicious_proportion", "gain")
@@ -147,12 +146,12 @@ class PolicySpec:
 
     def build(self, draw: ExperimentDraw, lattice: Lattice | None = None) -> Region:
         """The policy's removal region on the draw, compiled once for all its
-        nodes. A belief rule reads it off the draw's lattice where one is
-        given, the same region that compile_region finds at every reachable
-        (count, ones); every other region is compile_region's, from hiper's
-        and the depth-0 rules' closed-form ends, or by bisection for
-        lookahead."""
-        if lattice is not None and self.kind != "hiper":
+        nodes. A rule that plans ahead (depth 1 or more) reads it off the
+        draw's lattice where one is given, the same region that
+        compile_region finds at every reachable (count, ones); every other
+        region is compile_region's, from hiper's and the depth-0 rules'
+        closed-form ends, or by bisection for lookahead."""
+        if lattice is not None and self.depth:
             return table_region(lattice.values(self) <= 0.0)
         return compile_region(self.policy(draw.env), draw.horizon)
 
@@ -165,12 +164,12 @@ def tuned_delta(env) -> OptimalDelta:
 
 
 def build_regions(specs: list[PolicySpec], draw: ExperimentDraw) -> list[Region]:
-    """Each spec's region on the draw, one build per spec. Where any spec
-    plans ahead, every belief spec shares one Lattice: one posterior table, and
-    one plan per leaf rule that serves each of its depths, 0 included. The
-    lattice is computed inside the first build that reads it."""
-    beliefs = [spec for spec in specs if spec.kind != "hiper"]
-    lattice = Lattice(draw.env, draw.horizon, beliefs) if any(spec.depth for spec in beliefs) else None
+    """Each spec's region on the draw, one build per spec. The specs that
+    plan ahead, if any, share one Lattice: one posterior table, and one plan
+    per leaf rule that serves each of its depths. The lattice is computed
+    inside the first build that reads it."""
+    ahead = [spec for spec in specs if spec.depth]
+    lattice = Lattice(draw.env, draw.horizon, ahead) if ahead else None
     return [spec.build(draw, lattice) for spec in specs]
 
 
@@ -223,7 +222,7 @@ def _execute_run(cfg: SuiteConfig, run_index: int) -> tuple:
     malicious fraction, the honest gain) and each policy's (label, mean loss)."""
     run_rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(run_index,)))
     draw = sample_experiment(run_rng, cfg.suite)
-    episode = run_episode(build_regions(cfg.specs, draw), draw, episode_rng(draw))
+    episode = run_episode(build_regions(cfg.specs, draw), draw)
     coords = (float(draw.horizon), draw.env.gap, episode.malicious_fraction, draw.env.gain_honest)
     return coords, [(spec.label, loss) for spec, loss in zip(cfg.specs, episode.mean_loss)]
 

@@ -14,7 +14,7 @@ rooted at each of some beliefs (lookahead_value, a lookahead rule's margin)
 or over the whole (count, ones) lattice at once, with the same value at
 every point, bit for bit. A Lattice holds one world's posterior table and
 runs _plan once per leaf rule, to its deepest depth, so one table serves
-every belief rule of a simulated draw. Myopic's and optimistic's margins are
+every lookahead rule of a draw. Myopic's and optimistic's margins are
 affine in the posterior, so they remove where the log odds pass one cut per
 world, the logit boundary() reads; their removes_elementwise decides each
 point outside a guard band about the cut by that comparison, with no exp,
@@ -86,21 +86,19 @@ def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[i
 
     p being the predictive probability of a 1-bit at (t, k) from env's rates,
     and max(0, x) fmax(x, 0), which values a history impossible under both
-    types (a NaN posterior) at 0. Runs to the deepest of depths and
-    returns V_r for each r in depths, on the first len(pm) - r rows and
-    columns. An entry of V_r reads only its own posterior and r rows below
-    it, so it does not depend on the table's size or on the other depths."""
+    types (a NaN posterior) at 0. Runs to the deepest of depths, each one of
+    DEPTHS, and returns V_r for each r in depths, on the first len(pm) - r
+    rows and columns. An entry of V_r reads only its own posterior and r rows
+    below it, so it does not depend on the table's size or on the other depths."""
     margin = _leaf_margin(pm, env, leaf_rule)
     values = margin if leaf_rule is LeafRule.ZERO else np.fmax(margin, 0.0)
     if leaf_rule is LeafRule.MYOPIC_INFINITE:
         values /= env.departure_rate
-    kept = {0: values} if 0 in depths else {}
-    deepest = max(depths)
-    if deepest:
-        gain = margin if leaf_rule is LeafRule.MYOPIC_INFINITE else keep_gain(pm, env)
-        p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
-        p_zero = 1.0 - p_one
-    for depth in range(1, deepest + 1):
+    gain = margin if leaf_rule is LeafRule.MYOPIC_INFINITE else keep_gain(pm, env)
+    p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
+    p_zero = 1.0 - p_one
+    kept = {}
+    for depth in range(1, max(depths) + 1):
         n = len(pm) - depth
         keep = gain[:n, :n] + p_one[:n, :n] * values[1:, 1:] + p_zero[:n, :n] * values[1:, :n]
         values = np.fmax(keep, 0.0)
@@ -134,11 +132,11 @@ def lookahead_value(
 
 class Lattice:
     """One world's posteriors at every (count t, ones k) up to count horizon +
-    the deepest depth of rules (anything with a depth and a leaf_rule: belief
-    PolicySpecs, or the policies), and each leaf rule's _plan run once to its
-    deepest depth d, on the first horizon + 1 + d rows, keeping the values at
-    each depth the rules ask for: each computed on first use, then shared by
-    every rule on the world.
+    the deepest depth of rules (anything with a leaf_rule and a depth, one of
+    DEPTHS: lookahead PolicySpecs, or the policies), and each leaf rule's
+    _plan run once to its deepest depth d, on the first horizon + 1 + d rows,
+    keeping the values at each depth the rules ask for: each computed on
+    first use, then shared by every rule on the world.
     Read on t, k <= horizon, every entry is the one a lattice of any other
     size or set of rules holds, bit for bit."""
 
@@ -158,8 +156,7 @@ class Lattice:
     def values(self, rule) -> np.ndarray:
         """The value of rule's plan at every (count t, ones k) with t, k <=
         horizon, indexed [t, k], 0 where k > t or the history is impossible,
-        for one of the lattice's rules: lookahead_value above depth 0, the
-        leaf rule's value at depth 0."""
+        for one of the lattice's rules: its lookahead_value."""
         leaf = rule.leaf_rule
         if leaf not in self._plans:
             depths = self._depths[leaf]

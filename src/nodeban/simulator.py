@@ -12,8 +12,8 @@ at twice the count a node outgrows): by compile_region, from its
 closed-form ends (lookahead has none: its guess is empty) where one call of
 the rule confirms them, and by bisection where it does not; or read off a
 table of the draw's whole (count, ones) lattice by table_region: the suites
-read every belief rule of a draw that plans ahead off one shared posterior
-lattice (policies.Lattice).
+read every lookahead rule of a draw off one shared posterior lattice
+(policies.Lattice), and compile every other rule.
 run_episode draws each node once and scores every region by first passage.
 It seeds the draw's node streams in bulk (node_streams, the same bits as one
 node_rng per node: from numpy's pool of their parent SeedSequence, the id
@@ -337,11 +337,11 @@ def simulate_node(
     return NodeRecord(node_id, node_type, removal, departure if departure <= horizon else NEVER, loss)
 
 
-def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Generator) -> EpisodeResult:
-    """Sample each node's type from `rng` with the draw's malicious prior, draw
-    its departure and bits from its own stream as simulate_node does, and
-    score every region by first passage. Removal steps and losses equal
-    simulate_node's with the policy each region was compiled from.
+def run_episode(regions: list[Region], draw: ExperimentDraw) -> EpisodeResult:
+    """Sample each node's type from episode_rng(draw) with the malicious
+    prior, draw its departure and bits from its own stream as simulate_node
+    does, and score every region by first passage. Removal steps and losses
+    equal simulate_node's with the policy each region was compiled from.
 
     The streams come from node_streams. Each node's doubles go into its row
     of one matrix pre-filled with 1.0, from column 1 to its stay (the
@@ -357,7 +357,7 @@ def run_episode(regions: list[Region], draw: ExperimentDraw, rng: np.random.Gene
     horizon = draw.horizon
     signed, unsigned = (np.int16, np.uint16) if horizon < 2**15 else (np.int32, np.uint32)
     bounds = [_region_bounds(index, region, horizon, signed, unsigned) for index, region in enumerate(regions)]
-    malicious = rng.random(draw.n_nodes) < env.prior_malicious
+    malicious = episode_rng(draw).random(draw.n_nodes) < env.prior_malicious
     rate = env.departure_rate
     departure = [NEVER] * draw.n_nodes
     stay = [horizon] * draw.n_nodes

@@ -37,7 +37,7 @@ from nodeban.policies import (
     OptimisticPolicy,
     lookahead_value,
 )
-from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region, episode_rng
+from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region
 from nodeban.simulator import run_episode, sample_experiment
 from oracles import exact_loss, lookahead_value_bruteforce
 
@@ -58,7 +58,7 @@ def hiper_losses(node_type, draw, policy):
     the node id, so the prior that fixes the type leaves them unchanged."""
     malicious = node_type is NodeType.MALICIOUS
     draw = replace(draw, env=replace(draw.env, prior_malicious=1.0 if malicious else 0.0))
-    episode = run_episode([compile_region(policy, draw.horizon)], draw, episode_rng(draw))
+    episode = run_episode([compile_region(policy, draw.horizon)], draw)
     assert (episode.malicious == malicious).all()
     return episode.loss[0]
 
@@ -362,7 +362,7 @@ def test_c06_policy_reductions():
             draw = sample_experiment(rng, suite)
             full_rate = replace(draw, env=replace(draw.env, departure_rate=1.0))
             pairs = (
-                build_regions([myopic, lookahead], draw),  # both off one lattice
+                build_regions([myopic, lookahead], draw),  # lookahead off the draw's lattice
                 [myopic.build(draw), lookahead.build(draw)],  # both by compile_region: lookahead bisected
                 build_regions([myopic, optimistic], full_rate),
             )
@@ -426,6 +426,8 @@ def test_c08_policy_comparison_ordering():
     warm-up, which the README, the hiper module and its unit tests pin, until
     the paper's algorithm and experiment section settle it. The myopic-vs-
     optimistic and low-malicious-subset clauses do hold.
+    test_c08_gap_is_in_the_exact_losses checks the failing clause's cause
+    without sampling error, on the first 200 of these draws.
     """
     start = time.perf_counter()
     cfg = SuiteConfig.make("policy_compare", base_seed=20260810, n_runs=1000)
@@ -453,6 +455,33 @@ def test_c08_policy_comparison_ordering():
         f"low-malicious subset optimistic={low_malicious['optimistic']:.2f} "
         f"<= hiper:star={low_malicious['hiper:star']:.2f}={clause_low_malicious} "
         f"(1000 runs, {elapsed:.0f}s)",
+    )
+
+
+def test_c08_gap_is_in_the_exact_losses():
+    """ROADMAP item 1a(f): criterion 08's failing clause is no Monte Carlo
+    noise. On the first 200 of its draws (its seed, policy_compare's default
+    policies), tests/oracles.py's exact forward pass puts hiper:star's mean
+    loss above myopic's, and honest nodes removed make up more than half of
+    hiper:star's loss."""
+    start = time.perf_counter()
+    cfg = SuiteConfig.make("policy_compare", base_seed=20260810, n_runs=200)
+    honest = malicious = 0.0
+    for run in range(cfg.n_runs):
+        run_rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(run,)))
+        draw = sample_experiment(run_rng, cfg.suite)  # as run_suite draws run `run`
+        parts = exact_loss(build_regions(list(cfg.specs), draw), draw)
+        honest, malicious = honest + parts[0], malicious + parts[1]
+    labels = [spec.label for spec in cfg.specs]
+    exact = dict(zip(labels, (honest + malicious) / cfg.n_runs))
+    hiper_honest = honest[labels.index("hiper:star")] / cfg.n_runs
+    elapsed = time.perf_counter() - start
+    report(
+        "criterion 08's gap in exact losses",
+        exact["hiper:star"] > exact["myopic"] and hiper_honest > exact["hiper:star"] / 2.0,
+        f"exact mean losses hiper:star={exact['hiper:star']:.2f} (honest {hiper_honest:.2f}) "
+        f"myopic={exact['myopic']:.2f} optimistic={exact['optimistic']:.2f} "
+        f"({cfg.n_runs} draws, {elapsed:.1f}s)",
     )
 
 

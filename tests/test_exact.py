@@ -20,7 +20,7 @@ import pytest
 
 from nodeban.experiments import PolicySpec, build_regions
 from nodeban.model import NEVER, EnvParams, NodeType, realized_loss
-from nodeban.simulator import ExperimentDraw, ExperimentSuite, Region, episode_rng, run_episode
+from nodeban.simulator import ExperimentDraw, ExperimentSuite, Region, run_episode
 from nodeban.simulator import sample_experiment
 from oracles import exact_loss
 
@@ -48,7 +48,7 @@ def test_simulator_mean_is_the_exact_loss(seed, suite):
         draw = sample_experiment(rng, suite)
         draw = replace(draw, n_nodes=min(40_000, 4_000_000 // (draw.horizon + 1)))  # 32 MB of doubles
         regions = build_regions(SPECS, draw) + hand_made_regions(draw.horizon, rng)
-        episode = run_episode(regions, draw, episode_rng(draw))
+        episode = run_episode(regions, draw)
         stakes = draw.env.gain_honest, draw.env.loss_malicious
         masks = ~episode.malicious, episode.malicious
         for part, mask, stake, exact in zip(("honest", "malicious"), masks, stakes, exact_loss(regions, draw)):

@@ -3,17 +3,17 @@
 The posterior evaluator is checked bit for bit against posterior taken
 afresh per call, and myopic's and optimistic's margins against a decision
 on the whole belief, at every lattice point up to counts 200 and 60.
-myopic and optimistic are the depth-0 plans of their leaf rules: the
-lattice's depth-0 values are each leaf rule's value, and every belief
-rule's region read off a draw's lattice (one read, Lattice.values) is its
-rule's. compile_region evaluates each rule elementwise only near the ends
-of each count's removal interval: guessed from hiper's, myopic's and
-optimistic's closed forms and confirmed by one probe either side of each
-end, and bisected from the seed where a guess is not confirmed. lookahead
-has no closed form, so each count is guessed empty and bisected where the
-guess fails (a lookahead spec built alone, and nodeban stream). The
-bisected fixture counts the bisections, so that a
-guess the closed form gets wrong shows even where the region comes out
+myopic and optimistic are the depth-0 plans of their leaf rules, compiled
+from their closed form on every draw: no Lattice a suite builds holds a
+depth-0 rule, and every lookahead rule's region read off a draw's lattice
+(one read, Lattice.values) is its rule's. compile_region evaluates each
+rule elementwise only near the ends of each count's removal interval:
+guessed from hiper's, myopic's and optimistic's closed forms and confirmed
+by one probe either side of each end, and bisected from the seed where a
+guess is not confirmed. lookahead has no closed form, so each count is
+guessed empty and bisected where the guess fails (a lookahead spec built
+alone, and nodeban stream). The bisected fixture counts the bisections, so
+that a guess the closed form gets wrong shows even where the region comes out
 right. These tests evaluate the scalar rule (and, for the tables, the
 scalar posterior and plan value) at every lattice point (count t, ones k)
 with t <= 60 (40 for the plan values) and compare exactly, over seeded
@@ -54,18 +54,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodeban import policies, simulator
+from nodeban import experiments, policies, simulator
 from nodeban.belief import BeliefState, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior
 from nodeban.cli import main
-from nodeban.experiments import PolicySpec, SuiteConfig, build_regions
+from nodeban.experiments import PolicySpec, SuiteConfig, build_regions, run_suite
 from nodeban.hiper import HiperPolicy, min_samples
 from nodeban.model import EnvParams
 from nodeban.policies import LeafRule, LookaheadPolicy, MyopicPolicy
 from nodeban.policies import Lattice, OptimisticPolicy, _BeliefPolicy, lookahead_value
 from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region
 from nodeban.simulator import sample_experiment, table_region
-from oracles import RegionWalk, belief_rule_removes, lookahead_leaf_value, posterior_per_call, stream_replay
+from oracles import RegionWalk, belief_rule_removes, posterior_per_call, stream_replay
 
 HORIZON = 60
 
@@ -274,13 +274,9 @@ def test_lookahead_values_are_lookahead_value(draw, depth, leaf):
 @with_examples(degenerate=True)
 @given(worlds())
 def test_myopic_and_optimistic_are_depth_0_plans(draw):
-    """_plan's V_0 is each leaf rule's value at every reachable point, also
-    on a lattice that plans the same leaf deeper; and myopic's and
-    optimistic's regions read off a draw's lattice are their rules'."""
+    """myopic's and optimistic's regions from build_regions, on a draw that
+    also holds a lookahead spec, are their rules' at every reachable point."""
     env = draw.env
-    depth_0 = [SimpleNamespace(depth=0, leaf_rule=leaf) for leaf in LeafRule]
-    lattice = Lattice(env, HORIZON, [*depth_0, PolicySpec("lookahead", depth=2, leaf_rule=LeafRule.OPTIMISTIC)])
-    values = [lattice.values(rule) for rule in depth_0]
     specs = [PolicySpec.parse(text) for text in ("myopic", "optimistic", "lookahead:1")]
     regions = build_regions(specs, draw)[:2]
     rules = MyopicPolicy(env), OptimisticPolicy(env)
@@ -288,9 +284,6 @@ def test_myopic_and_optimistic_are_depth_0_plans(draw):
         for k in range(t + 1):
             if not reachable(draw, t, k):
                 continue
-            belief = BeliefState(k, t, posterior(k, t, env))
-            for rule, value in zip(depth_0, values):
-                assert value[t, k] == lookahead_leaf_value(belief, env, rule.leaf_rule), (rule.leaf_rule, t, k)
             for rule, region in zip(rules, regions):
                 removed = t > 0 and region.lo[t] <= k <= region.hi[t]
                 assert removed == (t > 0 and rule.removes(t, k)), (type(rule).__name__, t, k)
@@ -756,12 +749,11 @@ def with_shared_examples(test):
 @with_shared_examples
 @given(worlds(), st.sampled_from([1, 2, 60]), st.lists(belief_specs, min_size=2, max_size=6, unique=True))
 def test_shared_lattice_regions_are_each_rule_alone(draw, horizon, texts):
-    """build_regions serves every belief spec of a draw from one posterior
-    lattice and one plan per leaf rule when any spec plans ahead. Each region
-    is the one its spec gets alone, from compile_region. Where a rate or the
-    prior is 0 or 1, they agree at every reachable point; the lattice
-    removes an impossible history, which compile_region may leave out of an
-    empty count."""
+    """build_regions serves every lookahead spec of a draw from one posterior
+    lattice and one plan per leaf rule. Each region is the one its spec gets
+    alone, from compile_region. Where a rate or the prior is 0 or 1, they
+    agree at every reachable point; the lattice removes an impossible
+    history, which compile_region may leave out of an empty count."""
     draw = replace(draw, horizon=horizon)
     env, specs = draw.env, [PolicySpec.parse(text) for text in texts]
     interior = all(0.0 < p < 1.0 for p in (env.honest_mean, env.malicious_mean, env.prior_malicious))
@@ -774,6 +766,25 @@ def test_shared_lattice_regions_are_each_rule_alone(draw, horizon, texts):
         for t, k in points:
             got = region.lo[t] <= k <= region.hi[t]
             assert got == (alone.lo[t] <= k <= alone.hi[t]), (spec.label, texts, t, k)
+
+
+@pytest.mark.parametrize("suite", list(ExperimentSuite))
+def test_only_rules_that_plan_ahead_reach_a_lattice(suite, monkeypatch):
+    """Every Lattice a suite builds is handed only rules of depth 1 or more:
+    one per lookahead_compare run, for its two lookahead specs and not for
+    optimistic, and none on policy_compare or delta_sweep, which plan no
+    step ahead."""
+    handed = []
+
+    class Recording(Lattice):
+        def __init__(self, env, horizon, rules):
+            handed.append([rule.depth for rule in rules])
+            super().__init__(env, horizon, rules)
+
+    monkeypatch.setattr(experiments, "Lattice", Recording)
+    run_suite(SuiteConfig.make(suite, 7, n_runs=3))
+    assert all(depth >= 1 for depths in handed for depth in depths), handed
+    assert handed == ([[4, 8]] * 3 if suite is ExperimentSuite.LOOKAHEAD_COMPARE else [])
 
 
 WALK_COUNTS = 200  # how far the lookahead walk is checked against its table

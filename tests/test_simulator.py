@@ -183,7 +183,7 @@ def node_type(is_malicious):
 class TestRunEpisode:
     def test_all_honest_when_prior_zero(self):
         draw = make_draw(prior=0.0, n_nodes=50)
-        result = run_episode([hiper_region(draw)], draw, episode_rng(draw))
+        result = run_episode([hiper_region(draw)], draw)
         assert not result.malicious.any()
         assert result.malicious_fraction == 0.0
 
@@ -196,7 +196,7 @@ class TestRunEpisode:
             make_draw(prior=0.6, seed=int(seed), n_nodes=100) for seed in rng.integers(0, 2**32, size=5)
         ]
         for draw in draws:
-            result = run_episode([hiper_region(draw)], draw, episode_rng(draw))
+            result = run_episode([hiper_region(draw)], draw)
             for m, departure in zip(result.malicious.tolist(), result.departure_step.tolist()):
                 removal = 0.0 if m else float(draw.horizon)
                 departure = min(departure, draw.horizon)
@@ -205,20 +205,20 @@ class TestRunEpisode:
     def test_fixed_seed_reproducible(self):
         draw = make_draw(prior=0.5, n_nodes=40, seed=77)
         regions = [hiper_region(draw), hiper_region(draw, 0.5)]
-        a = run_episode(regions, draw, episode_rng(draw))
-        b = run_episode(regions, draw, episode_rng(draw))
+        a = run_episode(regions, draw)
+        b = run_episode(regions, draw)
         for field_a, field_b in zip(a, b):
             assert np.array_equal(field_a, field_b)
 
     def test_mean_loss_is_arithmetic_mean(self):
         draw = make_draw(prior=0.5, n_nodes=30, seed=8)
-        result = run_episode([hiper_region(draw)], draw, episode_rng(draw))
+        result = run_episode([hiper_region(draw)], draw)
         assert result.mean_loss[0] == pytest.approx(result.loss[0].sum() / 30, rel=1e-12)
         assert (result.loss >= 0.0).all()
 
     def test_node_types_follow_the_prior_stream(self):
         draw = make_draw(prior=0.5, n_nodes=20)
-        result = run_episode([hiper_region(draw)] * 3, draw, episode_rng(draw))
+        result = run_episode([hiper_region(draw)] * 3, draw)
         expected = episode_rng(draw).random(20) < 0.5
         assert isinstance(result, EpisodeResult)
         assert np.array_equal(result.malicious, expected)
@@ -237,7 +237,7 @@ class TestRunEpisode:
     def test_region_not_horizon_plus_one_long_is_rejected(self, lo, hi):
         draw = make_draw(horizon=10)
         with pytest.raises(ValueError, match="region 1: lo"):
-            run_episode([hiper_region(draw), Region(lo, hi)], draw, episode_rng(draw))
+            run_episode([hiper_region(draw), Region(lo, hi)], draw)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
     def test_region_dtype_does_not_change_scores(self, dtype):
@@ -245,8 +245,8 @@ class TestRunEpisode:
         region = hiper_region(draw)
         empty = region.lo > region.hi
         lo, hi = np.where(empty, 2, region.lo), np.where(empty, 0, region.hi)  # no negative end
-        expected = run_episode([region], draw, episode_rng(draw))
-        got = run_episode([Region(lo.astype(dtype), hi.astype(dtype))], draw, episode_rng(draw))
+        expected = run_episode([region], draw)
+        got = run_episode([Region(lo.astype(dtype), hi.astype(dtype))], draw)
         assert np.isfinite(expected.removal_step).any()
         assert np.array_equal(got.removal_step, expected.removal_step)
 
@@ -282,7 +282,7 @@ class TestRegionsMatchPolicyObjects:
         specs = [PolicySpec.parse(text) for text in texts]
         for _ in range(40):
             draw = random_draw(rng, max_horizon)
-            result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
+            result = run_episode([spec.build(draw) for spec in specs], draw)
             for row, spec in enumerate(specs):
                 policy = spec.policy(draw.env)
                 for node_id, is_malicious in enumerate(result.malicious.tolist()):
@@ -313,7 +313,7 @@ class TestRegionsMatchPolicyObjects:
                 env = replace(draws[0].env, departure_rate=1.0)  # 1 / horizon, as sampled
                 draws.append(replace(draws[0], horizon=1, env=env))
             for draw in draws:
-                result = run_episode([spec.build(draw) for spec in specs], draw, episode_rng(draw))
+                result = run_episode([spec.build(draw) for spec in specs], draw)
                 for row, spec in enumerate(specs):
                     policy = spec.policy(draw.env)
                     losses = [
@@ -372,7 +372,7 @@ class TestFirstPassage:
         for max_horizon in [60] * 40 + [1000] * 3:
             draw = random_draw(rng, max_horizon)
             regions = hand_made_regions(rng, draw.horizon)
-            result = run_episode(regions, draw, episode_rng(draw))
+            result = run_episode(regions, draw)
             for row, region in enumerate(regions):
                 lo, hi = region.lo.tolist(), region.hi.tolist()
                 seen["empty as lo > hi + 1"] += sum(a > b + 1 for a, b in zip(lo, hi))
@@ -407,7 +407,7 @@ class TestFirstPassage:
         hand_made = Region(np.zeros(horizon + 1, dtype=np.int64), hi)
         hiper = PolicySpec(kind="hiper", delta=0.9)
         regions, policies = [hiper.build(draw), hand_made], [hiper.policy(draw.env), RegionPolicy(hand_made)]
-        result = run_episode(regions, draw, episode_rng(draw))
+        result = run_episode(regions, draw)
         for row, policy in enumerate(policies):
             for node_id, is_malicious in enumerate(result.malicious.tolist()):
                 rng = node_rng(draw, node_id)

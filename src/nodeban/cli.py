@@ -47,7 +47,7 @@ from .hiper import (
 )
 from .model import EnvParams
 from .policies import DEPTHS, MAX_DEPTH, LeafRule
-from .simulator import ExperimentSuite, compile_region
+from .simulator import ExperimentSuite
 
 _CONFIG_KEYS = {"suite", "n_runs", "ma_window", "policies", "base_seed"}
 
@@ -338,16 +338,15 @@ def _verdict_tail(remove: bool, statistic: float) -> str:
 
 def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     """Per node id, keep one record (last t, count, s): s is the running total
-    of x for hiper's scalar rule, or the ones count for a belief rule, which
-    removes iff (count, ones) lies in the stream's one region, compiled anew
-    to twice the count when a node first outgrows it. A belief verdict
-    depends on (count, ones) alone, so it is kept per lattice point, with
-    its posterior formatted once: region and verdicts hold at most one
-    entry per point up to the largest count C, (C + 1)(C + 2) / 2, and
-    never more entries than verdicts. hiper's total may be any real, so its
-    verdicts are not kept. The count is None once the node is removed; its
-    later events still advance its last t, so they must stay ordered, and
-    are dropped.
+    of x for hiper's scalar rule, or the ones count for a belief rule. A
+    belief verdict depends on (count, ones) alone, so the rule's scalar
+    removes(count, ones) decides each lattice point once, at its first
+    event, and the verdict is kept per point, with its posterior formatted
+    once: at most one entry per point up to the largest count C,
+    (C + 1)(C + 2) / 2, and never more entries than verdicts. hiper's total
+    may be any real, so its verdicts are not kept. The count is None once
+    the node is removed; its later events still advance its last t, so they
+    must stay ordered, and are dropped.
 
     The input is read one line at a time, and each line's verdict is written
     before the next is read, so a live pipe's verdicts are not held back. A
@@ -360,7 +359,6 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     and the statistic a finite float, whose repr is json's."""
     belief = not isinstance(policy, HiperPolicy)
     if belief:
-        lo, hi = [0], [-1]
         env = policy.env
         posterior = policies.posterior  # the module global, so a tracer sees it
         verdicts: dict[tuple[int, int], tuple[bool, str]] = {}  # one run's, per (count, ones)
@@ -405,10 +403,7 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
                         statistic = posterior(s, count, env)
                     except ImpossibleEvidenceError as exc:
                         return _fail(f"line {line_no}: {exc}")
-                    if count == len(lo):
-                        region = compile_region(policy, 2 * count)
-                        lo, hi = region.lo.tolist(), region.hi.tolist()
-                    remove = lo[count] <= s <= hi[count]
+                    remove = policy.removes(count, s)
                     verdict = verdicts[count, s] = (remove, _verdict_tail(remove, statistic))
                 remove, tail = verdict
             else:

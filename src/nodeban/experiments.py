@@ -147,11 +147,11 @@ class PolicySpec:
     def build(self, draw: ExperimentDraw, lattice: Lattice | None = None) -> Region:
         """The policy's removal region on the draw, compiled once for all its
         nodes. A rule that plans ahead (depth 1 or more) reads it off the
-        draw's lattice where one is given, the same region that
-        compile_region finds at every reachable (count, ones); every other
-        region is compile_region's, from hiper's and the depth-0 rules'
-        closed-form ends, or by bisection for lookahead."""
-        if lattice is not None and self.depth:
+        draw's lattice, or off a lattice of its own where none is given;
+        every other region is compile_region's, from hiper's and the depth-0
+        rules' closed-form ends."""
+        if self.depth:
+            lattice = lattice or Lattice(draw.env, draw.horizon, [self])
             return table_region(lattice.values(self) <= 0.0)
         return compile_region(self.policy(draw.env), draw.horizon)
 

@@ -285,9 +285,9 @@ class OptimisticPolicy(_BeliefPolicy):
 
 class LookaheadPolicy(_BeliefPolicy):
     """The plan to depth, one of DEPTHS, over leaf_rule. Its margin has no
-    closed form, so compile_region bisects each end from the anchor (nodeban
-    stream's route); the suites read it off their draw's Lattice instead.
-    Neither names this class: both build the rule through PolicySpec."""
+    closed form: a region reads it off a Lattice (PolicySpec.build), and
+    nodeban stream asks removes once per (count, ones) point. Neither names
+    this class: both build the rule through PolicySpec."""
 
     def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule = LeafRule.ZERO) -> None:
         super().__init__(env, check_depth(depth), leaf_rule)

@@ -7,13 +7,12 @@ hierarchically:
     experiment seed -> per-run stream -> draw seed -> per-node streams
 
 so every policy evaluated on a draw sees identical nodes. A policy is
-compiled once per draw into a Region (nodeban stream recompiles its region
-at twice the count a node outgrows): by compile_region, from its
-closed-form ends (lookahead has none: its guess is empty) where one call of
-the rule confirms them, and by bisection where it does not; or read off a
-table of the draw's whole (count, ones) lattice by table_region: the suites
-read every lookahead rule of a draw off one shared posterior lattice
-(policies.Lattice), and compile every other rule.
+compiled once per draw into a Region: by compile_region, from its
+closed-form ends where one call of the rule confirms them, and by reading
+every ones value of a count where it does not; or read off a table of the
+draw's whole (count, ones) lattice by table_region: the suites read every
+lookahead rule off a posterior lattice (policies.Lattice), one per draw
+that every such rule shares, and compile every other rule.
 run_episode draws each node once and scores every region by first passage.
 It seeds the draw's node streams in bulk (node_streams, the same bits as one
 node_rng per node: from numpy's pool of their parent SeedSequence, the id
@@ -129,7 +128,8 @@ def compile_region(policy, horizon: int) -> Region:
     removes_elementwise call confirms every guess: a nonempty one if both
     ends remove and their outer neighbours keep or lie outside [0, t], an
     empty one if its seed and the seed's neighbours keep. Only the counts not
-    confirmed have their seed probed and each end bisected from it."""
+    confirmed are read whole, at every ones value up to the count, in one
+    more call."""
     count = np.arange(1.0, horizon + 1)  # floats: the rules' arithmetic is float, the values exact
     removes = policy.removes_elementwise
     seed = np.rint(policy.anchor * count)
@@ -144,29 +144,10 @@ def compile_region(policy, horizon: int) -> Region:
     lo, hi = np.zeros(horizon + 1, dtype=np.int64), np.full(horizon + 1, -1, dtype=np.int64)
     lo[1:], hi[1:] = np.where(sure, first, 0.0), np.where(sure, last, -1.0)
     unsure = np.flatnonzero(wrong)
-    if not unsure.size:
-        return Region(lo, hi)
-    inside = unsure[removes(count[unsure], seed[unsure])]  # the unsure counts whose seed removes
-    lo[1:][inside] = _end(removes, count[inside], seed[inside], -1)
-    hi[1:][inside] = _end(removes, count[inside], seed[inside], 1)
+    if unsure.size:
+        rows, ones = count[unsure, None], np.arange(horizon + 1.0)
+        lo[1:][unsure], hi[1:][unsure] = _ends(removes(rows, ones) & (ones <= rows))
     return Region(lo, hi)
-
-
-def _end(removes, count, inside, step: int) -> np.ndarray:
-    """Per count, the end in direction step of the removal interval holding
-    `inside`, as near (removes) and far (keeps, or is past the edge) in ones
-    from inside: probed one step out, then bisected."""
-    span = count - inside if step > 0 else inside
-    near, far = np.zeros_like(span), span + 1
-    rows = np.flatnonzero(span)
-    probe = np.ones(rows.size)
-    while rows.size:
-        hit = removes(count[rows], inside[rows] + step * probe)
-        near[rows] = np.where(hit, probe, near[rows])
-        far[rows] = np.where(hit, far[rows], probe)
-        rows = rows[far[rows] - near[rows] > 1]
-        probe = (near[rows] + far[rows]) // 2
-    return inside + step * near
 
 
 def table_region(removed: np.ndarray) -> Region:
@@ -174,10 +155,15 @@ def table_region(removed: np.ndarray) -> Region:
     removing ones at each count must form an interval, as in compile_region."""
     removed = np.tril(removed)
     removed[0] = False
+    return Region(*_ends(removed))
+
+
+def _ends(removed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first and last True column, or 0 and -1 in a row with none."""
     some = removed.any(axis=1)
     lo = np.where(some, removed.argmax(axis=1), 0)
     hi = np.where(some, removed.shape[1] - 1 - removed[:, ::-1].argmax(axis=1), -1)
-    return Region(lo, hi)
+    return lo, hi
 
 
 def episode_rng(draw: ExperimentDraw) -> np.random.Generator:

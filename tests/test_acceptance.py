@@ -363,7 +363,7 @@ def test_c06_policy_reductions():
             full_rate = replace(draw, env=replace(draw.env, departure_rate=1.0))
             pairs = (
                 build_regions([myopic, lookahead], draw),  # lookahead off the draw's lattice
-                [myopic.build(draw), lookahead.build(draw)],  # both by compile_region: lookahead bisected
+                [myopic.build(draw), lookahead.build(draw)],  # each built alone: lookahead off its own lattice
                 build_regions([myopic, optimistic], full_rate),
             )
             for base, region in pairs:

@@ -6,20 +6,20 @@ on the whole belief, at every lattice point up to counts 200 and 60.
 myopic and optimistic are the depth-0 plans of their leaf rules, compiled
 from their closed form on every draw: no Lattice a suite builds holds a
 depth-0 rule, and every lookahead rule's region read off a draw's lattice
-(one read, Lattice.values) is its rule's. compile_region evaluates each
-rule elementwise only near the ends of each count's removal interval:
-guessed from hiper's, myopic's and optimistic's closed forms and confirmed
-by one probe either side of each end, and bisected from the seed where a
-guess is not confirmed. lookahead has no closed form, so each count is
-guessed empty and bisected where the guess fails (a lookahead spec built
-alone, and nodeban stream). The bisected fixture counts the bisections, so
-that a guess the closed form gets wrong shows even where the region comes out
-right. These tests evaluate the scalar rule (and, for the tables, the
-scalar posterior and plan value) at every lattice point (count t, ones k)
-with t <= 60 (40 for the plan values) and compare exactly, over seeded
-random worlds that include q > u, q < u, observation means of exactly 0
-and 1, u == q, priors of 0 and 1, and a gain or loss of 0, where the
-closed form is infinite or NaN. myopic's and optimistic's
+(one read, Lattice.values) is its rule's, and the one it reads off a
+lattice of its own when built alone. compile_region evaluates each rule
+elementwise only near the ends of each count's removal interval: guessed
+from hiper's, myopic's and optimistic's closed forms and confirmed by one
+probe either side of each end, and read whole, at every ones value, where a
+guess is not confirmed. lookahead has no closed form, so compile_region
+guesses each of its counts empty. The read_whole fixture counts the rows
+read whole, so that a guess the closed form gets wrong shows even where the
+region comes out right. These tests evaluate the scalar rule (and, for the
+tables, the scalar posterior and plan value) at every lattice point (count
+t, ones k) with t <= 60 (40 for the plan values) and compare exactly, over
+seeded random worlds that include q > u, q < u, observation means of
+exactly 0 and 1, u == q, priors of 0 and 1, and a gain or loss of 0, where
+the closed form is infinite or NaN. myopic's and optimistic's
 removes_elementwise, which decides a point off its log odds outside a
 guard band about the cut, is removes at every point of worlds whose cut
 lies on, ulps from, or within two bands of a lattice point's log odds; it
@@ -29,14 +29,15 @@ gives the posterior's elementwise at most 50 points.
 At long horizons, the suites' regions are checked against RegionWalk, the
 scalar walk of the same rule in oracles.py, at every count of every draw of
 the golden suite configs and of the benchmark's first timed unit (horizons
-up to 1000), with no bisection, and hiper's past horizon 2**15. nodeban
-stream recompiles its region at twice the count a node outgrows; it is
-checked byte for byte against one observe-driven policy object per node, on
-event streams that outlive count 200, and lookahead's compiled region and
-walk against its table. On a churn of short-lived ids, a belief rule's
-stream computes the posterior once per (count, ones) point that gets a
-verdict, and nothing it keeps per point outlives one run. Every rule's
-stream is its replay whatever the JSON layout of its input lines.
+up to 1000), with no row read whole, and hiper's past horizon 2**15, and
+lookahead's walk against its table. nodeban stream asks a belief rule's
+scalar removes once per (count, ones) point; it is checked byte for byte
+against one observe-driven policy object per node, on event streams that
+outlive count 200, and against the region at every verdict of a node that
+walks the region's edge past count 1000. On a churn of short-lived ids, a
+belief rule's stream computes the posterior once per (count, ones) point
+that gets a verdict, and nothing it keeps per point outlives one run. Every
+rule's stream is its replay whatever the JSON layout of its input lines.
 """
 
 import contextlib
@@ -54,7 +55,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nodeban import experiments, policies, simulator
+from nodeban import experiments, policies
 from nodeban.belief import BeliefState, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior
 from nodeban.cli import main
@@ -501,30 +502,29 @@ def test_depth_0_regions_take_almost_no_exp(monkeypatch):
 
 
 @pytest.fixture
-def bisected(monkeypatch):
-    """The counts at which compile_region bisected an end, one list per
-    bisection (a count's lower end, then its upper end): the counts whose
-    seed removes among those whose guess was not confirmed."""
+def read_whole(monkeypatch):
+    """The counts whose rows compile_region read whole, one list per call:
+    those whose guess was not confirmed. Only that read passes a column of
+    counts, against a row of ones, to removes_elementwise."""
     calls = []
-    end = simulator._end
+    for rule in (HiperPolicy, _BeliefPolicy):
+        def counting(self, count, ones, method=rule.removes_elementwise):
+            if np.ndim(count) == 2:
+                calls.append(count[:, 0].astype(int).tolist())
+            return method(self, count, ones)
 
-    def counted(removes, count, inside, step):
-        if count.size:
-            calls.append(count.astype(int).tolist())
-        return end(removes, count, inside, step)
-
-    monkeypatch.setattr(simulator, "_end", counted)
+        monkeypatch.setattr(rule, "removes_elementwise", counting)
     return calls
 
 
 @pytest.mark.parametrize("suite", list(ExperimentSuite))
-def test_compiled_regions_are_the_walk_at_long_horizons(suite, bisected, monkeypatch):
+def test_compiled_regions_are_the_walk_at_long_horizons(suite, read_whole, monkeypatch):
     """Each default hiper, myopic and optimistic policy on every draw of the
     suite's golden config (base seed 7) and of the benchmark's first timed
     unit (base seed (1 << 32) | 7), at every count up to the horizon: built
     as a suite without a lattice builds it, by compile_region. Each region's
-    one call of the rule confirms every count's closed-form guess, so
-    nothing is bisected."""
+    one call of the rule confirms every count's closed-form guess, so no
+    row is read whole."""
     calls = []
 
     def counted(method):
@@ -551,7 +551,7 @@ def test_compiled_regions_are_the_walk_at_long_horizons(suite, bisected, monkeyp
                 assert region.lo.tolist() == walk.lo, (spec.label, base_seed, run)
                 assert region.hi.tolist() == walk.hi, (spec.label, base_seed, run)
     assert max(horizons) > (90 if suite is ExperimentSuite.LOOKAHEAD_COMPARE else 900)
-    assert bisected == []
+    assert read_whole == []
     assert len(calls) == builds
 
 
@@ -591,7 +591,7 @@ def assert_region_is_removes(policy, region, horizon):
 @pytest.mark.parametrize("q", [0.0, 1.0, 0.3])
 @pytest.mark.parametrize("delta", [1e-6, 1.0 - 1e-6])
 @pytest.mark.parametrize("gap", [1.0, 0.3, 0.05])  # warm-ups 7.3 / 0.35, 81 / 3.9, 2902 / 139
-def test_hiper_region_is_removes_at_every_point(q, delta, gap, bisected):
+def test_hiper_region_is_removes_at_every_point(q, delta, gap, read_whole):
     """At q = 0 and 1 an end is clipped to the lattice's edge, and past it
     the rule would remove again; delta at both ends of optimal_delta's clamp;
     and gap 0.05 puts the warm-up at delta = 1e-6 beyond the horizon."""
@@ -600,11 +600,11 @@ def test_hiper_region_is_removes_at_every_point(q, delta, gap, bisected):
     region = compile_region(policy, horizon)
     assert_region_is_removes(policy, region, horizon)
     assert (region.lo <= region.hi).tolist() == (np.arange(horizon + 1) > min_samples(delta, gap)).tolist()
-    assert bisected == []
+    assert read_whole == []
 
 
 @pytest.mark.parametrize("delta, q", [(0.5, 0.3), (1e-6, 1.0)])
-def test_hiper_region_past_horizon_2_to_the_15(delta, q, bisected):
+def test_hiper_region_past_horizon_2_to_the_15(delta, q, read_whole):
     """At horizons where run_episode counts ones in int32, the region is the
     walk of the scalar rule at every count."""
     horizon = 2**15 + 300
@@ -613,17 +613,17 @@ def test_hiper_region_past_horizon_2_to_the_15(delta, q, bisected):
     walk.extend(horizon)
     assert region.lo.tolist() == walk.lo
     assert region.hi.tolist() == walk.hi
-    assert bisected == []
+    assert read_whole == []
 
 
-def test_hiper_region_keeps_a_tie_at_an_exact_integer_end(bisected):
+def test_hiper_region_keeps_a_tie_at_an_exact_integer_end(read_whole):
     """delta = 2 / e^2 to the last bit makes ln(2 / delta) exactly 2, so at
     count 16 the radius is 1/4 and, at q = 1/2, both t (q -+ r_t) = 4 and 12
     are exact integers: the mean there is exactly one radius from q, and the
     strict comparison keeps it. The inward rounding gets those ends without
-    bisecting. At count 36, r_t = 1/6 is not a double: t (q + r_t) rounds to
-    24, where the rule removes (and 12 keeps), so the guess is one short and
-    count 36 alone is bisected, still exact."""
+    reading a row whole. At count 36, r_t = 1/6 is not a double: t (q + r_t)
+    rounds to 24, where the rule removes (and 12 keeps), so the guess is one
+    short and count 36 alone is read whole, still exact."""
     delta = 0.2706705664732254
     assert math.log(2.0 / delta) == 2.0
     policy = HiperPolicy(delta, 1.0, 0.5)
@@ -634,10 +634,10 @@ def test_hiper_region_keeps_a_tie_at_an_exact_integer_end(bisected):
     region = compile_region(policy, t)
     assert (region.lo[t], region.hi[t]) == (5, 11)
     assert_region_is_removes(policy, region, t)
-    assert bisected == []
+    assert read_whole == []
     assert policy.boundary(np.array(36))[1] == 24.0 and policy.removes(36, 24)
     region = compile_region(policy, 40)
-    assert bisected == [[36], [36]]
+    assert read_whole == [[36]]
     assert (region.lo[16], region.hi[16], region.lo[36], region.hi[36]) == (5, 11, 13, 24)
     assert_region_is_removes(policy, region, 40)
 
@@ -656,7 +656,7 @@ def elementwise_calls(monkeypatch):
     return calls
 
 
-def test_hiper_past_its_warmup_is_one_call(elementwise_calls, bisected):
+def test_hiper_past_its_warmup_is_one_call(elementwise_calls, read_whole):
     """gap 0.05 and delta 1e-6 put hiper's warm-up at count 2902: every
     count's guess is empty, and the one confirming call of the rule, which
     probes 4 points at each of the 200 counts, confirms them all."""
@@ -664,7 +664,7 @@ def test_hiper_past_its_warmup_is_one_call(elementwise_calls, bisected):
     assert min_samples(1e-6, 0.05) > 200
     region = compile_region(policy, 200)
     assert elementwise_calls == [(4, 200)]
-    assert bisected == []
+    assert read_whole == []
     assert (region.lo > region.hi).all()
     assert_region_is_removes(policy, region, 200)
 
@@ -682,15 +682,16 @@ def displaced(rule, shift_lo, shift_hi):
 
 @pytest.mark.parametrize("shift_lo, shift_hi", [(-3, 3), (3, -3), (0, 1), (-1, 0), (3, 0), (0, -3)])
 @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
-def test_hiper_region_falls_back_when_an_end_is_not_confirmed(shift_lo, shift_hi, q, bisected):
+def test_hiper_region_falls_back_when_an_end_is_not_confirmed(shift_lo, shift_hi, q, read_whole):
     """Guesses moved off the ends fail their confirming probes, so
-    compile_region bisects those counts, and the region is still the rule's."""
+    compile_region reads those counts whole, and the region is still the
+    rule's."""
     params = (0.9, 0.5, q)  # delta, gap and malicious mean
     policy = displaced(HiperPolicy, shift_lo, shift_hi)(*params)
     region = compile_region(policy, 120)
     # an end moved past the lattice's edge is clipped back onto it, where it is
     clipped = (shift_lo == 0 or q == 0.0 and shift_lo < 0) and (shift_hi == 0 or q == 1.0 and shift_hi > 0)
-    assert (bisected == []) == clipped
+    assert (read_whole == []) == clipped
     exact = compile_region(HiperPolicy(*params), 120)
     assert region.lo.tolist() == exact.lo.tolist()
     assert region.hi.tolist() == exact.hi.tolist()
@@ -700,14 +701,14 @@ def test_hiper_region_falls_back_when_an_end_is_not_confirmed(shift_lo, shift_hi
 @pytest.mark.parametrize("shift", [-3, -1, 1, 3])
 @pytest.mark.parametrize("u, q", [(0.2, 0.7), (0.8, 0.3)])
 @pytest.mark.parametrize("rule", [MyopicPolicy, OptimisticPolicy])
-def test_belief_region_falls_back_when_an_end_is_not_confirmed(shift, u, q, rule, bisected):
+def test_belief_region_falls_back_when_an_end_is_not_confirmed(shift, u, q, rule, read_whole):
     """The same for myopic and optimistic, whose interval is a half-line from
     the anchor's edge: its one finite end, moved, fails its probes, and the
     region is still the rule's, every count of it removing somewhere."""
     env = world(u, q).env
     policy = displaced(rule, shift, shift)(env)
     region = compile_region(policy, 120)
-    assert bisected
+    assert read_whole
     exact = compile_region(rule(env), 120)
     assert region.lo.tolist() == exact.lo.tolist()
     assert region.hi.tolist() == exact.hi.tolist()
@@ -751,21 +752,13 @@ def with_shared_examples(test):
 def test_shared_lattice_regions_are_each_rule_alone(draw, horizon, texts):
     """build_regions serves every lookahead spec of a draw from one posterior
     lattice and one plan per leaf rule. Each region is the one its spec gets
-    alone, from compile_region. Where a rate or the prior is 0 or 1, they
-    agree at every reachable point; the lattice removes an impossible
-    history, which compile_region may leave out of an empty count."""
+    alone, off a lattice of its own, in every world."""
     draw = replace(draw, horizon=horizon)
-    env, specs = draw.env, [PolicySpec.parse(text) for text in texts]
-    interior = all(0.0 < p < 1.0 for p in (env.honest_mean, env.malicious_mean, env.prior_malicious))
-    points = [(t, k) for t in range(horizon + 1) for k in range(t + 1) if reachable(draw, t, k)]
+    specs = [PolicySpec.parse(text) for text in texts]
     for spec, region in zip(specs, build_regions(specs, draw)):
-        alone = spec.build(draw)  # with no lattice given: compile_region, by bisection for lookahead
-        if interior:
-            assert region.lo.tolist() == alone.lo.tolist(), (spec.label, texts)
-            assert region.hi.tolist() == alone.hi.tolist(), (spec.label, texts)
-        for t, k in points:
-            got = region.lo[t] <= k <= region.hi[t]
-            assert got == (alone.lo[t] <= k <= alone.hi[t]), (spec.label, texts, t, k)
+        alone = spec.build(draw)
+        assert region.lo.tolist() == alone.lo.tolist(), (spec.label, texts)
+        assert region.hi.tolist() == alone.hi.tolist(), (spec.label, texts)
 
 
 @pytest.mark.parametrize("suite", list(ExperimentSuite))
@@ -800,27 +793,23 @@ WALK_COUNTS = 200  # how far the lookahead walk is checked against its table
 @example(world(0.0, 0.4, prior=1.0), 5, LeafRule.ZERO)
 @given(worlds(), st.integers(1, 8), st.sampled_from(list(LeafRule)))
 def test_lookahead_walk_is_the_table(draw, depth, leaf):
-    """The stream compiles lookahead's region by bisection from the anchor,
-    the suites from the exact table. Both the compiler and the walk are
-    right only where each count's removal set is an interval around the
-    anchor, which this checks up to count 200."""
+    """RegionWalk, the scalar walk from the anchor, is right only where each
+    count's removal set is an interval around it, as compile_region and
+    table_region assume: lookahead's walk is its table up to count 200."""
     env, spec = draw.env, PolicySpec("lookahead", depth=depth, leaf_rule=leaf)
     walk = RegionWalk(LookaheadPolicy(env, depth, leaf))
     walk.extend(WALK_COUNTS)
     table = table_region(Lattice(env, WALK_COUNTS, [spec]).values(spec) <= 0.0)
     assert walk.lo == table.lo.tolist()
     assert walk.hi == table.hi.tolist()
-    region = compile_region(LookaheadPolicy(env, depth, leaf), WALK_COUNTS)
-    assert region.lo.tolist() == table.lo.tolist()
-    assert region.hi.tolist() == table.hi.tolist()
 
 
-def test_lookahead_nan_guesses_are_confirmed_or_bisected(elementwise_calls, bisected):
+def test_lookahead_nan_guesses_are_confirmed_or_read_whole(elementwise_calls, read_whole):
     """lookahead's ends have no closed form, so every count is guessed empty
     and goes through the one confirming call: counts 1 and 2, where the seed
     and its neighbours keep, are confirmed, and every other count, whose
-    seed removes, has its seed probed and is bisected from it. The region is
-    the lattice table's."""
+    seed removes, is read whole in one more call. The region is the lattice
+    table's."""
     env = world(0.8, 0.3, prior=0.1).env
     policy = LookaheadPolicy(env, 2)
     low, high = policy.boundary(np.arange(1.0, HORIZON + 1))
@@ -829,8 +818,8 @@ def test_lookahead_nan_guesses_are_confirmed_or_bisected(elementwise_calls, bise
     table = table_region(Lattice(env, HORIZON, [policy]).values(policy) <= 0.0)
     assert region.lo.tolist() == table.lo.tolist()
     assert region.hi.tolist() == table.hi.tolist()
-    assert elementwise_calls[:2] == [(4, HORIZON), (HORIZON - 2,)]
-    assert bisected == [list(range(3, HORIZON + 1))] * 2
+    assert elementwise_calls == [(4, HORIZON), (HORIZON - 2, HORIZON + 1)]
+    assert read_whole == [list(range(3, HORIZON + 1))]
 
 
 LONG_LIFE = 230  # events of node n0, so the stream's region outgrows count 200
@@ -873,9 +862,9 @@ def world_flags(env):
     ]
 
 
-def assert_stream_is_replay(events, flags, make_policy, binarize=None, layout=json.dumps):
-    """nodeban stream on events, each written as the line layout(event),
-    against stream_replay."""
+def run_stream(events, flags, layout=json.dumps):
+    """The exit code, stdout and stderr of nodeban stream on events, each
+    written as the line layout(event)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
@@ -883,9 +872,16 @@ def assert_stream_is_replay(events, flags, make_policy, binarize=None, layout=js
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["stream", path, *flags])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_stream_is_replay(events, flags, make_policy, binarize=None, layout=json.dumps):
+    """nodeban stream on events, each written as the line layout(event),
+    against stream_replay."""
+    code, out, err = run_stream(events, flags, layout)
     expected_out, expected_err = stream_replay(events, make_policy, binarize)
-    assert out.getvalue() == expected_out, flags
-    assert err.getvalue() == expected_err, flags
+    assert out == expected_out, flags
+    assert err == expected_err, flags
     assert code == (2 if expected_err else 0)
 
 
@@ -999,6 +995,42 @@ def test_stream_verdicts_are_not_kept_across_runs():
     for env in (first, replace(first, honest_mean=0.2, malicious_mean=0.7), replace(first, prior_malicious=0.05)):
         for name, extra, rule in STREAM_RULES:
             assert_stream_is_replay(events, ["--policy", name, *extra, *world_flags(env)], lambda: rule(env))
+
+
+LONG_COUNT = 1100  # the long-lived node's last count
+
+
+@pytest.mark.parametrize("text", ["lookahead:4", "myopic"])
+def test_stream_verdicts_are_the_region_past_count_1000(text):
+    """Node n0 walks the edge of its rule's region to count LONG_COUNT: it
+    sends a 0, the bit toward removal (q < u), wherever that keeps, and a 1
+    where it removes. Each of 40 other ids copies n0's bits up to a random
+    count and then sends the other bit, so that the stream's points lie on
+    both sides of the edge at every size of count. Every verdict of nodeban
+    stream, which asks the rule's scalar removes once per new point, is the
+    region's at its point: the spec built alone, off a lattice of its own
+    for lookahead:4 and by compile_region for myopic."""
+    draw = replace(world(0.7, 0.3, rate=0.25, prior=0.3), horizon=LONG_COUNT)
+    region = PolicySpec.parse(text).build(draw)
+    lo, hi = region.lo.tolist(), region.hi.tolist()
+    bits, ones = [], 0
+    for t in range(1, LONG_COUNT + 1):
+        bit = int(lo[t] <= ones <= hi[t])
+        bits.append(bit)
+        ones += bit
+    rng = random.Random(22)
+    sends = [("n0", bit) for bit in bits]
+    for n in range(1, 41):
+        cut = rng.randrange(LONG_COUNT)
+        sends += [(f"p{n}", bit) for bit in bits[:cut]] + [(f"p{n}", 1 - bits[cut])]
+    events = [{"node_id": node, "t": tick, "x": x} for tick, (node, x) in enumerate(sends, 1)]
+    code, out, err = run_stream(events, ["--policy", text, *world_flags(draw.env)])
+    assert (code, err) == (0, "")
+    points = verdict_points(events, out)
+    removed = [json.loads(line)["decision"] == "remove" for line in out.splitlines()]
+    assert removed == [lo[t] <= k <= hi[t] for t, k in points]
+    assert removed[:LONG_COUNT] == [False] * LONG_COUNT  # n0 reaches LONG_COUNT
+    assert 10 < sum(removed) < 40
 
 
 def shuffled_keys(event):

@@ -37,13 +37,13 @@ from .experiments import (
     emit_csv,
     run_suite,
     smooth_records,
-    tuned_delta,
 )
 from .hiper import (
     HiperPolicy,
     bound_loss_honest,
     bound_loss_malicious,
     bound_loss_malicious_warmup,
+    optimal_delta,
 )
 from .model import EnvParams
 from .policies import DEPTHS, MAX_DEPTH, LeafRule
@@ -197,12 +197,6 @@ def _resolve_gap(args: argparse.Namespace) -> float | None:
     return gap
 
 
-def _hiper_world(args: argparse.Namespace, gap: float) -> SimpleNamespace:
-    """What hiper, and hiper:star's tuned delta, read of a world: no honest mean."""
-    return SimpleNamespace(malicious_mean=args.q, gap=gap, loss_malicious=args.lQ, gain_honest=args.gU,
-                           departure_rate=args.departure_rate)
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
     try:
         _check_flags(args, ("u", "q", "gap", "departure_rate"))
@@ -211,7 +205,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             raise ValueError("provide --Delta, or both --u and --q to derive it")
         if args.lQ is None or args.gU is None or args.departure_rate is None:
             raise ValueError("--lQ, --gU and --lambda are required")
-        tuned = tuned_delta(_hiper_world(args, gap))
+        tuned = optimal_delta(args.lQ, args.gU, args.departure_rate, gap)
         malicious = bound_loss_malicious(args.lQ, tuned.value)
         honest = bound_loss_honest(args.gU, args.departure_rate, gap)
         malicious_warmup = bound_loss_malicious_warmup(args.lQ, tuned.value, gap)
@@ -261,7 +255,9 @@ def _build_stream_policy(args: argparse.Namespace):
             raise ValueError(f"{spec.label} needs --Delta, or --u together with --q")
         if spec.delta is None and None in (args.lQ, args.gU, args.departure_rate):
             raise ValueError(f"{spec.label} needs --lQ, --gU and --lambda")
-        return spec.policy(_hiper_world(args, gap))
+        # hiper needs no honest mean, so its world is what it reads, not an EnvParams
+        return spec.policy(SimpleNamespace(malicious_mean=args.q, gap=gap, loss_malicious=args.lQ,
+                                           gain_honest=args.gU, departure_rate=args.departure_rate))
 
     if args.u is None or args.q is None or args.gU is None or args.lQ is None:
         raise ValueError(f"{spec.label} needs --u, --q, --gU and --lQ")

@@ -27,7 +27,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .hiper import HiperPolicy, OptimalDelta, optimal_delta
+from .hiper import HiperPolicy, optimal_delta
 from .policies import Lattice, LeafRule, MyopicPolicy, OptimisticPolicy, _BeliefPolicy, check_depth
 from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region
 from .simulator import run_episode, sample_experiment, table_region
@@ -137,10 +137,13 @@ class PolicySpec:
     def policy(self, env):
         """The policy in the world env: one instance serves every node,
         through its removes(count, ones) predicate. hiper reads only env's
-        malicious_mean and gap, and for hiper:star what tuned_delta reads, so
-        its env may be any object with those attributes."""
+        malicious_mean and gap, and for hiper:star the stakes and departure
+        rate optimal_delta reads, so its env may be any object with those
+        attributes."""
         if self.kind == "hiper":
-            delta = tuned_delta(env).value if self.delta is None else self.delta
+            delta = self.delta
+            if delta is None:
+                delta = optimal_delta(env.loss_malicious, env.gain_honest, env.departure_rate, env.gap).value
             return HiperPolicy(delta, env.gap, env.malicious_mean)
         return _BeliefPolicy(env, self.depth, self.leaf_rule)
 
@@ -154,13 +157,6 @@ class PolicySpec:
             lattice = lattice or Lattice(draw.env, draw.horizon, [self])
             return table_region(lattice.values(self) <= 0.0)
         return compile_region(self.policy(draw.env), draw.horizon)
-
-
-def tuned_delta(env) -> OptimalDelta:
-    """hiper:star's delta in env, optimal_delta at its stakes and gap: the
-    one call of optimal_delta, which the suites, nodeban stream and nodeban
-    bounds share, and so its checks of the stakes."""
-    return optimal_delta(env.loss_malicious, env.gain_honest, env.departure_rate, env.gap)
 
 
 def build_regions(specs: list[PolicySpec], draw: ExperimentDraw) -> list[Region]:

@@ -90,11 +90,10 @@ def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[i
     DEPTHS, and returns V_r for each r in depths, on the first len(pm) - r
     rows and columns. An entry of V_r reads only its own posterior and r rows
     below it, so it does not depend on the table's size or on the other depths."""
-    margin = _leaf_margin(pm, env, leaf_rule)
-    values = margin if leaf_rule is LeafRule.ZERO else np.fmax(margin, 0.0)
+    values = np.fmax(_leaf_margin(pm, env, leaf_rule), 0.0)
     if leaf_rule is LeafRule.MYOPIC_INFINITE:
         values /= env.departure_rate
-    gain = margin if leaf_rule is LeafRule.MYOPIC_INFINITE else keep_gain(pm, env)
+    gain = keep_gain(pm, env)
     p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
     p_zero = 1.0 - p_one
     kept = {}
@@ -168,9 +167,10 @@ class Lattice:
 class _BeliefPolicy:
     """The plan to depth over leaf_rule. Its margin _margin(ones, count, pm),
     pm the malicious posterior, on numbers or broadcast arrays, is the leaf's
-    own at depth 0 and the plan value above; removes(count, ones), its
-    elementwise twin and observe (which returns removes' bool for the
-    history fed so far) keep only where it is strictly positive."""
+    own at depth 0 and the plan value above; removes(count, ones) and its
+    elementwise twin keep only where it is strictly positive, and observe
+    folds one observation into the belief and returns removes at its
+    (count, ones)."""
 
     def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule) -> None:
         self.env, self.depth, self.leaf_rule = env, depth, leaf_rule
@@ -195,7 +195,7 @@ class _BeliefPolicy:
 
     def observe(self, x: float) -> bool:
         belief = self._belief = update(self._belief, x, self.env)
-        return not self._margin(belief.ones, belief.count, belief.posterior_malicious) > 0.0
+        return self.removes(belief.count, belief.ones)
 
     def removes(self, count: int, ones: int) -> bool:
         """The rule after `ones` one-bits in `count` observations. A history

@@ -1000,7 +1000,7 @@ def test_stream_verdicts_are_not_kept_across_runs():
 LONG_COUNT = 1100  # the long-lived node's last count
 
 
-@pytest.mark.parametrize("text", ["lookahead:4", "myopic"])
+@pytest.mark.parametrize("text", ["lookahead:4", "myopic", "optimistic"])
 def test_stream_verdicts_are_the_region_past_count_1000(text):
     """Node n0 walks the edge of its rule's region to count LONG_COUNT: it
     sends a 0, the bit toward removal (q < u), wherever that keeps, and a 1
@@ -1009,7 +1009,7 @@ def test_stream_verdicts_are_the_region_past_count_1000(text):
     both sides of the edge at every size of count. Every verdict of nodeban
     stream, which asks the rule's scalar removes once per new point, is the
     region's at its point: the spec built alone, off a lattice of its own
-    for lookahead:4 and by compile_region for myopic."""
+    for lookahead:4 and by compile_region for myopic and optimistic."""
     draw = replace(world(0.7, 0.3, rate=0.25, prior=0.3), horizon=LONG_COUNT)
     region = PolicySpec.parse(text).build(draw)
     lo, hi = region.lo.tolist(), region.hi.tolist()

@@ -106,7 +106,8 @@ class Posterior:
         """The evaluator at every pair of broadcast integer-valued arrays, NaN
         where it raises ImpossibleEvidenceError or ones > count: its cases in
         the same order, each exp from math.exp (numpy's can differ in an ulp),
-        taken only where ones <= count."""
+        taken only where ones <= count. A type that cases finds dead at no
+        point (the bool False) costs no pass."""
         malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.cases(ones, count)
         log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
         live = ones <= count
@@ -114,9 +115,14 @@ class Posterior:
         weight[live] = np.fromiter(map(math.exp, (-np.abs(log_odds[live])).tolist()), float)
         table = np.where(log_odds >= 0.0, 1.0, weight) / (1.0 + weight)
         table = np.where(log_like_malicious == log_like_honest, self.env.prior_malicious, table)
-        table = np.where(honest_dead, 1.0, table)  # each case overrides the ones above it
-        table = np.where(malicious_dead, 0.0, table)
-        return np.where(malicious_dead & honest_dead | ~live, np.nan, table)
+        if honest_dead is not False:  # each case overrides the ones above it
+            table = np.where(honest_dead, 1.0, table)
+        if malicious_dead is not False:
+            table = np.where(malicious_dead, 0.0, table)
+        unknown = ~live
+        if malicious_dead is not False and honest_dead is not False:
+            unknown |= malicious_dead & honest_dead
+        return np.where(unknown, np.nan, table)
 
 
 def _endpoint_dead(rate: float, ones, zeros):

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -323,9 +324,13 @@ def _parse_event(text: str, line_no: int) -> tuple[str, int, float]:
 #: digits with no leading zero; <x> is 0, 1, 0.<digits> or 1.<zeros>, so it
 #: lies in [0, 1]. A line of this layout is an event that passes every check
 #: of _parse_event, and int(<t>) and float(<x>) are the values json.loads gives.
+#: The groups are the line's prefix up to <t> and its comma, <id>, <t> and <x>.
 _canonical_event = re.compile(
-    r'\{"node_id": "([^"\\\x00-\x1f]*)", "t": ([1-9][0-9]{0,17}), "x": (0|1|0\.[0-9]+|1\.0+)\}\n?'
+    r'(\{"node_id": "([^"\\\x00-\x1f]*)", "t": ([1-9][0-9]{0,17}), )"x": (0|1|0\.[0-9]+|1\.0+)\}\n?'
 ).fullmatch
+
+#: A canonical <x> as a number: a bit as an int, any other by float().
+_BITS = {"0": 0, "1": 1}
 
 
 def _verdict_tail(remove: bool, statistic: float) -> str:
@@ -334,38 +339,44 @@ def _verdict_tail(remove: bool, statistic: float) -> str:
 
 def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     """Per node id, keep one record (last t, count, s): s is the running total
-    of x for hiper's scalar rule, or the ones count for a belief rule. A
-    belief verdict depends on (count, ones) alone, so the rule's scalar
-    removes(count, ones) decides each lattice point once, at its first
-    event, and the verdict is kept per point, with its posterior formatted
-    once: at most one entry per point up to the largest count C,
-    (C + 1)(C + 2) / 2, and never more entries than verdicts. hiper's total
-    may be any real, so its verdicts are not kept. The count is None once
-    the node is removed; its later events still advance its last t, so they
-    must stay ordered, and are dropped.
+    of x for hiper, or the ones count for a belief rule. Every rule's verdict
+    depends on (count, s) alone, so it is kept per point: the rule's scalar
+    removes(count, s) decides a point once, at its first event, with its
+    statistic (the posterior, or hiper's mean s / count) formatted once. A
+    point is kept only while s is whole, as a belief rule's ones count always
+    is and hiper's total is on binary input: at most one entry per point up
+    to the largest count C, (C + 1)(C + 2) / 2, and never more entries than
+    verdicts. The count is None once the node is removed; its later events
+    still advance its last t, so they must stay ordered, and are dropped.
 
     The input is read one line at a time, and each line's verdict is written
     before the next is read, so a live pipe's verdicts are not held back. A
-    line in _canonical_event's layout is read off its match; any other is
-    stripped, refused if blank, and parsed by _parse_event.
+    line in _canonical_event's layout is read off its match, its x only for
+    a live node; any other is stripped, refused if blank, and parsed by
+    _parse_event.
 
-    Each verdict line is written directly, with the json module's ASCII
-    string encoder, the one json.dumps runs on a str, writing only the node
-    id: the bytes are json.dumps of the verdict object, since t is an int
-    and the statistic a finite float, whose repr is json's."""
-    belief = not isinstance(policy, HiperPolicy)
-    if belief:
-        env = policy.env
-        posterior = policies.posterior  # the module global, so a tracer sees it
-        verdicts: dict[tuple[int, int], tuple[bool, str]] = {}  # one run's, per (count, ones)
-    nodes: dict[str, tuple[int, int | None, float]] = {}
+    Each verdict line is json.dumps of the verdict object, written directly:
+    t is an int and the statistic a finite float, whose repr is json's. Up
+    to t, it is a canonical line's own prefix when the id is printable
+    ASCII, which the json module's ASCII string encoder writes unchanged;
+    otherwise that encoder, the one json.dumps runs on a str, writes the id."""
+    binary = not isinstance(policy, HiperPolicy)
+    if binary:
+        posterior, env = policies.posterior, policy.env  # the module global, so a tracer sees it
+
+        def statistic(ones, count):
+            return posterior(ones, count, env)
+    else:
+        statistic = operator.truediv  # hiper's mean, s / count
+    verdicts: dict[tuple[int, int | float], tuple[bool, str]] = {}  # one run's, per (count, s)
+    nodes: dict[str, tuple[int, int | None, int | float]] = {}
     line_no = 0
     try:
         for line_no, line in enumerate(infile, 1):
             event = _canonical_event(line)
             if event:
-                node_id, t, x = event.groups()
-                t, x = int(t), float(x)
+                prefix, node_id, t, x = event.groups()
+                t = int(t)
             else:
                 text = line.strip()
                 if not text:
@@ -383,30 +394,34 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
             if count is None:
                 nodes[node_id] = (t, None, s)
                 continue
-            count += 1
-            if belief:
+            if event:
+                x = _BITS[x] if x in _BITS else float(x)
+            if binary and type(x) is float:  # a belief rule counts ones, as ints
                 if x != 0.0 and x != 1.0:
                     if args.binarize is None:
                         return _fail(
                             f"line {line_no}: x={x} is not binary; this policy needs binary "
                             "observations (pass --binarize THRESHOLD to threshold them)"
                         )
-                    x = 1.0 if x >= args.binarize else 0.0
-                s += int(x)
-                verdict = verdicts.get((count, s))
-                if verdict is None:
-                    try:
-                        statistic = posterior(s, count, env)
-                    except ImpossibleEvidenceError as exc:
-                        return _fail(f"line {line_no}: {exc}")
-                    remove = policy.removes(count, s)
-                    verdict = verdicts[count, s] = (remove, _verdict_tail(remove, statistic))
-                remove, tail = verdict
-            else:
-                s += x
+                    x = x >= args.binarize
+                x = int(x)
+            count += 1
+            s += x
+            verdict = verdicts.get((count, s))
+            if verdict is None:
+                try:
+                    value = statistic(s, count)
+                except ImpossibleEvidenceError as exc:
+                    return _fail(f"line {line_no}: {exc}")
                 remove = policy.removes(count, s)
-                tail = _verdict_tail(remove, s / count)
-            outfile.write(f'{{"node_id": {_encode_string(node_id)}, "t": {t}, {tail}')
+                verdict = (remove, _verdict_tail(remove, value))
+                if s % 1 == 0:
+                    verdicts[count, s] = verdict
+            remove, tail = verdict
+            if event and node_id.isascii() and node_id.isprintable():
+                outfile.write(prefix + tail)
+            else:
+                outfile.write(f'{{"node_id": {_encode_string(node_id)}, "t": {t}, {tail}')
             nodes[node_id] = (t, None if remove else count, s)
     except UnicodeDecodeError as exc:
         return _fail(f"input after line {line_no} is not valid UTF-8 ({exc.reason})")

@@ -149,7 +149,7 @@ class HiperPolicy:
     r_t = sqrt(ln(2/delta) / (2 t)) of the malicious mean. Equality in
     either comparison keeps the node. The warm-up threshold and the log
     term of the radius are precomputed once. removes(count, total) is the
-    rule, scalar for nodeban stream's every event, observe and
+    rule, scalar for nodeban stream's (count, total) points, observe and
     simulate_node; removes_elementwise is its array twin, and boundary its
     one closed form, whose ends compile_region confirms with
     removes_elementwise to compile the rule for a horizon.

@@ -235,7 +235,6 @@ class _BeliefPolicy:
         with ones > count removes, as its NaN posterior does."""
         if self._band is None:
             return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
-        ones, count = np.broadcast_arrays(ones, count)
         malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.posterior.cases(ones, count)
         log_odds = self.posterior.prior_log_odds + log_like_malicious - log_like_honest
         removes = (log_odds > self._cut) | (ones > count)
@@ -244,6 +243,7 @@ class _BeliefPolicy:
             | (np.abs(log_odds - self._cut) <= self._band)
         ) & (ones <= count)
         if exact.any():
+            ones, count = np.broadcast_arrays(ones, count)
             ones, count = ones[exact], count[exact]
             removes[exact] = ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
         return removes

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import nodeban
 from nodeban.cli import _canonical_event, _parse_event, _run_stream, main
+from nodeban.belief import posterior
 from nodeban.hiper import HiperPolicy, optimal_delta
 from nodeban.model import EnvParams
 from nodeban.policies import MyopicPolicy
@@ -1243,46 +1244,120 @@ def canonical_mutations():
         yield f'{{"node_id": "{node_id}", "t": {t}, "x": {x}}}{suffix}'
 
 
-#: The stream's policy on raw lines: hiper's statistic after one event is x.
+#: The stream's policies on raw lines: hiper, whose statistic after one event
+#: is x, and a belief rule, which refuses a non-binary x.
 RAW_LINE_POLICY = HiperPolicy(0.9, 0.4, 0.3)
+RAW_LINE_BELIEF_POLICY = MyopicPolicy(MYOPIC_ENV)
 
 
-def stream_outcome(line):
+def stream_outcome(line, policy=RAW_LINE_POLICY):
     """_run_stream on the one raw line: its exit code, output and error text."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = _run_stream(argparse.Namespace(binarize=None), RAW_LINE_POLICY, [line], out)
+        code = _run_stream(argparse.Namespace(binarize=None), policy, [line], out)
     return code, out.getvalue(), err.getvalue()
 
 
-def loads_outcome(line):
+def loads_outcome(line, policy=RAW_LINE_POLICY):
     """stream_outcome by definition: the stripped line is refused if blank, and
-    otherwise parsed by json.loads-based parsing, whose event gets hiper's
-    verdict at count 1, with the running mean summed from 0."""
+    otherwise parsed by json.loads-based parsing, whose event gets the rule's
+    verdict at count 1: hiper's with the running mean summed from 0, or a
+    belief rule's at ones x, with its posterior, when x is binary."""
     text = line.strip()
     try:
         if not text:
             raise ValueError("line 1: blank line")
         node_id, t, x = parse_event_loads(text, 1)
+        if not isinstance(policy, HiperPolicy) and x not in (0.0, 1.0):
+            raise ValueError(f"line 1: x={x} is not binary; this policy needs binary observations "
+                             "(pass --binarize THRESHOLD to threshold them)")
     except ValueError as exc:
         return 2, "", f"error: {exc}\n"
-    mean = 0 + x
-    decision = "remove" if RAW_LINE_POLICY.removes(1, mean) else "keep"
-    return 0, json.dumps({"node_id": node_id, "t": t, "decision": decision, "statistic": mean}) + "\n", ""
+    if isinstance(policy, HiperPolicy):
+        remove, statistic = policy.removes(1, 0 + x), 0 + x
+    else:
+        remove, statistic = policy.removes(1, int(x)), posterior(int(x), 1, policy.env)
+    decision = "remove" if remove else "keep"
+    return 0, json.dumps({"node_id": node_id, "t": t, "decision": decision, "statistic": statistic}) + "\n", ""
 
 
 def test_stream_reads_raw_lines_as_json_loads():
     """_run_stream on each raw line, canonical or not, against json.loads on
     the stripped line: on the fuzz, and on every mutation of a canonical
-    line. The pattern takes exactly the mutations whose every field is the
-    pattern's own, and 60 of the fuzz's lines."""
+    line, under hiper and again under a belief rule, so that each id is
+    written on both rules' verdict paths. The pattern takes exactly the
+    mutations whose every field is the pattern's own, and 60 of the fuzz's
+    lines."""
     fuzz = list(parse_fuzz_lines(seed=30, n=24_000))
     mutations = list(canonical_mutations())
     for line in fuzz + mutations:
         assert stream_outcome(line) == loads_outcome(line), line
+    for line in mutations:
+        assert stream_outcome(line, RAW_LINE_BELIEF_POLICY) == loads_outcome(line, RAW_LINE_BELIEF_POLICY), line
     own = math.prod(len(values) for values, _ in CANONICAL_FIELDS.values())
     assert sum(bool(_canonical_event(line)) for line in mutations) == own == 180
     assert sum(bool(_canonical_event(line)) for line in fuzz) == 60  # unmutated, in json.dumps' default layout
+
+
+def hiper_replay(events, policy):
+    """The stream's verdict lines on events (node_id, t, x), each decided at
+    its own event by policy.removes on the node's running total, with the
+    mean total / count as its statistic; and the (count, total) points."""
+    nodes, lines, points = {}, [], set()
+    for node_id, t, x in events:
+        count, total = nodes.get(node_id, (0, 0.0))
+        if count is None:
+            continue
+        count, total = count + 1, total + x
+        remove = policy.removes(count, total)
+        decision = "remove" if remove else "keep"
+        lines.append(json.dumps({"node_id": node_id, "t": t, "decision": decision, "statistic": total / count}) + "\n")
+        points.add((count, total))
+        nodes[node_id] = (None if remove else count, total)
+    return lines, points
+
+
+def hiper_streams():
+    """Three event streams over shared node ids: binary, each bit written as
+    an int or a float; real-valued, with each node's first x 0.5 and the
+    rest 0 or 1, so every total is fractional while nodes still share
+    points; and mixed, with -0.0, halves that sum to whole totals, and
+    arbitrary fractions."""
+    rng = random.Random(43)
+    ids = [f"n{i}" for i in range(40)] + ["\u00e9", "\x7f", ""]
+    bits = [(rng.choice(ids), t, int(rng.random() < 0.7)) for t in range(1, 1501)]
+    binary = [(node_id, t, x if rng.random() < 0.5 else float(x)) for node_id, t, x in bits]  # "1" and "1.0"
+    seen, real = set(), []
+    for t in range(1, 1501):
+        node_id = rng.choice(ids)
+        real.append((node_id, t, 0.5 if node_id not in seen else float(rng.random() < 0.7)))
+        seen.add(node_id)
+    values = [0.0, 1.0, -0.0, 0.5, 0.5, 0.25, 0.75, 0.3]
+    mixed = [(rng.choice(ids), t, rng.choice(values)) for t in range(1, 1501)]
+    return {"binary": binary, "real": real, "mixed": mixed}
+
+
+@pytest.mark.parametrize("kind", ["binary", "real", "mixed"])
+def test_stream_keeps_hiper_verdicts_per_whole_point(kind, monkeypatch):
+    """hiper's verdicts are each event's own, while the stream keeps them
+    per (count, total) point whenever the total is whole: its tail is
+    formatted once per distinct point on a binary stream, and once per
+    event on a stream whose totals are all fractional."""
+    events = hiper_streams()[kind]
+    expected, points = hiper_replay(events, RAW_LINE_POLICY)
+    tails = []
+    verdict_tail = nodeban.cli._verdict_tail
+    monkeypatch.setattr(nodeban.cli, "_verdict_tail", lambda *a: tails.append(a) or verdict_tail(*a))
+    lines = [json.dumps({"node_id": node_id, "t": t, "x": x}) + "\n" for node_id, t, x in events]
+    out = io.StringIO()
+    assert _run_stream(argparse.Namespace(binarize=None), RAW_LINE_POLICY, lines, out) == 0
+    assert out.getvalue().splitlines(keepends=True) == expected
+    assert len(points) < len(expected)  # nodes share points, so a kept fraction would show
+    if kind == "binary":
+        assert len(tails) == len(points)
+    elif kind == "real":
+        assert all(total % 1 for _, total in points)
+        assert len(tails) == len(expected)
 
 
 class _PulledLines:

@@ -28,17 +28,6 @@ from types import SimpleNamespace
 
 from . import policies
 from .belief import ImpossibleEvidenceError
-from .experiments import (
-    DECIMAL,
-    INTEGER,
-    PolicySpec,
-    SuiteConfig,
-    _fmt,
-    aggregate_mean_loss,
-    emit_csv,
-    run_suite,
-    smooth_records,
-)
 from .hiper import (
     HiperPolicy,
     bound_loss_honest,
@@ -46,9 +35,8 @@ from .hiper import (
     bound_loss_malicious_warmup,
     optimal_delta,
 )
-from .model import EnvParams
-from .policies import DEPTHS, MAX_DEPTH, LeafRule
-from .simulator import ExperimentSuite
+from .model import EnvParams, ExperimentSuite, _fmt
+from .policies import DECIMAL, DEPTHS, INTEGER, MAX_DEPTH, LeafRule, PolicySpec
 
 _CONFIG_KEYS = {"suite", "n_runs", "ma_window", "policies", "base_seed"}
 
@@ -71,11 +59,12 @@ def _same_file(out: str, source) -> bool:
 # ---------------------------------------------------------------- suite --
 
 
-def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
+def _load_suite_config(args: argparse.Namespace):
     """Build a SuiteConfig from --config/--suite plus flag overrides.
 
     Raises ValueError with a field-level diagnostic on any problem.
     """
+    from .experiments import SuiteConfig  # imported here: stream and bounds never load the suites or simulator
     raw: dict = {}
     if args.config is not None:
         try:
@@ -124,6 +113,7 @@ def _load_suite_config(args: argparse.Namespace) -> SuiteConfig:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
+    from .experiments import aggregate_mean_loss, emit_csv, run_suite, smooth_records  # as in _load_suite_config
     try:
         _check_flags(args, ("jobs", "seed", "ma_window"))
         cfg = _load_suite_config(args)

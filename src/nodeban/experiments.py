@@ -7,13 +7,14 @@ means, the realized fraction of malicious nodes, and the honest gain.
 Curves are produced by sorting runs along each variable and taking a
 centered moving average, matching a scatter-plus-trend reading.
 
-Each policy is built into a removal region once per draw (build_regions).
-myopic and optimistic are the depth-0 plans of their leaf rules, so every
-belief policy is a (depth, leaf rule) plan. hiper, myopic and optimistic
-are compiled per policy from their closed-form ends, confirmed by one call
-of the rule (compile_region), on every draw. The policies that plan ahead
+Each configured policy is parsed into a spec of the rule layer
+(policies.PolicySpec) and built into a removal region once per draw
+(build_regions). hiper, myopic and optimistic are compiled per policy from
+their closed-form ends, confirmed by one call of the rule
+(policies.compile_region), on every draw. The policies that plan ahead
 (depth 1 or more) share one posterior lattice to count horizon + their
-deepest depth, and one plan per leaf rule.
+deepest depth, and one plan per leaf rule. The simulator scores the regions
+(run_episode). Only nodeban suite loads this module.
 """
 
 from __future__ import annotations
@@ -21,16 +22,14 @@ from __future__ import annotations
 import csv
 import math
 import os
-import re
 from dataclasses import dataclass, field, replace
 from statistics import fmean
 
 import numpy as np
 
-from .hiper import HiperPolicy, optimal_delta
-from .policies import Lattice, LeafRule, MyopicPolicy, OptimisticPolicy, _BeliefPolicy, check_depth
-from .simulator import ExperimentDraw, ExperimentSuite, Region, compile_region
-from .simulator import run_episode, sample_experiment, table_region
+from .model import ExperimentSuite, _fmt
+from .policies import Lattice, PolicySpec, Region
+from .simulator import ExperimentDraw, run_episode, sample_experiment
 
 SWEEP_VARIABLES = ("horizon", "gap", "malicious_proportion", "gain")
 
@@ -39,10 +38,6 @@ _DEFAULT_RUNS = {
     ExperimentSuite.POLICY_COMPARE: 10_000,
     ExperimentSuite.LOOKAHEAD_COMPARE: 1_000,
 }
-
-#: The ASCII literals of a spec's delta and depth, and, signed, of a CLI flag's
-#: number: float() and int() would also take 0.9_9, ０.9, ' 0.9' and nan.
-DECIMAL, INTEGER = r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", "[0-9]+"
 
 _DEFAULT_POLICIES = {
     ExperimentSuite.DELTA_SWEEP: ("hiper:0.9", "hiper:0.95", "hiper:0.99", "hiper:star"),
@@ -69,94 +64,6 @@ class SweepRecord:
             raise ValueError(f"x must be finite, got {self.x}")
         if not (math.isfinite(self.mean_loss) and self.mean_loss >= 0.0):
             raise ValueError(f"mean_loss must be finite and nonnegative, got {self.mean_loss}")
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """Parsed policy identifier: the one policy grammar, of a suite config's
-    policies and of nodeban stream's --policy.
-
-    Accepted forms, once stripped: "hiper:<delta>" (an ASCII decimal literal)
-    or "hiper:star" (tuned delta per world), "myopic", "optimistic",
-    "lookahead:<depth>" (ASCII digits, 1 to MAX_DEPTH) with an optional
-    ":<leaf_rule>" suffix (zero, myopic_infinite, optimistic); each parse
-    error names the text. A belief rule's spec holds its plan's depth and
-    leaf rule: myopic's and optimistic's are their classes', at depth 0.
-    """
-
-    kind: str
-    delta: float | None = None
-    depth: int | None = None
-    leaf_rule: LeafRule = LeafRule.ZERO
-
-    @classmethod
-    def parse(cls, text: str) -> "PolicySpec":
-        kind, *args = text.strip().split(":")
-        try:
-            if kind == "myopic" or kind == "optimistic":
-                if args:
-                    raise ValueError("takes no arguments")
-                rule = MyopicPolicy if kind == "myopic" else OptimisticPolicy
-                return cls(kind=kind, depth=rule.depth, leaf_rule=rule.leaf_rule)
-            if kind == "hiper":
-                if len(args) != 1:
-                    raise ValueError("needs a delta, e.g. hiper:0.9 or hiper:star")
-                if args[0] == "star":
-                    return cls(kind=kind, delta=None)
-                if not re.fullmatch(DECIMAL, args[0]):
-                    raise ValueError(f"expected a delta in (0, 1) or star, got {args[0]!r}")
-                delta = float(args[0])
-                if not 0.0 < delta < 1.0:
-                    raise ValueError(f"delta must lie in (0, 1), got {delta}")
-                if math.isinf(2.0 / delta):  # the warm-up ln(2/delta) / (2 gap^2) is infinite at every gap
-                    raise ValueError(f"delta {delta!r} is too small: ln(2/delta) is not finite")
-                return cls(kind=kind, delta=delta)
-            if kind == "lookahead":
-                if len(args) not in (1, 2):
-                    raise ValueError("needs a depth, e.g. lookahead:4")
-                leaves = [rule.value for rule in LeafRule]
-                leaf = args[1] if len(args) == 2 else "zero"
-                if not re.fullmatch(INTEGER, args[0]) or leaf not in leaves:
-                    raise ValueError(f"expected an integer depth and leaf rule ({', '.join(leaves)})")
-                return cls(kind=kind, depth=check_depth(int(args[0])), leaf_rule=LeafRule(leaf))
-            raise ValueError(f"unknown policy kind {kind!r}")
-        except ValueError as exc:
-            raise ValueError(f"policy {text!r}: {exc}") from None
-
-    @property
-    def label(self) -> str:
-        """The policy's name in the CSV. A delta is written as its shortest
-        round-trip repr, so that distinct deltas get distinct labels."""
-        if self.kind == "hiper":
-            return f"hiper:{'star' if self.delta is None else repr(self.delta)}"
-        if self.kind == "lookahead":
-            suffix = "" if self.leaf_rule is LeafRule.ZERO else f":{self.leaf_rule.value}"
-            return f"lookahead:{self.depth}{suffix}"
-        return self.kind
-
-    def policy(self, env):
-        """The policy in the world env: one instance serves every node,
-        through its removes(count, ones) predicate. hiper reads only env's
-        malicious_mean and gap, and for hiper:star the stakes and departure
-        rate optimal_delta reads, so its env may be any object with those
-        attributes."""
-        if self.kind == "hiper":
-            delta = self.delta
-            if delta is None:
-                delta = optimal_delta(env.loss_malicious, env.gain_honest, env.departure_rate, env.gap).value
-            return HiperPolicy(delta, env.gap, env.malicious_mean)
-        return _BeliefPolicy(env, self.depth, self.leaf_rule)
-
-    def build(self, draw: ExperimentDraw, lattice: Lattice | None = None) -> Region:
-        """The policy's removal region on the draw, compiled once for all its
-        nodes. A rule that plans ahead (depth 1 or more) reads it off the
-        draw's lattice, or off a lattice of its own where none is given;
-        every other region is compile_region's, from hiper's and the depth-0
-        rules' closed-form ends."""
-        if self.depth:
-            lattice = lattice or Lattice(draw.env, draw.horizon, [self])
-            return table_region(lattice.values(self) <= 0.0)
-        return compile_region(self.policy(draw.env), draw.horizon)
 
 
 def build_regions(specs: list[PolicySpec], draw: ExperimentDraw) -> list[Region]:
@@ -284,10 +191,6 @@ def smooth_records(records: list[SweepRecord], window: int) -> list[SweepRecord]
     for group in groups.values():
         out.extend(moving_average(sorted(group, key=lambda r: r.x), window))
     return out
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
 
 
 def emit_csv(records: list[SweepRecord], path) -> None:

@@ -53,7 +53,8 @@ def optimal_delta(
     (gain_honest * (gap^2 + 2))), clamped into [1e-6, 1 - 1e-6]. The clamped
     flag is set whenever clamping changed the value; parameter combinations
     where the formula leaves (0, 1) are exactly those where keeping a
-    malicious node forever is no worse than losing an honest one.
+    malicious node forever is no worse than losing an honest one. Raises
+    ValueError where the ratio is NaN: both of its products overflow.
     """
     if loss_malicious <= 0.0 or gain_honest <= 0.0 or gap <= 0.0:
         raise ValueError(f"lQ, gU and gap must be positive, got lQ={loss_malicious}, gU={gain_honest}, gap={gap}")
@@ -63,6 +64,11 @@ def optimal_delta(
     arg = loss_malicious * departure_rate * (gap2 + 2.0 * departure_rate) / (
         gain_honest * (gap2 + 2.0)
     )
+    if math.isnan(arg):
+        raise ValueError(
+            f"delta* is not a number at lQ={loss_malicious}, gU={gain_honest}, lambda={departure_rate}, "
+            f"Delta={gap}: both sides of its ratio overflow"
+        )
     raw = 1.0 - math.sqrt(arg)
     value = min(max(raw, _DELTA_MIN), _DELTA_MAX)
     return OptimalDelta(value, value != raw)

@@ -6,7 +6,8 @@ per-step loss while present. The operator observes a bounded score per node
 per step and may permanently remove (blacklist) a node at any time; honest
 nodes also leave voluntarily at a geometric rate. Losses are measured
 against an oracle that removes malicious nodes immediately and never
-removes honest ones.
+removes honest ones. The suite names and the number format of the CSV and
+nodeban bounds live here too, so no command loads the simulator for them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,19 @@ NEVER = math.inf
 class NodeType(Enum):
     HONEST = "honest"
     MALICIOUS = "malicious"
+
+
+class ExperimentSuite(str, Enum):
+    """The three sweep protocols the experiment harness reproduces."""
+
+    DELTA_SWEEP = "delta_sweep"
+    POLICY_COMPARE = "policy_compare"
+    LOOKAHEAD_COMPARE = "lookahead_compare"
+
+
+def _fmt(value: float) -> str:
+    """A float as the CSV and nodeban bounds print it: 9 significant digits."""
+    return format(value, ".9g")
 
 
 @dataclass(frozen=True)

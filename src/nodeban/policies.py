@@ -1,6 +1,7 @@
-"""Belief-based response policies: myopic, optimistic, and finite lookahead.
+"""The rule layer: belief-based response policies (myopic, optimistic and
+finite lookahead), the one policy grammar, and removal regions.
 
-Each is one rule on the same Bernoulli-model posterior: the best keep/remove
+Each belief policy is one rule on the same Bernoulli-model posterior: the best keep/remove
 plan over every observation sequence up to a depth, by backward induction
 with removal an absorbing action of value zero, valuing the beliefs at the
 planning frontier by a leaf rule. Myopic and optimistic plan to depth 0.
@@ -21,14 +22,25 @@ point outside a guard band about the cut by that comparison, with no exp,
 and only points inside it through the posterior. The band rests on the C
 library's exp being within an ulp (see removes_elementwise).
 
+PolicySpec, the policy grammar of the suites and of nodeban stream, builds
+any rule, hiper's too, in a world (policy), and as a Region, its removal
+set on the (count, ones) lattice up to a draw's horizon (build): by
+compile_region, from the rule's closed-form ends where one call of the rule
+confirms them, or read off a Lattice by table_region. The simulator scores
+Regions and the stream asks the rule point by point; this module loads
+neither the simulator nor the suites, so nodeban stream starts without them.
+
 Ties always remove: each rule keeps only on a strictly positive margin.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +53,7 @@ from .belief import (
     posterior,
     update,
 )
+from .hiper import HiperPolicy, optimal_delta
 from .model import EnvParams
 
 MAX_DEPTH = 24
@@ -291,3 +304,156 @@ class LookaheadPolicy(_BeliefPolicy):
 
     def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule = LeafRule.ZERO) -> None:
         super().__init__(env, check_depth(depth), leaf_rule)
+
+
+class Region(NamedTuple):
+    """A policy compiled for one horizon: a node with count t and ones k is
+    removed iff lo[t] <= k <= hi[t], for t = 0..horizon."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def compile_region(policy, horizon: int) -> Region:
+    """policy.removes(count, ones) as a Region to the horizon, in numpy, for a
+    policy with removes_elementwise, removes on arrays, anchor, and
+    boundary(count), each count's strict interval ends up to rounding (NaN
+    where it has no closed form). Relies on each count's removal set being an
+    interval of ones that, when nonempty, holds the ones value nearest
+    anchor * count, its seed: rint(q t) for hiper, 0 or t for the belief rules.
+
+    Each count's guess is boundary's ends rounded inward, floor(low) + 1 and
+    ceil(high) - 1, clipped to [0, t]; a NaN end guesses the count empty. One
+    removes_elementwise call confirms every guess: a nonempty one if both
+    ends remove and their outer neighbours keep or lie outside [0, t], an
+    empty one if its seed and the seed's neighbours keep. Only the counts not
+    confirmed are read whole, at every ones value up to the count, in one
+    more call."""
+    count = np.arange(1.0, horizon + 1)  # floats: the rules' arithmetic is float, the values exact
+    removes = policy.removes_elementwise
+    seed = np.rint(policy.anchor * count)
+    low, high = policy.boundary(count)
+    first, last = np.maximum(np.floor(low) + 1.0, 0.0), np.minimum(np.ceil(high) - 1.0, count)
+    some = first <= last
+    first, last = np.where(some, first, seed), np.where(some, last, seed)
+    hit = removes(count, np.array((first, first - 1.0, last, last + 1.0)))
+    # an empty guess probes its seed twice, so hit[0] == hit[2] there
+    wrong = ((hit[0] & hit[2]) != some) | hit[1] & (first > 0.0) | hit[3] & (last < count)
+    sure = some & ~wrong
+    lo, hi = np.zeros(horizon + 1, dtype=np.int64), np.full(horizon + 1, -1, dtype=np.int64)
+    lo[1:], hi[1:] = np.where(sure, first, 0.0), np.where(sure, last, -1.0)
+    unsure = np.flatnonzero(wrong)
+    if unsure.size:
+        rows, ones = count[unsure, None], np.arange(horizon + 1.0)
+        lo[1:][unsure], hi[1:][unsure] = _ends(removes(rows, ones) & (ones <= rows))
+    return Region(lo, hi)
+
+
+def table_region(removed: np.ndarray) -> Region:
+    """The Region of removed[t, k] for counts 1..horizon and ones k <= t, whose
+    removing ones at each count must form an interval, as in compile_region."""
+    removed = np.tril(removed)
+    removed[0] = False
+    return Region(*_ends(removed))
+
+
+def _ends(removed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first and last True column, or 0 and -1 in a row with none."""
+    some = removed.any(axis=1)
+    lo = np.where(some, removed.argmax(axis=1), 0)
+    hi = np.where(some, removed.shape[1] - 1 - removed[:, ::-1].argmax(axis=1), -1)
+    return lo, hi
+
+
+#: The ASCII literals of a spec's delta and depth, and, signed, of a CLI flag's
+#: number: float() and int() would also take 0.9_9, ０.9, ' 0.9' and nan.
+DECIMAL, INTEGER = r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", "[0-9]+"
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """Parsed policy identifier: the one policy grammar, of a suite config's
+    policies and of nodeban stream's --policy.
+
+    Accepted forms, once stripped: "hiper:<delta>" (an ASCII decimal literal)
+    or "hiper:star" (tuned delta per world), "myopic", "optimistic",
+    "lookahead:<depth>" (ASCII digits, 1 to MAX_DEPTH) with an optional
+    ":<leaf_rule>" suffix (zero, myopic_infinite, optimistic); each parse
+    error names the text. A belief rule's spec holds its plan's depth and
+    leaf rule: myopic's and optimistic's are their classes', at depth 0.
+    """
+
+    kind: str
+    delta: float | None = None
+    depth: int | None = None
+    leaf_rule: LeafRule = LeafRule.ZERO
+
+    @classmethod
+    def parse(cls, text: str) -> "PolicySpec":
+        kind, *args = text.strip().split(":")
+        try:
+            if kind == "myopic" or kind == "optimistic":
+                if args:
+                    raise ValueError("takes no arguments")
+                rule = MyopicPolicy if kind == "myopic" else OptimisticPolicy
+                return cls(kind=kind, depth=rule.depth, leaf_rule=rule.leaf_rule)
+            if kind == "hiper":
+                if len(args) != 1:
+                    raise ValueError("needs a delta, e.g. hiper:0.9 or hiper:star")
+                if args[0] == "star":
+                    return cls(kind=kind, delta=None)
+                if not re.fullmatch(DECIMAL, args[0]):
+                    raise ValueError(f"expected a delta in (0, 1) or star, got {args[0]!r}")
+                delta = float(args[0])
+                if not 0.0 < delta < 1.0:
+                    raise ValueError(f"delta must lie in (0, 1), got {delta}")
+                if math.isinf(2.0 / delta):  # the warm-up ln(2/delta) / (2 gap^2) is infinite at every gap
+                    raise ValueError(f"delta {delta!r} is too small: ln(2/delta) is not finite")
+                return cls(kind=kind, delta=delta)
+            if kind == "lookahead":
+                if len(args) not in (1, 2):
+                    raise ValueError("needs a depth, e.g. lookahead:4")
+                leaves = [rule.value for rule in LeafRule]
+                leaf = args[1] if len(args) == 2 else "zero"
+                if not re.fullmatch(INTEGER, args[0]) or leaf not in leaves:
+                    raise ValueError(f"expected an integer depth and leaf rule ({', '.join(leaves)})")
+                return cls(kind=kind, depth=check_depth(int(args[0])), leaf_rule=LeafRule(leaf))
+            raise ValueError(f"unknown policy kind {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"policy {text!r}: {exc}") from None
+
+    @property
+    def label(self) -> str:
+        """The policy's name in the CSV. A delta is written as its shortest
+        round-trip repr, so that distinct deltas get distinct labels."""
+        if self.kind == "hiper":
+            return f"hiper:{'star' if self.delta is None else repr(self.delta)}"
+        if self.kind == "lookahead":
+            suffix = "" if self.leaf_rule is LeafRule.ZERO else f":{self.leaf_rule.value}"
+            return f"lookahead:{self.depth}{suffix}"
+        return self.kind
+
+    def policy(self, env):
+        """The policy in the world env: one instance serves every node,
+        through its removes(count, ones) predicate. hiper reads only env's
+        malicious_mean and gap, and for hiper:star the stakes and departure
+        rate optimal_delta reads, so its env may be any object with those
+        attributes."""
+        if self.kind == "hiper":
+            delta = self.delta
+            if delta is None:
+                delta = optimal_delta(env.loss_malicious, env.gain_honest, env.departure_rate, env.gap).value
+            return HiperPolicy(delta, env.gap, env.malicious_mean)
+        return _BeliefPolicy(env, self.depth, self.leaf_rule)
+
+    def build(self, draw, lattice: Lattice | None = None) -> Region:
+        """The policy's removal region on the draw (a simulator.ExperimentDraw,
+        of which it reads env and horizon), compiled once for all its nodes.
+        A rule that plans ahead (depth 1 or more) reads it off the draw's
+        lattice, or off a lattice of its own where none is given; every
+        other region is compile_region's, from hiper's and the depth-0
+        rules' closed-form ends."""
+        if self.depth:
+            lattice = lattice or Lattice(draw.env, draw.horizon, [self])
+            return table_region(lattice.values(self) <= 0.0)
+        return compile_region(self.policy(draw.env), draw.horizon)

@@ -6,13 +6,10 @@ hierarchically:
 
     experiment seed -> per-run stream -> draw seed -> per-node streams
 
-so every policy evaluated on a draw sees identical nodes. A policy is
-compiled once per draw into a Region: by compile_region, from its
-closed-form ends where one call of the rule confirms them, and by reading
-every ones value of a count where it does not; or read off a table of the
-draw's whole (count, ones) lattice by table_region: the suites read every
-lookahead rule off a posterior lattice (policies.Lattice), one per draw
-that every such rule shares, and compile every other rule.
+so every policy evaluated on a draw sees identical nodes. The simulator
+takes policies as input, as removal regions on the (count, ones) lattice
+(policies.Region), which the rule layer compiles once per draw
+(policies.PolicySpec.build); it defines no rule of its own.
 run_episode draws each node once and scores every region by first passage.
 It seeds the draw's node streams in bulk (node_streams, the same bits as one
 node_rng per node: from numpy's pool of their parent SeedSequence, the id
@@ -27,14 +24,14 @@ the policy's removes(count, ones) predicate one count at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from statistics import fmean
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import NEVER, EnvParams, NodeType, realized_loss
+from .model import NEVER, EnvParams, ExperimentSuite, NodeType, realized_loss
+from .policies import Region
 
 #: spawn_key tags under a draw's seed (types stream vs per-node streams).
 _TYPES_STREAM = 0
@@ -46,14 +43,6 @@ _DEFAULT_NODES = 100
 _MASK32 = 2**32 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-class ExperimentSuite(str, Enum):
-    """The three sweep protocols the experiment harness reproduces."""
-
-    DELTA_SWEEP = "delta_sweep"
-    POLICY_COMPARE = "policy_compare"
-    LOOKAHEAD_COMPARE = "lookahead_compare"
 
 
 @dataclass(frozen=True)
@@ -105,65 +94,6 @@ class EpisodeResult(NamedTuple):
     @property
     def malicious_fraction(self) -> float:
         return int(self.malicious.sum()) / self.malicious.size
-
-
-class Region(NamedTuple):
-    """A policy compiled for one horizon: a node with count t and ones k is
-    removed iff lo[t] <= k <= hi[t], for t = 0..horizon."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-
-def compile_region(policy, horizon: int) -> Region:
-    """policy.removes(count, ones) as a Region to the horizon, in numpy, for a
-    policy with removes_elementwise, removes on arrays, anchor, and
-    boundary(count), each count's strict interval ends up to rounding (NaN
-    where it has no closed form). Relies on each count's removal set being an
-    interval of ones that, when nonempty, holds the ones value nearest
-    anchor * count, its seed: rint(q t) for hiper, 0 or t for the belief rules.
-
-    Each count's guess is boundary's ends rounded inward, floor(low) + 1 and
-    ceil(high) - 1, clipped to [0, t]; a NaN end guesses the count empty. One
-    removes_elementwise call confirms every guess: a nonempty one if both
-    ends remove and their outer neighbours keep or lie outside [0, t], an
-    empty one if its seed and the seed's neighbours keep. Only the counts not
-    confirmed are read whole, at every ones value up to the count, in one
-    more call."""
-    count = np.arange(1.0, horizon + 1)  # floats: the rules' arithmetic is float, the values exact
-    removes = policy.removes_elementwise
-    seed = np.rint(policy.anchor * count)
-    low, high = policy.boundary(count)
-    first, last = np.maximum(np.floor(low) + 1.0, 0.0), np.minimum(np.ceil(high) - 1.0, count)
-    some = first <= last
-    first, last = np.where(some, first, seed), np.where(some, last, seed)
-    hit = removes(count, np.array((first, first - 1.0, last, last + 1.0)))
-    # an empty guess probes its seed twice, so hit[0] == hit[2] there
-    wrong = ((hit[0] & hit[2]) != some) | hit[1] & (first > 0.0) | hit[3] & (last < count)
-    sure = some & ~wrong
-    lo, hi = np.zeros(horizon + 1, dtype=np.int64), np.full(horizon + 1, -1, dtype=np.int64)
-    lo[1:], hi[1:] = np.where(sure, first, 0.0), np.where(sure, last, -1.0)
-    unsure = np.flatnonzero(wrong)
-    if unsure.size:
-        rows, ones = count[unsure, None], np.arange(horizon + 1.0)
-        lo[1:][unsure], hi[1:][unsure] = _ends(removes(rows, ones) & (ones <= rows))
-    return Region(lo, hi)
-
-
-def table_region(removed: np.ndarray) -> Region:
-    """The Region of removed[t, k] for counts 1..horizon and ones k <= t, whose
-    removing ones at each count must form an interval, as in compile_region."""
-    removed = np.tril(removed)
-    removed[0] = False
-    return Region(*_ends(removed))
-
-
-def _ends(removed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first and last True column, or 0 and -1 in a row with none."""
-    some = removed.any(axis=1)
-    lo = np.where(some, removed.argmax(axis=1), 0)
-    hi = np.where(some, removed.shape[1] - 1 - removed[:, ::-1].argmax(axis=1), -1)
-    return lo, hi
 
 
 def episode_rng(draw: ExperimentDraw) -> np.random.Generator:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from nodeban.belief import initial_belief, posterior, update
 from nodeban.cli import main as cli_main
-from nodeban.experiments import PolicySpec, SuiteConfig, aggregate_mean_loss, build_regions, run_suite
+from nodeban.experiments import SuiteConfig, aggregate_mean_loss, build_regions, run_suite
 from nodeban.hiper import (
     HiperPolicy,
     bound_loss_honest,
@@ -28,17 +28,18 @@ from nodeban.hiper import (
     min_samples,
     optimal_delta,
 )
-from nodeban.model import EnvParams, NodeType
+from nodeban.model import EnvParams, ExperimentSuite, NodeType
 from nodeban.policies import (
     Lattice,
     LeafRule,
     LookaheadPolicy,
     MyopicPolicy,
     OptimisticPolicy,
+    PolicySpec,
+    compile_region,
     lookahead_value,
 )
-from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region
-from nodeban.simulator import run_episode, sample_experiment
+from nodeban.simulator import ExperimentDraw, run_episode, sample_experiment
 from oracles import exact_loss, lookahead_value_bruteforce
 
 

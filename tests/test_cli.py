@@ -21,9 +21,8 @@ import nodeban
 from nodeban.cli import _canonical_event, _parse_event, _run_stream, main
 from nodeban.belief import posterior
 from nodeban.hiper import HiperPolicy, optimal_delta
-from nodeban.model import EnvParams
+from nodeban.model import EnvParams, ExperimentSuite
 from nodeban.policies import MyopicPolicy
-from nodeban.simulator import ExperimentSuite
 from oracles import parse_event_loads, stream_replay
 
 HIPER = ["--policy", "hiper", "--q", "0.3", "--delta", "0.9", "--Delta", "0.4"]
@@ -737,6 +736,18 @@ class TestStream:
         bounds = assert_usage_error(["bounds", *flags], capsys).err
         assert assert_usage_error(["stream", str(inp), *flags, "--policy", "hiper:star"], capsys).err == bounds
 
+    def test_bounds_and_hiper_star_reject_a_ratio_that_overflows_alike(self, tmp_path, capsys):
+        """Both stakes at 1e308 overflow both sides of delta*'s ratio: the error
+        names the flags, not a NaN delta that no flag gave."""
+        inp = tmp_path / "in.jsonl"
+        write_events(inp, ALIAS_EVENTS)
+        flags = ["--Delta", "1", "--lQ", "1e308", "--gU", "1e308", "--lambda", "1"]
+        bounds = assert_usage_error(["bounds", *flags], capsys).err
+        assert bounds == ("error: delta* is not a number at lQ=1e+308, gU=1e+308, lambda=1.0, Delta=1.0: "
+                          "both sides of its ratio overflow\n")
+        assert assert_usage_error(["stream", str(inp), "--policy", "hiper:star", "--q", "0.3", *flags],
+                                  capsys).err == bounds
+
     @pytest.mark.parametrize("policy, label", [
         (["optimistic", "--leaf-rule", "myopic_infinite"], "optimistic"),
         (["optimistic"], "optimistic"),
@@ -829,7 +840,7 @@ class TestSuiteCommand:
         cfg = tmp_path / "cfg.json"
         self.write_config(cfg, suite="policy_compare", n_runs=300)
         out = tmp_path / "missing" / "o.csv" if where == "missing_directory" else tmp_path
-        monkeypatch.setattr("nodeban.cli.run_suite", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+        monkeypatch.setattr("nodeban.experiments.run_suite", lambda *args, **kwargs: pytest.fail("the sweep ran"))
         err = assert_usage_error(["suite", "--config", str(cfg), "--seed", "1", "--out", str(out)], capsys).err
         assert err.startswith(f"error: cannot open output {out}: ")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
@@ -1426,3 +1437,28 @@ def test_stream_and_bounds_do_not_load_numpy_random(tmp_path):
                           capture_output=True, text=True, cwd=tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_stream_and_bounds_load_neither_the_simulator_nor_the_suites(tmp_path):
+    """The stream and bounds start on the rule layer alone: the simulator and
+    the suites are loaded by nodeban suite only, which still runs in the same
+    process afterwards."""
+    events, config = tmp_path / "in.jsonl", tmp_path / "cfg.json"
+    write_events(events, ALIAS_EVENTS)
+    config.write_text(json.dumps({"suite": "policy_compare", "n_runs": 1, "ma_window": 1}))
+    policies = [["hiper", "--delta", "0.9"], ["myopic"], ["optimistic"], ["lookahead:4"]]
+    script = (
+        "import sys\n"
+        "from nodeban.cli import main\n"
+        f"for policy in {policies!r}:\n"
+        f"    assert main(['stream', 'in.jsonl', '--out', 'out.jsonl', *{WORLD!r}, '--policy', *policy]) == 0\n"
+        "assert main(['bounds', '--lQ', '1', '--gU', '1', '--lambda', '0.1', '--Delta', '0.5']) == 0\n"
+        "loaded = {'nodeban.simulator', 'nodeban.experiments'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+        "assert main(['suite', '--config', 'cfg.json', '--seed', '1', '--out', 'out.csv']) == 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(nodeban.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_text().startswith("suite,panel,policy,x,mean_loss,run_count\n")

@@ -18,10 +18,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nodeban.experiments import PolicySpec, build_regions
-from nodeban.model import NEVER, EnvParams, NodeType, realized_loss
-from nodeban.simulator import ExperimentDraw, ExperimentSuite, Region, run_episode
-from nodeban.simulator import sample_experiment
+from nodeban.experiments import build_regions
+from nodeban.model import NEVER, EnvParams, ExperimentSuite, NodeType, realized_loss
+from nodeban.policies import PolicySpec, Region
+from nodeban.simulator import ExperimentDraw, run_episode, sample_experiment
 from oracles import exact_loss
 
 SPECS = [PolicySpec.parse(text) for text in (

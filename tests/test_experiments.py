@@ -8,7 +8,6 @@ import pytest
 
 from nodeban import experiments
 from nodeban.experiments import (
-    PolicySpec,
     SuiteConfig,
     SweepRecord,
     aggregate_mean_loss,
@@ -17,8 +16,7 @@ from nodeban.experiments import (
     run_suite,
     smooth_records,
 )
-from nodeban.policies import LeafRule
-from nodeban.simulator import ExperimentSuite
+from nodeban.policies import LeafRule, PolicySpec
 
 
 def rec(x, loss, policy="p", variable="horizon", suite="policy_compare", runs=1):

@@ -15,7 +15,7 @@ from nodeban.hiper import (
     min_samples,
     optimal_delta,
 )
-from nodeban.simulator import compile_region
+from nodeban.policies import compile_region
 from oracles import confidence_radius, hiper_decision
 
 DELTA_E2 = 2.0 * math.exp(-2.0)  # makes ln(2/delta) = 2
@@ -242,6 +242,15 @@ class TestOptimalDelta:
             optimal_delta(0.0, 1.0, 0.1, 0.5)
         with pytest.raises(ValueError):
             optimal_delta(1.0, 1.0, 0.0, 0.5)
+
+    def test_rejects_a_ratio_that_is_not_a_number(self):
+        # lQ lambda (gap^2 + 2 lambda) and gU (gap^2 + 2) both overflow, so the ratio is inf / inf
+        for args in [(1e308, 1e308, 1.0, 1.0), (1.0, 1.0, 1.0, 1e200)]:
+            with pytest.raises(ValueError, match=r"delta\* is not a number at lQ=.*, gU=.*, lambda=.*, Delta="):
+                optimal_delta(*args)
+        # one side overflowing alone is a number, which clamps
+        assert optimal_delta(1e308, 1.0, 1.0, 1.0) == (1e-6, True)
+        assert optimal_delta(1.0, 1e308, 1.0, 1.0) == (1.0 - 1e-6, True)
 
 
 class TestLossBounds:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nodeban.belief import BeliefState, initial_belief, posterior, update
-from nodeban.experiments import PolicySpec
 from nodeban.model import EnvParams
 from nodeban.policies import (
     MAX_DEPTH,
@@ -12,6 +11,7 @@ from nodeban.policies import (
     LookaheadPolicy,
     MyopicPolicy,
     OptimisticPolicy,
+    PolicySpec,
     lookahead_value,
 )
 from oracles import belief_rule_removes, lookahead_value_bruteforce

@@ -59,13 +59,12 @@ from nodeban import experiments, policies
 from nodeban.belief import BeliefState, ImpossibleEvidenceError, Posterior
 from nodeban.belief import posterior
 from nodeban.cli import main
-from nodeban.experiments import PolicySpec, SuiteConfig, build_regions, run_suite
+from nodeban.experiments import SuiteConfig, build_regions, run_suite
 from nodeban.hiper import HiperPolicy, min_samples
-from nodeban.model import EnvParams
-from nodeban.policies import LeafRule, LookaheadPolicy, MyopicPolicy
-from nodeban.policies import Lattice, OptimisticPolicy, _BeliefPolicy, lookahead_value
-from nodeban.simulator import ExperimentDraw, ExperimentSuite, compile_region
-from nodeban.simulator import sample_experiment, table_region
+from nodeban.model import EnvParams, ExperimentSuite
+from nodeban.policies import LeafRule, LookaheadPolicy, MyopicPolicy, PolicySpec, compile_region
+from nodeban.policies import Lattice, OptimisticPolicy, _BeliefPolicy, lookahead_value, table_region
+from nodeban.simulator import ExperimentDraw, sample_experiment
 from oracles import RegionWalk, belief_rule_removes, posterior_per_call, stream_replay
 
 HORIZON = 60
@@ -775,6 +774,7 @@ def test_only_rules_that_plan_ahead_reach_a_lattice(suite, monkeypatch):
             super().__init__(env, horizon, rules)
 
     monkeypatch.setattr(experiments, "Lattice", Recording)
+    monkeypatch.setattr(policies, "Lattice", Recording)
     run_suite(SuiteConfig.make(suite, 7, n_runs=3))
     assert all(depth >= 1 for depths in handed for depth in depths), handed
     assert handed == ([[4, 8]] * 3 if suite is ExperimentSuite.LOOKAHEAD_COMPARE else [])

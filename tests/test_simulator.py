@@ -5,13 +5,11 @@ from statistics import fmean
 import numpy as np
 import pytest
 
-from nodeban.experiments import PolicySpec
-from nodeban.model import NEVER, EnvParams, NodeType, realized_loss
+from nodeban.model import NEVER, EnvParams, ExperimentSuite, NodeType, realized_loss
+from nodeban.policies import PolicySpec, Region
 from nodeban.simulator import (
     EpisodeResult,
     ExperimentDraw,
-    ExperimentSuite,
-    Region,
     episode_rng,
     node_rng,
     node_streams,

@@ -71,8 +71,9 @@ class Posterior:
     def cases(self, ones, count):
         """At (ones, count), numbers or broadcast integer arrays: whether each
         type, malicious then honest, is dead (has zero prior-weighted
-        likelihood; a bool where that holds at every point or at none), then
-        the two types' log-likelihoods in the same order."""
+        likelihood; a bool where that holds at every point or at none), whether
+        their log-likelihoods tie (the posterior is then the prior), and the log
+        odds: prior log odds plus malicious minus honest log-likelihood, in order."""
         zeros = count - ones
         env = self.env
         u, q, prior = env.honest_mean, env.malicious_mean, env.prior_malicious
@@ -80,12 +81,13 @@ class Posterior:
         honest_dead = prior == 1.0 or _endpoint_dead(u, ones, zeros)
         log_like_malicious = ones * self.log_q + zeros * self.log_not_q
         log_like_honest = ones * self.log_u + zeros * self.log_not_u
-        return malicious_dead, honest_dead, log_like_malicious, log_like_honest
+        tie = log_like_malicious == log_like_honest
+        return malicious_dead, honest_dead, tie, self.prior_log_odds + log_like_malicious - log_like_honest
 
     def __call__(self, ones: int, count: int) -> float:
         if ones < 0 or count < 0 or ones > count:
             raise ValueError(f"need 0 <= ones <= count, got ones={ones} count={count}")
-        malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.cases(ones, count)
+        malicious_dead, honest_dead, tie, log_odds = self.cases(ones, count)
         if malicious_dead and honest_dead:
             env = self.env
             raise ImpossibleEvidenceError(
@@ -96,9 +98,8 @@ class Posterior:
             return 0.0
         if honest_dead:
             return 1.0
-        if log_like_malicious == log_like_honest:
+        if tie:
             return self.env.prior_malicious
-        log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
         weight = math.exp(-abs(log_odds))  # exp(-|log odds|), which never overflows
         return (1.0 if log_odds >= 0.0 else weight) / (1.0 + weight)
 
@@ -108,13 +109,12 @@ class Posterior:
         the same order, each exp from math.exp (numpy's can differ in an ulp),
         taken only where ones <= count. A type that cases finds dead at no
         point (the bool False) costs no pass."""
-        malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.cases(ones, count)
-        log_odds = self.prior_log_odds + log_like_malicious - log_like_honest
+        malicious_dead, honest_dead, tie, log_odds = self.cases(ones, count)
         live = ones <= count
         weight = np.full(log_odds.shape, np.nan)
         weight[live] = np.fromiter(map(math.exp, (-np.abs(log_odds[live])).tolist()), float)
         table = np.where(log_odds >= 0.0, 1.0, weight) / (1.0 + weight)
-        table = np.where(log_like_malicious == log_like_honest, self.env.prior_malicious, table)
+        table = np.where(tie, self.env.prior_malicious, table)
         if honest_dead is not False:  # each case overrides the ones above it
             table = np.where(honest_dead, 1.0, table)
         if malicious_dead is not False:

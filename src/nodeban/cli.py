@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -351,13 +350,6 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     ASCII, which the json module's ASCII string encoder writes unchanged;
     otherwise that encoder, the one json.dumps runs on a str, writes the id."""
     binary = not isinstance(policy, HiperPolicy)
-    if binary:
-        posterior, env = policies.posterior, policy.env  # the module global, so a tracer sees it
-
-        def statistic(ones, count):
-            return posterior(ones, count, env)
-    else:
-        statistic = operator.truediv  # hiper's mean, s / count
     verdicts: dict[tuple[int, int | float], tuple[bool, str]] = {}  # one run's, per (count, s)
     nodes: dict[str, tuple[int, int | None, int | float]] = {}
     line_no = 0
@@ -399,8 +391,8 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
             s += x
             verdict = verdicts.get((count, s))
             if verdict is None:
-                try:
-                    value = statistic(s, count)
+                try:  # the module global, so a tracer sees it; hiper's statistic is its mean
+                    value = policies.posterior(s, count, policy.env) if binary else s / count
                 except ImpossibleEvidenceError as exc:
                     return _fail(f"line {line_no}: {exc}")
                 remove = policy.removes(count, s)

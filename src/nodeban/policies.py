@@ -119,27 +119,24 @@ def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[i
     return kept
 
 
-def _rooted_plan(
-    evaluate: Posterior, ones, count, pm, env: EnvParams, depth: int, leaf_rule: LeafRule
-) -> np.ndarray:
-    """_plan's value to depth over leaf_rule at each root (count, ones) of
-    posterior pm, all three broadcast, from the (depth + 1)^2 posteriors
-    past each root: quadratic in depth rather than exponential, as the
-    belief depends on the future only through (ones seen, steps taken)."""
-    ones, count, pm = np.broadcast_arrays(ones, count, pm)
-    step = np.arange(depth + 1).reshape((-1,) + (1,) * pm.ndim)
+def _rooted_plan(evaluate: Posterior, ones, count, depth: int, leaf_rule: LeafRule) -> np.ndarray:
+    """_plan's value to depth over leaf_rule in evaluate's world at each root
+    (count, ones), the two broadcast, from the (depth + 1)^2 posteriors from
+    each root on: quadratic in depth rather than exponential, as the belief
+    depends on the future only through (ones seen, steps taken)."""
+    ones, count = np.broadcast_arrays(ones, count)
+    step = np.arange(depth + 1).reshape((-1,) + (1,) * ones.ndim)
     table = evaluate.elementwise((ones + step)[None], (count + step)[:, None])
-    table[0, 0] = pm
-    return _plan(table, env, leaf_rule, {depth})[depth][0, 0]
+    return _plan(table, evaluate.env, leaf_rule, {depth})[depth][0, 0]
 
 
 def lookahead_value(
     belief: BeliefState, env: EnvParams, depth: int, leaf_rule: LeafRule = LeafRule.ZERO
 ) -> float:
     """Expected value of the best keep/remove plan from the belief to depth,
-    one of DEPTHS, over leaf_rule: _plan rooted at it."""
-    pm = belief.posterior_malicious
-    return float(_rooted_plan(Posterior(env), belief.ones, belief.count, pm, env, check_depth(depth), leaf_rule))
+    one of DEPTHS, over leaf_rule: _plan rooted at it. It reads only the
+    belief's ones and count; the root's posterior is the evaluator's."""
+    return float(_rooted_plan(Posterior(env), belief.ones, belief.count, check_depth(depth), leaf_rule))
 
 
 class Lattice:
@@ -180,10 +177,10 @@ class Lattice:
 class _BeliefPolicy:
     """The plan to depth over leaf_rule. Its margin _margin(ones, count, pm),
     pm the malicious posterior, on numbers or broadcast arrays, is the leaf's
-    own at depth 0 and the plan value above; removes(count, ones) and its
-    elementwise twin keep only where it is strictly positive, and observe
-    folds one observation into the belief and returns removes at its
-    (count, ones)."""
+    own at depth 0 and the plan value above, which reads only (count, ones);
+    removes(count, ones) and its elementwise twin keep only where it is
+    strictly positive, and observe folds one observation into the belief
+    and returns removes at its (count, ones)."""
 
     def __init__(self, env: EnvParams, depth: int, leaf_rule: LeafRule) -> None:
         self.env, self.depth, self.leaf_rule = env, depth, leaf_rule
@@ -203,7 +200,7 @@ class _BeliefPolicy:
 
     def _margin(self, ones, count, pm):
         if self.depth:
-            return _rooted_plan(self.posterior, ones, count, pm, self.env, self.depth, self.leaf_rule)
+            return _rooted_plan(self.posterior, ones, count, self.depth, self.leaf_rule)
         return _leaf_margin(pm, self.env, self.leaf_rule)
 
     def observe(self, x: float) -> bool:
@@ -248,13 +245,9 @@ class _BeliefPolicy:
         with ones > count removes, as its NaN posterior does."""
         if self._band is None:
             return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
-        malicious_dead, honest_dead, log_like_malicious, log_like_honest = self.posterior.cases(ones, count)
-        log_odds = self.posterior.prior_log_odds + log_like_malicious - log_like_honest
+        malicious_dead, honest_dead, tie, log_odds = self.posterior.cases(ones, count)
         removes = (log_odds > self._cut) | (ones > count)
-        exact = (
-            malicious_dead | honest_dead | (log_like_malicious == log_like_honest)
-            | (np.abs(log_odds - self._cut) <= self._band)
-        ) & (ones <= count)
+        exact = (malicious_dead | honest_dead | tie | (np.abs(log_odds - self._cut) <= self._band)) & (ones <= count)
         if exact.any():
             ones, count = np.broadcast_arrays(ones, count)
             ones, count = ones[exact], count[exact]

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodeban.belief import (
     ImpossibleEvidenceError,
+    Posterior,
     initial_belief,
     keep_gain,
     posterior,
@@ -184,3 +187,40 @@ def test_long_history_sequential_equals_batch():
     assert belief.count == 1000
     batch = posterior(sum(xs), 1000, env)
     assert belief.posterior_malicious == pytest.approx(batch, rel=1e-12)
+
+
+#: A rate or prior: either endpoint exactly, or anything in [0, 1].
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def cases_points(draw):
+    """A world with any rates and prior in [0, 1], endpoints included, and
+    a point (ones, count): two ints with ones <= count, or a row of ones
+    against a column of counts, ones > count included, as a lattice asks."""
+    env = make_env(u=draw(UNIT), q=draw(UNIT), prior=draw(UNIT))
+    if draw(st.booleans()):
+        count = draw(st.integers(0, 5000))
+        return env, draw(st.integers(0, count)), count
+    values = st.lists(st.integers(0, 300), min_size=1, max_size=6)
+    return env, np.array(draw(values))[None], np.array(draw(values))[:, None]
+
+
+@settings(max_examples=300)
+@given(cases_points())
+def test_cases_tie_and_log_odds_are_the_log_likelihoods(case):
+    """Posterior.cases' tie is the equality of the two log-likelihoods, each
+    k log(rate) + (t - k) log(1 - rate) off the evaluator's logarithms, and
+    its log odds is prior_log_odds + malicious - honest, bit for bit: the one
+    definition that the scalar posterior, the elementwise posterior and the
+    depth-0 rules' removes_elementwise all read."""
+    env, ones, count = case
+    logs = Posterior(env)
+    log_like_malicious = ones * logs.log_q + (count - ones) * logs.log_not_q
+    log_like_honest = ones * logs.log_u + (count - ones) * logs.log_not_u
+    _, _, tie, log_odds = logs.cases(ones, count)
+    assert np.array_equal(tie, log_like_malicious == log_like_honest)
+    want = np.asarray(logs.prior_log_odds + log_like_malicious - log_like_honest, dtype=float)
+    got = np.asarray(log_odds, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -393,7 +393,9 @@ def cut_on_a_point(draw):
     k = int(np.clip(round(float(x[0])) + draw(st.integers(-2, 2)), 0, t))
     ulps, bands = draw(st.sampled_from(OFFSETS))
     target = policy._cut + ulps * math.ulp(policy._cut) + bands * policy._band
-    _, _, log_like_malicious, log_like_honest = policy.posterior.cases(k, t)
+    logs = policy.posterior
+    log_like_malicious = k * logs.log_q + (t - k) * logs.log_not_q
+    log_like_honest = k * logs.log_u + (t - k) * logs.log_not_u
 
     def log_odds(prior):
         return Posterior(replace(env, prior_malicious=prior)).prior_log_odds + log_like_malicious - log_like_honest

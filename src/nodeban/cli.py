@@ -127,9 +127,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
     with held:  # open until emit_csv is done, so that a FIFO's reader sees one writer throughout
         try:
             start = time.perf_counter()
-            records = run_suite(cfg, jobs=args.jobs)
-            smoothed = smooth_records(records, cfg.ma_window)
-            emit_csv(smoothed, args.out)
+            sweep = run_suite(cfg, jobs=args.jobs)
+            emit_csv(smooth_records(sweep, cfg.ma_window), args.out)
             wall = time.perf_counter() - start
         except Exception as exc:  # runtime failure, not usage
             print(f"runtime failure: {exc}", file=sys.stderr)
@@ -139,7 +138,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         f"seed={cfg.base_seed} wall_s={wall:.2f} out={args.out}"
     )
     for spec in cfg.specs:
-        print(f"policy {spec.label} mean_loss={_fmt(aggregate_mean_loss(records, spec.label))}")
+        print(f"policy {spec.label} mean_loss={_fmt(aggregate_mean_loss(sweep, spec.label))}")
     return 0
 
 

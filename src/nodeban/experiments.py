@@ -1,11 +1,12 @@
 """Experiment suites: parameter sweeps, smoothing and CSV emission.
 
 Each suite runs many independent worlds, evaluates every configured policy
-on identical worlds (paired comparison), and reports each run's mean loss
-against four sweep variables: the horizon, the gap between observation
-means, the realized fraction of malicious nodes, and the honest gain.
-Curves are produced by sorting runs along each variable and taking a
-centered moving average, matching a scatter-plus-trend reading.
+on identical worlds (paired comparison), and keeps one row per run (Sweep):
+the run's four sweep variables (the horizon, the gap between observation
+means, the realized fraction of malicious nodes, and the honest gain) and
+each policy's mean loss. Curves are produced by sorting runs along each
+variable and taking a centered moving average, matching a scatter-plus-trend
+reading (smooth_records), which yields the CSV's rows in the CSV's order.
 
 Each configured policy is parsed into a spec of the rule layer
 (policies.PolicySpec) and built into a removal region once per draw
@@ -22,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import fmean
 
 import numpy as np
@@ -33,37 +34,12 @@ from .simulator import ExperimentDraw, run_episode, sample_experiment
 
 SWEEP_VARIABLES = ("horizon", "gap", "malicious_proportion", "gain")
 
-_DEFAULT_RUNS = {
-    ExperimentSuite.DELTA_SWEEP: 10_000,
-    ExperimentSuite.POLICY_COMPARE: 10_000,
-    ExperimentSuite.LOOKAHEAD_COMPARE: 1_000,
+#: Each suite's default run count and policies.
+_DEFAULTS = {
+    ExperimentSuite.DELTA_SWEEP: (10_000, ("hiper:0.9", "hiper:0.95", "hiper:0.99", "hiper:star")),
+    ExperimentSuite.POLICY_COMPARE: (10_000, ("hiper:star", "myopic", "optimistic")),
+    ExperimentSuite.LOOKAHEAD_COMPARE: (1_000, ("optimistic", "lookahead:4", "lookahead:8")),
 }
-
-_DEFAULT_POLICIES = {
-    ExperimentSuite.DELTA_SWEEP: ("hiper:0.9", "hiper:0.95", "hiper:0.99", "hiper:star"),
-    ExperimentSuite.POLICY_COMPARE: ("hiper:star", "myopic", "optimistic"),
-    ExperimentSuite.LOOKAHEAD_COMPARE: ("optimistic", "lookahead:4", "lookahead:8"),
-}
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    suite: str
-    sweep_variable: str
-    x: float
-    policy_id: str
-    mean_loss: float
-    run_count: int
-
-    def __post_init__(self) -> None:
-        if self.sweep_variable not in SWEEP_VARIABLES:
-            raise ValueError(f"unknown sweep variable {self.sweep_variable!r}")
-        if self.run_count < 1:
-            raise ValueError(f"run_count must be at least 1, got {self.run_count}")
-        if not math.isfinite(self.x):  # NaN would also slip past moving_average's sortedness check
-            raise ValueError(f"x must be finite, got {self.x}")
-        if not (math.isfinite(self.mean_loss) and self.mean_loss >= 0.0):
-            raise ValueError(f"mean_loss must be finite and nonnegative, got {self.mean_loss}")
 
 
 def build_regions(specs: list[PolicySpec], draw: ExperimentDraw) -> list[Region]:
@@ -87,18 +63,21 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         # type() and not isinstance(): a JSON true is a bool, which is an int
+        if type(self.base_seed) is not int or self.base_seed < 0:
+            raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
         if type(self.n_runs) is not int or self.n_runs < 1:
             raise ValueError(f"n_runs must be a positive integer, got {self.n_runs!r}")
         if type(self.ma_window) is not int or self.ma_window < 1 or self.ma_window % 2 == 0:
             raise ValueError(f"ma_window must be a positive odd integer, got {self.ma_window!r}")
+        if not isinstance(self.policies, (list, tuple)) or not all(isinstance(p, str) for p in self.policies):
+            raise ValueError(f"policies must be a list or tuple of policy strings, got {self.policies!r}")
         if not self.policies:
             raise ValueError("policies must not be empty")
+        object.__setattr__(self, "policies", tuple(self.policies))
         object.__setattr__(self, "specs", tuple(map(PolicySpec.parse, self.policies)))
         labels = [spec.label for spec in self.specs]
         if len(set(labels)) < len(labels):
             raise ValueError(f"policies must name distinct policies, got labels {labels}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be nonnegative, got {self.base_seed}")
 
     @classmethod
     def make(
@@ -110,30 +89,56 @@ class SuiteConfig:
         policies: tuple[str, ...] | None = None,
     ) -> "SuiteConfig":
         suite = ExperimentSuite(suite)
+        default_runs, default_policies = _DEFAULTS[suite]
         return cls(
             suite=suite,
             base_seed=base_seed,
-            n_runs=_DEFAULT_RUNS[suite] if n_runs is None else n_runs,
+            n_runs=default_runs if n_runs is None else n_runs,
             ma_window=51 if ma_window is None else ma_window,
-            policies=_DEFAULT_POLICIES[suite] if policies is None else tuple(policies),
+            policies=default_policies if policies is None else policies,
         )
 
 
-def _execute_run(cfg: SuiteConfig, run_index: int) -> tuple:
+@dataclass(frozen=True)
+class Sweep:
+    """A suite's raw result, one row per run: coords[r] holds run r's values
+    of SWEEP_VARIABLES, in that order, and losses[r] its mean loss under each
+    policy, in the order of labels."""
+
+    suite: str
+    labels: tuple[str, ...]
+    coords: tuple[tuple[float, ...], ...]
+    losses: tuple[list[float], ...]
+
+    def __post_init__(self) -> None:
+        for coords, losses in zip(self.coords, self.losses, strict=True):
+            if not all(map(math.isfinite, coords)):  # NaN would also leave smooth_records' sort undefined
+                raise ValueError(f"coordinates must be finite, got {coords}")
+            if not all(math.isfinite(loss) and loss >= 0.0 for loss in losses):
+                raise ValueError(f"mean losses must be finite and nonnegative, got {losses}")
+
+    def column(self, label: str) -> list[float]:
+        """Each run's mean loss under the policy labelled `label`, in run order."""
+        index = self.labels.index(label)  # a ValueError for a label not in the sweep
+        return [losses[index] for losses in self.losses]
+
+
+def _execute_run(cfg: SuiteConfig, run_index: int) -> tuple[tuple[float, ...], list[float]]:
     """One world, every policy. Returns the run's coordinates in
     SWEEP_VARIABLES order (the horizon as a float, the gap, the realized
-    malicious fraction, the honest gain) and each policy's (label, mean loss)."""
+    malicious fraction, the honest gain) and each policy's mean loss, in the
+    order of cfg.specs."""
     run_rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed, spawn_key=(run_index,)))
     draw = sample_experiment(run_rng, cfg.suite)
     episode = run_episode(build_regions(cfg.specs, draw), draw)
     coords = (float(draw.horizon), draw.env.gap, episode.malicious_fraction, draw.env.gain_honest)
-    return coords, [(spec.label, loss) for spec, loss in zip(cfg.specs, episode.mean_loss)]
+    return coords, episode.mean_loss
 
 
-def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[SweepRecord]:
-    """Execute the configured number of independent runs and return one raw
-    record per (run, policy, sweep variable). Records are unsmoothed
-    (run_count is 1); apply smooth_records before plotting or emission.
+def run_suite(cfg: SuiteConfig, jobs: int = 1) -> Sweep:
+    """Execute the configured number of independent runs and return their
+    Sweep: one row per run, with each policy's unsmoothed mean loss. Apply
+    smooth_records before plotting or emission.
 
     jobs > 1 distributes whole runs over worker processes, at most one per
     run and per CPU, since the pool starts every worker at once; results
@@ -150,74 +155,58 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> list[SweepRecord]:
         chunk = max(1, cfg.n_runs // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_run, [cfg] * cfg.n_runs, range(cfg.n_runs), chunksize=chunk))
-    return [
-        SweepRecord(cfg.suite.value, variable, x, label, mean_loss, run_count=1)
-        for coords, per_policy in outcomes
-        for label, mean_loss in per_policy
-        for variable, x in zip(SWEEP_VARIABLES, coords)
-    ]
+    coords, losses = zip(*outcomes)
+    return Sweep(cfg.suite.value, tuple(spec.label for spec in cfg.specs), coords, losses)
 
 
-def moving_average(records: list[SweepRecord], window: int) -> list[SweepRecord]:
-    """Centered moving average over one x-sorted group of records.
+def moving_average(values: list[float], window: int) -> list[tuple[float, int]]:
+    """Centered moving average of a series, as (average, number of values
+    averaged) per position.
 
     The window is truncated symmetrically at the boundaries: position i
     averages over [i - h, i + h] with h = min(window // 2, i, n - 1 - i).
-    run_count of each output record is the number of points averaged.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be a positive odd integer, got {window}")
-    for earlier, later in zip(records, records[1:]):
-        if later.x < earlier.x:
-            raise ValueError("records must be sorted by x")
-    n = len(records)
+    n = len(values)
     half = window // 2
-    values = [r.mean_loss for r in records]
     smoothed = []
-    for i, record in enumerate(records):
+    for i in range(n):
         h = min(half, i, n - 1 - i)
         span = values[i - h : i + h + 1]
-        smoothed.append(replace(record, mean_loss=fmean(span), run_count=len(span)))
+        smoothed.append((fmean(span), len(span)))
     return smoothed
 
 
-def smooth_records(records: list[SweepRecord], window: int) -> list[SweepRecord]:
-    """Group records by (suite, sweep variable, policy), sort each group by x
-    (stable, so run order breaks ties) and smooth each group."""
-    groups: dict[tuple[str, str, str], list[SweepRecord]] = {}
-    for record in records:
-        groups.setdefault((record.suite, record.sweep_variable, record.policy_id), []).append(record)
-    out: list[SweepRecord] = []
-    for group in groups.values():
-        out.extend(moving_average(sorted(group, key=lambda r: r.x), window))
-    return out
+def smooth_records(sweep: Sweep, window: int) -> list[tuple]:
+    """The CSV's rows, (suite, panel, policy, x, mean_loss, run_count), in
+    the CSV's order: panels by name, then policies by label, then runs sorted
+    by the panel's coordinate (stable, so run order breaks ties). Each row
+    holds the centered moving average of its policy's losses in that order."""
+    rows = []
+    for panel in sorted(SWEEP_VARIABLES):
+        xs = [coords[SWEEP_VARIABLES.index(panel)] for coords in sweep.coords]
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        for label in sorted(sweep.labels):
+            column = sweep.column(label)
+            smoothed = moving_average([column[r] for r in order], window)
+            rows.extend((sweep.suite, panel, label, xs[r], *point) for r, point in zip(order, smoothed))
+    return rows
 
 
-def emit_csv(records: list[SweepRecord], path) -> None:
-    """Write records as CSV with a fixed header, rows sorted by
-    (panel, policy, x), floats at 9 significant digits, \\n newlines."""
-    ordered = sorted(records, key=lambda r: (r.suite, r.sweep_variable, r.policy_id, r.x))
+def emit_csv(rows: list[tuple], path) -> None:
+    """Write smooth_records' rows, in their order, as CSV with a fixed
+    header, floats at 9 significant digits, \\n newlines."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["suite", "panel", "policy", "x", "mean_loss", "run_count"])
-            for r in ordered:
-                writer.writerow(
-                    [r.suite, r.sweep_variable, r.policy_id, _fmt(r.x), _fmt(r.mean_loss), r.run_count]
-                )
+            for suite, panel, policy, x, mean_loss, run_count in rows:
+                writer.writerow([suite, panel, policy, _fmt(x), _fmt(mean_loss), run_count])
     except OSError as exc:
         raise OSError(f"failed writing sweep CSV to {path}: {exc}") from exc
 
 
-def aggregate_mean_loss(records: list[SweepRecord], policy_id: str) -> float:
-    """Mean over runs of the per-run mean loss for one policy, computed from
-    raw (unsmoothed) records via the horizon panel, which holds exactly one
-    record per run."""
-    losses = [
-        r.mean_loss
-        for r in records
-        if r.policy_id == policy_id and r.sweep_variable == "horizon" and r.run_count == 1
-    ]
-    if not losses:
-        raise ValueError(f"no raw horizon records for policy {policy_id!r}")
-    return fmean(losses)
+def aggregate_mean_loss(sweep: Sweep, label: str) -> float:
+    """Mean over runs of the per-run mean loss of the policy labelled `label`."""
+    return fmean(sweep.column(label))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from nodeban.belief import initial_belief, posterior, update
 from nodeban.cli import main as cli_main
-from nodeban.experiments import SuiteConfig, aggregate_mean_loss, build_regions, run_suite
+from nodeban.experiments import SWEEP_VARIABLES, SuiteConfig, aggregate_mean_loss, build_regions, run_suite
 from nodeban.hiper import (
     HiperPolicy,
     bound_loss_honest,
@@ -432,15 +432,12 @@ def test_c08_policy_comparison_ordering():
     """
     start = time.perf_counter()
     cfg = SuiteConfig.make("policy_compare", base_seed=20260810, n_runs=1000)
-    records = run_suite(cfg)
-    agg = {p: aggregate_mean_loss(records, p) for p in ("hiper:star", "myopic", "optimistic")}
+    sweep = run_suite(cfg)
+    agg = {p: aggregate_mean_loss(sweep, p) for p in ("hiper:star", "myopic", "optimistic")}
+    low = [coords[SWEEP_VARIABLES.index("malicious_proportion")] < 0.3 for coords in sweep.coords]
     low_malicious = {}
     for p in ("hiper:star", "optimistic"):
-        subset = [
-            r.mean_loss
-            for r in records
-            if r.policy_id == p and r.sweep_variable == "malicious_proportion" and r.x < 0.3
-        ]
+        subset = [loss for loss, is_low in zip(sweep.column(p), low) if is_low]
         low_malicious[p] = sum(subset) / len(subset)
     clause_myopic_vs_hiper = agg["myopic"] > agg["hiper:star"]
     clause_myopic_vs_optimistic = agg["myopic"] > agg["optimistic"]
@@ -494,9 +491,9 @@ def test_c09_lookahead_comparison_ordering():
         n_runs=1000,
         policies=("optimistic", "lookahead:4", "lookahead:8", "myopic"),
     )
-    records = run_suite(cfg)
+    sweep = run_suite(cfg)
     agg = {
-        p: aggregate_mean_loss(records, p)
+        p: aggregate_mean_loss(sweep, p)
         for p in ("optimistic", "lookahead:4", "lookahead:8", "myopic")
     }
     clause_la4 = agg["lookahead:4"] < agg["myopic"]

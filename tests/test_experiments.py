@@ -8,8 +8,9 @@ import pytest
 
 from nodeban import experiments
 from nodeban.experiments import (
+    SWEEP_VARIABLES,
     SuiteConfig,
-    SweepRecord,
+    Sweep,
     aggregate_mean_loss,
     emit_csv,
     moving_average,
@@ -19,10 +20,14 @@ from nodeban.experiments import (
 from nodeban.policies import LeafRule, PolicySpec
 
 
-def rec(x, loss, policy="p", variable="horizon", suite="policy_compare", runs=1):
-    return SweepRecord(
-        suite=suite, sweep_variable=variable, x=x, policy_id=policy, mean_loss=loss, run_count=runs
-    )
+def sweep(labels, coords, losses, suite="policy_compare"):
+    """A hand-made Sweep: coords[r] is run r's (horizon, gap,
+    malicious_proportion, gain), losses[r] its loss under each label."""
+    return Sweep(suite, tuple(labels), tuple(map(tuple, coords)), tuple(map(list, losses)))
+
+
+def row(x, loss, policy="p", panel="horizon", suite="policy_compare", runs=1):
+    return (suite, panel, policy, x, loss, runs)
 
 
 #: Depths and deltas that int() and float() take but a spec does not:
@@ -136,31 +141,31 @@ class TestSuiteConfig:
             SuiteConfig.make("delta_sweep", base_seed=1, policies=("bogus",))
         with pytest.raises(ValueError):
             SuiteConfig.make("delta_sweep", base_seed=-3)
+        for seed in (1.5, True, "7", None):  # would fail inside SeedSequence, or run as seed 1
+            with pytest.raises(ValueError, match="^base_seed must be a nonnegative integer"):
+                SuiteConfig.make("policy_compare", seed)
+        for policies in ([3], "myopic", ("myopic", None), {"myopic"}):
+            with pytest.raises(ValueError, match="^policies must be a list or tuple of policy strings"):
+                SuiteConfig.make("policy_compare", 1, policies=policies)
+        assert SuiteConfig.make("policy_compare", 1, policies=["myopic"]).policies == ("myopic",)
 
 
 class TestMovingAverage:
     def test_window_one_is_identity(self):
-        records = [rec(float(i), float(i * i)) for i in range(6)]
-        assert moving_average(records, 1) == records
+        values = [float(i * i) for i in range(6)]
+        assert moving_average(values, 1) == [(v, 1) for v in values]
 
     def test_constant_series_unchanged(self):
-        records = [rec(float(i), 2.5) for i in range(9)]
-        smoothed = moving_average(records, 5)
-        assert [r.mean_loss for r in smoothed] == [2.5] * 9
+        smoothed = moving_average([2.5] * 9, 5)
+        assert [mean for mean, _ in smoothed] == [2.5] * 9
 
     def test_boundary_truncation_single_spike(self):
-        records = [rec(float(i), v) for i, v in enumerate((0.0, 0.0, 3.0, 0.0, 0.0))]
-        smoothed = moving_average(records, 3)
-        assert [r.mean_loss for r in smoothed] == [0.0, 1.0, 1.0, 1.0, 0.0]
-        assert [r.run_count for r in smoothed] == [1, 3, 3, 3, 1]
+        smoothed = moving_average([0.0, 0.0, 3.0, 0.0, 0.0], 3)
+        assert smoothed == [(0.0, 1), (1.0, 3), (1.0, 3), (1.0, 3), (0.0, 1)]
 
     def test_rejects_even_window(self):
         with pytest.raises(ValueError):
-            moving_average([rec(0.0, 1.0)], 2)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            moving_average([rec(2.0, 1.0), rec(1.0, 1.0)], 1)
+            moving_average([1.0], 2)
 
     def test_interior_mass_preserved(self):
         # mass sitting at least a full window away from both boundaries is
@@ -171,28 +176,31 @@ class TestMovingAverage:
         pad = window - 1
         body = rng.uniform(0, 5, size=40).tolist()
         series = [0.0] * pad + body + [0.0] * pad
-        records = [rec(float(i), v) for i, v in enumerate(series)]
-        smoothed = moving_average(records, window)
+        smoothed = moving_average(series, window)
         raw_mean = sum(series) / len(series)
-        smooth_mean = sum(r.mean_loss for r in smoothed) / len(smoothed)
+        smooth_mean = sum(mean for mean, _ in smoothed) / len(smoothed)
         assert smooth_mean == pytest.approx(raw_mean, rel=1e-9)
 
 
 class TestRunSuite:
     def test_record_counts_and_panels(self):
         cfg = SuiteConfig.make("delta_sweep", base_seed=5, n_runs=10, ma_window=3)
-        records = run_suite(cfg)
-        # 10 runs x 4 policies x 4 panels
-        assert len(records) == 160
-        panels = {r.sweep_variable for r in records}
-        assert panels == {"horizon", "gap", "malicious_proportion", "gain"}
+        result = run_suite(cfg)
+        assert result.suite == "delta_sweep"
+        assert result.labels == cfg.policies
+        # 10 runs, each with 4 coordinates and 4 policies' losses
+        assert len(result.coords) == len(result.losses) == 10
+        assert all(len(coords) == 4 and len(losses) == 4 for coords, losses in zip(result.coords, result.losses))
+        assert all(loss >= 0.0 for losses in result.losses for loss in losses)
+        rows = smooth_records(result, 1)
+        # 10 runs x 4 policies x 4 panels, unsmoothed at window 1
+        assert len(rows) == 160
+        assert {r[1] for r in rows} == {"horizon", "gap", "malicious_proportion", "gain"}
         per_group = {}
-        for r in records:
-            per_group.setdefault((r.sweep_variable, r.policy_id), []).append(r)
-        for group in per_group.values():
-            assert len(group) == 10
-        assert all(r.mean_loss >= 0.0 for r in records)
-        assert all(r.run_count == 1 for r in records)
+        for r in rows:
+            per_group.setdefault((r[1], r[2]), []).append(r)
+        assert all(len(group) == 10 for group in per_group.values())
+        assert all(r[5] == 1 for r in rows)
 
     def test_deterministic_across_calls_and_jobs(self):
         cfg = SuiteConfig.make(
@@ -234,32 +242,44 @@ class TestRunSuite:
         assert run_suite(cfg, jobs=jobs) == expected
         assert sizes == [workers]
 
-    def test_aggregate_requires_raw_records(self):
+    def test_aggregate_is_the_mean_of_a_column(self):
         cfg = SuiteConfig.make(
             "lookahead_compare", base_seed=3, n_runs=4, policies=("myopic",), ma_window=3
         )
-        records = run_suite(cfg)
-        value = aggregate_mean_loss(records, "myopic")
-        per_run = [r.mean_loss for r in records if r.sweep_variable == "horizon"]
+        result = run_suite(cfg)
+        value = aggregate_mean_loss(result, "myopic")
+        per_run = [losses[0] for losses in result.losses]
+        assert result.column("myopic") == per_run
         assert value == pytest.approx(sum(per_run) / len(per_run), rel=1e-12)
         with pytest.raises(ValueError):
-            aggregate_mean_loss(records, "absent")
+            aggregate_mean_loss(result, "absent")
 
 
 class TestSmoothRecords:
     def test_groups_do_not_mix(self):
-        records = [
-            rec(1.0, 10.0, policy="a"),
-            rec(2.0, 0.0, policy="a"),
-            rec(1.0, 99.0, policy="b"),
-            rec(2.0, 99.0, policy="b"),
-        ]
-        smoothed = smooth_records(records, 3)
+        result = sweep(("a", "b"), [(1.0, 1.0, 0.5, 1.0), (2.0, 2.0, 0.5, 1.0)], [(10.0, 99.0), (0.0, 99.0)])
         by_policy = {}
-        for r in smoothed:
-            by_policy.setdefault(r.policy_id, []).append(r.mean_loss)
+        for r in smooth_records(result, 3):
+            if r[1] == "horizon":
+                by_policy.setdefault(r[2], []).append(r[4])
         assert by_policy["b"] == [99.0, 99.0]
         assert by_policy["a"] == [10.0, 0.0]  # truncated windows at both ends
+
+    def test_csv_order(self):
+        """Panels by name, then policies by label, then runs by x, with
+        equal x in run order: a stable sort of each panel's coordinate."""
+        labels = ("z", "a")
+        coords = [(3.0, 0.2, 0.4, 1.0), (1.0, 0.2, 0.1, 2.0), (3.0, 0.1, 0.4, 1.0), (1.0, 0.3, 0.3, 0.5)]
+        losses = [(0.0, 10.0), (1.0, 11.0), (2.0, 12.0), (3.0, 13.0)]
+        rows = smooth_records(sweep(labels, coords, losses), 1)
+        groups = [(panel, label) for panel in ("gain", "gap", "horizon", "malicious_proportion") for label in "az"]
+        assert [(r[1], r[2]) for r in rows] == [group for group in groups for _ in coords]
+        run_order = {"gain": [3, 0, 2, 1], "gap": [2, 0, 1, 3], "horizon": [1, 3, 0, 2],
+                     "malicious_proportion": [1, 3, 0, 2]}
+        for (panel, label), start in zip(groups, range(0, len(rows), len(coords))):
+            x, loss = SWEEP_VARIABLES.index(panel), labels.index(label)
+            expected = [(coords[r][x], losses[r][loss]) for r in run_order[panel]]
+            assert [(r[3], r[4]) for r in rows[start:start + len(coords)]] == expected
 
 
 class TestEmitCsv:
@@ -270,25 +290,26 @@ class TestEmitCsv:
         emit_csv([], path)
         assert path.read_bytes() == (self.HEADER + "\n").encode()
 
-    def test_sorted_and_byte_identical(self, tmp_path):
-        records = [
-            rec(2.0, 1.0, policy="b", variable="gap"),
-            rec(1.0, 0.5, policy="a", variable="horizon"),
-            rec(1.5, 0.25, policy="a", variable="gap"),
+    def test_rows_written_in_their_order(self, tmp_path):
+        rows = [
+            row(2.0, 1.0, policy="b", panel="gap"),
+            row(1.0, 0.5, policy="a", panel="horizon"),
+            row(1.5, 0.25, policy="a", panel="gap", runs=3),
         ]
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(records, p1)
-        emit_csv(list(reversed(records)), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        lines = p1.read_text().splitlines()
-        assert lines[0] == self.HEADER
-        assert [l.split(",")[1] for l in lines[1:]] == ["gap", "gap", "horizon"]
+        path = tmp_path / "a.csv"
+        emit_csv(rows, path)
+        assert path.read_text().splitlines() == [
+            self.HEADER,
+            "policy_compare,gap,b,2,1,1",
+            "policy_compare,horizon,a,1,0.5,1",
+            "policy_compare,gap,a,1.5,0.25,3",
+        ]
 
     def test_round_trip_precision(self, tmp_path):
         path = tmp_path / "r.csv"
         x = 123.456789123456
         loss = 1.0 / 3.0
-        emit_csv([rec(x, loss)], path)
+        emit_csv([row(x, loss)], path)
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert float(rows[0]["x"]) == pytest.approx(x, rel=1e-8)
@@ -300,17 +321,16 @@ class TestEmitCsv:
             emit_csv([], tmp_path / "no" / "such" / "file.csv")
 
 
-def test_sweep_record_validation():
+def test_sweep_validation():
+    labels, coords = ("myopic",), [(1.0, 0.5, 0.5, 1.0)]
     with pytest.raises(ValueError):
-        rec(1.0, -0.5)
+        sweep(labels, coords, [(-0.5,)])
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="x must be finite"):
-            rec(bad, 1.0)
-        with pytest.raises(ValueError, match="mean_loss must be finite"):
-            rec(1.0, bad)
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            sweep(labels, [(1.0, bad, 0.5, 1.0)], [(1.0,)])
+        with pytest.raises(ValueError, match="mean losses must be finite"):
+            sweep(labels, coords, [(bad,)])
     with pytest.raises(ValueError):
-        SweepRecord("policy_compare", "gap", math.nan, "myopic", math.nan, 1)
-    with pytest.raises(ValueError):
-        rec(1.0, 1.0, runs=0)
-    with pytest.raises(ValueError):
-        rec(1.0, 1.0, variable="bogus")
+        sweep(labels, [(1.0, math.nan, 0.5, 1.0)], [(math.nan,)])
+    with pytest.raises(ValueError):  # one run's coordinates, two runs' losses
+        sweep(labels, coords, [(1.0,), (1.0,)])

@@ -89,26 +89,15 @@ def _load_suite_config(args: argparse.Namespace):
         raise ValueError("a suite is required (config key 'suite' or flag --suite)")
     if args.seed is None:
         raise ValueError("--seed is required in suite mode")
-    if "base_seed" in raw and type(raw["base_seed"]) is not int:  # a JSON true is an int
-        raise ValueError(f"field 'base_seed': expected an integer, got {raw['base_seed']!r}")
-    if "base_seed" in raw and raw["base_seed"] != args.seed:
-        raise ValueError(
-            f"config base_seed={raw['base_seed']} conflicts with --seed {args.seed}"
-        )
-    try:
-        suite = ExperimentSuite(raw["suite"])
-    except ValueError:
-        valid = ", ".join(s.value for s in ExperimentSuite)
-        raise ValueError(f"field 'suite': unknown suite {raw['suite']!r} (expected one of {valid})")
-    policies = raw.get("policies")
-    if policies is not None:
-        if not isinstance(policies, list) or not all(isinstance(p, str) for p in policies):
-            raise ValueError("field 'policies': expected a list of policy strings")
     ma_window = args.ma_window if args.ma_window is not None else raw.get("ma_window")
     try:
-        return SuiteConfig.make(suite, args.seed, raw.get("n_runs"), ma_window, policies)
+        cfg = SuiteConfig.make(raw["suite"], raw.get("base_seed", args.seed), raw.get("n_runs"), ma_window,
+                               raw.get("policies"))
     except ValueError as exc:
         raise ValueError(f"invalid suite config: {exc}")
+    if cfg.base_seed != args.seed:  # compared once SuiteConfig has refused a bool, so a JSON true is not 1
+        raise ValueError(f"config base_seed={cfg.base_seed} conflicts with --seed {args.seed}")
+    return cfg
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
@@ -257,37 +246,21 @@ def _build_stream_policy(args: argparse.Namespace):
     return spec.policy(EnvParams(args.u, args.q, args.gU, args.lQ, departure_rate=rate, prior_malicious=args.prior))
 
 
-#: The scanner and the string encoder that json.loads and json.dumps run
-#: under their default arguments, bound once for the stream's per-event calls.
-_scan_once = json.scanner.make_scanner(json.JSONDecoder())
-_encode_string = json.encoder.encode_basestring_ascii
-
-
 def _parse_event(text: str, line_no: int) -> tuple[str, int, float]:
-    """The event (node_id, t, x) on a stripped input line, parsed exactly
-    as json.loads parses it, or json.loads' own error: the scanner
-    json.loads runs is called directly, and a line whose scan fails or
-    stops short of its end goes to json.loads, which scans it from 0 too (a
-    stripped line has no JSON whitespace at either end) and so raises. The
-    stream calls it only for a line not in _canonical_event's layout: this
-    parse accepts every line of that layout, with the values the pattern
-    reads off it."""
+    """The event (node_id, t, x) that json.loads reads on a stripped input
+    line, or json.loads' own error. The stream calls it only for a line not
+    in _canonical_event's layout."""
     try:
-        obj, end = _scan_once(text, 0)
-    except (StopIteration, ValueError, RecursionError):  # StopIteration: no JSON value starts at 0
-        end = -1
-    if end != len(text):
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
-            raise ValueError(f"line {line_no}: not valid JSON ({exc})")
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep
+        raise ValueError(f"line {line_no}: not valid JSON ({exc})")
     try:
         node_id, t, x = obj["node_id"], obj["t"], obj["x"]
     except (KeyError, TypeError):  # a KeyError only from a dict
         if type(obj) is not dict:
             raise ValueError(f"line {line_no}: expected a JSON object")
         raise ValueError(f"line {line_no}: missing fields {sorted({'node_id', 't', 'x'} - set(obj))}")
-    # the scanner gives exact types, so `type(v) is int` excludes a JSON true
+    # json.loads gives exact types, so `type(v) is int` excludes a JSON true
     if type(node_id) is not str:  # 7 and "7" would otherwise be one node
         raise ValueError(f"line {line_no}: node_id must be a JSON string, got {json.dumps(node_id)}")
     if type(t) is not int or t < 1:
@@ -307,8 +280,8 @@ def _parse_event(text: str, line_no: int) -> tuple[str, int, float]:
 #: An event line as json.dumps writes it under its default arguments, with
 #: the newline that iterating a file leaves on it:
 #:     {"node_id": "<id>", "t": <t>, "x": <x>}
-#: <id> holds no quote, backslash or control character (json's strict scanner
-#: refuses a raw one), so it is the string as it stands; <t> is 1 to 18
+#: <id> holds no quote, backslash or control character (json.loads refuses a
+#: raw one), so it is the string as it stands; <t> is 1 to 18
 #: digits with no leading zero; <x> is 0, 1, 0.<digits> or 1.<zeros>, so it
 #: lies in [0, 1]. A line of this layout is an event that passes every check
 #: of _parse_event, and int(<t>) and float(<x>) are the values json.loads gives.
@@ -341,13 +314,13 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
     before the next is read, so a live pipe's verdicts are not held back. A
     line in _canonical_event's layout is read off its match, its x only for
     a live node; any other is stripped, refused if blank, and parsed by
-    _parse_event.
+    _parse_event, that is by json.loads.
 
     Each verdict line is json.dumps of the verdict object, written directly:
     t is an int and the statistic a finite float, whose repr is json's. Up
     to t, it is a canonical line's own prefix when the id is printable
-    ASCII, which the json module's ASCII string encoder writes unchanged;
-    otherwise that encoder, the one json.dumps runs on a str, writes the id."""
+    ASCII, which json.dumps writes unchanged; otherwise json.dumps writes
+    the id."""
     binary = not isinstance(policy, HiperPolicy)
     verdicts: dict[tuple[int, int | float], tuple[bool, str]] = {}  # one run's, per (count, s)
     nodes: dict[str, tuple[int, int | None, int | float]] = {}
@@ -402,7 +375,7 @@ def _run_stream(args: argparse.Namespace, policy, infile, outfile) -> int:
             if event and node_id.isascii() and node_id.isprintable():
                 outfile.write(prefix + tail)
             else:
-                outfile.write(f'{{"node_id": {_encode_string(node_id)}, "t": {t}, {tail}')
+                outfile.write(f'{{"node_id": {json.dumps(node_id)}, "t": {t}, {tail}')
             nodes[node_id] = (t, None if remove else count, s)
     except UnicodeDecodeError as exc:
         return _fail(f"input after line {line_no} is not valid UTF-8 ({exc.reason})")

@@ -88,7 +88,11 @@ class SuiteConfig:
         ma_window: int | None = None,
         policies: tuple[str, ...] | None = None,
     ) -> "SuiteConfig":
-        suite = ExperimentSuite(suite)
+        try:
+            suite = ExperimentSuite(suite)
+        except ValueError:
+            valid = ", ".join(s.value for s in ExperimentSuite)
+            raise ValueError(f"unknown suite {suite!r} (expected one of {valid})") from None
         default_runs, default_policies = _DEFAULTS[suite]
         return cls(
             suite=suite,

@@ -148,8 +148,9 @@ def lookahead_value_bruteforce(
 
 def parse_event_loads(line: str, line_no: int) -> tuple[str, int, float]:
     """One stripped input line of nodeban stream, as (node_id, t, x), parsed
-    by json.loads itself: the reference that cli._parse_event must match,
-    event for event and error text for error text."""
+    by json.loads: the stream's definition of an event. cli._parse_event is
+    this reading, and a line that the stream reads off its canonical
+    pattern must give the same event."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also an integer too long to convert, or nesting too deep

@@ -931,12 +931,23 @@ class TestSuiteCommand:
         assert code == 2
         assert "conflicts" in capsys.readouterr().err
 
-    def test_conflicting_base_seed_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("base_seed", [99, True, 1.5])
+    def test_conflicting_base_seed_exits_2(self, base_seed, tmp_path, capsys):
+        """A base_seed other than --seed's, or not an integer: a JSON true is
+        refused though true == 1 in Python."""
         cfg = tmp_path / "cfg.json"
-        self.write_config(cfg, suite="delta_sweep", n_runs=2, base_seed=99)
+        self.write_config(cfg, suite="delta_sweep", n_runs=2, base_seed=base_seed)
         code = run_cli(["suite", "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--seed", "1"])
         assert code == 2
         assert "base_seed" in capsys.readouterr().err
+
+    def test_unknown_suite_in_config_exits_2_naming_the_suites(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        self.write_config(cfg, suite="bogus", n_runs=2)
+        err = assert_usage_error(["suite", "--config", str(cfg), "--out", str(out), "--seed", "1"], capsys).err
+        assert err == ("error: invalid suite config: unknown suite 'bogus' "
+                       "(expected one of delta_sweep, policy_compare, lookahead_compare)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "config,flags",

@@ -141,6 +141,9 @@ class TestSuiteConfig:
             SuiteConfig.make("delta_sweep", base_seed=1, policies=("bogus",))
         with pytest.raises(ValueError):
             SuiteConfig.make("delta_sweep", base_seed=-3)
+        with pytest.raises(ValueError, match=r"^unknown suite 'bogus' \(expected one of delta_sweep, policy_compare, "
+                                             r"lookahead_compare\)$"):
+            SuiteConfig.make("bogus", base_seed=1)
         for seed in (1.5, True, "7", None):  # would fail inside SeedSequence, or run as seed 1
             with pytest.raises(ValueError, match="^base_seed must be a nonnegative integer"):
                 SuiteConfig.make("policy_compare", seed)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .model import EnvParams
 
 
@@ -109,6 +107,7 @@ class Posterior:
         the same order, each exp from math.exp (numpy's can differ in an ulp),
         taken only where ones <= count. A type that cases finds dead at no
         point (the bool False) costs no pass."""
+        import numpy as np  # here only: the scalar evaluator, the stream's, loads no numpy
         malicious_dead, honest_dead, tie, log_odds = self.cases(ones, count)
         live = ones <= count
         weight = np.full(log_odds.shape, np.nan)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 _DELTA_MIN = 1e-6
 _DELTA_MAX = 1.0 - 1e-6
 
@@ -196,12 +194,14 @@ class HiperPolicy:
     def removes_elementwise(self, count: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """removes at every pair of two broadcast arrays, by the same IEEE
         operations (numpy's sqrt is correctly rounded, as math.sqrt is)."""
+        import numpy as np  # here and in boundary only: removes, the stream's rule, loads no numpy
         radius = np.sqrt(self._log_term / (2.0 * count))
         return (count > self._warmup) & (np.abs(ones / count - self.anchor) < radius)
 
     def boundary(self, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The interval's ends up to rounding, count * (anchor -+ radius), and
         the empty (inf, -inf) at each count up to the warm-up."""
+        import numpy as np
         spread = np.where(count > self._warmup, np.sqrt(count * (self._log_term / 2.0)), -np.inf)
         centre = count * self.anchor
         return centre - spread, centre + spread

@@ -29,6 +29,11 @@ compile_region, from the rule's closed-form ends where one call of the rule
 confirms them, or read off a Lattice by table_region. The simulator scores
 Regions and the stream asks the rule point by point; this module loads
 neither the simulator nor the suites, so nodeban stream starts without them.
+Nor does it, hiper or belief import numpy at module level: only the
+functions and methods that build or read an array do, in their own body,
+so the scalar rules (removes, hiper's and the depth-0 rules') and
+nodeban stream under them never load it; a lookahead rule's removes plans
+on an array, and loads numpy at its first call.
 
 Ties always remove: each rule keeps only on a strictly positive margin.
 """
@@ -41,8 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .belief import (
     BeliefState,
@@ -83,12 +86,15 @@ def _leaf_margin(pm, env: EnvParams, leaf_rule: LeafRule):
     if leaf_rule is LeafRule.MYOPIC_INFINITE:
         return keep_gain(pm, env)
     if leaf_rule is LeafRule.OPTIMISTIC:
-        with np.errstate(over="ignore"):  # inf, which keeps, at a departure rate near 0
+        if type(pm) is float:  # overflows to inf, which keeps, at a departure rate near 0, with no warning
             return (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
+        import numpy as np  # np.float64, a float subclass, and arrays warn on that overflow
+        with np.errstate(over="ignore"):
+            return (1.0 - pm) * env.gain_honest / env.departure_rate - pm * env.loss_malicious
+    import numpy as np
     return np.zeros_like(pm)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # V_0 inf at a departure rate near 0, and 0 * inf NaN
 def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[int, np.ndarray]:
     """The lookahead recursion over a table of posteriors pm[t, k, ...], each
     t steps and k one-bits past the table's root: V_0 is the leaf rule's
@@ -103,20 +109,22 @@ def _plan(pm: np.ndarray, env: EnvParams, leaf_rule: LeafRule, depths) -> dict[i
     DEPTHS, and returns V_r for each r in depths, on the first len(pm) - r
     rows and columns. An entry of V_r reads only its own posterior and r rows
     below it, so it does not depend on the table's size or on the other depths."""
-    values = np.fmax(_leaf_margin(pm, env, leaf_rule), 0.0)
-    if leaf_rule is LeafRule.MYOPIC_INFINITE:
-        values /= env.departure_rate
-    gain = keep_gain(pm, env)
-    p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
-    p_zero = 1.0 - p_one
-    kept = {}
-    for depth in range(1, max(depths) + 1):
-        n = len(pm) - depth
-        keep = gain[:n, :n] + p_one[:n, :n] * values[1:, 1:] + p_zero[:n, :n] * values[1:, :n]
-        values = np.fmax(keep, 0.0)
-        if depth in depths:
-            kept[depth] = values
-    return kept
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):  # V_0 inf at a departure rate near 0, and 0 * inf NaN
+        values = np.fmax(_leaf_margin(pm, env, leaf_rule), 0.0)
+        if leaf_rule is LeafRule.MYOPIC_INFINITE:
+            values /= env.departure_rate
+        gain = keep_gain(pm, env)
+        p_one = env.honest_mean * (1.0 - pm) + env.malicious_mean * pm
+        p_zero = 1.0 - p_one
+        kept = {}
+        for depth in range(1, max(depths) + 1):
+            n = len(pm) - depth
+            keep = gain[:n, :n] + p_one[:n, :n] * values[1:, 1:] + p_zero[:n, :n] * values[1:, :n]
+            values = np.fmax(keep, 0.0)
+            if depth in depths:
+                kept[depth] = values
+        return kept
 
 
 def _rooted_plan(evaluate: Posterior, ones, count, depth: int, leaf_rule: LeafRule) -> np.ndarray:
@@ -124,6 +132,7 @@ def _rooted_plan(evaluate: Posterior, ones, count, depth: int, leaf_rule: LeafRu
     (count, ones), the two broadcast, from the (depth + 1)^2 posteriors from
     each root on: quadratic in depth rather than exponential, as the belief
     depends on the future only through (ones seen, steps taken)."""
+    import numpy as np
     ones, count = np.broadcast_arrays(ones, count)
     step = np.arange(depth + 1).reshape((-1,) + (1,) * ones.ndim)
     table = evaluate.elementwise((ones + step)[None], (count + step)[:, None])
@@ -158,6 +167,7 @@ class Lattice:
 
     @cached_property
     def _posterior(self) -> np.ndarray:
+        import numpy as np
         size = self.horizon + 1 + max(map(max, self._depths.values()))
         count, ones = np.ogrid[:size, :size]
         return Posterior(self.env).elementwise(ones, count)
@@ -243,6 +253,7 @@ class _BeliefPolicy:
         type is dead or the two log-likelihoods are equal (whose posterior is
         not the logistic of L), and every point when _band is None. A point
         with ones > count removes, as its NaN posterior does."""
+        import numpy as np
         if self._band is None:
             return ~(self._margin(ones, count, self.posterior.elementwise(ones, count)) > 0.0)
         malicious_dead, honest_dead, tie, log_odds = self.posterior.cases(ones, count)
@@ -261,6 +272,7 @@ class _BeliefPolicy:
         which the margin is 0, and the anchor's edge. The interval is (x, inf)
         where the malicious rate is the higher one, so that pm rises with
         ones, and (-inf, x) otherwise."""
+        import numpy as np
         if self.depth:
             unknown = np.full(count.shape, np.nan)
             return unknown, unknown
@@ -322,6 +334,7 @@ def compile_region(policy, horizon: int) -> Region:
     empty one if its seed and the seed's neighbours keep. Only the counts not
     confirmed are read whole, at every ones value up to the count, in one
     more call."""
+    import numpy as np
     count = np.arange(1.0, horizon + 1)  # floats: the rules' arithmetic is float, the values exact
     removes = policy.removes_elementwise
     seed = np.rint(policy.anchor * count)
@@ -345,6 +358,7 @@ def compile_region(policy, horizon: int) -> Region:
 def table_region(removed: np.ndarray) -> Region:
     """The Region of removed[t, k] for counts 1..horizon and ones k <= t, whose
     removing ones at each count must form an interval, as in compile_region."""
+    import numpy as np
     removed = np.tril(removed)
     removed[0] = False
     return Region(*_ends(removed))
@@ -352,6 +366,7 @@ def table_region(removed: np.ndarray) -> Region:
 
 def _ends(removed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's first and last True column, or 0 and -1 in a row with none."""
+    import numpy as np
     some = removed.any(axis=1)
     lo = np.where(some, removed.argmax(axis=1), 0)
     hi = np.where(some, removed.shape[1] - 1 - removed[:, ::-1].argmax(axis=1), -1)

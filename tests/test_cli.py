@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nodeban
-from nodeban.cli import _canonical_event, _parse_event, _run_stream, main
+from nodeban.cli import _canonical_event, _run_stream, main
 from nodeban.belief import posterior
 from nodeban.hiper import HiperPolicy, optimal_delta
 from nodeban.model import EnvParams, ExperimentSuite
@@ -1194,58 +1194,6 @@ def parse_fuzz_lines(seed, n):
         yield line
 
 
-def parse_outcome(parse, text):
-    """parse(text, 1) as a comparable value: the event's fields, with x by
-    its repr, or the error type and text."""
-    try:
-        node_id, t, x = parse(text, 1)
-    except (ValueError, RecursionError) as exc:
-        return type(exc).__name__, str(exc)
-    return node_id, t, repr(x)
-
-
-def test_parse_event_is_json_loads_on_fuzzed_lines():
-    """_parse_event on the stripped lines the stream hands it: the same
-    event as json.loads-based parsing, or the same error text."""
-    outcomes = collections.Counter()
-    for line in parse_fuzz_lines(seed=30, n=24_000):
-        text = line.strip()
-        expected = parse_outcome(parse_event_loads, text)
-        assert parse_outcome(_parse_event, text) == expected, text
-        # an event, or the reason json gives, or "" for an event's own check
-        outcomes["event" if len(expected) == 3 else expected[1].partition(" (")[2].partition(":")[0]] += 1
-    # accepted events show, and so does every error the parse rebuilds
-    assert outcomes["event"] > 2000
-    assert min(outcomes[reason] for reason in
-               ("Expecting value", "Extra data", "Unexpected UTF-8 BOM (decode using utf-8-sig)")) > 100
-
-
-@pytest.mark.parametrize("text, outcome", [
-    pytest.param('\ufeff{"node_id": "a", "t": 1, "x": 0.5}',
-                 "not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))", id="bom"),
-    pytest.param('{"node_id": "a", "t": 1, "x": 0.5}  \t {}',
-                 "not valid JSON (Extra data: line 1 column 39 (char 38))", id="padded_extra_data"),
-    pytest.param('"a"\t1', "not valid JSON (Extra data: line 1 column 5 (char 4))", id="tab_extra_data"),
-    pytest.param("[" * 100_000, "not valid JSON (maximum recursion depth exceeded", id="deep_nesting"),
-    pytest.param('{"node_id": "a", "t": 1%s, "x": 0.5}' % ("0" * 4999),
-                 "not valid JSON (Exceeds the limit (4300 digits)", id="5000_digit_t"),
-    pytest.param('{"node_id": "a", "t": 1, "x": NaN}', "observation value must lie in [0, 1], got nan", id="nan"),
-    pytest.param('{"node_id": "a", "t": 1, "x": Infinity}', "observation value must lie in [0, 1], got inf", id="inf"),
-    pytest.param('{"node_id": "a", "t": 1, "x": -Infinity}', "observation value must lie in [0, 1], got -inf",
-                 id="minus_inf"),
-    pytest.param('{"node_id": "\\ud800", "t": 1, "x": 0.5}', ("\ud800", 1, "0.5"), id="lone_surrogate"),
-    pytest.param('{"node_id": "a", "t": 1, "x": 0.5, "node_id": "b", "t": 2}', ("b", 2, "0.5"), id="duplicate_keys"),
-    pytest.param("", "not valid JSON (Expecting value: line 1 column 1 (char 0))", id="empty"),
-])
-def test_parse_event_is_json_loads_on_edge_lines(text, outcome):
-    expected = parse_outcome(parse_event_loads, text)
-    assert parse_outcome(_parse_event, text) == expected
-    if isinstance(outcome, tuple):
-        assert expected == outcome
-    else:
-        assert expected[1].startswith(f"line 1: {outcome}")
-
-
 #: The fields of a canonical event line, each listed as the pattern's own
 #: values first and then mutations of them, and what a line may end with:
 #: ids the pattern takes as they stand (non-ASCII, a raw lone surrogate, DEL,
@@ -1312,13 +1260,53 @@ def test_stream_reads_raw_lines_as_json_loads():
     lines."""
     fuzz = list(parse_fuzz_lines(seed=30, n=24_000))
     mutations = list(canonical_mutations())
+    outcomes = collections.Counter()
     for line in fuzz + mutations:
-        assert stream_outcome(line) == loads_outcome(line), line
+        expected = loads_outcome(line)
+        assert stream_outcome(line) == expected, line
+        # an event, or the reason json gives, or "" for an event's own check
+        outcomes["event" if expected[0] == 0 else expected[2].partition(" (")[2].partition(":")[0]] += 1
     for line in mutations:
         assert stream_outcome(line, RAW_LINE_BELIEF_POLICY) == loads_outcome(line, RAW_LINE_BELIEF_POLICY), line
+    # accepted events show, and so does every error the parse rebuilds
+    assert outcomes["event"] > 2000
+    assert min(outcomes[reason] for reason in
+               ("Expecting value", "Extra data", "Unexpected UTF-8 BOM (decode using utf-8-sig)")) > 100
     own = math.prod(len(values) for values, _ in CANONICAL_FIELDS.values())
     assert sum(bool(_canonical_event(line)) for line in mutations) == own == 180
     assert sum(bool(_canonical_event(line)) for line in fuzz) == 60  # unmutated, in json.dumps' default layout
+
+
+@pytest.mark.parametrize("text, outcome", [
+    pytest.param('\ufeff{"node_id": "a", "t": 1, "x": 0.5}',
+                 "not valid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0))", id="bom"),
+    pytest.param('{"node_id": "a", "t": 1, "x": 0.5}  \t {}',
+                 "not valid JSON (Extra data: line 1 column 39 (char 38))", id="padded_extra_data"),
+    pytest.param('"a"\t1', "not valid JSON (Extra data: line 1 column 5 (char 4))", id="tab_extra_data"),
+    pytest.param("[" * 100_000, "not valid JSON (maximum recursion depth exceeded", id="deep_nesting"),
+    pytest.param('{"node_id": "a", "t": 1%s, "x": 0.5}' % ("0" * 4999),
+                 "not valid JSON (Exceeds the limit (4300 digits)", id="5000_digit_t"),
+    pytest.param('{"node_id": "a", "t": 1, "x": NaN}', "observation value must lie in [0, 1], got nan", id="nan"),
+    pytest.param('{"node_id": "a", "t": 1, "x": Infinity}', "observation value must lie in [0, 1], got inf", id="inf"),
+    pytest.param('{"node_id": "a", "t": 1, "x": -Infinity}', "observation value must lie in [0, 1], got -inf",
+                 id="minus_inf"),
+    pytest.param('{"node_id": "\\ud800", "t": 1, "x": 0.5}', ("\ud800", 1, "0.5"), id="lone_surrogate"),
+    pytest.param('{"node_id": "a", "t": 1, "x": 0.5, "node_id": "b", "t": 2}', ("b", 2, "0.5"), id="duplicate_keys"),
+    pytest.param("nope", "not valid JSON (Expecting value: line 1 column 1 (char 0))", id="expecting_value"),
+    pytest.param("", "blank line", id="empty"),
+])
+def test_parse_event_is_json_loads_on_edge_lines(text, outcome):
+    """The stream on one raw line: the same verdict or error as json.loads,
+    and the pinned event (its id, t and x, the statistic hiper writes after
+    one event) or the pinned start of the error."""
+    expected = loads_outcome(text)
+    assert stream_outcome(text) == expected
+    code, out, err = expected
+    if isinstance(outcome, tuple):
+        verdict = json.loads(out)
+        assert (code, (verdict["node_id"], verdict["t"], repr(verdict["statistic"]))) == (0, outcome)
+    else:
+        assert err.startswith(f"error: line 1: {outcome}")
 
 
 def hiper_replay(events, policy):
@@ -1432,38 +1420,30 @@ def test_stream_writes_each_verdict_before_reading_on(monkeypatch):
     assert all(text.count("\n") == 1 and text.endswith("\n") for _, text in outfile.writes)
 
 
-def test_stream_and_bounds_do_not_load_numpy_random(tmp_path):
-    """Neither command draws a random number, so neither loads numpy.random,
-    whose import is a large part of nodeban's start-up."""
-    script = (
-        "import io, sys\n"
-        "import nodeban.cli\n"
-        "sys.stdin = io.StringIO('')\n"
-        f"assert nodeban.cli.main(['stream', '-', *{MYOPIC!r}]) == 0\n"
-        "assert nodeban.cli.main(['bounds', '--lQ', '1', '--gU', '1', '--lambda', '0.1', '--Delta', '0.5']) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
-    )
-    src = os.path.dirname(os.path.dirname(nodeban.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, cwd=tmp_path, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
-
-
 def test_stream_and_bounds_load_neither_the_simulator_nor_the_suites(tmp_path):
     """The stream and bounds start on the rule layer alone: the simulator and
     the suites are loaded by nodeban suite only, which still runs in the same
-    process afterwards."""
-    events, config = tmp_path / "in.jsonl", tmp_path / "cfg.json"
+    process afterwards. Nor do they load numpy, whose import is most of
+    nodeban's start-up: hiper, myopic and optimistic decide by scalar
+    arithmetic, bounds too, and lookahead loads it at its first verdict, so
+    not on an empty input."""
+    events, empty, config = tmp_path / "in.jsonl", tmp_path / "empty.jsonl", tmp_path / "cfg.json"
     write_events(events, ALIAS_EVENTS)
+    empty.write_text("")
     config.write_text(json.dumps({"suite": "policy_compare", "n_runs": 1, "ma_window": 1}))
-    policies = [["hiper", "--delta", "0.9"], ["myopic"], ["optimistic"], ["lookahead:4"]]
+    scalar = [["in.jsonl", "hiper", "--delta", "0.9"], ["in.jsonl", "myopic"], ["in.jsonl", "optimistic"],
+              ["empty.jsonl", "lookahead:4"]]
     script = (
         "import sys\n"
         "from nodeban.cli import main\n"
-        f"for policy in {policies!r}:\n"
-        f"    assert main(['stream', 'in.jsonl', '--out', 'out.jsonl', *{WORLD!r}, '--policy', *policy]) == 0\n"
+        "def stream(infile, *policy):\n"
+        f"    assert main(['stream', infile, '--out', 'out.jsonl', *{WORLD!r}, '--policy', *policy]) == 0\n"
+        f"for infile, *policy in {scalar!r}:\n"
+        "    stream(infile, *policy)\n"
+        "    assert 'numpy' not in sys.modules, policy\n"
         "assert main(['bounds', '--lQ', '1', '--gU', '1', '--lambda', '0.1', '--Delta', '0.5']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "stream('in.jsonl', 'lookahead:4')\n"
         "loaded = {'nodeban.simulator', 'nodeban.experiments'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
         "assert main(['suite', '--config', 'cfg.json', '--seed', '1', '--out', 'out.csv']) == 0\n"

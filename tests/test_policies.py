@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from nodeban.policies import (
     MyopicPolicy,
     OptimisticPolicy,
     PolicySpec,
+    _BeliefPolicy,
+    _leaf_margin,
     lookahead_value,
 )
 from oracles import belief_rule_removes, lookahead_value_bruteforce
@@ -82,6 +86,39 @@ class TestOptimistic:
             count = int(rng.integers(0, 30))
             ones = int(rng.integers(0, count + 1))
             assert OptimisticPolicy(env).removes(count, ones) == MyopicPolicy(env).removes(count, ones)
+
+
+class TestLeafMargin:
+    """A depth-0 leaf on the three kinds of pm it is given: a Python float
+    (removes' posterior, and _cut's ends), np.float64 and an array (_plan's
+    tables), with every RuntimeWarning an error."""
+
+    KINDS = (float, np.float64, lambda pm: np.array([pm]))
+
+    def margins(self, pm, env, leaf_rule):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [float(np.asarray(_leaf_margin(kind(pm), env, leaf_rule)).item()) for kind in self.KINDS]
+
+    @pytest.mark.parametrize("pm", [0.0, 0.25, 0.5])
+    def test_optimistic_leaf_overflows_to_inf_without_a_warning(self, pm):
+        # P(honest) * gain / 5e-324 is past the float range: inf, which keeps
+        assert self.margins(pm, make_env(rate=5e-324), LeafRule.OPTIMISTIC) == [math.inf] * 3
+
+    def test_a_float_is_computed_as_numpy_computes_it(self):
+        """Both depth-0 leaves give the same bits on every kind of pm, where
+        the optimistic one overflows and where it does not, so _cut, the
+        logit of its float margins at pm = 0 and 1, is that of the array's."""
+        grid = itertools.product((0.0, 1.0, 1e300), (0.0, 1.0, 5e-324), (1.0, 0.01, 1e-300, 5e-324))
+        for gain, loss, rate in grid:
+            env = make_env(gain=gain, loss=loss, rate=rate)
+            for leaf_rule in (LeafRule.MYOPIC_INFINITE, LeafRule.OPTIMISTIC):
+                for pm in (0.0, 5e-324, 0.25, 0.5, 1.0 - 2.0**-53, 1.0):
+                    bits = {margin.hex() for margin in self.margins(pm, env, leaf_rule)}
+                    assert len(bits) == 1, (env, leaf_rule, pm, bits)
+                m0, m1 = (self.margins(pm, env, leaf_rule)[2] for pm in (0.0, 1.0))
+                cut = (math.log(m0) if m0 else -math.inf) - (math.log(-m1) if m1 else -math.inf)
+                assert _BeliefPolicy(env, 0, leaf_rule)._cut.hex() == cut.hex(), (env, leaf_rule)  # NaN too
 
 
 class TestLookaheadValue:
